@@ -2,7 +2,7 @@
 
 Conventions
 -----------
-- Edges are stored as (i, j, w) with 0 <= i < j < n and w > 0; graphs are
+- Edges are stored as (i, j, w) with 0 <= i < j < n and finite w > 0; graphs are
   undirected with no self-loops, so the adjacency matrix is symmetric with
   zero diagonal.
 - Vertices of a product graph are tuples (i_1, ..., i_m) linearized with the
@@ -49,8 +49,8 @@ class Graph:
             i, j, w = int(e[0]), int(e[1]), float(e[2])
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={self.n} (need i < j)")
-            if w <= 0:
-                raise ValidationError(f"edge weight must be positive, got {w} on ({i}, {j})")
+            if not 0 < w < math.inf:
+                raise ValidationError(f"edge weight must be positive and finite, got {w} on ({i}, {j})")
             if (i, j) in seen:
                 raise ValidationError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .graphs import Graph
 from .product import SignalNd
 
@@ -46,9 +46,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def dumps_json(obj: Any, compact: bool = False) -> str:
-    if compact:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Serialize as strict JSON; a NaN or infinity raises NumericalError."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **layout) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"cannot write a non-finite number as JSON: {exc}") from exc
 
 
 def write_json(path: str | Path, obj: Any, compact: bool = False) -> None:
@@ -132,7 +135,11 @@ def write_signal(path: str | Path, sig: SignalNd, fmt: str | None = None) -> Non
 
 
 def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalNd:
-    """Read a signal file; CSV needs ``shape`` unless the signal is 1-D."""
+    """Read a signal file; CSV needs ``shape`` unless the signal is 1-D.
+
+    Raises ValidationError for unreadable or malformed files, a shape
+    mismatch, and values that are not finite.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -156,13 +163,15 @@ def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalN
             raise ValidationError(
                 f"signal file {path} has shape {file_shape}, expected {tuple(shape)}"
             )
-        return SignalNd(file_shape, values)
-    try:
-        values = np.array(
-            [complex(line.strip()) for line in text.splitlines() if line.strip()],
-            dtype=complex,
-        )
-    except ValueError as exc:
-        raise ValidationError(f"malformed signal file {path}: {exc}") from exc
-    use_shape = tuple(int(s) for s in shape) if shape is not None else (values.size,)
-    return SignalNd(use_shape, values)
+    else:
+        try:
+            values = np.array(
+                [complex(line.strip()) for line in text.splitlines() if line.strip()],
+                dtype=complex,
+            )
+        except ValueError as exc:
+            raise ValidationError(f"malformed signal file {path}: {exc}") from exc
+        file_shape = tuple(int(s) for s in shape) if shape is not None else (values.size,)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"signal file {path} contains a non-finite value")
+    return SignalNd(file_shape, values)

@@ -46,11 +46,11 @@ class FourierEigen:
 
 def _fix_signs(v: np.ndarray, tol: float = _SIGN_TOL) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible component is positive."""
+    mask = np.abs(v) > tol
+    cols = np.arange(v.shape[1])
+    flip = mask.any(axis=0) & (v[mask.argmax(axis=0), cols] < 0)
     w = v.copy()
-    for j in range(w.shape[1]):
-        nz = np.flatnonzero(np.abs(w[:, j]) > tol)
-        if nz.size and w[nz[0], j] < 0:
-            w[:, j] = -w[:, j]
+    w[:, flip] = -w[:, flip]
     return w
 
 
@@ -81,27 +81,40 @@ def gft_matrix(basis: SpectralBasis) -> np.ndarray:
     return basis.vectors.T.copy()
 
 
+def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run; ``breaks[i]`` is True where a run starts at i + 1."""
+    bounds = np.flatnonzero(np.concatenate(([True], breaks, [True])))
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
 def _canonical_order(mu: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort eigenpairs by ascending principal argument with a deterministic tiebreak.
 
-    Ties are broken on the phase-normalized eigenvector: first by the index
-    of its leading non-negligible component (so an identity eigenbasis stays
-    the identity), then lexicographically on the components.
+    Each eigenvector is first phase-normalized so that its leading
+    non-negligible component is real and positive. The sort key is then
+    (principal argument, index of that leading component, components as
+    re0, im0, re1, im1, ... rounded to 12 decimals): the lead index keeps an
+    identity eigenbasis the identity, and the components decide the rest.
+    The component key is built only for runs that tie on the first two keys.
     """
     n = mu.size
-    cols = []
-    keys = []
-    for k in range(n):
-        v = p[:, k]
-        nz = np.flatnonzero(np.abs(v) > _SIGN_TOL)
-        lead = int(nz[0]) if nz.size else n
-        if nz.size:
-            v = v * np.exp(-1j * np.angle(v[lead]))
-        cols.append(v)
-        lex = tuple(np.round(np.column_stack([v.real, v.imag]).ravel(), 12))
-        keys.append((float(np.angle(mu[k])), lead, lex))
-    order = sorted(range(n), key=lambda k: keys[k])
-    return mu[order], np.column_stack([cols[k] for k in order])
+    # a unit-norm column always has a component above _SIGN_TOL
+    lead = (np.abs(p) > _SIGN_TOL).argmax(axis=0)
+    p = p * np.exp(-1j * np.angle(p[lead, np.arange(n)]))
+    angle = np.angle(mu)
+    order = np.lexsort((lead, angle))
+    a, ld = angle[order], lead[order]
+    breaks = (a[1:] != a[:-1]) | (ld[1:] != ld[:-1])
+    if not breaks.all():
+        starts, sizes = _runs(breaks)
+        for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
+            run = order[start:start + size]
+            block = p[:, run]
+            key = np.empty((2 * n, size))
+            key[0::2] = block.real
+            key[1::2] = block.imag
+            order[start:start + size] = run[np.lexsort(np.round(key, 12)[::-1])]
+    return mu[order], p[:, order]
 
 
 def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen:
@@ -109,9 +122,18 @@ def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen
 
     Because ``f`` is normal, its Hermitian and skew parts commute; the skew
     part is diagonalized inside each eigenspace of the symmetric part, which
-    needs only symmetric eigensolvers. Eigenvalues within _SNAP_TOL of the
+    needs only symmetric eigensolvers. Those eigenspaces are the clusters of
+    the symmetric part's eigenvalues, split at gaps above ``gap_tol``, with
+    eigenvectors ``q``. The product ``g = q.T @ f @ q`` is formed once; for
+    a cluster's diagonal block ``g_c``, the Hermitian matrix
+    ``(g_c - g_c.T) / 2j`` has the eigenvectors ``w`` that diagonalize ``f``
+    on that cluster. All clusters of one size are solved by one stacked
+    eigensolve (a one-member cluster has ``w = 1``); the eigenvectors of
+    ``f`` are ``q_c @ w`` and its eigenvalues the Rayleigh quotients
+    ``w^H g_c w`` on the same blocks. Eigenvalues within _SNAP_TOL of the
     real or imaginary axis are snapped onto it so that branch cuts of
-    fractional powers are taken deterministically.
+    fractional powers are taken deterministically. Pairs are returned in the
+    order of _canonical_order.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
@@ -120,24 +142,18 @@ def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen
     if np.abs(f.T @ f - np.eye(n)).max() >= 1e-8:
         raise ValidationError("matrix is not orthogonal within 1e-8")
 
-    h1 = (f + f.T) / 2.0
-    h2 = (f - f.T) / 2j  # Hermitian: f = h1 + 1j * h2
-    h, q = np.linalg.eigh(h1)
-    mu = np.zeros(n, dtype=complex)
-    p = np.zeros((n, n), dtype=complex)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and h[stop] - h[stop - 1] <= gap_tol:
-            continue
-        qc = q[:, start:stop]
-        _, w = np.linalg.eigh(qc.T @ h2 @ qc)
-        pc = qc @ w
-        for k in range(stop - start):
-            v = pc[:, k]
-            lam = np.vdot(v, f @ v)
-            mu[start + k] = lam / abs(lam)
-        p[:, start:stop] = pc
-        start = stop
+    h, q = np.linalg.eigh((f + f.T) / 2.0)
+    g = q.T @ f @ q
+    p = q.astype(complex)
+    mu = np.diagonal(g).astype(complex)
+    starts, sizes = _runs(h[1:] - h[:-1] > gap_tol)
+    for m in sorted(set(sizes.tolist()) - {1}):
+        idx = starts[sizes == m][:, None] + np.arange(m)  # (clusters, m) column indices
+        blocks = g[idx[:, :, None], idx[:, None, :]]
+        _, w = np.linalg.eigh((blocks - blocks.transpose(0, 2, 1)) / 2j)
+        p[:, idx] = (q[:, idx].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
+        mu[idx] = (w.conj() * (blocks @ w)).sum(axis=1)
+    mu = mu / np.abs(mu)
 
     re, im = mu.real.copy(), mu.imag.copy()
     im[np.abs(im) < _SNAP_TOL] = 0.0

@@ -75,6 +75,30 @@ class TestTransform:
                    "--graph", workspace / "g1.json",
                    "--params", "0.6,0.8,-0.5,1.0") == 2
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [("x.json", '{"shape": [14, 8], "data": [[NaN, 0.0]%s]}' % (", [1.0, 0.0]" * 111)),
+         ("x.csv", "nan\n" + "1.0\n" * 111)],
+        ids=["json", "csv"],
+    )
+    def test_non_finite_signal_exit_2(self, workspace, capsys, name, text):
+        (workspace / name).write_text(text)
+        rc = run("transform", "--signal", workspace / name,
+                 "--graph", workspace / "g1.json", "--graph", workspace / "g2.json",
+                 "--params", "0.6,0.8,-0.5,1.0", "--out", workspace / "y.json")
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (workspace / "y.json").exists()
+
+    def test_non_finite_graph_weight_exit_2(self, workspace, capsys):
+        (workspace / "bad.json").write_text('{"n": 14, "edges": [[0, 1, NaN]]}')
+        rc = run("transform", "--signal", workspace / "x.csv",
+                 "--graph", workspace / "bad.json", "--graph", workspace / "g2.json",
+                 "--params", "0.6,0.8,-0.5,1.0", "--out", workspace / "y.json")
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (workspace / "y.json").exists()
+
 
 class TestBench:
     def test_complexity_payload(self, tmp_path):

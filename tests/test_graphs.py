@@ -120,7 +120,7 @@ class TestGraphType:
     @pytest.mark.parametrize(
         "edges",
         [((0, 0, 1.0),), ((1, 0, 1.0),), ((0, 3, 1.0),), ((0, 1, 0.0),), ((0, 1, -2.0),),
-         ((0, 1, 1.0), (0, 1, 2.0))],
+         ((0, 1, 1.0), (0, 1, 2.0)), ((0, 1, float("nan")),), ((0, 1, float("inf")),)],
     )
     def test_bad_edges_raise(self, edges):
         with pytest.raises(ValidationError):

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from glct import SignalNd, ValidationError, make_low_stretch_tree, make_ring
+from glct import NumericalError, SignalNd, ValidationError, make_low_stretch_tree, make_ring
 from glct.io import (
     atomic_write_text,
     csv_text,
+    dumps_json,
     fmt_num,
     read_graph,
     read_signal,
@@ -43,6 +44,13 @@ class TestGraphFiles:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ValidationError):
             read_graph(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_weight_raises(self, tmp_path, token):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1, %s], [1, 2, 1.0]]}' % token)
+        with pytest.raises(ValidationError, match="finite"):
+            read_graph(path)
 
 
 class TestSignalFiles:
@@ -88,6 +96,22 @@ class TestSignalFiles:
         with pytest.raises(ValidationError):
             read_signal(path)
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("s.json", '{"shape": [2], "data": [[1.0, 0.0], [NaN, 0.0]]}'),
+            ("s.json", '{"shape": [2], "data": [[1.0, -Infinity], [0.0, 0.0]]}'),
+            ("s.csv", "1.0\nnan\n"),
+            ("s.csv", "1.0\n(1+infj)\n"),
+        ],
+        ids=["json-nan", "json-inf", "csv-nan", "csv-inf"],
+    )
+    def test_non_finite_values_raise(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="non-finite"):
+            read_signal(path)
+
 
 class TestSerialization:
     def test_fmt_num(self):
@@ -110,6 +134,12 @@ class TestSerialization:
         write_csv(p1, ("x", "y"), rows, config={"seed": 0})
         write_csv(p2, ("x", "y"), rows, config={"seed": 0})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_dumps_json_rejects_non_finite(self):
+        assert dumps_json({"x": [1.5, 2]}, compact=True) == '{"x":[1.5,2]}\n'
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NumericalError):
+                dumps_json({"x": bad})
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "out.txt"

@@ -6,6 +6,7 @@ from glct import (
     FourierEigen,
     GsoKind,
     ValidationError,
+    make_family,
     eig_sym,
     eig_unitary,
     frac_diag_power,
@@ -18,6 +19,7 @@ from glct import (
     make_path,
     make_ring,
 )
+from glct.spectral import _canonical_order
 
 RT2 = np.sqrt(2.0)
 
@@ -182,3 +184,99 @@ class TestFracOperator:
         rotated = FourierEigen(vectors=vectors, values=fe.values, source=fe.source)
         for t in (0.3, 0.5, 1.7):
             assert np.abs(frac_operator(fe, t) - frac_operator(rotated, t)).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-column loop implementation of the eigendecompositions, kept as
+# the reference that the array implementation is compared against.
+
+
+def _reference_fix_signs(v, tol=1e-8):
+    w = v.copy()
+    for j in range(w.shape[1]):
+        nz = np.flatnonzero(np.abs(w[:, j]) > tol)
+        if nz.size and w[nz[0], j] < 0:
+            w[:, j] = -w[:, j]
+    return w
+
+
+def _reference_canonical_order(mu, p):
+    n = mu.size
+    cols = []
+    keys = []
+    for k in range(n):
+        v = p[:, k]
+        nz = np.flatnonzero(np.abs(v) > 1e-8)
+        lead = int(nz[0]) if nz.size else n
+        if nz.size:
+            v = v * np.exp(-1j * np.angle(v[lead]))
+        cols.append(v)
+        lex = tuple(np.round(np.column_stack([v.real, v.imag]).ravel(), 12))
+        keys.append((float(np.angle(mu[k])), lead, lex))
+    order = sorted(range(n), key=lambda k: keys[k])
+    return mu[order], np.column_stack([cols[k] for k in order])
+
+
+def _reference_eig_unitary(f, gap_tol=1e-9):
+    n = f.shape[0]
+    h1 = (f + f.T) / 2.0
+    h2 = (f - f.T) / 2j
+    h, q = np.linalg.eigh(h1)
+    mu = np.zeros(n, dtype=complex)
+    p = np.zeros((n, n), dtype=complex)
+    start = 0
+    for stop in range(1, n + 1):
+        if stop < n and h[stop] - h[stop - 1] <= gap_tol:
+            continue
+        qc = q[:, start:stop]
+        _, w = np.linalg.eigh(qc.T @ h2 @ qc)
+        pc = qc @ w
+        for k in range(stop - start):
+            v = pc[:, k]
+            lam = np.vdot(v, f @ v)
+            mu[start + k] = lam / abs(lam)
+        p[:, start:stop] = pc
+        start = stop
+    re, im = mu.real.copy(), mu.imag.copy()
+    im[np.abs(im) < 1e-13] = 0.0
+    re[np.abs(re) < 1e-13] = 0.0
+    mu = re + 1j * im
+    mu = mu / np.abs(mu)
+    mu, p = _reference_canonical_order(mu, p)
+    return FourierEigen(vectors=p, values=mu, source=f)
+
+
+# path(60) adjacency: F has two 30-member clusters
+_DIFFERENTIAL_GRAPHS = [
+    ("ring", 7), ("ring", 14), ("ring", 64), ("ring", 100),
+    ("path", 2), ("path", 9), ("path", 60), ("path", 100),
+    ("complete", 8), ("complete", 33),
+    ("comet", 6), ("comet", 40),
+    ("lowstretch", 16), ("lowstretch", 100),
+]
+
+
+@pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("family,n", _DIFFERENTIAL_GRAPHS, ids=lambda x: str(x))
+def test_matches_loop_reference(family, n, kind):
+    z = gso(make_family(family, n), kind)
+    basis = eig_sym(z, kind)
+    _, raw = np.linalg.eigh((z + z.T) / 2.0)
+    np.testing.assert_array_equal(basis.vectors, _reference_fix_signs(raw))
+
+    f = gft_matrix(basis)
+    fe = eig_unitary(f)
+    ref = _reference_eig_unitary(f)
+    assert np.abs(fe.values - ref.values).max() < 1e-12
+    for t in (0.13, 0.5, 0.77, -0.4):
+        assert np.abs(frac_operator(fe, t) - frac_operator(ref, t)).max() < 1e-12
+
+    # on identical input the sort must pick the reference's permutation, ties included
+    rng = np.random.default_rng(n)
+    perm = rng.permutation(f.shape[0])
+    mu = fe.values[perm]
+    p = fe.vectors[:, perm] * np.exp(1j * rng.uniform(-np.pi, np.pi, size=perm.size))
+    got_mu, got_p = _canonical_order(mu, p)
+    ref_mu, ref_p = _reference_canonical_order(mu, p)
+    np.testing.assert_array_equal(got_mu, ref_mu)
+    assert np.abs(got_p - ref_p).max() < 1e-15
