@@ -220,8 +220,17 @@ def _cmd_bench(args) -> int:
 
 
 def _compress_reports(args, gammas, ctx, x) -> list:
+    """(reconstruction, report) pairs.
+
+    Reconstructions are kept only for --recon-dir. A search winner's is None,
+    because the search returns only the report.
+    """
     zb = ZeroBVariant(args.zero_b_variant)
-    reports = []
+    results = []
+
+    def keep(recon, rep):
+        results.append((recon if args.recon_dir else None, rep))
+
     alphas = list(args.alpha or [])
     if args.sweep_gfrft:
         alphas.extend(a for a in xp.DEFAULT_ALPHA_GRID if a not in alphas)
@@ -230,18 +239,16 @@ def _compress_reports(args, gammas, ctx, x) -> list:
         alphas = [1.0]  # plain-transform baseline
     for alpha in alphas:
         for gamma in gammas:
-            _, rep = xp.compress_gfrft(x, alpha, ctx, gamma, seed=args.seed)
-            reports.append(rep)
+            keep(*xp.compress_gfrft(x, alpha, ctx, gamma, seed=args.seed))
     for p in param_sets:
         for gamma in gammas:
-            _, rep = xp.compress(x, p, ctx, gamma, args.variant, zb, seed=args.seed)
-            reports.append(rep)
+            keep(*xp.compress(x, p, ctx, gamma, args.variant, zb, seed=args.seed))
     if args.search:
         for gamma in gammas:
-            reports.append(xp.search_glct_params(
+            keep(None, xp.search_glct_params(
                 x, ctx, gamma, budget=args.search, seed=args.seed,
                 metric=args.metric, variant=args.variant, zero_b_variant=zb))
-    return reports
+    return results
 
 
 def _method_label(rep) -> str:
@@ -264,7 +271,8 @@ def _cmd_compress(args) -> int:
             raise ValidationError(f"compression ratio must lie in (0, 1], got {g}")
     graph, x = xp.study_signal(args.n1, args.n2, args.seed)
     ctx = ProductContext(graph, GsoKind(args.gso))
-    reports = _compress_reports(args, gammas, ctx, x)
+    results = _compress_reports(args, gammas, ctx, x)
+    reports = [rep for _, rep in results]
     config = _config_echo(args)
     rows = [r.row() for r in reports]
     payload = {"config": config, "rows": rows}
@@ -281,10 +289,8 @@ def _cmd_compress(args) -> int:
                 gio.write_csv(path, ("gamma", metric), curve, config)
     if args.recon_dir:
         zb = ZeroBVariant(args.zero_b_variant)
-        for rep in reports:
-            if rep.method == "gfrft":
-                recon, _ = xp.compress_gfrft(x, rep.alpha, ctx, rep.gamma, seed=args.seed)
-            else:
+        for recon, rep in results:
+            if recon is None:
                 recon, _ = xp.compress(x, LctParams(*rep.params), ctx, rep.gamma,
                                        rep.variant, zb, seed=args.seed)
             path = Path(args.recon_dir) / f"{_method_label(rep)}_gamma{gio.fmt_num(rep.gamma)}.json"

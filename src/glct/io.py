@@ -22,10 +22,15 @@ from .product import SignalNd
 
 
 def fmt_num(v: Any) -> str:
-    """Shortest round-trip decimal text for a real number."""
+    """Shortest round-trip decimal text for a real number.
+
+    Raises NumericalError for NaN and infinities, which have no such text.
+    """
     if isinstance(v, str):
         return v
     f = float(v)
+    if not np.isfinite(f):
+        raise NumericalError(f"cannot write the non-finite number {f!r}")
     if f == int(f) and abs(f) < 1e16:
         return str(int(f))
     return repr(f)

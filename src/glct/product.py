@@ -8,10 +8,13 @@ matrices, and exists purely as a differential-testing oracle.
 
 Fractional Kronecker diagonals are computed per factor and then combined, so
 mode-wise application, exact power additivity, and separability all hold by
-construction.
+construction. The two LCT factorizations fold their chirps into at most three
+N_k x N_k factor matrices per axis and apply each axis with matrix products
+on the flat signal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Mapping, Sequence
@@ -28,7 +31,7 @@ from .params import (
     cddhfs_decompose,
     cmccm_decompose,
 )
-from .spectral import frac_diag_power, frac_operator
+from .spectral import frac_diag_power, principal_angle
 
 OPS = ("gft", "igft", "gfrft", "gcm", "gscale", "glct_cddhfs", "glct_cmccm")
 DENSE_SIZE_CAP = 4096
@@ -81,6 +84,7 @@ class ProductContext:
         self.factors: tuple[FactorDecomposition, ...] = tuple(
             decompose_graph(g, kind) for g in graph.factors
         )
+        self._angles = tuple(principal_angle(dec.fourier.values) for dec in self.factors)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,17 +94,46 @@ class ProductContext:
         if x.shape != self.shape:
             raise ValidationError(f"signal shape {x.shape} does not match graph shape {self.shape}")
 
+    def diag_powers(self, t: float) -> list[np.ndarray]:
+        """Per factor, the transform eigenvalues to the power ``t``: the chirp
+        diagonal of rate t, equal to :func:`~glct.spectral.frac_diag_power`."""
+        t = float(t)
+        return [np.exp(1j * (t * angle)) for angle in self._angles]
 
-def _mode_apply(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Apply ``mat`` along one tensor axis."""
-    return np.moveaxis(np.tensordot(mat, tensor, axes=(1, axis)), 0, axis)
+
+def _mode_product(values: np.ndarray, shape: tuple[int, ...], axis: int, mat: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` along ``axis`` of flat first-index-fastest ``values``.
+
+    In C order the flat array is an (L, N_axis, R) block, R being the product
+    of the earlier axes, so one matmul applies ``mat`` to every fibre.
+    """
+    n = shape[axis]
+    r = math.prod(shape[:axis])
+    if r == 1:
+        return (values.reshape(-1, n) @ mat.T).ravel()
+    return (mat @ values.reshape(-1, n, r)).ravel()
 
 
-def _axes_apply(x: SignalNd, mats: Sequence[np.ndarray]) -> SignalNd:
-    t = x.tensor()
-    for axis, m in enumerate(mats):
-        t = _mode_apply(t, m, axis)
-    return SignalNd.from_tensor(t)
+def _axis_apply(
+    values: np.ndarray, shape: tuple[int, ...], axis: int, mats: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Apply the product ``mats[0] @ mats[1] @ ...`` along ``axis``.
+
+    Forming the product costs N^3 per extra factor and applying one factor
+    costs N * P for P signal entries, so the product is formed only when
+    N^2 <= P, the comparison ``np.linalg.multi_dot`` makes; otherwise the
+    factors are applied right to left.
+    """
+    if shape[axis] ** 2 <= values.size:
+        return _mode_product(values, shape, axis, reduce(np.matmul, mats))
+    for mat in reversed(mats):
+        values = _mode_product(values, shape, axis, mat)
+    return values
+
+
+def _kron_sum_apply(values: np.ndarray, shape: tuple[int, ...], mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply the Kronecker sum of ``mats``: the sum of their mode products."""
+    return sum(_mode_product(values, shape, axis, m) for axis, m in enumerate(mats))
 
 
 def _kron_diag_tensor(diags: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
@@ -116,26 +149,39 @@ def _kron_diag_tensor(diags: Sequence[np.ndarray], shape: tuple[int, ...]) -> np
 def gft_nd(x: SignalNd, ctx: ProductContext) -> SignalNd:
     """Separable analysis transform: factor-k matrix along axis k."""
     ctx.check(x)
-    return _axes_apply(x, [dec.f for dec in ctx.factors])
+    values = x.values
+    for axis, dec in enumerate(ctx.factors):
+        values = _mode_product(values, ctx.shape, axis, dec.f)
+    return SignalNd(ctx.shape, values)
 
 
 def igft_nd(xhat: SignalNd, ctx: ProductContext) -> SignalNd:
     """Inverse of :func:`gft_nd`."""
     ctx.check(xhat)
-    return _axes_apply(xhat, [dec.basis.vectors for dec in ctx.factors])
+    values = xhat.values
+    for axis, dec in enumerate(ctx.factors):
+        values = _mode_product(values, ctx.shape, axis, dec.basis.vectors)
+    return SignalNd(ctx.shape, values)
 
 
 def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
-    """Separable fractional transform of normalized order ``alpha_norm``."""
+    """Separable fractional transform of normalized order ``alpha_norm``.
+
+    Along axis k this is P diag(mu**alpha) P^H with (P, mu) the unitary
+    eigendecomposition of the factor's transform matrix.
+    """
     ctx.check(x)
-    return _axes_apply(x, [frac_operator(dec.fourier, alpha_norm) for dec in ctx.factors])
+    values = x.values
+    for axis, (dec, d) in enumerate(zip(ctx.factors, ctx.diag_powers(alpha_norm))):
+        p = dec.fourier.vectors
+        values = _axis_apply(values, ctx.shape, axis, [p * d, p.conj().T])
+    return SignalNd(ctx.shape, values)
 
 
 def gcm_nd(x: SignalNd, xi: float, ctx: ProductContext) -> SignalNd:
     """Chirp multiplication by the Kronecker product of per-factor diagonals."""
     ctx.check(x)
-    diags = [frac_diag_power(dec.fourier.values, xi) for dec in ctx.factors]
-    return SignalNd.from_tensor(x.tensor() * _kron_diag_tensor(diags, ctx.shape))
+    return SignalNd.from_tensor(x.tensor() * _kron_diag_tensor(ctx.diag_powers(xi), ctx.shape))
 
 
 def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
@@ -143,19 +189,29 @@ def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
     if sigma == 0:
         raise ValidationError("scaling factor must be nonzero")
     ctx.check(x)
-    t = x.tensor()
-    acc = np.zeros_like(t)
-    for axis, dec in enumerate(ctx.factors):
-        acc = acc + _mode_apply(t, dec.z, axis)
-    return SignalNd.from_tensor(acc / sigma)
+    values = _kron_sum_apply(x.values, ctx.shape, [dec.z for dec in ctx.factors])
+    return SignalNd(ctx.shape, values / sigma)
 
 
 def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
-    """Linear canonical transform as chirp o scaling o fractional transform."""
+    """Linear canonical transform as chirp o scaling o fractional transform.
+
+    Along axis k the chirp and the fractional transform combine into
+    (D_xi P D_alpha) P^H. The chirp diagonal D_xi is unimodular, so moving it
+    in front of the Kronecker-sum scaling turns each shift operator Z_k into
+    D_xi Z_k D_xi^* / delta.
+    """
+    ctx.check(x)
     dp = cddhfs_decompose(p)
-    y = gfrft_nd(x, dp.alpha_norm, ctx)
-    y = gscale_nd(y, dp.delta, ctx)
-    return gcm_nd(y, dp.xi, ctx)
+    values = x.values
+    scales = []
+    for axis, (dec, dxi, dalpha) in enumerate(
+        zip(ctx.factors, ctx.diag_powers(dp.xi), ctx.diag_powers(dp.alpha_norm))
+    ):
+        pv = dec.fourier.vectors
+        values = _axis_apply(values, ctx.shape, axis, [dxi[:, None] * pv * dalpha, pv.conj().T])
+        scales.append(dxi[:, None] * dec.z * (dxi.conj() / dp.delta))
+    return SignalNd(ctx.shape, _kron_sum_apply(values, ctx.shape, scales))
 
 
 def glct_cmccm_nd(
@@ -164,30 +220,27 @@ def glct_cmccm_nd(
     ctx: ProductContext,
     zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
 ) -> SignalNd:
-    """Linear canonical transform as chirp / chirp-convolution / chirp factors."""
+    """Linear canonical transform as chirp / chirp-convolution / chirp factors.
+
+    Every factor of the chain is a Kronecker product, so along axis k the
+    general-b transform is (D1 V D2)(V^T D3), with V the factor's GFT
+    synthesis basis and D1, D2, D3 its chirp diagonals of rates x1, x2, x3;
+    eq30 applies V^T in front of it and eq31 V behind it. The branch's
+    constant phase (1 for general b) multiplies the result once.
+    """
+    ctx.check(x)
     cp = cmccm_decompose(p, zero_b_variant)
-    x1, x2, x3 = cp.chirps
-    if cp.branch is CmCcCmBranch.GENERAL:
-        y = gcm_nd(x, x3, ctx)
-        y = gft_nd(y, ctx)
-        y = gcm_nd(y, x2, ctx)
-        y = igft_nd(y, ctx)
-        return gcm_nd(y, x1, ctx)
-    if cp.branch is CmCcCmBranch.ZERO_B_EQ30:
-        y = gcm_nd(x, x3, ctx)
-        y = gft_nd(y, ctx)
-        y = gcm_nd(y, x2, ctx)
-        y = igft_nd(y, ctx)
-        y = gcm_nd(y, x1, ctx)
-        y = gft_nd(y, ctx)
-        return SignalNd(y.shape, cp.phase * y.values)
-    y = igft_nd(x, ctx)
-    y = gcm_nd(y, x3, ctx)
-    y = gft_nd(y, ctx)
-    y = gcm_nd(y, x2, ctx)
-    y = igft_nd(y, ctx)
-    y = gcm_nd(y, x1, ctx)
-    return SignalNd(y.shape, cp.phase * y.values)
+    values = x.values
+    diags = zip(ctx.factors, *(ctx.diag_powers(g) for g in cp.chirps))
+    for axis, (dec, d1, d2, d3) in enumerate(diags):
+        v = dec.basis.vectors
+        mats = [d1[:, None] * v * d2, dec.f * d3]
+        if cp.branch is CmCcCmBranch.ZERO_B_EQ30:
+            mats.insert(0, dec.f)
+        elif cp.branch is CmCcCmBranch.ZERO_B_EQ31:
+            mats.append(v)
+        values = _axis_apply(values, ctx.shape, axis, mats)
+    return SignalNd(ctx.shape, cp.phase * values)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +374,10 @@ def dense_operator(spec: TransformSpec, graph: ProductGraph) -> np.ndarray:
 def mult_count(spec: TransformSpec, shape: Sequence[int]) -> int:
     """Real multiplications used to apply the factored transform once.
 
-    Counts the run phase only, with all per-factor operators and diagonals
+    Counts the paper's chained factorization, one elementary op after another,
+    which is what the complexity comparison between cddhfs and cmccm is about;
+    the per-axis executor folds chirps into factor matrices and does other
+    arithmetic. Counts the run phase only, with all per-factor operators and diagonals
     precomputed: a complex-complex scalar multiply costs 4 real multiplies, a
     real-complex one costs 2. Applying an N_k x N_k factor along axis k of a
     complex tensor with P entries therefore costs 2*N_k*P (real factor) or

@@ -171,22 +171,23 @@ def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen
     return FourierEigen(vectors=p, values=mu, source=f)
 
 
+def principal_angle(mu: np.ndarray) -> np.ndarray:
+    """Principal argument in (-pi, pi]; values on the negative real axis get +pi."""
+    # adding +0.0 turns an imaginary part of -0.0 into +0.0; np.angle would
+    # otherwise put such a negative real value at -pi
+    return np.angle(np.asarray(mu, dtype=complex) + 0.0)
+
+
 def frac_diag_power(mu: np.ndarray, t: float) -> np.ndarray:
     """Entrywise fractional power of unimodular values via the principal log.
 
-    The argument is taken in (-pi, pi]; values on the negative real axis use
-    +pi, so (-1)**0.5 == 1j. Inputs must be unimodular within 1e-8; outputs
-    are renormalized to the unit circle.
+    The argument is taken by :func:`principal_angle`, so (-1)**0.5 == 1j.
+    Inputs must be unimodular within 1e-8; outputs lie on the unit circle.
     """
     mu = np.asarray(mu, dtype=complex)
     if mu.size and np.abs(np.abs(mu) - 1.0).max() > 1e-8:
         raise ValidationError("fractional powers require unimodular eigenvalues")
-    mu = mu / np.abs(mu)
-    # keep negative-real inputs on the +pi side of the branch cut: an imaginary
-    # part of -0.0 would otherwise flip np.log to -pi
-    on_axis = mu.imag == 0.0
-    mu = np.where(on_axis, mu.real + 0.0j, mu)
-    return np.exp(float(t) * np.log(mu))
+    return np.exp(1j * (float(t) * principal_angle(mu)))
 
 
 def frac_operator(fe: FourierEigen, t: float) -> np.ndarray:

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from glct import SignalNd
+from glct import LctParams, ProductContext, SignalNd
+from glct import experiments as xp
 from glct.cli import main
-from glct.io import read_graph, read_signal, write_signal
+from glct.io import fmt_num, read_graph, read_signal, write_signal
 
 
 def run(*argv):
@@ -198,6 +199,28 @@ class TestCompress:
                    "--recon-dir", recon, "--out", tmp_path / "c.json") == 0
         sig = read_signal(recon / "gfrft_alpha1_gamma0.5.json")
         assert sig.shape == (10, 4)
+
+    def test_recon_dir_matches_recomputed_reconstructions(self, tmp_path):
+        recon, fresh = tmp_path / "recon", tmp_path / "fresh"
+        out = tmp_path / "c.json"
+        assert run("compress", "--gamma", 0.3, "--gamma", 0.7, "--alpha", 0.5,
+                   "--glct-params", "0.40,-1.10,0.70,0.58", "--search", 2, "--n1", 10, "--n2", 4,
+                   "--recon-dir", recon, "--out", out) == 0
+        graph, x = xp.study_signal(10, 4, 0)
+        ctx = ProductContext(graph)
+        for row in json.loads(out.read_text())["rows"]:
+            if row["method"] == "gfrft":
+                sig, _ = xp.compress_gfrft(x, row["alpha"], ctx, row["gamma"], seed=0)
+                name = f"gfrft_alpha{fmt_num(row['alpha'])}"
+            else:
+                abcd = tuple(row[k] for k in "abcd")
+                sig, _ = xp.compress(x, LctParams(*abcd), ctx, row["gamma"], seed=0)
+                name = "glct_" + "_".join(fmt_num(v) for v in abcd)
+            write_signal(fresh / f"{name}_gamma{fmt_num(row['gamma'])}.json", sig, fmt="json")
+        written = sorted(p.name for p in recon.iterdir())
+        assert written == sorted(p.name for p in fresh.iterdir()) and len(written) == 6
+        for name in written:
+            assert (recon / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_adjacency_gso_flag(self, tmp_path):
         out = tmp_path / "r.json"

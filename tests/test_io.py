@@ -141,6 +141,11 @@ class TestSerialization:
             with pytest.raises(NumericalError):
                 dumps_json({"x": bad})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_csv_text_rejects_non_finite(self, bad):
+        with pytest.raises(NumericalError):
+            csv_text(("a", "b"), [{"a": 1.0, "b": bad}])
+
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "out.txt"
         atomic_write_text(path, "first")

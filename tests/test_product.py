@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 
 from glct import (
+    CmCcCmBranch,
+    Graph,
+    GsoKind,
     LctParams,
     ProductContext,
     SignalNd,
@@ -11,6 +14,8 @@ from glct import (
     ZeroBVariant,
     apply_spec,
     cartesian_product,
+    cddhfs_decompose,
+    cmccm_decompose,
     dense_operator,
     gcm_nd,
     gfrft_nd,
@@ -25,6 +30,7 @@ from glct import (
     make_ring,
     mult_count,
     kronecker_sum,
+    sample_random_params,
 )
 
 GENERAL_ABCD = (0.6, 0.8, -0.5, 1.0)
@@ -283,3 +289,106 @@ class TestMultCount:
         general = mult_count(TransformSpec("glct_cmccm", {"abcd": GENERAL_ABCD}), (16, 8))
         zero_b = mult_count(TransformSpec("glct_cmccm", {"abcd": ZERO_B_ABCD}), (16, 8))
         assert zero_b > general
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the per-axis executor against the chained implementation
+# it replaced, frozen here as the reference. The chained form applies one
+# public op at a time (chirp tensor, GFT, chirp, inverse GFT, ...) through
+# tensordot, with fractional powers taken as exp(t * log(mu)).
+
+
+def _ref_frac_diag_power(mu, t):
+    mu = np.asarray(mu, dtype=complex)
+    mu = mu / np.abs(mu)
+    mu = np.where(mu.imag == 0.0, mu.real + 0.0j, mu)
+    return np.exp(float(t) * np.log(mu))
+
+
+def _ref_axes_apply(x, mats):
+    t = x.tensor()
+    for axis, m in enumerate(mats):
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
+    return SignalNd.from_tensor(t)
+
+
+def _ref_gft(x, ctx):
+    return _ref_axes_apply(x, [dec.f for dec in ctx.factors])
+
+
+def _ref_igft(x, ctx):
+    return _ref_axes_apply(x, [dec.basis.vectors for dec in ctx.factors])
+
+
+def _ref_gcm(x, xi, ctx):
+    t = x.tensor()
+    for axis, dec in enumerate(ctx.factors):
+        view = [1] * t.ndim
+        view[axis] = ctx.shape[axis]
+        t = t * _ref_frac_diag_power(dec.fourier.values, xi).reshape(view)
+    return SignalNd.from_tensor(t)
+
+
+def _ref_cddhfs(x, p, ctx):
+    dp = cddhfs_decompose(p)
+    frac = []
+    for dec in ctx.factors:
+        pv = dec.fourier.vectors
+        frac.append((pv * _ref_frac_diag_power(dec.fourier.values, dp.alpha_norm)) @ pv.conj().T)
+    y = _ref_axes_apply(x, frac).tensor()
+    acc = np.zeros_like(y)
+    for axis, dec in enumerate(ctx.factors):
+        acc = acc + np.moveaxis(np.tensordot(dec.z, y, axes=(1, axis)), 0, axis)
+    return _ref_gcm(SignalNd.from_tensor(acc / dp.delta), dp.xi, ctx)
+
+
+def _ref_cmccm(x, p, ctx, zero_b_variant):
+    cp = cmccm_decompose(p, zero_b_variant)
+    x1, x2, x3 = cp.chirps
+    if cp.branch is CmCcCmBranch.ZERO_B_EQ31:
+        x = _ref_igft(x, ctx)
+    y = _ref_gcm(_ref_gft(_ref_gcm(x, x3, ctx), ctx), x2, ctx)
+    y = _ref_gcm(_ref_igft(y, ctx), x1, ctx)
+    if cp.branch is CmCcCmBranch.GENERAL:
+        return y
+    if cp.branch is CmCcCmBranch.ZERO_B_EQ30:
+        y = _ref_gft(y, ctx)
+    return SignalNd(y.shape, cp.phase * y.values)
+
+
+def _differential_params():
+    rng = np.random.default_rng(314)
+    sets = [(LctParams(*GENERAL_ABCD), "eq30"), (LctParams(*ZERO_B_ABCD), "eq30"),
+            (LctParams(*ZERO_B_ABCD), "eq31"),
+            # b inside ZERO_B_TOL takes the zero-b branches
+            (LctParams.from_abc(1.3, 4e-10, -0.6), "eq30"),
+            (LctParams.from_abc(1.3, 4e-10, -0.6), "eq31"),
+            # small |a| makes d and the chirp rates large
+            (LctParams.from_abc(1e-3, 0.9, 0.4), "eq30"),
+            (LctParams.from_abc(-2e-3, 0.0, 0.4), "eq31")]
+    sets += [(sample_random_params(rng), "eq30") for _ in range(6)]
+    return sets
+
+
+# ring(4) x path(3): N^2 > P on axis 0 and N^2 <= P on axis 1; the middle axis
+# of path(2) x ring(8) x path(2) has N^2 > P; a one-vertex factor in the middle
+DIFFERENTIAL_GRAPHS = {
+    "ring4xpath3": lambda: [make_ring(4), make_path(3)],
+    "path2xring8xpath2": lambda: [make_path(2), make_ring(8), make_path(2)],
+    "ring5xsinglexpath3": lambda: [make_ring(5), Graph(n=1, edges=()), make_path(3)],
+}
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+@pytest.mark.parametrize("graph", sorted(DIFFERENTIAL_GRAPHS))
+def test_matches_chained_reference(graph, kind, rand_signal):
+    ctx = ProductContext(cartesian_product(DIFFERENTIAL_GRAPHS[graph]()), GsoKind(kind))
+    x = rand_signal(ctx, 17)
+    for p, zb in _differential_params():
+        zb = ZeroBVariant(zb)
+        for got, ref in (
+            (glct_cmccm_nd(x, p, ctx, zb), _ref_cmccm(x, p, ctx, zb)),
+            (glct_cddhfs_nd(x, p, ctx), _ref_cddhfs(x, p, ctx)),
+        ):
+            err = np.linalg.norm(got.values - ref.values) / np.linalg.norm(ref.values)
+            assert err < 1e-12, (p, zb, err)
