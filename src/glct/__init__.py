@@ -43,8 +43,12 @@ from .product import (
     SignalNd,
     TransformSpec,
     apply_spec,
+    block_rows,
+    cddhfs_block,
+    cmccm_block,
     dense_operator,
     gcm_nd,
+    gfrft_block,
     gfrft_nd,
     gft_nd,
     glct_cddhfs_nd,

@@ -5,6 +5,11 @@ with RE / NRMS / CC quality metrics.
 All randomized routines take an explicit master seed; every trial derives its
 own sub-seed from (seed, signal index, trial index), so results do not depend
 on evaluation order and are reproducible run to run.
+
+Studies that transform one signal under many parameter sets (the NMSE
+suites, the parameter search, the ratios of the compression study) run their
+transforms as blocks of rows through the block executors of
+:mod:`glct.product`; row t of a block is bit for bit the one-signal result.
 """
 from __future__ import annotations
 
@@ -22,10 +27,22 @@ from .graphs import (
     cartesian_product,
     make_family,
 )
-from .params import LctParams, ZeroBVariant, compose, inverse, sample_random_params
+from .params import (
+    LctParams,
+    ZeroBVariant,
+    cddhfs_decompose,
+    cmccm_decompose,
+    compose,
+    inverse,
+    sample_random_params,
+)
 from .product import (
     ProductContext,
     SignalNd,
+    block_rows,
+    cddhfs_block,
+    cmccm_block,
+    gfrft_block,
     gfrft_nd,
     glct_cddhfs_nd,
     glct_cmccm_nd,
@@ -98,6 +115,25 @@ def apply_glct(
     return glct_cmccm_nd(x, p, ctx, zero_b_variant)
 
 
+def _glct_block(
+    values: np.ndarray,
+    params: Sequence[LctParams],
+    ctx: ProductContext,
+    variant: str,
+    zero_b_variant: ZeroBVariant,
+) -> np.ndarray:
+    """Row t of ``values`` (T, P) through :func:`apply_glct` with ``params[t]``."""
+    _check_variant(variant)
+    if variant == "cddhfs":
+        return cddhfs_block(values, [cddhfs_decompose(p) for p in params], ctx)
+    return cmccm_block(values, [cmccm_decompose(p, zero_b_variant) for p in params], ctx)
+
+
+def _rows(x: SignalNd, t: int) -> np.ndarray:
+    """A block of ``t`` copies of ``x``."""
+    return np.broadcast_to(x.values, (t, x.n))
+
+
 # ---------------------------------------------------------------------------
 # NMSE figures of merit
 
@@ -121,6 +157,19 @@ def nmse_additivity(
     return num / den
 
 
+def _nmse_additivity_block(x, pairs, ctx, variant, zero_b_variant) -> np.ndarray:
+    """:func:`nmse_additivity` of every (p1, p2) in ``pairs``, as three block transforms."""
+    ctx.check(x)
+    block = _rows(x, len(pairs))
+    one = _glct_block(block, [compose(p1, p2) for p1, p2 in pairs], ctx, variant, zero_b_variant)
+    den = np.sum(np.abs(one) ** 2, axis=1)
+    if (den == 0.0).any():
+        raise ValidationError("degenerate signal: the reference transform is identically zero")
+    two = _glct_block(block, [p2 for _, p2 in pairs], ctx, variant, zero_b_variant)
+    two = _glct_block(two, [p1 for p1, _ in pairs], ctx, variant, zero_b_variant)
+    return np.sum(np.abs(one - two) ** 2, axis=1) / den
+
+
 def nmse_reversibility(
     x: SignalNd,
     p: LctParams,
@@ -135,6 +184,17 @@ def nmse_reversibility(
     recon = apply_glct(apply_glct(x, p, ctx, variant, zero_b_variant), inverse(p), ctx, variant, zero_b_variant)
     num = float(np.sum(np.abs(x.values - recon.values) ** 2))
     return num / den
+
+
+def _nmse_reversibility_block(x, params, ctx, variant, zero_b_variant) -> np.ndarray:
+    """:func:`nmse_reversibility` of every p in ``params``, as two block transforms."""
+    ctx.check(x)
+    den = float(np.sum(np.abs(x.values) ** 2))
+    if den == 0.0:
+        raise ValidationError("degenerate signal: ||x|| = 0")
+    forward = _glct_block(_rows(x, len(params)), params, ctx, variant, zero_b_variant)
+    recon = _glct_block(forward, [inverse(p) for p in params], ctx, variant, zero_b_variant)
+    return np.sum(np.abs(x.values - recon) ** 2, axis=1) / den
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +303,28 @@ def _suite(
         raise ValidationError("trials must be >= 1")
     for v in variants:
         _check_variant(v)
+    unknown = [name for name in signals if name not in BENCHMARK_SIGNALS]
+    if unknown:
+        raise ValidationError(f"unknown benchmark signals {unknown}; choose from {BENCHMARK_SIGNALS}")
     reports: list[NmseReport] = []
     for name in signals:
-        sig_index = BENCHMARK_SIGNALS.index(name) if name in BENCHMARK_SIGNALS else len(BENCHMARK_SIGNALS)
+        sig_index = BENCHMARK_SIGNALS.index(name)
         graph, x = benchmark_signal(name)
         ctx = ProductContext(graph, gso_kind)
-        drawn: list[tuple] = []
-        values = {v: np.empty(trials) for v in variants}
-        for t in range(trials):
-            rng = _trial_rng(seed, sig_index, t)
-            if kind == "additivity":
-                p1 = sample_random_params(rng)
-                p2 = sample_random_params(rng)
-                drawn.append((p1.astuple(), p2.astuple()))
-                for v in variants:
-                    values[v][t] = nmse_additivity(x, p1, p2, ctx, v, zero_b_variant)
-            else:
-                p = sample_random_params(rng)
-                drawn.append(p.astuple())
-                for v in variants:
-                    values[v][t] = nmse_reversibility(x, p, ctx, v, zero_b_variant)
+        rngs = (_trial_rng(seed, sig_index, t) for t in range(trials))
+        if kind == "additivity":
+            nmse = _nmse_additivity_block
+            drawn = [(sample_random_params(rng), sample_random_params(rng)) for rng in rngs]
+            params = tuple((p1.astuple(), p2.astuple()) for p1, p2 in drawn)
+        else:
+            nmse = _nmse_reversibility_block
+            drawn = [sample_random_params(rng) for rng in rngs]
+            params = tuple(p.astuple() for p in drawn)
+        step = block_rows(x.n)
         for v in variants:
-            reports.append(
-                NmseReport(kind=kind, variant=v, signal=name, seed=seed, values=values[v], params=tuple(drawn))
-            )
+            values = np.concatenate([nmse(x, drawn[i:i + step], ctx, v, zero_b_variant)
+                                     for i in range(0, trials, step)])
+            reports.append(NmseReport(kind=kind, variant=v, signal=name, seed=seed, values=values, params=params))
     return reports
 
 
@@ -376,17 +434,48 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _compress_core(x, forward, backward, gamma):
+def _check_nonzero(x: SignalNd) -> None:
     if float(np.linalg.norm(x.values)) == 0.0:
         raise ValidationError("cannot compress an all-zero signal")
-    coeffs = forward(x)
-    k = math.ceil(gamma * coeffs.n)
-    kept = SignalNd(coeffs.shape, _keep_largest(np.asarray(coeffs.values), k))
-    recon = backward(kept)
-    x_com = SignalNd(recon.shape, recon.values.real.astype(complex))
+
+
+def _compress_rows(x, coeffs, gammas, backward) -> list[tuple[SignalNd, float, float, float]]:
+    """Per row t of ``coeffs`` (T, P): keep its ceil(gammas[t] * P) largest
+    entries, reconstruct every row with one block ``backward``, and compare
+    the real part with ``x``; returns (reconstruction, RE, NRMS, CC) rows."""
+    kept = np.stack([_keep_largest(c, math.ceil(g * x.n)) for c, g in zip(coeffs, gammas)])
     xr = x.values.real
-    cr = recon.values.real
-    return x_com, relative_error(xr, cr), normalized_rms(xr, cr), correlation_coefficient(xr, cr)
+    out = []
+    for cr in backward(kept).real:
+        out.append((SignalNd(x.shape, cr.astype(complex)),
+                    relative_error(xr, cr), normalized_rms(xr, cr), correlation_coefficient(xr, cr)))
+    return out
+
+
+def _glct_reports(x, coeffs, params, gammas, ctx, variant, zero_b_variant, seed):
+    """(reconstruction, report) per row t of ``coeffs``, the forward transform
+    of ``x`` with ``params[t]``, compressed at ratio ``gammas[t]``."""
+    pinv = [inverse(p) for p in params]
+    rows = _compress_rows(x, coeffs, gammas, lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
+    return [(x_com, CompressionReport(method="glct", gamma=g, re=re, nrms=nrms, cc=cc,
+                                      params=p.astuple(), variant=variant, seed=seed))
+            for p, g, (x_com, re, nrms, cc) in zip(params, gammas, rows)]
+
+
+def _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed) -> list[tuple[SignalNd, CompressionReport]]:
+    """:func:`compress` at every ratio of ``gammas``, transforming forward once."""
+    _check_nonzero(x)
+    coeffs = _rows(apply_glct(x, p, ctx, variant, zero_b_variant), len(gammas))
+    return _glct_reports(x, coeffs, [p] * len(gammas), gammas, ctx, variant, zero_b_variant, seed)
+
+
+def _gfrft_sweep(x, alpha, ctx, gammas, seed) -> list[tuple[SignalNd, CompressionReport]]:
+    """:func:`compress_gfrft` at every ratio of ``gammas``, transforming forward once."""
+    _check_nonzero(x)
+    coeffs = _rows(gfrft_nd(x, alpha, ctx), len(gammas))
+    rows = _compress_rows(x, coeffs, gammas, lambda kept: gfrft_block(kept, [-alpha] * len(gammas), ctx))
+    return [(x_com, CompressionReport(method="gfrft", gamma=g, re=re, nrms=nrms, cc=cc, alpha=float(alpha), seed=seed))
+            for g, (x_com, re, nrms, cc) in zip(gammas, rows)]
 
 
 def compress(
@@ -405,18 +494,7 @@ def compress(
     """
     gamma = _check_gamma(gamma)
     _check_variant(variant)
-    pinv = inverse(p)
-    x_com, re, nrms, cc = _compress_core(
-        x,
-        lambda s: apply_glct(s, p, ctx, variant, zero_b_variant),
-        lambda s: apply_glct(s, pinv, ctx, variant, zero_b_variant),
-        gamma,
-    )
-    report = CompressionReport(
-        method="glct", gamma=gamma, re=re, nrms=nrms, cc=cc,
-        params=p.astuple(), variant=variant, seed=seed,
-    )
-    return x_com, report
+    return _glct_sweep(x, p, ctx, [gamma], variant, zero_b_variant, seed)[0]
 
 
 def compress_gfrft(
@@ -428,14 +506,7 @@ def compress_gfrft(
 ) -> tuple[SignalNd, CompressionReport]:
     """Fractional-transform baseline for the compression pipeline."""
     gamma = _check_gamma(gamma)
-    x_com, re, nrms, cc = _compress_core(
-        x,
-        lambda s: gfrft_nd(s, alpha, ctx),
-        lambda s: gfrft_nd(s, -alpha, ctx),
-        gamma,
-    )
-    report = CompressionReport(method="gfrft", gamma=gamma, re=re, nrms=nrms, cc=cc, alpha=float(alpha), seed=seed)
-    return x_com, report
+    return _gfrft_sweep(x, alpha, ctx, [gamma], seed)[0]
 
 
 DEFAULT_GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -464,20 +535,20 @@ def compression_study(
     """Sweep the fractional baseline and parameter sets across ratios.
 
     Parameter sets are accepted with two-decimal rounding; d is renormalized
-    to keep ad - bc = 1 exact before transforming.
+    to keep ad - bc = 1 exact before transforming. Each order's and each
+    parameter set's coefficients are computed once and serve every ratio;
+    the reports equal those of :func:`compress_gfrft` and :func:`compress`.
     """
+    gammas = [_check_gamma(g) for g in gammas]
+    _check_variant(variant)
     graph, x = study_signal(n1, n2, seed)
     ctx = ProductContext(graph, gso_kind)
     reports: list[CompressionReport] = []
     for alpha in alpha_grid or ():
-        for gamma in gammas:
-            _, rep = compress_gfrft(x, float(alpha), ctx, gamma, seed=seed)
-            reports.append(rep)
+        reports += [rep for _, rep in _gfrft_sweep(x, float(alpha), ctx, gammas, seed)]
     for row in glct_param_sets or ():
         p = LctParams.from_loose(*row)
-        for gamma in gammas:
-            _, rep = compress(x, p, ctx, gamma, variant, zero_b_variant, seed=seed)
-            reports.append(rep)
+        reports += [rep for _, rep in _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed)]
     return reports
 
 
@@ -504,18 +575,27 @@ def search_glct_params(
     variant: str = "cmccm",
     zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
 ) -> CompressionReport:
-    """Random search over (a, b, c) with d = (1 + bc) / a; returns the best report."""
+    """Random search over (a, b, c) with d = (1 + bc) / a; returns the best report.
+
+    The budget is drawn in order and run in blocks (forward transform,
+    keep-largest, backward transform); ties keep the earliest draw.
+    """
     if budget < 1:
         raise ValidationError("search budget must be >= 1")
     if metric not in ("re", "nrms", "cc"):
         raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
+    gamma = _check_gamma(gamma)
+    ctx.check(x)
+    _check_nonzero(x)
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    drawn = [sample_random_params(rng) for _ in range(budget)]
     sign = -1.0 if metric == "cc" else 1.0
     best: CompressionReport | None = None
-    for _ in range(budget):
-        p = sample_random_params(rng)
-        _, rep = compress(x, p, ctx, gamma, variant, zero_b_variant, seed=seed)
-        if best is None or sign * getattr(rep, metric) < sign * getattr(best, metric):
-            best = rep
-    assert best is not None
+    step = block_rows(x.n)
+    for i in range(0, budget, step):
+        ps = drawn[i:i + step]
+        coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
+        for _, rep in _glct_reports(x, coeffs, ps, [gamma] * len(ps), ctx, variant, zero_b_variant, seed):
+            if best is None or sign * getattr(rep, metric) < sign * getattr(best, metric):
+                best = rep
     return best

@@ -8,9 +8,14 @@ matrices, and exists purely as a differential-testing oracle.
 
 Fractional Kronecker diagonals are computed per factor and then combined, so
 mode-wise application, exact power additivity, and separability all hold by
-construction. The two LCT factorizations fold their chirps into at most three
-N_k x N_k factor matrices per axis and apply each axis with matrix products
-on the flat signal.
+construction.
+
+The fractional transform and the two LCT factorizations run on blocks: T
+signals on one graph, one parameter set per row. Along an axis with
+N_k^2 <= P (P entries per signal) each row's factors are multiplied into one
+N_k x N_k matrix; along the others the matrices every row shares (V, V^T, P,
+P^H, Z_k) are applied once over the whole block and each row's chirps as
+diagonals. The one-signal functions are the T = 1 case.
 """
 from __future__ import annotations
 
@@ -25,7 +30,9 @@ from .errors import ValidationError
 from .graphs import GsoKind, ProductGraph, kronecker_sum
 from .kernels import FactorDecomposition, decompose_graph
 from .params import (
+    CddhfsParams,
     CmCcCmBranch,
+    CmCcCmParams,
     LctParams,
     ZeroBVariant,
     cddhfs_decompose,
@@ -35,6 +42,9 @@ from .spectral import frac_diag_power, principal_angle
 
 OPS = ("gft", "igft", "gfrft", "gcm", "gscale", "glct_cddhfs", "glct_cmccm")
 DENSE_SIZE_CAP = 4096
+#: Byte budget of one block: 16 rows of the largest benchmark signal (x2,
+#: 288 entries). Larger blocks buy little speed and raise peak memory.
+BLOCK_BYTES = 16 * 288 * 16
 
 
 @dataclass(frozen=True)
@@ -81,87 +91,229 @@ class ProductContext:
     def __init__(self, graph: ProductGraph, kind: GsoKind = GsoKind.LAPLACIAN) -> None:
         self.graph = graph
         self.kind = kind
+        self.shape: tuple[int, ...] = graph.shape
         self.factors: tuple[FactorDecomposition, ...] = tuple(
             decompose_graph(g, kind) for g in graph.factors
         )
         self._angles = tuple(principal_angle(dec.fourier.values) for dec in self.factors)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.graph.shape
-
     def check(self, x: SignalNd) -> None:
         if x.shape != self.shape:
             raise ValidationError(f"signal shape {x.shape} does not match graph shape {self.shape}")
 
-    def diag_powers(self, t: float) -> list[np.ndarray]:
+    def diag_powers(self, t: float | np.ndarray) -> list[np.ndarray]:
         """Per factor, the transform eigenvalues to the power ``t``: the chirp
-        diagonal of rate t, equal to :func:`~glct.spectral.frac_diag_power`."""
-        t = float(t)
+        diagonal of rate t, equal to :func:`~glct.spectral.frac_diag_power`.
+
+        A scalar rate gives one (N_k,) diagonal per factor; an array of T
+        rates gives a (T, N_k) stack, one row per rate.
+        """
+        t = np.asarray(t, dtype=float)[..., None]
         return [np.exp(1j * (t * angle)) for angle in self._angles]
 
 
-def _mode_product(values: np.ndarray, shape: tuple[int, ...], axis: int, mat: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` along ``axis`` of flat first-index-fastest ``values``.
+# ---------------------------------------------------------------------------
+# blocks: T signals on one product graph, one row each, transformed together
+#
+# A block is a C-contiguous complex (T, P) array. Along axis k a row is an
+# (L, N_k, R) array, R being the product of the earlier axes, so the whole
+# block is a (T * L, N_k, R) stack. Row t of every result depends on row t of
+# the block and its own parameters only, never on T.
 
-    In C order the flat array is an (L, N_axis, R) block, R being the product
-    of the earlier axes, so one matmul applies ``mat`` to every fibre.
+
+def block_rows(n: int) -> int:
+    """Rows of ``n`` complex entries that fit in one block of BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (16 * n))
+
+
+def _chunks(rows: np.ndarray, n: int):
+    """Split row indices into block-sized runs; slices when ``rows`` is all of them."""
+    step = block_rows(n)
+    whole = rows.size and rows[-1] == rows.size - 1
+    for i in range(0, rows.size, step):
+        yield slice(i, i + step) if whole else rows[i:i + step]
+
+
+def _dims(shape: tuple[int, ...], axis: int) -> tuple[int, int]:
+    return shape[axis], math.prod(shape[:axis])
+
+
+def _shared(x: np.ndarray, shape: tuple[int, ...], axis: int, mat: np.ndarray) -> np.ndarray:
+    """Apply one matrix along ``axis`` of every row of block ``x``.
+
+    On the first axis (R = 1) this is one GEMM over all T * L fibres. A real
+    matrix acts on real and imaginary parts separately: on the first axis
+    stacked as 2 * T * L rows, on later axes through the float view of the
+    block, whose (N_k, 2R) slices interleave real and imaginary parts.
     """
-    n = shape[axis]
-    r = math.prod(shape[:axis])
+    t = x.shape[0]
+    n, r = _dims(shape, axis)
+    real = mat.dtype.kind == "f"
     if r == 1:
-        return (values.reshape(-1, n) @ mat.T).ravel()
-    return (mat @ values.reshape(-1, n, r)).ravel()
+        rows = x.reshape(-1, n)
+        if not real:
+            return (rows @ mat.T).reshape(t, -1)
+        half = rows.shape[0]
+        res = np.concatenate((rows.real, rows.imag)) @ mat.T
+        out = np.empty(rows.shape, dtype=complex)
+        out.real, out.imag = res[:half], res[half:]
+        return out.reshape(t, -1)
+    if not real:
+        return (mat @ x.reshape(-1, n, r)).reshape(t, -1)
+    return (mat @ x.reshape(-1, n, r).view(float)).view(complex).reshape(t, -1)
 
 
-def _axis_apply(
-    values: np.ndarray, shape: tuple[int, ...], axis: int, mats: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Apply the product ``mats[0] @ mats[1] @ ...`` along ``axis``.
+def _diag(x: np.ndarray, shape: tuple[int, ...], axis: int, d: np.ndarray) -> np.ndarray:
+    """Multiply along ``axis`` of row t by the diagonal ``d[t]`` (d is (T, N_k))."""
+    t = x.shape[0]
+    n, r = _dims(shape, axis)
+    return (x.reshape(t, -1, n, r) * d[:, None, :, None]).reshape(t, -1)
+
+
+def _stacked(x: np.ndarray, shape: tuple[int, ...], axis: int, mats: np.ndarray) -> np.ndarray:
+    """Apply ``mats[t]`` along ``axis`` of row t (mats is (T, N_k, N_k))."""
+    t = x.shape[0]
+    n, r = _dims(shape, axis)
+    if r == 1:
+        return (x.reshape(t, -1, n) @ mats.transpose(0, 2, 1)).reshape(t, -1)
+    return (mats[:, None] @ x.reshape(t, -1, n, r)).reshape(t, -1)
+
+
+def _formed(n: int, x: np.ndarray) -> bool:
+    """Whether an axis's factors are multiplied into one matrix per row.
 
     Forming the product costs N^3 per extra factor and applying one factor
     costs N * P for P signal entries, so the product is formed only when
-    N^2 <= P, the comparison ``np.linalg.multi_dot`` makes; otherwise the
-    factors are applied right to left.
+    N^2 <= P, the comparison ``np.linalg.multi_dot`` makes. P is the entry
+    count of one row, so the choice never depends on T.
     """
-    if shape[axis] ** 2 <= values.size:
-        return _mode_product(values, shape, axis, reduce(np.matmul, mats))
-    for mat in reversed(mats):
-        values = _mode_product(values, shape, axis, mat)
+    return n * n <= x.shape[1]
+
+
+def _block(values: np.ndarray, ctx: ProductContext, t: int) -> np.ndarray:
+    values = np.ascontiguousarray(values, dtype=complex)
+    if values.shape != (t, math.prod(ctx.shape)):
+        raise ValidationError(
+            f"block has shape {values.shape}; {t} parameter rows on shape {ctx.shape} "
+            f"need ({t}, {math.prod(ctx.shape)})"
+        )
     return values
 
 
-def _kron_sum_apply(values: np.ndarray, shape: tuple[int, ...], mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply the Kronecker sum of ``mats``: the sum of their mode products."""
-    return sum(_mode_product(values, shape, axis, m) for axis, m in enumerate(mats))
+def _kron_sum(x: np.ndarray, ctx: ProductContext) -> np.ndarray:
+    """Apply the Kronecker sum of the shift operators: the sum of their mode products."""
+    return sum(_shared(x, ctx.shape, axis, dec.z) for axis, dec in enumerate(ctx.factors))
 
 
-def _kron_diag_tensor(diags: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Tensor D with D[i_1, ..., i_m] = prod_k diags[k][i_k]."""
-    d = np.ones(shape, dtype=complex)
-    for axis, vec in enumerate(diags):
-        view = [1] * len(shape)
-        view[axis] = shape[axis]
-        d = d * vec.reshape(view)
-    return d
+def _frac(x: np.ndarray, alphas: np.ndarray, ctx: ProductContext) -> np.ndarray:
+    """Fractional transform of order ``alphas[t]`` on row t: (P D_alpha) P^H per axis."""
+    for axis, (dec, d) in enumerate(zip(ctx.factors, ctx.diag_powers(alphas))):
+        p = dec.fourier.vectors
+        if _formed(p.shape[0], x):
+            x = _stacked(x, ctx.shape, axis, (p * d[:, None, :]) @ p.conj().T)
+        else:
+            x = _shared(x, ctx.shape, axis, p.conj().T)
+            x = _shared(_diag(x, ctx.shape, axis, d), ctx.shape, axis, p)
+    return x
+
+
+def gfrft_block(values: np.ndarray, alphas: Sequence[float], ctx: ProductContext) -> np.ndarray:
+    """Row t of ``values`` (T, P) through :func:`gfrft_nd` of order ``alphas[t]``."""
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    values = _block(values, ctx, alphas.size)
+    out = np.empty_like(values)
+    for rows in _chunks(np.arange(alphas.size), values.shape[1]):
+        out[rows] = _frac(values[rows], alphas[rows], ctx)
+    return out
+
+
+def cddhfs_block(values: np.ndarray, dps: Sequence[CddhfsParams], ctx: ProductContext) -> np.ndarray:
+    """Row t of ``values`` (T, P) through :func:`glct_cddhfs_nd` with ``dps[t]``.
+
+    Each chunk runs the fractional transform, then the Kronecker-sum scaling
+    (every Z_k is shared by all rows), then the chirp of rate xi as one
+    diagonal per axis, with 1 / delta folded into the first.
+    """
+    xi = np.array([dp.xi for dp in dps], dtype=float)
+    delta = np.array([dp.delta for dp in dps], dtype=float)
+    alpha = np.array([dp.alpha_norm for dp in dps], dtype=float)
+    values = _block(values, ctx, xi.size)
+    out = np.empty_like(values)
+    for rows in _chunks(np.arange(xi.size), values.shape[1]):
+        x = _frac(values[rows], alpha[rows], ctx)
+        x = _kron_sum(x, ctx)
+        for axis, d in enumerate(ctx.diag_powers(xi[rows])):
+            x = _diag(x, ctx.shape, axis, d / delta[rows, None] if axis == 0 else d)
+        out[rows] = x
+    return out
+
+
+def _cmccm_rows(x: np.ndarray, branch: CmCcCmBranch, chirps: np.ndarray, phases: np.ndarray,
+                ctx: ProductContext) -> np.ndarray:
+    """One chunk of rows on one cmccm branch. Along each axis the branch's
+    chain is D1 V D2 V^T D3, with V^T in front (eq30) or V behind (eq31); the
+    phase is folded into the first axis's D1."""
+    eq30, eq31 = branch is CmCcCmBranch.ZERO_B_EQ30, branch is CmCcCmBranch.ZERO_B_EQ31
+    diags = zip(ctx.factors, *(ctx.diag_powers(chirps[:, j]) for j in range(3)))
+    for axis, (dec, d1, d2, d3) in enumerate(diags):
+        v, f = dec.basis.vectors, dec.f
+        if axis == 0:
+            d1 = d1 * phases[:, None]
+        if _formed(v.shape[0], x):
+            m = (d1[:, :, None] * v * d2[:, None, :]) @ (f * d3[:, None, :])
+            if eq30:
+                m = f @ m
+            elif eq31:
+                m = m @ v
+            x = _stacked(x, ctx.shape, axis, m)
+            continue
+        if eq31:
+            x = _shared(x, ctx.shape, axis, v)
+        x = _shared(_diag(x, ctx.shape, axis, d3), ctx.shape, axis, f)
+        x = _shared(_diag(x, ctx.shape, axis, d2), ctx.shape, axis, v)
+        x = _diag(x, ctx.shape, axis, d1)
+        if eq30:
+            x = _shared(x, ctx.shape, axis, f)
+    return x
+
+
+def cmccm_block(values: np.ndarray, cps: Sequence[CmCcCmParams], ctx: ProductContext) -> np.ndarray:
+    """Row t of ``values`` (T, P) through :func:`glct_cmccm_nd` with ``cps[t]``.
+
+    Rows are grouped by branch (general, eq30, eq31) and each group runs in
+    chunks of at most :func:`block_rows` rows.
+    """
+    chirps = np.array([cp.chirps for cp in cps], dtype=float).reshape(-1, 3)
+    phases = np.array([cp.phase for cp in cps], dtype=complex)
+    values = _block(values, ctx, phases.size)
+    out = np.empty_like(values)
+    for branch in CmCcCmBranch:
+        group = np.flatnonzero([cp.branch is branch for cp in cps])
+        for rows in _chunks(group, values.shape[1]):
+            out[rows] = _cmccm_rows(values[rows], branch, chirps[rows], phases[rows], ctx)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# one signal: a block of one row
 
 
 def gft_nd(x: SignalNd, ctx: ProductContext) -> SignalNd:
     """Separable analysis transform: factor-k matrix along axis k."""
     ctx.check(x)
-    values = x.values
+    values = x.values[None]
     for axis, dec in enumerate(ctx.factors):
-        values = _mode_product(values, ctx.shape, axis, dec.f)
-    return SignalNd(ctx.shape, values)
+        values = _shared(values, ctx.shape, axis, dec.f)
+    return SignalNd(ctx.shape, values[0])
 
 
 def igft_nd(xhat: SignalNd, ctx: ProductContext) -> SignalNd:
     """Inverse of :func:`gft_nd`."""
     ctx.check(xhat)
-    values = xhat.values
+    values = xhat.values[None]
     for axis, dec in enumerate(ctx.factors):
-        values = _mode_product(values, ctx.shape, axis, dec.basis.vectors)
-    return SignalNd(ctx.shape, values)
+        values = _shared(values, ctx.shape, axis, dec.basis.vectors)
+    return SignalNd(ctx.shape, values[0])
 
 
 def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
@@ -171,17 +323,16 @@ def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
     eigendecomposition of the factor's transform matrix.
     """
     ctx.check(x)
-    values = x.values
-    for axis, (dec, d) in enumerate(zip(ctx.factors, ctx.diag_powers(alpha_norm))):
-        p = dec.fourier.vectors
-        values = _axis_apply(values, ctx.shape, axis, [p * d, p.conj().T])
-    return SignalNd(ctx.shape, values)
+    return SignalNd(ctx.shape, gfrft_block(x.values[None], [alpha_norm], ctx)[0])
 
 
 def gcm_nd(x: SignalNd, xi: float, ctx: ProductContext) -> SignalNd:
     """Chirp multiplication by the Kronecker product of per-factor diagonals."""
     ctx.check(x)
-    return SignalNd.from_tensor(x.tensor() * _kron_diag_tensor(ctx.diag_powers(xi), ctx.shape))
+    values = x.values[None]
+    for axis, d in enumerate(ctx.diag_powers([xi])):
+        values = _diag(values, ctx.shape, axis, d)
+    return SignalNd(ctx.shape, values[0])
 
 
 def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
@@ -189,29 +340,18 @@ def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
     if sigma == 0:
         raise ValidationError("scaling factor must be nonzero")
     ctx.check(x)
-    values = _kron_sum_apply(x.values, ctx.shape, [dec.z for dec in ctx.factors])
-    return SignalNd(ctx.shape, values / sigma)
+    return SignalNd(ctx.shape, _kron_sum(x.values[None], ctx)[0] / sigma)
 
 
 def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
     """Linear canonical transform as chirp o scaling o fractional transform.
 
-    Along axis k the chirp and the fractional transform combine into
-    (D_xi P D_alpha) P^H. The chirp diagonal D_xi is unimodular, so moving it
-    in front of the Kronecker-sum scaling turns each shift operator Z_k into
-    D_xi Z_k D_xi^* / delta.
+    The one-row case of :func:`cddhfs_block`: the fractional transform
+    (P D_alpha) P^H along each axis, the Kronecker-sum shift operator over
+    delta, and the Kronecker-product chirp of rate xi.
     """
     ctx.check(x)
-    dp = cddhfs_decompose(p)
-    values = x.values
-    scales = []
-    for axis, (dec, dxi, dalpha) in enumerate(
-        zip(ctx.factors, ctx.diag_powers(dp.xi), ctx.diag_powers(dp.alpha_norm))
-    ):
-        pv = dec.fourier.vectors
-        values = _axis_apply(values, ctx.shape, axis, [dxi[:, None] * pv * dalpha, pv.conj().T])
-        scales.append(dxi[:, None] * dec.z * (dxi.conj() / dp.delta))
-    return SignalNd(ctx.shape, _kron_sum_apply(values, ctx.shape, scales))
+    return SignalNd(ctx.shape, cddhfs_block(x.values[None], [cddhfs_decompose(p)], ctx)[0])
 
 
 def glct_cmccm_nd(
@@ -222,25 +362,15 @@ def glct_cmccm_nd(
 ) -> SignalNd:
     """Linear canonical transform as chirp / chirp-convolution / chirp factors.
 
-    Every factor of the chain is a Kronecker product, so along axis k the
-    general-b transform is (D1 V D2)(V^T D3), with V the factor's GFT
-    synthesis basis and D1, D2, D3 its chirp diagonals of rates x1, x2, x3;
-    eq30 applies V^T in front of it and eq31 V behind it. The branch's
-    constant phase (1 for general b) multiplies the result once.
+    The one-row case of :func:`cmccm_block`. Every factor of the chain is a
+    Kronecker product, so along axis k the general-b transform is
+    D1 V D2 V^T D3, with V the factor's GFT synthesis basis and D1, D2, D3
+    its chirp diagonals of rates x1, x2, x3; eq30 applies V^T in front of it
+    and eq31 V behind it, and the branch's constant phase (1 for general b)
+    multiplies the result.
     """
     ctx.check(x)
-    cp = cmccm_decompose(p, zero_b_variant)
-    values = x.values
-    diags = zip(ctx.factors, *(ctx.diag_powers(g) for g in cp.chirps))
-    for axis, (dec, d1, d2, d3) in enumerate(diags):
-        v = dec.basis.vectors
-        mats = [d1[:, None] * v * d2, dec.f * d3]
-        if cp.branch is CmCcCmBranch.ZERO_B_EQ30:
-            mats.insert(0, dec.f)
-        elif cp.branch is CmCcCmBranch.ZERO_B_EQ31:
-            mats.append(v)
-        values = _axis_apply(values, ctx.shape, axis, mats)
-    return SignalNd(ctx.shape, cp.phase * values)
+    return SignalNd(ctx.shape, cmccm_block(x.values[None], [cmccm_decompose(p, zero_b_variant)], ctx)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +506,8 @@ def mult_count(spec: TransformSpec, shape: Sequence[int]) -> int:
 
     Counts the paper's chained factorization, one elementary op after another,
     which is what the complexity comparison between cddhfs and cmccm is about;
-    the per-axis executor folds chirps into factor matrices and does other
-    arithmetic. Counts the run phase only, with all per-factor operators and diagonals
+    the block executors multiply small axes' factors into one matrix per row
+    and do other arithmetic. Counts the run phase only, with all per-factor operators and diagonals
     precomputed: a complex-complex scalar multiply costs 4 real multiplies, a
     real-complex one costs 2. Applying an N_k x N_k factor along axis k of a
     complex tensor with P entries therefore costs 2*N_k*P (real factor) or

@@ -26,7 +26,17 @@ from glct import (
     suite_additivity,
     suite_reversibility,
 )
-from glct.experiments import _keep_largest, best_by_metric, study_signal
+from glct import experiments
+from glct.experiments import (
+    BENCHMARK_SIGNALS,
+    DEFAULT_ALPHA_GRID,
+    DEFAULT_GAMMAS,
+    _keep_largest,
+    _trial_rng,
+    best_by_metric,
+    study_signal,
+)
+from glct.product import block_rows
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +164,36 @@ class TestSuites:
         with pytest.raises(ValidationError):
             suite_reversibility(trials=0)
 
+    def test_unknown_signal_raises_before_any_work(self, monkeypatch):
+        def no_context(*args, **kwargs):
+            raise AssertionError("a ProductContext was built before the names were checked")
+
+        monkeypatch.setattr(experiments, "ProductContext", no_context)
+        with pytest.raises(ValidationError):
+            suite_reversibility(signals=("x1", "x9"), trials=1000)
+
+    @pytest.mark.parametrize("kind", ["reversibility", "additivity"])
+    def test_blocks_equal_per_trial_loop(self, kind):
+        # x1 has 112 entries, so 45 trials cross a block boundary
+        name, trials, seed = "x1", block_rows(112) + 4, 11
+        suite = suite_additivity if kind == "additivity" else suite_reversibility
+        reports = suite(signals=(name,), trials=trials, seed=seed)
+        graph, x = benchmark_signal(name)
+        ctx = ProductContext(graph)
+        for r in reports:
+            loop = []
+            for t in range(trials):
+                rng = _trial_rng(seed, BENCHMARK_SIGNALS.index(name), t)
+                if kind == "additivity":
+                    p1, p2 = sample_random_params(rng), sample_random_params(rng)
+                    loop.append(nmse_additivity(x, p1, p2, ctx, r.variant))
+                else:
+                    loop.append(nmse_reversibility(x, sample_random_params(rng), ctx, r.variant))
+            # bit for bit with OpenBLAS; cmccm reversibility NMSEs are rounding
+            # noise near 1e-30, so they get an absolute tolerance far below the
+            # 1e-20 gate
+            np.testing.assert_allclose(r.values, loop, rtol=1e-12, atol=1e-26)
+
 
 class TestMetrics:
     def test_relative_error_hand_value(self):
@@ -277,6 +317,35 @@ class TestStudy:
         best = best_by_metric(reports, "nrms")
         assert set(best) == {0.5}
         assert best[0.5].nrms == min(r.nrms for r in reports)
+
+    def test_study_reports_equal_per_call_reports(self):
+        alphas, rows = DEFAULT_ALPHA_GRID[::5], COMPRESSION_REFERENCE_PARAMS[:4]
+        for variant in ("cmccm", "cddhfs"):
+            study = compression_study(seed=4, alpha_grid=alphas, glct_param_sets=rows,
+                                      n1=10, n2=4, variant=variant)
+            graph, x = study_signal(10, 4, seed=4)
+            ctx = ProductContext(graph)
+            per_call = [compress_gfrft(x, a, ctx, g, seed=4)[1] for a in alphas for g in DEFAULT_GAMMAS]
+            per_call += [compress(x, LctParams.from_loose(*row), ctx, g, variant, seed=4)[1]
+                         for row in rows for g in DEFAULT_GAMMAS]
+            assert len(study) == len(per_call) == 9 * 9
+            for got, want in zip(study, per_call):
+                for f in ("method", "gamma", "alpha", "params", "variant", "seed"):
+                    assert getattr(got, f) == getattr(want, f)
+                for f in ("re", "nrms", "cc"):
+                    assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-12, abs=1e-15)
+
+    def test_search_blocks_keep_first_best_in_draw_order(self, small_study):
+        ctx, x = small_study
+        budget = block_rows(x.n) + 3
+        for metric in ("nrms", "cc"):
+            rep = search_glct_params(x, ctx, gamma=0.3, budget=budget, seed=2, metric=metric)
+            rng = np.random.default_rng(np.random.SeedSequence((2,)))
+            manual = [compress(x, sample_random_params(rng), ctx, 0.3, seed=2)[1] for _ in range(budget)]
+            scores = [(-1.0 if metric == "cc" else 1.0) * getattr(r, metric) for r in manual]
+            want = manual[int(np.argmin(scores))]
+            assert rep.params == want.params
+            assert getattr(rep, metric) == pytest.approx(getattr(want, metric), rel=1e-12)
 
     def test_search_returns_best_of_budget(self, small_study):
         ctx, x = small_study

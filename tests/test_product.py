@@ -13,11 +13,15 @@ from glct import (
     ValidationError,
     ZeroBVariant,
     apply_spec,
+    block_rows,
     cartesian_product,
+    cddhfs_block,
     cddhfs_decompose,
+    cmccm_block,
     cmccm_decompose,
     dense_operator,
     gcm_nd,
+    gfrft_block,
     gfrft_nd,
     gft_nd,
     gft_matrix,
@@ -392,3 +396,45 @@ def test_matches_chained_reference(graph, kind, rand_signal):
         ):
             err = np.linalg.norm(got.values - ref.values) / np.linalg.norm(ref.values)
             assert err < 1e-12, (p, zb, err)
+
+
+# ---------------------------------------------------------------------------
+# Blocks: row t of a block executor equals the one-signal call with row t's
+# parameters, at every block size around the byte budget, on blocks whose rows
+# mix all cmccm branches.
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+@pytest.mark.parametrize("graph", sorted(DIFFERENTIAL_GRAPHS))
+def test_block_rows_match_single_calls(graph, kind):
+    ctx = ProductContext(cartesian_product(DIFFERENTIAL_GRAPHS[graph]()), GsoKind(kind))
+    n = ctx.graph.n
+    sets = [(p, ZeroBVariant(zb)) for p, zb in _differential_params()]
+    rng = np.random.default_rng(29)
+    budget = block_rows(n)
+    for t in (1, budget - 1, budget, budget + 1):
+        xs = rng.normal(size=(t, n)) + 1j * rng.normal(size=(t, n))
+        rows = [sets[i % len(sets)] for i in range(t)]
+        dps = [cddhfs_decompose(p) for p, _ in rows]
+        alphas = [dp.alpha_norm for dp in dps]
+        blocks = (
+            cmccm_block(xs, [cmccm_decompose(p, zb) for p, zb in rows], ctx),
+            cddhfs_block(xs, dps, ctx),
+            gfrft_block(xs, alphas, ctx),
+        )
+        for i, (p, zb) in enumerate(rows):
+            x = SignalNd(ctx.shape, xs[i])
+            singles = (glct_cmccm_nd(x, p, ctx, zb), glct_cddhfs_nd(x, p, ctx), gfrft_nd(x, alphas[i], ctx))
+            for block, single in zip(blocks, singles):
+                err = np.linalg.norm(block[i] - single.values) / np.linalg.norm(single.values)
+                assert err < 1e-13, (t, i, p, zb, err)
+
+
+def test_block_budget_and_shape_check(ctx_ring4_path3):
+    assert block_rows(288) == 16
+    assert block_rows(10**6) == 1
+    cp = cmccm_decompose(LctParams(*GENERAL_ABCD))
+    with pytest.raises(ValidationError):
+        cmccm_block(np.ones((2, 12)), [cp], ctx_ring4_path3)
+    with pytest.raises(ValidationError):
+        gfrft_block(np.ones((1, 11)), [0.5], ctx_ring4_path3)
