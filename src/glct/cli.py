@@ -21,7 +21,7 @@ from . import io as gio
 from .errors import NumericalError, ValidationError
 from .graphs import GRAPH_FAMILIES, GsoKind, cartesian_product, make_family
 from .params import LctParams, ZeroBVariant, inverse
-from .product import ProductContext
+from .product import ProductContext, SignalNd
 
 _BENCH_FIELDS = ("kind", "variant", "signal", "seed", "rank", "nmse")
 _COMPRESS_FIELDS = ("method", "variant", "alpha", "a", "b", "c", "d", "gamma", "re", "nrms", "cc")
@@ -220,16 +220,20 @@ def _cmd_bench(args) -> int:
 
 
 def _compress_reports(args, gammas, ctx, x) -> list:
-    """(reconstruction, report) pairs.
+    """(reconstruction, report) pairs, one per method and ratio.
 
-    Reconstructions are kept only for --recon-dir. A search winner's is None,
-    because the search returns only the report.
+    Each method transforms forward once for all ratios, and the search draws
+    its budget once for all ratios. Reconstructions are real rows, kept only
+    for --recon-dir; a search winner's is None, because the search returns
+    only the report.
     """
     zb = ZeroBVariant(args.zero_b_variant)
     results = []
 
-    def keep(recon, rep):
-        results.append((recon if args.recon_dir else None, rep))
+    def keep(recon, reports):
+        if recon is None or not args.recon_dir:
+            recon = [None] * len(reports)
+        results.extend(zip(recon, reports))
 
     alphas = list(args.alpha or [])
     if args.sweep_gfrft:
@@ -238,16 +242,12 @@ def _compress_reports(args, gammas, ctx, x) -> list:
     if not alphas and not param_sets and not args.search:
         alphas = [1.0]  # plain-transform baseline
     for alpha in alphas:
-        for gamma in gammas:
-            keep(*xp.compress_gfrft(x, alpha, ctx, gamma, seed=args.seed))
+        keep(*xp._gfrft_sweep(x, alpha, ctx, gammas, args.seed))
     for p in param_sets:
-        for gamma in gammas:
-            keep(*xp.compress(x, p, ctx, gamma, args.variant, zb, seed=args.seed))
+        keep(*xp._glct_sweep(x, p, ctx, gammas, args.variant, zb, args.seed))
     if args.search:
-        for gamma in gammas:
-            keep(None, xp.search_glct_params(
-                x, ctx, gamma, budget=args.search, seed=args.seed,
-                metric=args.metric, variant=args.variant, zero_b_variant=zb))
+        keep(None, xp._search_sweep(x, ctx, gammas, args.search, args.seed,
+                                    args.metric, args.variant, zb))
     return results
 
 
@@ -293,6 +293,8 @@ def _cmd_compress(args) -> int:
             if recon is None:
                 recon, _ = xp.compress(x, LctParams(*rep.params), ctx, rep.gamma,
                                        rep.variant, zb, seed=args.seed)
+            else:
+                recon = SignalNd(x.shape, recon)
             path = Path(args.recon_dir) / f"{_method_label(rep)}_gamma{gio.fmt_num(rep.gamma)}.json"
             gio.write_signal(path, recon, fmt="json")
     return 0

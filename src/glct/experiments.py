@@ -9,7 +9,11 @@ on evaluation order and are reproducible run to run.
 Studies that transform one signal under many parameter sets (the NMSE
 suites, the parameter search, the ratios of the compression study) run their
 transforms as blocks of rows through the block executors of
-:mod:`glct.product`; row t of a block is bit for bit the one-signal result.
+:mod:`glct.product`; row t of a block is computed as the one-signal call
+computes it (bit for bit with single-threaded BLAS). The compression pipeline
+ranks each coefficient row once for all its ratios and takes RE / NRMS / CC
+as reductions along the rows of the reconstruction block, so a row's metrics
+do not depend on the block's height.
 """
 from __future__ import annotations
 
@@ -356,36 +360,54 @@ def suite_reversibility(
 # compression
 
 
-def relative_error(x: np.ndarray, xc: np.ndarray) -> float:
-    """Sum of absolute errors over the sum of absolute signal values."""
-    x = np.asarray(x, dtype=float).ravel()
-    xc = np.asarray(xc, dtype=float).ravel()
-    den = float(np.abs(x).sum())
+def _relative_error_rows(x: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """Relative error of every row of ``xc`` (T, P) against ``x`` (P,)."""
+    den = np.abs(x).sum()
     if den == 0.0:
         raise ValidationError("relative error undefined for an all-zero signal")
-    return float(np.abs(x - xc).sum()) / den
+    return np.abs(x - xc).sum(axis=1) / den
+
+
+def _normalized_rms_rows(x: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """Normalized RMS of every row of ``xc`` (T, P) against ``x`` (P,)."""
+    dx = x - x.mean()
+    den = np.sqrt((dx * dx).sum())
+    if den == 0.0:
+        raise ValidationError("normalized RMS undefined for a constant signal")
+    d = x - xc
+    return np.sqrt((d * d).sum(axis=1)) / den
+
+
+def _correlation_rows(x: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """Pearson correlation of every row of ``xc`` (T, P) with ``x`` (P,)."""
+    dx = x - x.mean()
+    dc = xc - xc.mean(axis=1, keepdims=True)
+    den = np.sqrt((dx * dx).sum()) * np.sqrt((dc * dc).sum(axis=1))
+    if (den == 0.0).any():
+        raise ValidationError("correlation undefined for a constant signal")
+    return (dx * dc).sum(axis=1) / den
+
+
+def _one_row(metric, x, xc) -> float:
+    """``metric`` of one reconstruction, any shapes of equal size."""
+    x = np.asarray(x, dtype=float).ravel()
+    xc = np.asarray(xc, dtype=float).reshape(1, -1)
+    return float(metric(x, xc)[0])
+
+
+def relative_error(x: np.ndarray, xc: np.ndarray) -> float:
+    """Sum of absolute errors over the sum of absolute signal values."""
+    return _one_row(_relative_error_rows, x, xc)
 
 
 def normalized_rms(x: np.ndarray, xc: np.ndarray) -> float:
     """Root-sum-square error normalized by the signal's deviation from its mean."""
-    x = np.asarray(x, dtype=float).ravel()
-    xc = np.asarray(xc, dtype=float).ravel()
-    den = float(np.linalg.norm(x - x.mean()))
-    if den == 0.0:
-        raise ValidationError("normalized RMS undefined for a constant signal")
-    return float(np.linalg.norm(x - xc)) / den
+    return _one_row(_normalized_rms_rows, x, xc)
 
 
 def correlation_coefficient(x: np.ndarray, xc: np.ndarray) -> float:
     """Pearson correlation between original and reconstruction."""
-    x = np.asarray(x, dtype=float).ravel()
-    xc = np.asarray(xc, dtype=float).ravel()
-    dx = x - x.mean()
-    dc = xc - xc.mean()
-    den = float(np.linalg.norm(dx) * np.linalg.norm(dc))
-    if den == 0.0:
-        raise ValidationError("correlation undefined for a constant signal")
-    return float(np.dot(dx, dc)) / den
+    return _one_row(_correlation_rows, x, xc)
 
 
 @dataclass(frozen=True)
@@ -418,13 +440,25 @@ class CompressionReport:
         }
 
 
+def _ranks(coeffs: np.ndarray) -> np.ndarray:
+    """Rank of every entry within its row of ``coeffs`` (R, P), largest
+    magnitude first; the stable sort ranks ties by lower index first."""
+    order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(coeffs.shape[1]), axis=1)
+    return ranks
+
+
+def _keep_by_rank(coeffs: np.ndarray, ranks: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """Row t keeps the entries of its row of ``coeffs`` ranked below ``ks[t]``
+    and zeroes the rest; one row of ``coeffs`` and ``ranks`` may serve every t."""
+    return np.where(ranks < np.asarray(ks)[:, None], coeffs, 0)
+
+
 def _keep_largest(values: np.ndarray, k: int) -> np.ndarray:
     """Zero all but the k largest-magnitude entries; ties keep the lower index."""
-    order = np.lexsort((np.arange(values.size), -np.abs(values)))
-    out = np.zeros_like(values)
-    keep = order[:k]
-    out[keep] = values[keep]
-    return out
+    row = values[None]
+    return _keep_by_rank(row, _ranks(row), [k])[0]
 
 
 def _check_gamma(gamma: float) -> float:
@@ -439,43 +473,44 @@ def _check_nonzero(x: SignalNd) -> None:
         raise ValidationError("cannot compress an all-zero signal")
 
 
-def _compress_rows(x, coeffs, gammas, backward) -> list[tuple[SignalNd, float, float, float]]:
-    """Per row t of ``coeffs`` (T, P): keep its ceil(gammas[t] * P) largest
-    entries, reconstruct every row with one block ``backward``, and compare
-    the real part with ``x``; returns (reconstruction, RE, NRMS, CC) rows."""
-    kept = np.stack([_keep_largest(c, math.ceil(g * x.n)) for c, g in zip(coeffs, gammas)])
+def _compress_rows(x, coeffs, ranks, gammas, backward) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Row t keeps the ceil(gammas[t] * P) largest entries of its row of
+    ``coeffs`` (one row per t, or one row shared by every t, ranked by
+    :func:`_ranks`), one block ``backward`` reconstructs every row, and the
+    real parts are compared with ``x``. Returns the real reconstructions
+    (T, P) and the RE, NRMS and CC of every row."""
+    ks = [math.ceil(g * x.n) for g in gammas]
+    recon = np.ascontiguousarray(backward(_keep_by_rank(coeffs, ranks, ks)).real)
     xr = x.values.real
-    out = []
-    for cr in backward(kept).real:
-        out.append((SignalNd(x.shape, cr.astype(complex)),
-                    relative_error(xr, cr), normalized_rms(xr, cr), correlation_coefficient(xr, cr)))
-    return out
+    return recon, [metric(xr, recon) for metric in (_relative_error_rows, _normalized_rms_rows, _correlation_rows)]
 
 
-def _glct_reports(x, coeffs, params, gammas, ctx, variant, zero_b_variant, seed):
-    """(reconstruction, report) per row t of ``coeffs``, the forward transform
-    of ``x`` with ``params[t]``, compressed at ratio ``gammas[t]``."""
-    pinv = [inverse(p) for p in params]
-    rows = _compress_rows(x, coeffs, gammas, lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
-    return [(x_com, CompressionReport(method="glct", gamma=g, re=re, nrms=nrms, cc=cc,
-                                      params=p.astuple(), variant=variant, seed=seed))
-            for p, g, (x_com, re, nrms, cc) in zip(params, gammas, rows)]
+def _reports(gammas, metrics, **fields) -> list[CompressionReport]:
+    """One report per ratio from the rows of :func:`_compress_rows`' metrics."""
+    return [CompressionReport(gamma=g, re=float(re), nrms=float(nrms), cc=float(cc), **fields)
+            for g, re, nrms, cc in zip(gammas, *metrics)]
 
 
-def _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed) -> list[tuple[SignalNd, CompressionReport]]:
-    """:func:`compress` at every ratio of ``gammas``, transforming forward once."""
+def _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed) -> tuple[np.ndarray, list[CompressionReport]]:
+    """:func:`compress` at every ratio of ``gammas``, transforming forward and
+    ranking once; returns the real reconstructions, one row per ratio, and
+    the reports."""
     _check_nonzero(x)
-    coeffs = _rows(apply_glct(x, p, ctx, variant, zero_b_variant), len(gammas))
-    return _glct_reports(x, coeffs, [p] * len(gammas), gammas, ctx, variant, zero_b_variant, seed)
+    coeffs = apply_glct(x, p, ctx, variant, zero_b_variant).values[None]
+    pinv = [inverse(p)] * len(gammas)
+    recon, metrics = _compress_rows(x, coeffs, _ranks(coeffs), gammas,
+                                    lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
+    return recon, _reports(gammas, metrics, method="glct", params=p.astuple(), variant=variant, seed=seed)
 
 
-def _gfrft_sweep(x, alpha, ctx, gammas, seed) -> list[tuple[SignalNd, CompressionReport]]:
-    """:func:`compress_gfrft` at every ratio of ``gammas``, transforming forward once."""
+def _gfrft_sweep(x, alpha, ctx, gammas, seed) -> tuple[np.ndarray, list[CompressionReport]]:
+    """:func:`compress_gfrft` at every ratio of ``gammas``, transforming
+    forward and ranking once; returns what :func:`_glct_sweep` returns."""
     _check_nonzero(x)
-    coeffs = _rows(gfrft_nd(x, alpha, ctx), len(gammas))
-    rows = _compress_rows(x, coeffs, gammas, lambda kept: gfrft_block(kept, [-alpha] * len(gammas), ctx))
-    return [(x_com, CompressionReport(method="gfrft", gamma=g, re=re, nrms=nrms, cc=cc, alpha=float(alpha), seed=seed))
-            for g, (x_com, re, nrms, cc) in zip(gammas, rows)]
+    coeffs = gfrft_nd(x, alpha, ctx).values[None]
+    recon, metrics = _compress_rows(x, coeffs, _ranks(coeffs), gammas,
+                                    lambda kept: gfrft_block(kept, [-alpha] * len(gammas), ctx))
+    return recon, _reports(gammas, metrics, method="gfrft", alpha=float(alpha), seed=seed)
 
 
 def compress(
@@ -494,7 +529,8 @@ def compress(
     """
     gamma = _check_gamma(gamma)
     _check_variant(variant)
-    return _glct_sweep(x, p, ctx, [gamma], variant, zero_b_variant, seed)[0]
+    recon, (report,) = _glct_sweep(x, p, ctx, [gamma], variant, zero_b_variant, seed)
+    return SignalNd(x.shape, recon[0]), report
 
 
 def compress_gfrft(
@@ -506,7 +542,8 @@ def compress_gfrft(
 ) -> tuple[SignalNd, CompressionReport]:
     """Fractional-transform baseline for the compression pipeline."""
     gamma = _check_gamma(gamma)
-    return _gfrft_sweep(x, alpha, ctx, [gamma], seed)[0]
+    recon, (report,) = _gfrft_sweep(x, alpha, ctx, [gamma], seed)
+    return SignalNd(x.shape, recon[0]), report
 
 
 DEFAULT_GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -545,10 +582,10 @@ def compression_study(
     ctx = ProductContext(graph, gso_kind)
     reports: list[CompressionReport] = []
     for alpha in alpha_grid or ():
-        reports += [rep for _, rep in _gfrft_sweep(x, float(alpha), ctx, gammas, seed)]
+        reports += _gfrft_sweep(x, float(alpha), ctx, gammas, seed)[1]
     for row in glct_param_sets or ():
         p = LctParams.from_loose(*row)
-        reports += [rep for _, rep in _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed)]
+        reports += _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed)[1]
     return reports
 
 
@@ -562,6 +599,39 @@ def best_by_metric(reports: Iterable[CompressionReport], metric: str = "nrms") -
         cur = best.get(rep.gamma)
         if cur is None or sign * getattr(rep, metric) < sign * getattr(cur, metric):
             best[rep.gamma] = rep
+    return best
+
+
+def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant) -> list[CompressionReport]:
+    """:func:`search_glct_params` at every ratio of ``gammas``, one report per
+    ratio, over one draw of the budget: each block of draws is transformed
+    forward and ranked once, then reconstructed once per ratio."""
+    if budget < 1:
+        raise ValidationError("search budget must be >= 1")
+    if metric not in ("re", "nrms", "cc"):
+        raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
+    gammas = [_check_gamma(g) for g in gammas]
+    ctx.check(x)
+    _check_nonzero(x)
+    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    drawn = [sample_random_params(rng) for _ in range(budget)]
+    which = ("re", "nrms", "cc").index(metric)
+    sign = -1.0 if metric == "cc" else 1.0
+    best: list[CompressionReport | None] = [None] * len(gammas)
+    step = block_rows(x.n)
+    for i in range(0, budget, step):
+        ps = drawn[i:i + step]
+        coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
+        ranks = _ranks(coeffs)
+        pinv = [inverse(p) for p in ps]
+        for j, g in enumerate(gammas):
+            _, metrics = _compress_rows(x, coeffs, ranks, [g] * len(ps),
+                                        lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
+            scores = sign * metrics[which]
+            t = int(np.argmin(scores))  # the first draw of the block's best
+            if best[j] is None or scores[t] < sign * getattr(best[j], metric):
+                (best[j],) = _reports([g], [m[t:t + 1] for m in metrics], method="glct",
+                                      params=ps[t].astuple(), variant=variant, seed=seed)
     return best
 
 
@@ -580,22 +650,4 @@ def search_glct_params(
     The budget is drawn in order and run in blocks (forward transform,
     keep-largest, backward transform); ties keep the earliest draw.
     """
-    if budget < 1:
-        raise ValidationError("search budget must be >= 1")
-    if metric not in ("re", "nrms", "cc"):
-        raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
-    gamma = _check_gamma(gamma)
-    ctx.check(x)
-    _check_nonzero(x)
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    drawn = [sample_random_params(rng) for _ in range(budget)]
-    sign = -1.0 if metric == "cc" else 1.0
-    best: CompressionReport | None = None
-    step = block_rows(x.n)
-    for i in range(0, budget, step):
-        ps = drawn[i:i + step]
-        coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
-        for _, rep in _glct_reports(x, coeffs, ps, [gamma] * len(ps), ctx, variant, zero_b_variant, seed):
-            if best is None or sign * getattr(rep, metric) < sign * getattr(best, metric):
-                best = rep
-    return best
+    return _search_sweep(x, ctx, [gamma], budget, seed, metric, variant, zero_b_variant)[0]

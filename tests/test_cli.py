@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from glct import LctParams, ProductContext, SignalNd
+from glct import LctParams, ProductContext, SignalNd, block_rows, gfrft_nd, sample_random_params
 from glct import experiments as xp
+from glct.experiments import _ranks as ranks
 from glct.cli import main
 from glct.io import fmt_num, read_graph, read_signal, write_signal
 
@@ -228,6 +229,50 @@ class TestCompress:
                    "--gso", "adjacency", "--variant", "cmccm", "--out", out) == 0
         (report,) = json.loads(out.read_text())["reports"]
         assert report["mean"] < 1e-20
+
+    def test_sweep_transforms_forward_once_per_order(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return gfrft_nd(*args, **kwargs)
+
+        monkeypatch.setattr(xp, "gfrft_nd", counted)
+        assert run("compress", "--sweep-gfrft", "--gammas", "0.1:0.9:0.1",
+                   "--n1", 10, "--n2", 4, "--out", tmp_path / "sweep.json") == 0
+        assert sorted(calls) == sorted(xp.DEFAULT_ALPHA_GRID) and len(calls) == 21
+
+    def test_search_draws_budget_once_for_all_ratios(self, tmp_path, monkeypatch):
+        draws, ranked = [], []
+        monkeypatch.setattr(xp, "sample_random_params",
+                            lambda rng: draws.append(1) or sample_random_params(rng))
+        monkeypatch.setattr(xp, "_ranks", lambda coeffs: ranked.append(len(coeffs)) or ranks(coeffs))
+        budget = block_rows(40) + 1
+        assert run("compress", "--search", budget, "--gammas", "0.2:0.8:0.2",
+                   "--n1", 10, "--n2", 4, "--out", tmp_path / "s.json") == 0
+        assert len(draws) == budget and sum(ranked) == budget  # each draw transformed and ranked once
+        assert len(json.loads((tmp_path / "s.json").read_text())["rows"]) == 4
+
+    def test_rows_equal_one_ratio_calls_in_order(self, tmp_path):
+        out = tmp_path / "c.json"
+        gammas = (0.2, 0.5, 0.9, 0.5)
+        assert run("compress", *[a for g in gammas for a in ("--gamma", g)], "--alpha", 0.5, "--alpha", 1.0,
+                   "--glct-params", "0.40,-1.10,0.70,0.58", "--glct-params", "0.10,0.60,-0.20,8.80",
+                   "--search", 4, "--metric", "cc", "--n1", 10, "--n2", 4, "--out", out) == 0
+        graph, x = xp.study_signal(10, 4, 0)
+        ctx = ProductContext(graph)
+        want = [xp.compress_gfrft(x, a, ctx, g, seed=0)[1] for a in (0.5, 1.0) for g in gammas]
+        want += [xp.compress(x, LctParams.from_loose(*abcd), ctx, g, seed=0)[1]
+                 for abcd in ((0.40, -1.10, 0.70, 0.58), (0.10, 0.60, -0.20, 8.80)) for g in gammas]
+        want += [xp.search_glct_params(x, ctx, g, budget=4, seed=0, metric="cc") for g in gammas]
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == len(want)
+        for row, rep in zip(rows, want):
+            for key, value in rep.row().items():
+                if key in ("re", "nrms", "cc"):
+                    assert row[key] == pytest.approx(value, rel=1e-12)
+                else:
+                    assert row[key] == value
 
     def test_sweep_covers_grid(self, tmp_path):
         out = tmp_path / "sweep.json"

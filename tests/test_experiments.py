@@ -1,4 +1,9 @@
 """NMSE studies, the complexity model, and the compression pipeline."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from glct import (
     ProductContext,
     SignalNd,
     ValidationError,
+    ZeroBVariant,
     benchmark_signal,
     cartesian_product,
     complexity_model,
@@ -15,6 +21,8 @@ from glct import (
     compress_gfrft,
     compression_study,
     correlation_coefficient,
+    gfrft_nd,
+    inverse,
     make_path,
     make_ring,
     nmse_additivity,
@@ -37,6 +45,8 @@ from glct.experiments import (
     study_signal,
 )
 from glct.product import block_rows
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -356,3 +366,265 @@ class TestStudy:
             p = sample_random_params(rng)
             manual.append(compress(x, p, ctx, 0.5)[1])
         assert rep.nrms == pytest.approx(min(r.nrms for r in manual))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the block compression pipeline (one ranking per
+# coefficient row, keep-by-rank masks, RE/NRMS/CC as row reductions) against
+# the per-row pipeline it replaced, frozen here as the reference: a lexsort
+# keep-largest per row and per ratio, one backward call per row, and scalar
+# metrics taken with np.linalg.norm and np.dot.
+
+
+def _ref_keep_largest(values, k):
+    order = np.lexsort((np.arange(values.size), -np.abs(values)))
+    out = np.zeros_like(values)
+    keep = order[:k]
+    out[keep] = values[keep]
+    return out
+
+
+def _ref_metrics(x, xc):
+    """(RE, NRMS, CC) of one real reconstruction."""
+    x, xc = np.asarray(x, dtype=float).ravel(), np.asarray(xc, dtype=float).ravel()
+    re = float(np.abs(x - xc).sum()) / float(np.abs(x).sum())
+    nrms = float(np.linalg.norm(x - xc)) / float(np.linalg.norm(x - x.mean()))
+    dx, dc = x - x.mean(), xc - xc.mean()
+    cc = float(np.dot(dx, dc)) / float(np.linalg.norm(dx) * np.linalg.norm(dc))
+    return re, nrms, cc
+
+
+def _ref_compress(x, forward, backward, gamma):
+    """(reconstruction, (RE, NRMS, CC)) of the per-row pipeline."""
+    kept = _ref_keep_largest(forward(x).values, int(np.ceil(gamma * x.n)))
+    recon = backward(SignalNd(x.shape, kept)).values.real
+    return recon, _ref_metrics(x.values.real, recon)
+
+
+def _ref_glct(x, p, ctx, gamma, variant="cmccm"):
+    return _ref_compress(x, lambda s: experiments.apply_glct(s, p, ctx, variant),
+                         lambda s: experiments.apply_glct(s, inverse(p), ctx, variant), gamma)
+
+
+def _ref_gfrft(x, alpha, ctx, gamma):
+    return _ref_compress(x, lambda s: gfrft_nd(s, alpha, ctx), lambda s: gfrft_nd(s, -alpha, ctx), gamma)
+
+
+def _assert_metrics_close(report, want):
+    got = (report.re, report.nrms, report.cc)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.fixture
+def kept_calls(monkeypatch):
+    """Every (coeffs, ks, kept) that the pipeline passes through _keep_by_rank."""
+    calls = []
+    keep = experiments._keep_by_rank
+
+    def spy(coeffs, ranks, ks):
+        kept = keep(coeffs, ranks, ks)
+        calls.append((coeffs, list(ks), kept))
+        return kept
+
+    monkeypatch.setattr(experiments, "_keep_by_rank", spy)
+    return calls
+
+
+def _assert_kept_sets_match(calls):
+    """Row t of every keep call equals the lexsort keep-largest of its coefficient row."""
+    assert calls
+    for coeffs, ks, kept in calls:
+        assert kept.shape == (len(ks), coeffs.shape[1])
+        for t, k in enumerate(ks):
+            want = _ref_keep_largest(coeffs[t if coeffs.shape[0] > 1 else 0], k)
+            np.testing.assert_array_equal(kept[t], want)
+
+
+@pytest.fixture(scope="module")
+def default_study():
+    graph, x = study_signal(100, 15, seed=6)
+    return ProductContext(graph), x
+
+
+class TestRanking:
+    CASES = {
+        "ties": np.array([1.0, -1.0, 1j, -1j, 0.5, 1.0, 0.5j], dtype=complex),
+        "zeros": np.array([0.0, 0.0, 3.0, 0.0, -0.0, 2.0, 0.0j], dtype=complex),
+        "all_zero": np.zeros(5, dtype=complex),
+        "rounded": np.round(np.random.default_rng(3).normal(size=40)
+                            + 1j * np.random.default_rng(4).normal(size=40), 1),
+        "real": np.array([3.0, -3.0, 0.0, 2.0, -2.0, 3.0]),
+        # long enough that an unstable sort would reorder the ties
+        "many_ties": np.random.default_rng(5).choice(np.array([1.0, -1.0, 1j, -1j, 2.0, 0.0]), size=1500),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_keep_matches_lexsort(self, name):
+        values = self.CASES[name]
+        for k in sorted({1, values.size, *range(1, values.size, 1 + values.size // 64)}):
+            got = _keep_largest(values, k)
+            np.testing.assert_array_equal(got, _ref_keep_largest(values, k))
+            assert got.dtype == values.dtype
+            assert np.count_nonzero(experiments._ranks(values[None]) < k) == k
+        np.testing.assert_array_equal(_keep_largest(values, values.size), values)
+
+    def test_shared_row_equals_distinct_rows(self):
+        values = self.CASES["rounded"]
+        ks = [1, 7, 7, 20, 40, 3]
+        shared = experiments._keep_by_rank(values[None], experiments._ranks(values[None]), ks)
+        rows = np.repeat(values[None], len(ks), axis=0)
+        distinct = experiments._keep_by_rank(rows, experiments._ranks(rows), ks)
+        np.testing.assert_array_equal(shared, distinct)
+        for t, k in enumerate(ks):
+            np.testing.assert_array_equal(shared[t], _ref_keep_largest(values, k))
+
+    def test_ranks_are_a_permutation_per_row(self):
+        rows = np.stack([self.CASES["rounded"], self.CASES["rounded"][::-1]])
+        ranks = experiments._ranks(rows)
+        for r in ranks:
+            np.testing.assert_array_equal(np.sort(r), np.arange(rows.shape[1]))
+
+
+class TestFrozenPipeline:
+    @pytest.mark.parametrize("variant", ["cmccm", "cddhfs"])
+    def test_study_matches_per_row_pipeline(self, variant, kept_calls):
+        alphas, rows = (0.0, 0.35, 1.0), COMPRESSION_REFERENCE_PARAMS[::9]
+        study = compression_study(seed=6, alpha_grid=alphas, glct_param_sets=rows, variant=variant)
+        _assert_kept_sets_match(kept_calls)
+        assert len(kept_calls) == len(alphas) + len(rows)  # one keep per method, all ratios at once
+        graph, x = study_signal(100, 15, seed=6)
+        ctx = ProductContext(graph)
+        want = [(("gfrft", g, a, None), _ref_gfrft(x, a, ctx, g)[1]) for a in alphas for g in DEFAULT_GAMMAS]
+        for row in rows:
+            p = LctParams.from_loose(*row)
+            want += [(("glct", g, None, p.astuple()), _ref_glct(x, p, ctx, g, variant)[1])
+                     for g in DEFAULT_GAMMAS]
+        assert len(study) == len(want)
+        for rep, (fields, metrics) in zip(study, want):
+            assert (rep.method, rep.gamma, rep.alpha, rep.params) == fields
+            assert rep.seed == 6 and rep.variant == (variant if rep.method == "glct" else None)
+            _assert_metrics_close(rep, metrics)
+
+    def test_sweeps_across_block_boundary(self, default_study, kept_calls):
+        # block_rows(1500) is 3, so nine ratios take three backward blocks
+        ctx, x = default_study
+        assert block_rows(x.n) == 3
+        p = LctParams.from_abc(0.6, 0.8, -0.5)
+        gammas = [0.1, 0.25, 0.3, 0.5, 0.55, 0.7, 0.9, 0.95, 1.0]
+        for sweep, ref in ((lambda: experiments._glct_sweep(x, p, ctx, gammas, "cmccm", ZeroBVariant.EQ30, 1),
+                            lambda g: _ref_glct(x, p, ctx, g)),
+                           (lambda: experiments._gfrft_sweep(x, 0.45, ctx, gammas, 1),
+                            lambda g: _ref_gfrft(x, 0.45, ctx, g))):
+            recon, reports = sweep()
+            assert recon.shape == (len(gammas), x.n) and recon.dtype == float
+            for t, g in enumerate(gammas):
+                want_recon, want = ref(g)
+                np.testing.assert_allclose(recon[t], want_recon, rtol=0, atol=1e-13 * np.abs(want_recon).max())
+                assert reports[t].gamma == g
+                if g < 1.0:  # at gamma = 1 the errors are rounding noise
+                    _assert_metrics_close(reports[t], want)
+        _assert_kept_sets_match(kept_calls)
+
+    @pytest.mark.parametrize("variant", ["cmccm", "cddhfs"])
+    def test_compress_matches_per_row_pipeline(self, default_study, variant, kept_calls):
+        ctx, x = default_study
+        p = LctParams.from_loose(*COMPRESSION_REFERENCE_PARAMS[4])
+        for gamma in (0.1, 0.4, 0.9):
+            recon, rep = compress(x, p, ctx, gamma, variant)
+            want_recon, want = _ref_glct(x, p, ctx, gamma, variant)
+            np.testing.assert_array_equal(recon.values, want_recon.astype(complex))
+            _assert_metrics_close(rep, want)
+            recon, rep = compress_gfrft(x, 0.8, ctx, gamma)
+            want_recon, want = _ref_gfrft(x, 0.8, ctx, gamma)
+            np.testing.assert_array_equal(recon.values, want_recon.astype(complex))
+            _assert_metrics_close(rep, want)
+        _assert_kept_sets_match(kept_calls)
+
+    @pytest.mark.parametrize("metric", ["re", "nrms", "cc"])
+    def test_search_matches_per_row_pipeline(self, default_study, metric, kept_calls):
+        ctx, x = default_study
+        budget, seed, gamma = 3 * block_rows(x.n) + 2, 5, 0.3
+        rep = search_glct_params(x, ctx, gamma, budget=budget, seed=seed, metric=metric)
+        _assert_kept_sets_match(kept_calls)
+        rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+        sign = -1.0 if metric == "cc" else 1.0
+        best = None
+        for _ in range(budget):
+            p = sample_random_params(rng)
+            metrics = _ref_glct(x, p, ctx, gamma)[1]
+            score = sign * metrics[("re", "nrms", "cc").index(metric)]
+            if best is None or score < best[0]:
+                best = (score, p, metrics)
+        assert rep.params == best[1].astuple()
+        assert (rep.method, rep.gamma, rep.variant, rep.seed) == ("glct", gamma, "cmccm", seed)
+        _assert_metrics_close(rep, best[2])
+
+    def test_search_over_ratios_equals_one_ratio_searches(self, small_study):
+        ctx, x = small_study
+        gammas = [0.2, 0.5, 0.9, 0.5]
+        budget = 2 * block_rows(x.n) + 1
+        together = experiments._search_sweep(x, ctx, gammas, budget, 3, "nrms", "cmccm", ZeroBVariant.EQ30)
+        apart = [search_glct_params(x, ctx, g, budget=budget, seed=3) for g in gammas]
+        assert together == apart
+
+    def test_search_ties_keep_earliest_draw(self, small_study, monkeypatch):
+        # every score ties, so at every ratio the first draw wins
+        ctx, x = small_study
+        monkeypatch.setattr(experiments, "_normalized_rms_rows", lambda x, xc: np.zeros(xc.shape[0]))
+        budget = 2 * block_rows(x.n) + 1
+        reports = experiments._search_sweep(x, ctx, [0.3, 0.6], budget, 4, "nrms", "cmccm", ZeroBVariant.EQ30)
+        first = sample_random_params(np.random.default_rng(np.random.SeedSequence((4,))))
+        assert [r.gamma for r in reports] == [0.3, 0.6]
+        assert all(r.params == first.astuple() and r.nrms == 0.0 for r in reports)
+
+
+_ONE_RATIO_CHECK = """
+from glct import LctParams, ProductContext, compress, compress_gfrft, compression_study
+from glct.experiments import COMPRESSION_REFERENCE_PARAMS, DEFAULT_GAMMAS, study_signal
+graph, x = study_signal(100, 15, seed=6)
+ctx = ProductContext(graph)
+alphas, rows = (0.2, 0.9), COMPRESSION_REFERENCE_PARAMS[3:5]
+for variant in ("cmccm", "cddhfs"):
+    study = compression_study(seed=6, alpha_grid=alphas, glct_param_sets=rows, variant=variant)
+    per_call = [compress_gfrft(x, a, ctx, g, seed=6)[1] for a in alphas for g in DEFAULT_GAMMAS]
+    per_call += [compress(x, LctParams.from_loose(*row), ctx, g, variant, seed=6)[1]
+                 for row in rows for g in DEFAULT_GAMMAS]
+    assert len(study) == 36 and study == per_call, variant
+"""
+
+
+class TestRowMetrics:
+    def test_study_reports_equal_one_ratio_reports_bit_for_bit(self):
+        # RE/NRMS/CC are reductions along each row, so a row's values do not
+        # depend on how many ratios share its block. Bit equality with the
+        # one-ratio calls also needs the backward block's rows to equal its
+        # one-row calls bit for bit, which single-threaded OpenBLAS gives and a
+        # multi-threaded GEMM need not (it splits a 9-row block differently),
+        # so the check runs in a child with BLAS pinned to one thread.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _ONE_RATIO_CHECK], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_row_values_do_not_depend_on_block_height(self):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-10, 10, size=1500)
+        block = x + rng.normal(scale=3.0, size=(16, 1500))
+        for metric, one in ((experiments._relative_error_rows, relative_error),
+                            (experiments._normalized_rms_rows, normalized_rms),
+                            (experiments._correlation_rows, correlation_coefficient)):
+            full = metric(x, block)
+            for t in range(block.shape[0]):
+                assert full[t] == one(x, block[t]) == metric(x, block[t:t + 1])[0]
+                assert metric(x, block[: t + 1])[t] == full[t]
+            np.testing.assert_allclose(full, [_ref_metrics(x, r)[[relative_error, normalized_rms,
+                                                                  correlation_coefficient].index(one)]
+                                              for r in block], rtol=1e-13)
+
+    def test_constant_reconstruction_raises(self):
+        with pytest.raises(ValidationError):
+            correlation_coefficient([0.3, -1.2, 2.0], [1.0, 1.0, 1.0])
+        x = np.array([0.3, -1.2, 2.0])
+        with pytest.raises(ValidationError):
+            experiments._correlation_rows(x, np.stack([x, np.ones(3)]))
