@@ -23,19 +23,19 @@ from .graphs import (
     make_ring,
     product_gso,
 )
-from .kernels import FactorDecomposition, decompose_graph, gcm, gfrft, gft, glct_1d, gscale, igft
+from .kernels import FactorDecomposition, decompose_graph
 from .params import (
     CddhfsParams,
     CmCcCmBranch,
     CmCcCmParams,
     LctParams,
+    Program,
     ZeroBVariant,
     cddhfs_decompose,
-    cddhfs_recompose,
     cmccm_decompose,
-    cmccm_recompose,
     compose,
     inverse,
+    recompose,
     sample_random_params,
 )
 from .product import (

@@ -152,8 +152,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 
 def _cmd_gen_graph(args) -> int:
-    if args.seed < 0:
-        raise ValidationError("--seed must be non-negative")
     g = make_family(args.family, args.n, args.head)
     config = _config_echo(args)
     if args.out is None:
@@ -194,8 +192,6 @@ def _bench_complexity(args, config) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.seed < 0:
-        raise ValidationError("--seed must be non-negative")
     config = _config_echo(args)
     if args.kind == "complexity":
         return _bench_complexity(args, config)
@@ -239,13 +235,13 @@ def _compress_reports(args, gammas, ctx, x) -> list:
     if args.sweep_gfrft:
         alphas.extend(a for a in xp.DEFAULT_ALPHA_GRID if a not in alphas)
     param_sets = [LctParams.from_loose(*_parse_params(t)) for t in (args.glct_params or [])]
-    if not alphas and not param_sets and not args.search:
+    if not alphas and not param_sets and args.search is None:
         alphas = [1.0]  # plain-transform baseline
     for alpha in alphas:
         keep(*xp._gfrft_sweep(x, alpha, ctx, gammas, args.seed))
     for p in param_sets:
         keep(*xp._glct_sweep(x, p, ctx, gammas, args.variant, zb, args.seed))
-    if args.search:
+    if args.search is not None:
         keep(None, xp._search_sweep(x, ctx, gammas, args.search, args.seed,
                                     args.metric, args.variant, zb))
     return results
@@ -259,8 +255,6 @@ def _method_label(rep) -> str:
 
 
 def _cmd_compress(args) -> int:
-    if args.seed < 0:
-        raise ValidationError("--seed must be non-negative")
     gammas = list(args.gamma or [])
     if args.gammas:
         gammas.extend(_parse_gammas(args.gammas))
@@ -311,6 +305,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValidationError("--seed must be non-negative")
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

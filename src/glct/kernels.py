@@ -1,9 +1,11 @@
-"""One-dimensional graph transform kernels.
+"""Per-factor spectral data: each factor graph's shift operator and its two
+eigendecompositions.
 
-All kernels are linear maps on complex vertex signals. The chirp
-multiplication applies the eigenvalue diagonal of the transform matrix
-directly in the vertex domain, so its effect depends on the canonical
-eigenvalue order fixed in :mod:`glct.spectral`.
+The product transforms in :mod:`glct.product` read one
+:class:`FactorDecomposition` per factor. Their chirps apply the eigenvalue
+diagonal of the transform matrix directly in the vertex domain, so their
+effect depends on the canonical eigenvalue order fixed in
+:mod:`glct.spectral`.
 """
 from __future__ import annotations
 
@@ -11,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .graphs import Graph, GsoKind, gso
-from .params import LctParams, CmCcCmBranch, ZeroBVariant, cddhfs_decompose, cmccm_decompose
-from .spectral import FourierEigen, SpectralBasis, eig_sym, eig_unitary, frac_diag_power, frac_operator, gft_matrix
+from .spectral import FourierEigen, SpectralBasis, eig_sym, eig_unitary, gft_matrix
 
 
 @dataclass(frozen=True)
@@ -39,82 +39,3 @@ def decompose_graph(graph: Graph, kind: GsoKind = GsoKind.LAPLACIAN) -> FactorDe
     basis = eig_sym(z, kind)
     fourier = eig_unitary(gft_matrix(basis))
     return FactorDecomposition(graph=graph, kind=kind, z=z, basis=basis, fourier=fourier)
-
-
-def _check_len(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or x.size != n:
-        raise ValidationError(f"signal length {x.shape} does not match vertex count {n}")
-    return x
-
-
-def gft(x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Analysis transform: project onto the shift operator's eigenbasis."""
-    x = _check_len(x, basis.vectors.shape[0])
-    return basis.vectors.T @ x
-
-
-def igft(xhat: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Synthesis transform, the inverse of :func:`gft`."""
-    xhat = _check_len(xhat, basis.vectors.shape[0])
-    return basis.vectors @ xhat
-
-
-def gfrft(x: np.ndarray, alpha_norm: float, fe: FourierEigen) -> np.ndarray:
-    """Fractional transform of normalized order ``alpha_norm`` (1 = plain)."""
-    x = _check_len(x, fe.vectors.shape[0])
-    return frac_operator(fe, alpha_norm) @ x
-
-
-def gcm(x: np.ndarray, xi: float, fe: FourierEigen) -> np.ndarray:
-    """Chirp multiplication: pointwise multiply by the eigenvalue diagonal to power xi."""
-    x = _check_len(x, fe.values.size)
-    return frac_diag_power(fe.values, xi) * x
-
-
-def gscale(x: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
-    """Scaling transform: apply the shift operator divided by sigma."""
-    if sigma == 0:
-        raise ValidationError("scaling factor must be nonzero")
-    x = _check_len(x, z.shape[0])
-    return (z @ x) / sigma
-
-
-def glct_1d(
-    x: np.ndarray,
-    p: LctParams,
-    dec: FactorDecomposition,
-    variant: str = "cmccm",
-    zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
-) -> np.ndarray:
-    """Linear canonical transform of a 1-D signal via the chosen factorization."""
-    if variant == "cddhfs":
-        dp = cddhfs_decompose(p)
-        y = gfrft(x, dp.alpha_norm, dec.fourier)
-        y = gscale(y, dp.delta, dec.z)
-        return gcm(y, dp.xi, dec.fourier)
-    if variant != "cmccm":
-        raise ValidationError(f"unknown variant {variant!r}; choose 'cddhfs' or 'cmccm'")
-    cp = cmccm_decompose(p, zero_b_variant)
-    x1, x2, x3 = cp.chirps
-    if cp.branch is CmCcCmBranch.GENERAL:
-        y = gcm(x, x3, dec.fourier)
-        y = gft(y, dec.basis)
-        y = gcm(y, x2, dec.fourier)
-        y = igft(y, dec.basis)
-        return gcm(y, x1, dec.fourier)
-    if cp.branch is CmCcCmBranch.ZERO_B_EQ30:
-        y = gcm(x, x3, dec.fourier)
-        y = gft(y, dec.basis)
-        y = gcm(y, x2, dec.fourier)
-        y = igft(y, dec.basis)
-        y = gcm(y, x1, dec.fourier)
-        y = gft(y, dec.basis)
-        return cp.phase * y
-    y = igft(x, dec.basis)
-    y = gcm(y, x3, dec.fourier)
-    y = gft(y, dec.basis)
-    y = gcm(y, x2, dec.fourier)
-    y = igft(y, dec.basis)
-    y = gcm(y, x1, dec.fourier)
-    return cp.phase * y

@@ -11,6 +11,10 @@ factorizations into elementary graph operations are supported:
   chirp multiplication. For b = 0 the general factorization degenerates and
   one of two six-factor forms is used instead (tokens "eq30" and "eq31"),
   each carrying a constant unimodular phase.
+
+Both are programs of ops: ``cm`` (chirp, rate xi), ``ft``/``ift`` (transform
+and inverse), ``frac`` (fractional transform, order alpha) and ``scale`` (shift
+operator over sigma), exposed as ``kinds``, ``rates`` and ``phase``.
 """
 from __future__ import annotations
 
@@ -41,6 +45,30 @@ class CmCcCmBranch(enum.Enum):
     GENERAL = "general-b"
     ZERO_B_EQ30 = "eq30"
     ZERO_B_EQ31 = "eq31"
+
+
+#: Ops that take a rate: chirp rate, fractional order, scale factor.
+RATED_KINDS = frozenset(("cm", "frac", "scale"))
+
+_GENERAL_B = ("cm", "ft", "cm", "ift", "cm")
+#: Op kinds of each factorization, in the order they are applied, keyed by
+#: cmccm branch value or "cddhfs".
+KINDS = {
+    CmCcCmBranch.GENERAL.value: _GENERAL_B,
+    CmCcCmBranch.ZERO_B_EQ30.value: _GENERAL_B + ("ft",),
+    CmCcCmBranch.ZERO_B_EQ31.value: ("ift",) + _GENERAL_B,
+    "cddhfs": ("frac", "scale", "cm"),
+}
+
+
+@dataclass(frozen=True)
+class Program:
+    """Op kinds in the order they are applied, the rates of the ops in
+    ``RATED_KINDS`` in the same order, and a constant phase."""
+
+    kinds: tuple[str, ...]
+    rates: tuple[float, ...] = ()
+    phase: complex = 1.0
 
 
 @dataclass(frozen=True)
@@ -116,14 +144,30 @@ class CddhfsParams:
     delta: float
     alpha_norm: float
 
+    kinds = KINDS["cddhfs"]
+    phase = 1.0
+
+    @property
+    def rates(self) -> tuple[float, float, float]:
+        return (self.alpha_norm, self.delta, self.xi)
+
 
 @dataclass(frozen=True)
 class CmCcCmParams:
-    """Three chirp rates plus a constant phase for one cmccm branch."""
+    """Three chirp rates (x1, x2, x3 of D1 V D2 V^T D3) plus a constant phase
+    for one cmccm branch."""
 
     branch: CmCcCmBranch
     chirps: tuple[float, float, float]
     phase: complex
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        return KINDS[self.branch.value]
+
+    @property
+    def rates(self) -> tuple[float, float, float]:
+        return self.chirps[::-1]  # D3 is applied first
 
 
 def cddhfs_decompose(p: LctParams) -> CddhfsParams:
@@ -174,31 +218,28 @@ def cmccm_decompose(
     raise ValidationError(f"unknown zero-b variant {zero_b_variant!r}")
 
 
-_ROT_FWD = np.array([[0.0, 1.0], [-1.0, 0.0]])  # parameter matrix of the plain transform
-_ROT_INV = np.array([[0.0, -1.0], [1.0, 0.0]])
+def _op_matrix(kind: str, rate: float | None) -> np.ndarray:
+    """Parameter matrix of one op; ``ft`` is ``frac(1)`` and ``ift`` ``frac(-1)``."""
+    if kind == "ft":
+        return np.array([[0.0, 1.0], [-1.0, 0.0]])
+    if kind == "ift":
+        return np.array([[0.0, -1.0], [1.0, 0.0]])
+    if kind == "cm":
+        return np.array([[1.0, 0.0], [rate, 1.0]])
+    if kind == "scale":
+        return np.diag([rate, 1.0 / rate])
+    angle = rate * np.pi / 2.0
+    return np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
 
 
-def _chirp(g: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [g, 1.0]])
-
-
-def cddhfs_recompose(dp: CddhfsParams) -> np.ndarray:
-    """Multiply the three cddhfs factor matrices back into a 2x2 matrix."""
-    angle = dp.alpha_norm * np.pi / 2.0
-    rot = np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
-    scale = np.diag([dp.delta, 1.0 / dp.delta])
-    return _chirp(dp.xi) @ scale @ rot
-
-
-def cmccm_recompose(cp: CmCcCmParams) -> np.ndarray:
-    """Multiply the cmccm factor matrices back into a 2x2 matrix."""
-    x1, x2, x3 = cp.chirps
-    if cp.branch is CmCcCmBranch.GENERAL:
-        shear = np.array([[1.0, -x2], [0.0, 1.0]])  # chirp convolution block, b = -x2
-        return _chirp(x1) @ shear @ _chirp(x3)
-    if cp.branch is CmCcCmBranch.ZERO_B_EQ30:
-        return _ROT_FWD @ _chirp(x1) @ _ROT_INV @ _chirp(x2) @ _ROT_FWD @ _chirp(x3)
-    return _chirp(x1) @ _ROT_INV @ _chirp(x2) @ _ROT_FWD @ _chirp(x3) @ _ROT_INV
+def recompose(program) -> np.ndarray:
+    """Multiply a program's op matrices back into (a, b; c, d), the last op
+    leftmost. The constant phase has no 2x2 counterpart."""
+    rates = iter(program.rates)
+    m = np.eye(2)
+    for kind in program.kinds:
+        m = _op_matrix(kind, next(rates) if kind in RATED_KINDS else None) @ m
+    return m
 
 
 def sample_random_params(

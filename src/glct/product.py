@@ -1,27 +1,27 @@
-"""Kronecker-factored transforms for signals on Cartesian product graphs.
+"""Transforms on Cartesian product graphs, run from op programs.
 
-Every transform here is separable: it applies per-factor matrices along the
-corresponding tensor axes (axis k for factor k, processed in ascending axis
-order) and never materializes a Kronecker product. ``dense_operator`` builds
-the same transforms the expensive way, as explicit Kronecker-product
-matrices, and exists purely as a differential-testing oracle.
+A transform is a program (see :mod:`glct.params`): op kinds in the order
+they are applied, the rates of the ops that take one, and a constant phase.
+The factorizations take their kinds from ``glct.params.KINDS`` and the five
+single ops from ``_SINGLE_OPS``. Four interpreters read a program: the block
+executor here, ``dense_operator`` (explicit Kronecker-product matrices, a
+differential-testing oracle), ``mult_count`` and ``glct.params.recompose``.
 
-Fractional Kronecker diagonals are computed per factor and then combined, so
-mode-wise application, exact power additivity, and separability all hold by
-construction.
-
-The fractional transform and the two LCT factorizations run on blocks: T
-signals on one graph, one parameter set per row. Along an axis with
-N_k^2 <= P (P entries per signal) each row's factors are multiplied into one
-N_k x N_k matrix; along the others the matrices every row shares (V, V^T, P,
-P^H, Z_k) are applied once over the whole block and each row's chirps as
-diagonals. The one-signal functions are the T = 1 case.
+Transforms run on blocks: T signals on one graph, one program per row. The
+executor splits a program at its ``scale`` ops, which apply the Kronecker sum
+of the shift operators. Between them it goes axis by axis and never forms a
+Kronecker product: along an axis with N_k^2 <= P (P entries per signal) each
+row's ops are multiplied into one N_k x N_k matrix; along the others the
+matrices every row shares (V, V^T, P, P^H) are applied once over the whole
+block and each row's chirps as diagonals. Chirps are per-factor diagonals, so
+mode-wise application, exact power additivity and separability hold by
+construction. The one-signal functions are the T = 1 case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -30,17 +30,17 @@ from .errors import ValidationError
 from .graphs import GsoKind, ProductGraph, kronecker_sum
 from .kernels import FactorDecomposition, decompose_graph
 from .params import (
+    RATED_KINDS,
     CddhfsParams,
-    CmCcCmBranch,
     CmCcCmParams,
     LctParams,
+    Program,
     ZeroBVariant,
     cddhfs_decompose,
     cmccm_decompose,
 )
 from .spectral import frac_diag_power, principal_angle
 
-OPS = ("gft", "igft", "gfrft", "gcm", "gscale", "glct_cddhfs", "glct_cmccm")
 DENSE_SIZE_CAP = 4096
 #: Byte budget of one block: 16 rows of the largest benchmark signal (x2,
 #: 288 entries). Larger blocks buy little speed and raise peak memory.
@@ -126,14 +126,6 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_BYTES // (16 * n))
 
 
-def _chunks(rows: np.ndarray, n: int):
-    """Split row indices into block-sized runs; slices when ``rows`` is all of them."""
-    step = block_rows(n)
-    whole = rows.size and rows[-1] == rows.size - 1
-    for i in range(0, rows.size, step):
-        yield slice(i, i + step) if whole else rows[i:i + step]
-
-
 def _dims(shape: tuple[int, ...], axis: int) -> tuple[int, int]:
     return shape[axis], math.prod(shape[:axis])
 
@@ -205,115 +197,179 @@ def _kron_sum(x: np.ndarray, ctx: ProductContext) -> np.ndarray:
     return sum(_shared(x, ctx.shape, axis, dec.z) for axis, dec in enumerate(ctx.factors))
 
 
-def _frac(x: np.ndarray, alphas: np.ndarray, ctx: ProductContext) -> np.ndarray:
-    """Fractional transform of order ``alphas[t]`` on row t: (P D_alpha) P^H per axis."""
-    for axis, (dec, d) in enumerate(zip(ctx.factors, ctx.diag_powers(alphas))):
-        p = dec.fourier.vectors
-        if _formed(p.shape[0], x):
-            x = _stacked(x, ctx.shape, axis, (p * d[:, None, :]) @ p.conj().T)
+@lru_cache(maxsize=None)  # one entry per distinct kinds tuple: the op tables' rows
+def _layout(kinds: tuple[str, ...]):
+    """A program's runs of (kind, rate column) ops between its ``scale`` ops,
+    each flagged when it holds a matrix and a per-row diagonal (so an axis may
+    form it), and its diagonal, scale and fold columns: the phase and each
+    1 / sigma fold into the axis-0 diagonal of the last chirp."""
+    runs, diag_cols, scale_cols, fold, col = [[]], [], [], None, 0
+    for kind in kinds:
+        if kind == "scale":
+            runs.append([])
+            scale_cols.append(col)
+        elif kind in RATED_KINDS:
+            runs[-1].append((kind, col))
+            diag_cols.append(col)
+            fold = col if kind == "cm" else fold
         else:
-            x = _shared(x, ctx.shape, axis, p.conj().T)
-            x = _shared(_diag(x, ctx.shape, axis, d), ctx.shape, axis, p)
+            runs[-1].append((kind, None))
+        col += kind in RATED_KINDS
+    formable = [any(k != "cm" for k, _ in r) and any(j is not None for _, j in r) for r in runs]
+    return tuple(zip(map(tuple, runs), formable)), diag_cols, scale_cols, fold
+
+
+def _form(run, axis: int, dec: FactorDecomposition, diags: dict) -> np.ndarray:
+    """One run's ops along ``axis`` multiplied into one (T, N_k, N_k) matrix per row."""
+    m = pending = None
+    for kind, j in run:
+        if kind == "cm":
+            d = diags[j][axis]
+            if m is None:
+                pending = d if pending is None else pending * d
+            else:
+                m = d[:, :, None] * m
+            continue
+        if kind == "frac":
+            p = dec.fourier.vectors
+            a = (p * diags[j][axis][:, None, :]) @ p.conj().T
+        else:
+            a = dec.f if kind == "ft" else dec.basis.vectors
+        if m is None:
+            m = a if pending is None else a * pending[:, None, :]
+        elif a.dtype.kind == "f" and m.dtype.kind == "c":  # real and imaginary parts as one real GEMM
+            m = (a @ m.view(float)).view(complex)
+        else:
+            m = a @ m
+    return m
+
+
+def _chain(x: np.ndarray, run, axis: int, dec: FactorDecomposition, diags: dict,
+           shape: tuple[int, ...]) -> np.ndarray:
+    """One run's ops along ``axis`` one after another: shared matrices over the
+    whole block, chirps and fractional powers as (T, N_k) diagonals."""
+    for kind, j in run:
+        if kind == "cm":
+            x = _diag(x, shape, axis, diags[j][axis])
+        elif kind == "frac":
+            p = dec.fourier.vectors
+            x = _shared(x, shape, axis, p.conj().T)
+            x = _shared(_diag(x, shape, axis, diags[j][axis]), shape, axis, p)
+        else:
+            x = _shared(x, shape, axis, dec.f if kind == "ft" else dec.basis.vectors)
     return x
+
+
+def _run(x: np.ndarray, kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | None,
+         ctx: ProductContext) -> np.ndarray:
+    """One chunk of rows through one program: row t has rates ``rates[:, t]``
+    and phase ``phases[t]`` (None: all ones)."""
+    runs, diag_cols, scale_cols, fold = _layout(kinds)
+    diags = {j: ctx.diag_powers(rates[j]) for j in diag_cols}
+    sigma = None
+    for j in scale_cols:
+        sigma = rates[j, :, None] if sigma is None else sigma * rates[j, :, None]
+    if fold is not None:
+        d = diags[fold]
+        if phases is not None:
+            d[0] = d[0] * phases[:, None]
+        if sigma is not None:
+            d[0] = d[0] / sigma
+    for i, (run, formable) in enumerate(runs):
+        if i:
+            x = _kron_sum(x, ctx)
+        for axis, dec in enumerate(ctx.factors):
+            if formable and _formed(ctx.shape[axis], x):
+                x = _stacked(x, ctx.shape, axis, _form(run, axis, dec, diags))
+            else:
+                x = _chain(x, run, axis, dec, diags, ctx.shape)
+    if fold is None:  # no chirp to fold the scalars into
+        if phases is not None:
+            x = x * phases[:, None]
+        if sigma is not None:
+            x = x / sigma
+    return x
+
+
+def _program_block(values: np.ndarray, programs: Sequence, ctx: ProductContext) -> np.ndarray:
+    """Row t of ``values`` (T, P) through ``programs[t]``: rows grouped by op
+    kinds, each group in chunks of at most :func:`block_rows` rows."""
+    values = _block(values, ctx, len(programs))
+    out = np.empty_like(values)
+    kinds = [pr.kinds for pr in programs]
+    if any(k != kinds[0] for k in kinds):
+        for k in dict.fromkeys(kinds):
+            group = np.flatnonzero([kk == k for kk in kinds])
+            out[group] = _program_block(values[group], [programs[i] for i in group], ctx)
+        return out
+    rates = np.array([pr.rates for pr in programs], dtype=float).T.copy()  # contiguous per op
+    phases = [pr.phase for pr in programs]
+    phases = np.array(phases, dtype=complex) if any(ph != 1 for ph in phases) else None
+    step = block_rows(values.shape[1])
+    for i in range(0, len(programs), step):
+        rows = slice(i, i + step)
+        out[rows] = _run(values[rows], kinds[0], rates[:, rows], None if phases is None else phases[rows], ctx)
+    return out
 
 
 def gfrft_block(values: np.ndarray, alphas: Sequence[float], ctx: ProductContext) -> np.ndarray:
     """Row t of ``values`` (T, P) through :func:`gfrft_nd` of order ``alphas[t]``."""
-    alphas = np.asarray(alphas, dtype=float).reshape(-1)
-    values = _block(values, ctx, alphas.size)
-    out = np.empty_like(values)
-    for rows in _chunks(np.arange(alphas.size), values.shape[1]):
-        out[rows] = _frac(values[rows], alphas[rows], ctx)
-    return out
+    return _program_block(values, [_single("gfrft", a) for a in np.asarray(alphas, dtype=float).ravel()], ctx)
 
 
 def cddhfs_block(values: np.ndarray, dps: Sequence[CddhfsParams], ctx: ProductContext) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`glct_cddhfs_nd` with ``dps[t]``.
-
-    Each chunk runs the fractional transform, then the Kronecker-sum scaling
-    (every Z_k is shared by all rows), then the chirp of rate xi as one
-    diagonal per axis, with 1 / delta folded into the first.
-    """
-    xi = np.array([dp.xi for dp in dps], dtype=float)
-    delta = np.array([dp.delta for dp in dps], dtype=float)
-    alpha = np.array([dp.alpha_norm for dp in dps], dtype=float)
-    values = _block(values, ctx, xi.size)
-    out = np.empty_like(values)
-    for rows in _chunks(np.arange(xi.size), values.shape[1]):
-        x = _frac(values[rows], alpha[rows], ctx)
-        x = _kron_sum(x, ctx)
-        for axis, d in enumerate(ctx.diag_powers(xi[rows])):
-            x = _diag(x, ctx.shape, axis, d / delta[rows, None] if axis == 0 else d)
-        out[rows] = x
-    return out
-
-
-def _cmccm_rows(x: np.ndarray, branch: CmCcCmBranch, chirps: np.ndarray, phases: np.ndarray,
-                ctx: ProductContext) -> np.ndarray:
-    """One chunk of rows on one cmccm branch. Along each axis the branch's
-    chain is D1 V D2 V^T D3, with V^T in front (eq30) or V behind (eq31); the
-    phase is folded into the first axis's D1."""
-    eq30, eq31 = branch is CmCcCmBranch.ZERO_B_EQ30, branch is CmCcCmBranch.ZERO_B_EQ31
-    diags = zip(ctx.factors, *(ctx.diag_powers(chirps[:, j]) for j in range(3)))
-    for axis, (dec, d1, d2, d3) in enumerate(diags):
-        v, f = dec.basis.vectors, dec.f
-        if axis == 0:
-            d1 = d1 * phases[:, None]
-        if _formed(v.shape[0], x):
-            m = (d1[:, :, None] * v * d2[:, None, :]) @ (f * d3[:, None, :])
-            if eq30:
-                m = f @ m
-            elif eq31:
-                m = m @ v
-            x = _stacked(x, ctx.shape, axis, m)
-            continue
-        if eq31:
-            x = _shared(x, ctx.shape, axis, v)
-        x = _shared(_diag(x, ctx.shape, axis, d3), ctx.shape, axis, f)
-        x = _shared(_diag(x, ctx.shape, axis, d2), ctx.shape, axis, v)
-        x = _diag(x, ctx.shape, axis, d1)
-        if eq30:
-            x = _shared(x, ctx.shape, axis, f)
-    return x
+    """Row t of ``values`` (T, P) through :func:`glct_cddhfs_nd` with ``dps[t]``."""
+    return _program_block(values, dps, ctx)
 
 
 def cmccm_block(values: np.ndarray, cps: Sequence[CmCcCmParams], ctx: ProductContext) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`glct_cmccm_nd` with ``cps[t]``.
-
-    Rows are grouped by branch (general, eq30, eq31) and each group runs in
-    chunks of at most :func:`block_rows` rows.
-    """
-    chirps = np.array([cp.chirps for cp in cps], dtype=float).reshape(-1, 3)
-    phases = np.array([cp.phase for cp in cps], dtype=complex)
-    values = _block(values, ctx, phases.size)
-    out = np.empty_like(values)
-    for branch in CmCcCmBranch:
-        group = np.flatnonzero([cp.branch is branch for cp in cps])
-        for rows in _chunks(group, values.shape[1]):
-            out[rows] = _cmccm_rows(values[rows], branch, chirps[rows], phases[rows], ctx)
-    return out
+    """Row t of ``values`` (T, P) through :func:`glct_cmccm_nd` with ``cps[t]``."""
+    return _program_block(values, cps, ctx)
 
 
 # ---------------------------------------------------------------------------
 # one signal: a block of one row
 
+#: The single ops: op name -> (program kinds, the TransformSpec params key of its rate).
+_SINGLE_OPS = {
+    "gft": (("ft",), None),
+    "igft": (("ift",), None),
+    "gfrft": (("frac",), "alpha"),
+    "gcm": (("cm",), "xi"),
+    "gscale": (("scale",), "sigma"),
+}
+#: The factorized ops: op name -> program of its (a, b; c, d) and zero-b variant.
+_FACTORIZED = {
+    "glct_cddhfs": lambda p, zero_b_variant: cddhfs_decompose(p),
+    "glct_cmccm": cmccm_decompose,
+}
+OPS = (*_SINGLE_OPS, *_FACTORIZED)
+
+
+def _single(op: str, rate: float | None = None) -> Program:
+    """The program of one single op, its rate already a float."""
+    kinds, key = _SINGLE_OPS[op]
+    if key is None:
+        return Program(kinds)
+    if kinds == ("scale",) and rate == 0:
+        raise ValidationError("scaling factor must be nonzero")
+    return Program(kinds, (rate,))
+
+
+def _one(x: SignalNd, program, ctx: ProductContext) -> SignalNd:
+    """``x`` through ``program``, as a block of one row."""
+    ctx.check(x)
+    return SignalNd(ctx.shape, _program_block(x.values[None], [program], ctx)[0])
+
 
 def gft_nd(x: SignalNd, ctx: ProductContext) -> SignalNd:
     """Separable analysis transform: factor-k matrix along axis k."""
-    ctx.check(x)
-    values = x.values[None]
-    for axis, dec in enumerate(ctx.factors):
-        values = _shared(values, ctx.shape, axis, dec.f)
-    return SignalNd(ctx.shape, values[0])
+    return _one(x, _single("gft"), ctx)
 
 
 def igft_nd(xhat: SignalNd, ctx: ProductContext) -> SignalNd:
     """Inverse of :func:`gft_nd`."""
-    ctx.check(xhat)
-    values = xhat.values[None]
-    for axis, dec in enumerate(ctx.factors):
-        values = _shared(values, ctx.shape, axis, dec.basis.vectors)
-    return SignalNd(ctx.shape, values[0])
+    return _one(xhat, _single("igft"), ctx)
 
 
 def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
@@ -322,25 +378,17 @@ def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
     Along axis k this is P diag(mu**alpha) P^H with (P, mu) the unitary
     eigendecomposition of the factor's transform matrix.
     """
-    ctx.check(x)
-    return SignalNd(ctx.shape, gfrft_block(x.values[None], [alpha_norm], ctx)[0])
+    return _one(x, _single("gfrft", alpha_norm), ctx)
 
 
 def gcm_nd(x: SignalNd, xi: float, ctx: ProductContext) -> SignalNd:
     """Chirp multiplication by the Kronecker product of per-factor diagonals."""
-    ctx.check(x)
-    values = x.values[None]
-    for axis, d in enumerate(ctx.diag_powers([xi])):
-        values = _diag(values, ctx.shape, axis, d)
-    return SignalNd(ctx.shape, values[0])
+    return _one(x, _single("gcm", xi), ctx)
 
 
 def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
     """Scaling transform: apply the Kronecker-sum shift operator over sigma."""
-    if sigma == 0:
-        raise ValidationError("scaling factor must be nonzero")
-    ctx.check(x)
-    return SignalNd(ctx.shape, _kron_sum(x.values[None], ctx)[0] / sigma)
+    return _one(x, _single("gscale", sigma), ctx)
 
 
 def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
@@ -350,8 +398,7 @@ def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
     (P D_alpha) P^H along each axis, the Kronecker-sum shift operator over
     delta, and the Kronecker-product chirp of rate xi.
     """
-    ctx.check(x)
-    return SignalNd(ctx.shape, cddhfs_block(x.values[None], [cddhfs_decompose(p)], ctx)[0])
+    return _one(x, cddhfs_decompose(p), ctx)
 
 
 def glct_cmccm_nd(
@@ -369,8 +416,7 @@ def glct_cmccm_nd(
     and eq31 V behind it, and the branch's constant phase (1 for general b)
     multiplies the result.
     """
-    ctx.check(x)
-    return SignalNd(ctx.shape, cmccm_block(x.values[None], [cmccm_decompose(p, zero_b_variant)], ctx)[0])
+    return _one(x, cmccm_decompose(p, zero_b_variant), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -417,24 +463,27 @@ class TransformSpec:
             raise ValidationError(f"op {self.op!r} needs params['abcd'] = (a, b, c, d)") from exc
         return LctParams(a, b, c, d)
 
+    def program(self):
+        """The described transform as a program (see :mod:`glct.params`)."""
+        if self.op in _FACTORIZED:
+            return _FACTORIZED[self.op](self.abcd(), ZeroBVariant(self.zero_b_variant))
+        key = _SINGLE_OPS[self.op][1]
+        if key is None:
+            return _single(self.op)
+        try:
+            rate = float(self.params[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"op {self.op!r} needs a number params[{key!r}]") from exc
+        if not math.isfinite(rate):
+            raise ValidationError(f"op {self.op!r} needs a finite params[{key!r}], got {rate}")
+        return _single(self.op, rate)
+
 
 def apply_spec(x: SignalNd, spec: TransformSpec, ctx: ProductContext) -> SignalNd:
     """Apply the described transform using the factored implementation."""
     if ctx.kind.value != spec.gso:
         raise ValidationError(f"context uses gso {ctx.kind.value!r} but spec asks {spec.gso!r}")
-    if spec.op == "gft":
-        return gft_nd(x, ctx)
-    if spec.op == "igft":
-        return igft_nd(x, ctx)
-    if spec.op == "gfrft":
-        return gfrft_nd(x, float(spec.params["alpha"]), ctx)
-    if spec.op == "gcm":
-        return gcm_nd(x, float(spec.params["xi"]), ctx)
-    if spec.op == "gscale":
-        return gscale_nd(x, float(spec.params["sigma"]), ctx)
-    if spec.op == "glct_cddhfs":
-        return glct_cddhfs_nd(x, spec.abcd(), ctx)
-    return glct_cmccm_nd(x, spec.abcd(), ctx, ZeroBVariant(spec.zero_b_variant))
+    return _one(x, spec.program(), ctx)
 
 
 def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -442,12 +491,24 @@ def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, list(mats)[::-1])
 
 
-def _kron_diag(diags: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, list(diags)[::-1])
+def _dense_op(kind: str, rate: float | None, ctx: ProductContext) -> np.ndarray:
+    """Explicit matrix of one op on the whole product graph."""
+    if kind == "ft":
+        return _kron_all([dec.f for dec in ctx.factors]).astype(complex)
+    if kind == "ift":
+        return _kron_all([dec.basis.vectors for dec in ctx.factors]).astype(complex)
+    if kind == "scale":
+        return kronecker_sum([dec.z for dec in ctx.factors]).astype(complex) / rate
+    d = _kron_all([frac_diag_power(dec.fourier.values, rate) for dec in ctx.factors])
+    if kind == "cm":
+        return np.diag(d)
+    pk = _kron_all([dec.fourier.vectors for dec in ctx.factors])
+    return (pk * d) @ pk.conj().T
 
 
 def dense_operator(spec: TransformSpec, graph: ProductGraph) -> np.ndarray:
-    """Explicit matrix of the described transform, built from Kronecker products.
+    """Explicit matrix of the described transform: the product of its ops'
+    Kronecker-product matrices, times its phase.
 
     Intended as a test oracle; refuses product graphs with more than
     ``DENSE_SIZE_CAP`` vertices.
@@ -455,50 +516,17 @@ def dense_operator(spec: TransformSpec, graph: ProductGraph) -> np.ndarray:
     if graph.n > DENSE_SIZE_CAP:
         raise ValidationError(f"dense operator capped at {DENSE_SIZE_CAP} vertices, got {graph.n}")
     ctx = ProductContext(graph, GsoKind(spec.gso))
+    program = spec.program()
+    rates = iter(program.rates)
+    out = None
+    for kind in program.kinds:
+        op = _dense_op(kind, next(rates) if kind in RATED_KINDS else None, ctx)
+        out = op if out is None else op @ out
+    return program.phase * out
 
-    def dense_gft() -> np.ndarray:
-        return _kron_all([dec.f for dec in ctx.factors]).astype(complex)
 
-    def dense_igft() -> np.ndarray:
-        return _kron_all([dec.basis.vectors for dec in ctx.factors]).astype(complex)
-
-    def dense_gfrft(alpha: float) -> np.ndarray:
-        pk = _kron_all([dec.fourier.vectors for dec in ctx.factors])
-        dk = _kron_diag([frac_diag_power(dec.fourier.values, alpha) for dec in ctx.factors])
-        return (pk * dk) @ pk.conj().T
-
-    def dense_gcm(xi: float) -> np.ndarray:
-        return np.diag(_kron_diag([frac_diag_power(dec.fourier.values, xi) for dec in ctx.factors]))
-
-    def dense_gscale(sigma: float) -> np.ndarray:
-        if sigma == 0:
-            raise ValidationError("scaling factor must be nonzero")
-        return kronecker_sum([dec.z for dec in ctx.factors]).astype(complex) / sigma
-
-    if spec.op == "gft":
-        return dense_gft()
-    if spec.op == "igft":
-        return dense_igft()
-    if spec.op == "gfrft":
-        return dense_gfrft(float(spec.params["alpha"]))
-    if spec.op == "gcm":
-        return dense_gcm(float(spec.params["xi"]))
-    if spec.op == "gscale":
-        return dense_gscale(float(spec.params["sigma"]))
-    if spec.op == "glct_cddhfs":
-        dp = cddhfs_decompose(spec.abcd())
-        return dense_gcm(dp.xi) @ dense_gscale(dp.delta) @ dense_gfrft(dp.alpha_norm)
-    cp = cmccm_decompose(spec.abcd(), ZeroBVariant(spec.zero_b_variant))
-    x1, x2, x3 = cp.chirps
-    if cp.branch is CmCcCmBranch.GENERAL:
-        return dense_gcm(x1) @ dense_igft() @ dense_gcm(x2) @ dense_gft() @ dense_gcm(x3)
-    if cp.branch is CmCcCmBranch.ZERO_B_EQ30:
-        return cp.phase * (
-            dense_gft() @ dense_gcm(x1) @ dense_igft() @ dense_gcm(x2) @ dense_gft() @ dense_gcm(x3)
-        )
-    return cp.phase * (
-        dense_gcm(x1) @ dense_igft() @ dense_gcm(x2) @ dense_gft() @ dense_gcm(x3) @ dense_igft()
-    )
+#: Real multiplications of one op per (P * sum(N_k), P), P the signal's entry count.
+_OP_MULTS = {"ft": (2, 0), "ift": (2, 0), "frac": (4, 0), "cm": (0, 4), "scale": (2, 2)}
 
 
 def mult_count(spec: TransformSpec, shape: Sequence[int]) -> int:
@@ -511,29 +539,15 @@ def mult_count(spec: TransformSpec, shape: Sequence[int]) -> int:
     precomputed: a complex-complex scalar multiply costs 4 real multiplies, a
     real-complex one costs 2. Applying an N_k x N_k factor along axis k of a
     complex tensor with P entries therefore costs 2*N_k*P (real factor) or
-    4*N_k*P (complex factor); a precomputed Kronecker diagonal costs one
-    complex multiply per entry. Eigendecompositions and operator assembly are
-    setup and excluded.
+    4*N_k*P (complex factor); a precomputed Kronecker diagonal, and a phase
+    other than 1, costs one complex multiply per entry. Eigendecompositions
+    and operator assembly are setup and excluded.
     """
     shape = tuple(int(s) for s in shape)
     if any(s < 1 for s in shape) or not shape:
         raise ValidationError(f"invalid shape {shape}")
-    p = int(np.prod(shape))
-    s = int(np.sum(shape))
-    if spec.op in ("gft", "igft"):
-        return 2 * p * s
-    if spec.op == "gfrft":
-        return 4 * p * s
-    if spec.op == "gcm":
-        return 4 * p
-    if spec.op == "gscale":
-        return 2 * p * s + 2 * p
-    if spec.op == "glct_cddhfs":
-        # fractional transform + scaling + chirp
-        return (4 * p * s) + (2 * p * s + 2 * p) + 4 * p
-    # cmccm: three chirps and two transforms, plus one extra transform and a
-    # phase multiply on the zero-b branches
-    cp = cmccm_decompose(spec.abcd(), ZeroBVariant(spec.zero_b_variant))
-    if cp.branch is CmCcCmBranch.GENERAL:
-        return 3 * 4 * p + 2 * (2 * p * s)
-    return 3 * 4 * p + 3 * (2 * p * s) + 4 * p
+    p = math.prod(shape)
+    ps = p * sum(shape)
+    program = spec.program()
+    count = sum(_OP_MULTS[kind][0] * ps + _OP_MULTS[kind][1] * p for kind in program.kinds)
+    return count + (4 * p if program.phase != 1 else 0)

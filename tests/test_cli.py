@@ -40,6 +40,19 @@ class TestGenGraph:
         assert data["n"] == 3
 
 
+@pytest.mark.parametrize("command", [
+    ("gen-graph", "ring", 5),
+    ("transform", "--signal", "x.csv", "--graph", "g.json", "--params", "1,0,0,1"),
+    ("bench", "complexity", "--n1", 4, "--n2", 3),
+    ("compress", "--gamma", 0.5, "--n1", 6, "--n2", 3),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    assert run(*command, "--seed", -5, "--out", out) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.json.run.json").exists()
+
+
 class TestTransform:
     @pytest.fixture
     def workspace(self, tmp_path):
@@ -170,6 +183,14 @@ class TestCompress:
 
     def test_invalid_gamma_exit_2(self):
         assert run("compress", "--gamma", 1.5, "--n1", 10, "--n2", 4) == 2
+
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_search_budget_below_one_exits_2(self, tmp_path, capsys, budget):
+        out = tmp_path / "s.json"
+        assert run("compress", "--search", budget, "--gamma", 0.5,
+                   "--n1", 10, "--n2", 4, "--out", out) == 2
+        assert "search budget must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_search_reports_params(self, tmp_path):
         out = tmp_path / "s.json"

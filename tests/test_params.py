@@ -8,11 +8,10 @@ from glct import (
     ValidationError,
     ZeroBVariant,
     cddhfs_decompose,
-    cddhfs_recompose,
     cmccm_decompose,
-    cmccm_recompose,
     compose,
     inverse,
+    recompose,
     sample_random_params,
 )
 
@@ -84,7 +83,7 @@ class TestCddhfsDecompose:
         rng = np.random.default_rng(7)
         for _ in range(2000):
             p = sample_random_params(rng)
-            m = cddhfs_recompose(cddhfs_decompose(p))
+            m = recompose(cddhfs_decompose(p))
             assert np.abs(m - p.matrix).max() < 1e-9
 
 
@@ -111,7 +110,7 @@ class TestCmCcCmDecompose:
         rng = np.random.default_rng(8)
         for _ in range(2000):
             p = sample_random_params(rng)
-            m = cmccm_recompose(cmccm_decompose(p))
+            m = recompose(cmccm_decompose(p))
             assert np.abs(m - p.matrix).max() < 1e-9
 
     @pytest.mark.parametrize("variant", [ZeroBVariant.EQ30, ZeroBVariant.EQ31])
@@ -119,7 +118,7 @@ class TestCmCcCmDecompose:
         for a in (-2.0, -0.5, 0.7, 1.0, 3.0):
             for c in (-1.5, 0.0, 0.4, 2.0):
                 p = LctParams(a, 0.0, c, 1.0 / a)
-                m = cmccm_recompose(cmccm_decompose(p, variant))
+                m = recompose(cmccm_decompose(p, variant))
                 assert np.abs(m - p.matrix).max() < 1e-9
 
     def test_inverse_negates_general_chirps_in_reverse(self):

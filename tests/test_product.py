@@ -264,6 +264,17 @@ class TestTransformSpec:
         with pytest.raises(ValidationError):
             TransformSpec("glct_cmccm").abcd()
 
+    @pytest.mark.parametrize("value", [None, "fast"], ids=["missing", "non-numeric"])
+    @pytest.mark.parametrize("op,key", [("gfrft", "alpha"), ("gcm", "xi"), ("gscale", "sigma")])
+    def test_bad_rate_raises(self, ctx_ring4_path3, op, key, value):
+        spec = TransformSpec(op, {} if value is None else {key: value})
+        with pytest.raises(ValidationError):
+            apply_spec(SignalNd(ctx_ring4_path3.shape, np.ones(12)), spec, ctx_ring4_path3)
+        with pytest.raises(ValidationError):
+            dense_operator(spec, ctx_ring4_path3.graph)
+        with pytest.raises(ValidationError):
+            mult_count(spec, ctx_ring4_path3.shape)
+
 
 class TestMultCount:
     def test_chirp_multiplication_cost(self):
@@ -293,6 +304,32 @@ class TestMultCount:
         general = mult_count(TransformSpec("glct_cmccm", {"abcd": GENERAL_ABCD}), (16, 8))
         zero_b = mult_count(TransformSpec("glct_cmccm", {"abcd": ZERO_B_ABCD}), (16, 8))
         assert zero_b > general
+
+    @pytest.mark.parametrize("shape", [(7, 9), (100, 15), (2, 1, 5)])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.op}-{s.zero_b_variant}")
+    def test_matches_frozen_formulas(self, spec, shape):
+        assert mult_count(spec, shape) == _frozen_mult_count(spec, shape)
+
+
+def _frozen_mult_count(spec, shape):
+    """The count as one formula per op, frozen from before counts were read
+    off the op programs."""
+    p = int(np.prod(shape))
+    s = int(np.sum(shape))
+    if spec.op in ("gft", "igft"):
+        return 2 * p * s
+    if spec.op == "gfrft":
+        return 4 * p * s
+    if spec.op == "gcm":
+        return 4 * p
+    if spec.op == "gscale":
+        return 2 * p * s + 2 * p
+    if spec.op == "glct_cddhfs":
+        return (4 * p * s) + (2 * p * s + 2 * p) + 4 * p
+    cp = cmccm_decompose(spec.abcd(), ZeroBVariant(spec.zero_b_variant))
+    if cp.branch is CmCcCmBranch.GENERAL:
+        return 3 * 4 * p + 2 * (2 * p * s)
+    return 3 * 4 * p + 3 * (2 * p * s) + 4 * p
 
 
 # ---------------------------------------------------------------------------
