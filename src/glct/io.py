@@ -117,10 +117,8 @@ def read_graph(path: str | Path) -> Graph:
 
 
 def signal_to_dict(sig: SignalNd) -> dict:
-    return {
-        "shape": list(sig.shape),
-        "data": [[float(v.real), float(v.imag)] for v in sig.values],
-    }
+    # the float view holds each value as its (re, im) pair, signed zeros included
+    return {"shape": list(sig.shape), "data": sig.values.view(float).reshape(-1, 2).tolist()}
 
 
 def write_signal(path: str | Path, sig: SignalNd, fmt: str | None = None) -> None:
@@ -139,6 +137,30 @@ def write_signal(path: str | Path, sig: SignalNd, fmt: str | None = None) -> Non
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _json_values(entries) -> np.ndarray:
+    """Complex values of a JSON signal's ``data`` entries.
+
+    Entries that are all [re, im] pairs of JSON numbers are converted as one
+    array; anything else (scalar, ragged or mixed entries, strings, null)
+    goes through the entry-by-entry loop, which accepts and rejects exactly
+    what it always has.
+    """
+    try:
+        pairs = np.array(entries)
+    except (TypeError, ValueError):  # ragged or mixed entries
+        pairs = None
+    if pairs is not None and pairs.dtype.kind in "fiu" and pairs.shape[1:] == (2,):
+        return pairs.astype(float).view(complex).ravel()
+    vals = []
+    for entry in entries:
+        if isinstance(entry, (list, tuple)):
+            re, im = entry
+            vals.append(complex(float(re), float(im)))
+        else:
+            vals.append(complex(entry))
+    return np.array(vals, dtype=complex)
+
+
 def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalNd:
     """Read a signal file; CSV needs ``shape`` unless the signal is 1-D.
 
@@ -154,14 +176,7 @@ def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalN
         try:
             data = json.loads(text)
             file_shape = tuple(int(s) for s in data["shape"])
-            vals = []
-            for entry in data["data"]:
-                if isinstance(entry, (list, tuple)):
-                    re, im = entry
-                    vals.append(complex(float(re), float(im)))
-                else:
-                    vals.append(complex(entry))
-            values = np.array(vals, dtype=complex)
+            values = _json_values(data["data"])
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ValidationError(f"malformed signal file {path}: {exc}") from exc
         if shape is not None and tuple(shape) != file_shape:

@@ -6,15 +6,45 @@ The product transforms in :mod:`glct.product` read one
 diagonal of the transform matrix directly in the vertex domain, so their
 effect depends on the canonical eigenvalue order fixed in
 :mod:`glct.spectral`.
+
+The unitary eigendecomposition of the transform matrix F is built in two
+stages. The values stage (:func:`~glct.spectral.eig_unitary_angles`), which
+gives the chirps their angles, runs when the factor is decomposed. The
+eigenvectors P (:attr:`FactorDecomposition.fourier`) are built from its
+state on first use, which only the fractional transform, cddhfs and the
+dense oracle make; a context that runs cmccm alone never builds them.
+
+``FactorDecomposition.diagnostics`` reports the residuals both
+decompositions checked against their bounds (entrywise maxima):
+
+- ``sym_orthonormality``: |V^T V - I| of the shift operator's eigenbasis V;
+- ``sym_reconstruction``: |Z - V diag(lambda) V^T|, bounded by
+  1e-10 * (1 + max |Z|);
+- ``q_orthonormality``: |q^T q - I| of the eigenbasis q of F's symmetric part;
+- ``off_cluster``: the largest entry of q^T F q off its cluster blocks;
+- ``cluster_unitarity`` and ``cluster_reconstruction``: the worst over
+  clusters of |W^H W - I| and |g_c - W diag(mu_c) W^H|;
+- ``unimodularity``: the largest ||mu| - 1|;
+- ``clusters`` and ``max_cluster``: the cluster count and the largest
+  cluster size.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .graphs import Graph, GsoKind, gso
-from .spectral import FourierEigen, SpectralBasis, eig_sym, eig_unitary, gft_matrix
+from .spectral import (
+    FourierEigen,
+    SpectralBasis,
+    UnitaryAngles,
+    eig_sym,
+    eig_unitary_angles,
+    eig_unitary_vectors,
+    gft_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -25,17 +55,28 @@ class FactorDecomposition:
     kind: GsoKind
     z: np.ndarray
     basis: SpectralBasis
-    fourier: FourierEigen
+    spectrum: UnitaryAngles
 
     @property
     def f(self) -> np.ndarray:
         """The orthogonal analysis matrix."""
-        return self.fourier.source
+        return self.spectrum.source
+
+    @cached_property
+    def fourier(self) -> FourierEigen:
+        """Unitary eigendecomposition of :attr:`f`, built on first use."""
+        return eig_unitary_vectors(self.spectrum)
+
+    @property
+    def diagnostics(self) -> dict:
+        """Residuals and cluster counts of both eigendecompositions."""
+        return {**self.basis.residuals, **self.spectrum.residuals}
 
 
 def decompose_graph(graph: Graph, kind: GsoKind = GsoKind.LAPLACIAN) -> FactorDecomposition:
-    """Eigendecompose a graph's shift operator and its transform matrix."""
+    """Eigendecompose a graph's shift operator, and its transform matrix up to
+    the eigenvalues."""
     z = gso(graph, kind)
     basis = eig_sym(z, kind)
-    fourier = eig_unitary(gft_matrix(basis))
-    return FactorDecomposition(graph=graph, kind=kind, z=z, basis=basis, fourier=fourier)
+    spectrum = eig_unitary_angles(gft_matrix(basis))
+    return FactorDecomposition(graph=graph, kind=kind, z=z, basis=basis, spectrum=spectrum)

@@ -39,7 +39,7 @@ from .params import (
     cddhfs_decompose,
     cmccm_decompose,
 )
-from .spectral import frac_diag_power, principal_angle
+from .spectral import frac_diag_power
 
 DENSE_SIZE_CAP = 4096
 #: Byte budget of one block: 16 rows of the largest benchmark signal (x2,
@@ -95,7 +95,6 @@ class ProductContext:
         self.factors: tuple[FactorDecomposition, ...] = tuple(
             decompose_graph(g, kind) for g in graph.factors
         )
-        self._angles = tuple(principal_angle(dec.fourier.values) for dec in self.factors)
 
     def check(self, x: SignalNd) -> None:
         if x.shape != self.shape:
@@ -109,7 +108,7 @@ class ProductContext:
         rates gives a (T, N_k) stack, one row per rate.
         """
         t = np.asarray(t, dtype=float)[..., None]
-        return [np.exp(1j * (t * angle)) for angle in self._angles]
+        return [np.exp(1j * (t * dec.spectrum.angles)) for dec in self.factors]
 
 
 # ---------------------------------------------------------------------------

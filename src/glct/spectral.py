@@ -3,13 +3,17 @@
 Two decompositions are provided: the symmetric eigendecomposition of a shift
 operator (real orthonormal basis, ascending eigenvalues, deterministic signs)
 and the unitary eigendecomposition of the resulting orthogonal transform
-matrix (unimodular eigenvalues in a canonical order). Fractional operator
+matrix (unimodular eigenvalues in a canonical order). The unitary one runs in
+two stages: a values stage (:func:`eig_unitary_angles`) that bounds and
+returns the sorted eigenvalue angles without forming an eigenvector, and an
+eigenvector stage (:func:`eig_unitary_vectors`) that builds the eigenvectors
+from the values stage's state; :func:`eig_unitary` runs both. Fractional operator
 powers are taken entrywise on the unimodular eigenvalues with the principal
 logarithm, so repeated powers compose additively for a fixed branch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +27,13 @@ _SNAP_TOL = 1e-13  # distance at which eigenvalues snap onto the real/imaginary 
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Orthonormal eigenvectors (columns) and ascending eigenvalues of a GSO."""
+    """Orthonormal eigenvectors (columns) and ascending eigenvalues of a GSO,
+    with the residuals of the bounds :func:`eig_sym` checked."""
 
     vectors: np.ndarray
     values: np.ndarray
     kind: GsoKind
+    residuals: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -68,12 +74,15 @@ def eig_sym(z: np.ndarray, kind: GsoKind = GsoKind.LAPLACIAN) -> SpectralBasis:
     values, vectors = np.linalg.eigh((z + z.T) / 2.0)
     vectors = _fix_signs(vectors)
     n = z.shape[0]
-    if np.abs(vectors.T @ vectors - np.eye(n)).max() >= 1e-12:
+    orth = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
+    if orth >= 1e-12:
         raise NumericalError("eigenvector basis lost orthonormality")
     scale = 1.0 + (np.abs(z).max() if z.size else 0.0)
-    if np.abs(z - (vectors * values) @ vectors.T).max() >= 1e-10 * scale:
+    recon = float(np.abs(z - (vectors * values) @ vectors.T).max())
+    if recon >= 1e-10 * scale:
         raise NumericalError("eigendecomposition failed its reconstruction bound")
-    return SpectralBasis(vectors=vectors, values=values, kind=kind)
+    residuals = {"sym_orthonormality": orth, "sym_reconstruction": recon}
+    return SpectralBasis(vectors=vectors, values=values, kind=kind, residuals=residuals)
 
 
 def gft_matrix(basis: SpectralBasis) -> np.ndarray:
@@ -117,8 +126,34 @@ def _canonical_order(mu: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mu[order], p[:, order]
 
 
-def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen:
-    """Unitary eigendecomposition of a real orthogonal matrix.
+@dataclass(frozen=True)
+class UnitaryAngles:
+    """Values stage of :func:`eig_unitary`: the sorted eigenvalue angles.
+
+    ``angles`` holds the principal arguments of the eigenvalues of
+    ``source``, ascending; they equal ``principal_angle(eig_unitary(source)
+    .values)`` bit for bit. ``residuals`` holds the bound residuals the
+    stage checked. The private fields are the state
+    :func:`eig_unitary_vectors` builds the eigenvectors from: the symmetric
+    part's eigenvectors, each stacked cluster solve as (column indices,
+    eigenvectors), and the eigenvalues in cluster order.
+    """
+
+    angles: np.ndarray
+    source: np.ndarray
+    residuals: dict
+    _q: np.ndarray = field(repr=False)
+    _clusters: tuple = field(repr=False)
+    _mu: np.ndarray = field(repr=False)
+
+
+def _bound(residual: float, tol: float, what: str) -> None:
+    if not residual < tol:  # a NaN residual fails too
+        raise NumericalError(f"unitary eigenvalue stage: {what} {residual:.3g} not below {tol:g}")
+
+
+def eig_unitary_angles(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> UnitaryAngles:
+    """Eigenvalues of a real orthogonal matrix, without its eigenvectors.
 
     Because ``f`` is normal, its Hermitian and skew parts commute; the skew
     part is diagonalized inside each eigenspace of the symmetric part, which
@@ -128,12 +163,18 @@ def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen
     a cluster's diagonal block ``g_c``, the Hermitian matrix
     ``(g_c - g_c.T) / 2j`` has the eigenvectors ``w`` that diagonalize ``f``
     on that cluster. All clusters of one size are solved by one stacked
-    eigensolve (a one-member cluster has ``w = 1``); the eigenvectors of
-    ``f`` are ``q_c @ w`` and its eigenvalues the Rayleigh quotients
-    ``w^H g_c w`` on the same blocks. Eigenvalues within _SNAP_TOL of the
+    eigensolve (a one-member cluster has ``w = 1``); the eigenvalues are the
+    Rayleigh quotients ``w^H g_c w``. Eigenvalues within _SNAP_TOL of the
     real or imaginary axis are snapped onto it so that branch cuts of
-    fractional powers are taken deterministically. Pairs are returned in the
-    order of _canonical_order.
+    fractional powers are taken deterministically.
+
+    Raises ValidationError if ``f`` is not orthogonal within 1e-8, and
+    NumericalError unless, entrywise, ``q`` is orthonormal within 1e-10,
+    ``g`` vanishes off the cluster blocks within 1e-9, every ``w`` is
+    unitary within 1e-10 and reproduces its block as ``w diag(mu_c) w^H``
+    within 1e-9, and every eigenvalue is unimodular within 1e-10. Together
+    these bound ``f - (q w) diag(mu) (q w)^H`` with no eigenvector of ``f``
+    formed.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
@@ -144,15 +185,16 @@ def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen
 
     h, q = np.linalg.eigh((f + f.T) / 2.0)
     g = q.T @ f @ q
-    p = q.astype(complex)
     mu = np.diagonal(g).astype(complex)
     starts, sizes = _runs(h[1:] - h[:-1] > gap_tol)
+    clusters, solved = [], []
     for m in sorted(set(sizes.tolist()) - {1}):
         idx = starts[sizes == m][:, None] + np.arange(m)  # (clusters, m) column indices
         blocks = g[idx[:, :, None], idx[:, None, :]]
         _, w = np.linalg.eigh((blocks - blocks.transpose(0, 2, 1)) / 2j)
-        p[:, idx] = (q[:, idx].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
         mu[idx] = (w.conj() * (blocks @ w)).sum(axis=1)
+        clusters.append((idx, w))
+        solved.append(blocks)
     mu = mu / np.abs(mu)
 
     re, im = mu.real.copy(), mu.imag.copy()
@@ -161,14 +203,59 @@ def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen
     mu = re + 1j * im
     mu = mu / np.abs(mu)
 
-    mu, p = _canonical_order(mu, p)
-    if np.abs(np.abs(mu) - 1.0).max() >= 1e-10:
-        raise NumericalError("eigenvalues of an orthogonal matrix must be unimodular")
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    single = starts[sizes == 1]
+    unitarity, recon = [0.0], [np.abs(np.diagonal(g)[single] - mu[single]).max(initial=0.0)]
+    for (idx, w), blocks in zip(clusters, solved):
+        wh = w.conj().transpose(0, 2, 1)
+        unitarity.append(np.abs(wh @ w - np.eye(idx.shape[1])).max())
+        recon.append(np.abs(blocks - (w * mu[idx][:, None, :]) @ wh).max())
+    residuals = {
+        "q_orthonormality": float(np.abs(q.T @ q - np.eye(n)).max()),
+        "off_cluster": float(np.abs(g[labels[:, None] != labels]).max(initial=0.0)),
+        "cluster_unitarity": float(max(unitarity)),
+        "cluster_reconstruction": float(max(recon)),
+        "unimodularity": float(np.abs(np.abs(mu) - 1.0).max()),
+        "clusters": int(sizes.size),
+        "max_cluster": int(sizes.max()),
+    }
+    _bound(residuals["q_orthonormality"], 1e-10, "symmetric-part eigenbasis orthonormality")
+    _bound(residuals["off_cluster"], 1e-9, "entry of q^T f q off the cluster blocks")
+    _bound(residuals["cluster_unitarity"], 1e-10, "cluster eigenbasis unitarity")
+    _bound(residuals["cluster_reconstruction"], 1e-9, "cluster reconstruction")
+    _bound(residuals["unimodularity"], 1e-10, "eigenvalue modulus deviation from 1")
+    return UnitaryAngles(angles=np.sort(principal_angle(mu)), source=f, residuals=residuals,
+                         _q=q, _clusters=tuple(clusters), _mu=mu)
+
+
+def eig_unitary_vectors(stage: UnitaryAngles) -> FourierEigen:
+    """Eigenvector stage of :func:`eig_unitary`: build P from the values stage.
+
+    The eigenvectors of ``f`` are ``q_c @ w`` on each cluster, taken from the
+    values stage's state with no second eigensolve. Pairs are returned in the
+    order of _canonical_order. Raises NumericalError if P is not unitary
+    within 1e-10 or does not reproduce ``f`` within 1e-9, entrywise.
+    """
+    q, f = stage._q, stage.source
+    n = f.shape[0]
+    p = q.astype(complex)
+    for idx, w in stage._clusters:
+        p[:, idx] = (q[:, idx].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
+    mu, p = _canonical_order(stage._mu, p)
     if np.abs(p.conj().T @ p - np.eye(n)).max() >= 1e-10:
         raise NumericalError("unitary eigenbasis lost orthonormality")
     if np.abs(f - (p * mu) @ p.conj().T).max() >= 1e-9:
         raise NumericalError("unitary eigendecomposition failed its reconstruction bound")
     return FourierEigen(vectors=p, values=mu, source=f)
+
+
+def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen:
+    """Unitary eigendecomposition of a real orthogonal matrix.
+
+    The values stage :func:`eig_unitary_angles` followed by the eigenvector
+    stage :func:`eig_unitary_vectors`; see those for the method and bounds.
+    """
+    return eig_unitary_vectors(eig_unitary_angles(f, gap_tol=gap_tol))
 
 
 def principal_angle(mu: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from glct.io import (
     fmt_num,
     read_graph,
     read_signal,
+    signal_to_dict,
     write_csv,
     write_graph,
     write_signal,
@@ -111,6 +112,64 @@ class TestSignalFiles:
         path.write_text(text)
         with pytest.raises(ValidationError, match="non-finite"):
             read_signal(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[1.5, -0.0], [2, 3], [-0.0, 5e-324]],
+            [[9007199254740993, 0], [True, 1.5]],
+            [1.5, [2.0, 3.0]],
+            [1.5, "1+2j"],
+            [["1.5", 0.0], [1.0, 2.0]],
+            [[1.0, 2.0], [3.0]],
+            [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+            [[None, 1.0], [1.0, 2.0]],
+            [[1.0, 2.0], {"re": 1}],
+            [[[1.0, 2.0]], [[3.0, 4.0]]],
+        ],
+        ids=["pairs", "ints-bools", "mixed", "scalars", "strings", "ragged", "triples", "null",
+             "object", "nested"],
+    )
+    def test_json_entries_read_as_the_entry_loop_reads_them(self, tmp_path, data):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"shape": [len(data)], "data": data}))
+        try:
+            expected = _frozen_json_values(data)
+        except (TypeError, ValueError):
+            with pytest.raises(ValidationError, match="malformed"):
+                read_signal(path)
+            return
+        got = read_signal(path).values
+        assert got.tobytes() == expected.tobytes()
+
+
+def _frozen_json_values(entries):
+    """The entry-by-entry conversion signal files were always read with."""
+    vals = []
+    for entry in entries:
+        if isinstance(entry, (list, tuple)):
+            re, im = entry
+            vals.append(complex(float(re), float(im)))
+        else:
+            vals.append(complex(entry))
+    return np.array(vals, dtype=complex)
+
+
+def _frozen_signal_to_dict(sig):
+    """The per-value serializer signal files were always written with."""
+    return {"shape": list(sig.shape), "data": [[float(v.real), float(v.imag)] for v in sig.values]}
+
+
+def test_signal_json_bytes_match_frozen_serializer(tmp_path):
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e-300, 1 / 3, 2.0]
+    rng = np.random.default_rng(2)
+    pairs = [[re, im] for re in specials for im in specials] + rng.normal(size=(40, 2)).tolist()
+    sig = SignalNd((len(pairs),), np.array(pairs, dtype=float).view(complex).ravel())
+    frozen = dumps_json(_frozen_signal_to_dict(sig), compact=True)
+    assert "-0.0" in frozen and "5e-324" in frozen
+    assert dumps_json(signal_to_dict(sig), compact=True) == frozen
+    write_signal(tmp_path / "s.json", sig)
+    assert (tmp_path / "s.json").read_text() == frozen
 
 
 class TestSerialization:

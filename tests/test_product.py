@@ -36,6 +36,10 @@ from glct import (
     kronecker_sum,
     sample_random_params,
 )
+from glct import cli, kernels
+from glct.experiments import BENCHMARK_SIGNALS, benchmark_signal
+from glct.io import write_graph, write_signal
+from glct.spectral import eig_unitary
 
 GENERAL_ABCD = (0.6, 0.8, -0.5, 1.0)
 ZERO_B_ABCD = (2.0, 0.0, 0.7, 0.5)
@@ -475,3 +479,77 @@ def test_block_budget_and_shape_check(ctx_ring4_path3):
         cmccm_block(np.ones((2, 12)), [cp], ctx_ring4_path3)
     with pytest.raises(ValidationError):
         gfrft_block(np.ones((1, 11)), [0.5], ctx_ring4_path3)
+
+
+# ---------------------------------------------------------------------------
+# Lazy eigenvectors: the values stage runs when a context is built; P only when
+# gfrft, cddhfs or the dense oracle first reads it.
+
+
+def _ring12_path4():
+    return cartesian_product([make_ring(12), make_path(4)])
+
+
+def _transform_cli(tmp_path, *extra):
+    write_graph(tmp_path / "ring.json", make_ring(12))
+    write_graph(tmp_path / "path.json", make_path(4))
+    rng = np.random.default_rng(8)
+    write_signal(tmp_path / "x.json", SignalNd((12, 4), rng.normal(size=48)))
+    argv = ["transform", "--signal", tmp_path / "x.json", "--graph", tmp_path / "ring.json",
+            "--graph", tmp_path / "path.json", "--params", ",".join(map(str, GENERAL_ABCD)),
+            "--out", tmp_path / "y.json", *extra]
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+def test_cmccm_never_builds_eigenvectors(rand_signal):
+    ctx = ProductContext(_ring12_path4())
+    x = rand_signal(ctx, 3)
+    sets = _differential_params()
+    for p, zb in sets:
+        glct_cmccm_nd(x, p, ctx, ZeroBVariant(zb))
+    cmccm_block(np.repeat(x.values[None], len(sets), axis=0),
+                [cmccm_decompose(p, ZeroBVariant(zb)) for p, zb in sets], ctx)
+    assert all("fourier" not in dec.__dict__ for dec in ctx.factors)
+
+
+def test_cli_cmccm_never_builds_eigenvectors(tmp_path, monkeypatch):
+    built = []
+
+    class Recorded(ProductContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "ProductContext", Recorded)
+    _transform_cli(tmp_path)
+    assert len(built) == 1
+    assert all("fourier" not in dec.__dict__ for dec in built[0].factors)
+
+
+def test_eigenvectors_built_once_per_factor(tmp_path, monkeypatch, rand_signal):
+    stages = []
+    build = kernels.eig_unitary_vectors
+    monkeypatch.setattr(kernels, "eig_unitary_vectors", lambda stage: stages.append(stage) or build(stage))
+    ctx = ProductContext(_ring12_path4())
+    x = rand_signal(ctx, 4)
+    for alpha in (0.3, 0.7, 1.2):
+        gfrft_nd(x, alpha, ctx)
+    assert len(stages) == 2 and stages[0] is not stages[1]
+    stages.clear()
+    _transform_cli(tmp_path, "--variant", "cddhfs")
+    assert len(stages) == 2 and stages[0] is not stages[1]
+
+
+@pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
+def test_lazy_eigenvectors_give_the_eager_outputs(kind):
+    rng = np.random.default_rng(41)
+    params = [LctParams(*GENERAL_ABCD)] + [sample_random_params(rng) for _ in range(3)]
+    for name in BENCHMARK_SIGNALS:
+        graph, x = benchmark_signal(name)
+        lazy, eager = ProductContext(graph, kind), ProductContext(graph, kind)
+        for dec in eager.factors:
+            dec.__dict__["fourier"] = eig_unitary(dec.f)
+        for p in params:
+            alpha = cddhfs_decompose(p).alpha_norm
+            for op in (lambda c: glct_cddhfs_nd(x, p, c), lambda c: gfrft_nd(x, alpha, c)):
+                assert op(lazy).values.tobytes() == op(eager).values.tobytes(), (name, p)

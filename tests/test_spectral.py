@@ -4,7 +4,9 @@ import pytest
 
 from glct import (
     FourierEigen,
+    Graph,
     GsoKind,
+    NumericalError,
     ValidationError,
     make_family,
     eig_sym,
@@ -19,7 +21,8 @@ from glct import (
     make_path,
     make_ring,
 )
-from glct.spectral import _canonical_order
+from glct.kernels import decompose_graph
+from glct.spectral import _canonical_order, eig_unitary_angles, principal_angle
 
 RT2 = np.sqrt(2.0)
 
@@ -280,3 +283,100 @@ def test_matches_loop_reference(family, n, kind):
     ref_mu, ref_p = _reference_canonical_order(mu, p)
     np.testing.assert_array_equal(got_mu, ref_mu)
     assert np.abs(got_p - ref_p).max() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The values stage of eig_unitary: sorted angles, bounded without eigenvectors.
+
+# each family from its smallest size; path(40) adjacency and larger paths have
+# tied angles whose values differ by an ulp
+_ANGLE_GRAPHS = [
+    ("single", 1), ("ring", 3), ("ring", 16), ("ring", 40), ("ring", 100),
+    ("path", 2), ("path", 16), ("path", 40), ("path", 100),
+    ("complete", 2), ("complete", 16), ("complete", 40),
+    ("comet", 3), ("comet", 16), ("comet", 40), ("comet", 100),
+    ("lowstretch", 4), ("lowstretch", 16), ("lowstretch", 64),
+]
+
+
+@pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("family,n", _ANGLE_GRAPHS, ids=lambda x: str(x))
+def test_values_stage_angles_equal_eig_unitary(family, n, kind):
+    g = Graph(n=1, edges=()) if family == "single" else make_family(family, n)
+    f = gft_matrix(eig_sym(gso(g, kind), kind))
+    angles = eig_unitary_angles(f).angles
+    assert angles.tobytes() == principal_angle(eig_unitary(f).values).tobytes()
+
+
+def test_path40_adjacency_ties_differ_in_value_not_angle():
+    f = gft_matrix(eig_sym(gso(make_path(40), GsoKind.ADJACENCY), GsoKind.ADJACENCY))
+    mu = eig_unitary(f).values
+    angles = principal_angle(mu)
+    assert ((angles[1:] == angles[:-1]) & (mu[1:] != mu[:-1])).any()
+
+
+class TestValuesStageBounds:
+    """Each bound of the values stage raises NumericalError when an eigensolver
+    hands back a perturbed basis: of the symmetric part (2-D input) or of the
+    stacked cluster blocks (3-D input)."""
+
+    @pytest.fixture
+    def f(self):
+        return gft_matrix(eig_sym(gso(make_ring(12))))
+
+    @staticmethod
+    def _perturb(monkeypatch, ndim, change):
+        real = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            values, vectors = real(a, *args, **kwargs)
+            return values, change(vectors.copy()) if a.ndim == ndim else vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    @staticmethod
+    def _rotate(v, i, j, angle=1e-6):
+        """Rotate columns i and j of the last two axes: the basis stays orthonormal."""
+        vi, vj = v[..., i].copy(), v[..., j].copy()
+        v[..., i] = np.cos(angle) * vi - np.sin(angle) * vj
+        v[..., j] = np.sin(angle) * vi + np.cos(angle) * vj
+        return v
+
+    def test_unperturbed_residuals_are_inside_the_bounds(self, f):
+        res = eig_unitary_angles(f).residuals
+        assert res["q_orthonormality"] < 1e-10 and res["off_cluster"] < 1e-9
+        assert res["cluster_unitarity"] < 1e-10 and res["cluster_reconstruction"] < 1e-9
+        assert res["unimodularity"] < 1e-10
+
+    def test_q_orthonormality(self, f, monkeypatch):
+        self._perturb(monkeypatch, 2, lambda q: q * (1 + 1e-7))
+        with pytest.raises(NumericalError, match="eigenbasis orthonormality"):
+            eig_unitary_angles(f)
+
+    def test_off_cluster_entries(self, f, monkeypatch):
+        # the first and last columns lie in different clusters
+        self._perturb(monkeypatch, 2, lambda q: self._rotate(q, 0, -1))
+        with pytest.raises(NumericalError, match="off the cluster blocks"):
+            eig_unitary_angles(f)
+
+    def test_cluster_unitarity(self, f, monkeypatch):
+        self._perturb(monkeypatch, 3, lambda w: w * (1 + 1e-7))
+        with pytest.raises(NumericalError, match="cluster eigenbasis unitarity"):
+            eig_unitary_angles(f)
+
+    def test_cluster_reconstruction(self, f, monkeypatch):
+        self._perturb(monkeypatch, 3, lambda w: self._rotate(w, 0, 1))
+        with pytest.raises(NumericalError, match="cluster reconstruction"):
+            eig_unitary_angles(f)
+
+
+def test_diagnostics_keep_both_decompositions_residuals():
+    dec = decompose_graph(make_ring(12))
+    diag = dec.diagnostics
+    assert set(diag) == {
+        "sym_orthonormality", "sym_reconstruction", "q_orthonormality", "off_cluster",
+        "cluster_unitarity", "cluster_reconstruction", "unimodularity", "clusters", "max_cluster",
+    }
+    assert diag["sym_orthonormality"] < 1e-12 and diag["sym_reconstruction"] < 1e-10 * (1 + np.abs(dec.z).max())
+    assert 1 <= diag["max_cluster"] <= 12 and 1 <= diag["clusters"] <= 12
+    assert "fourier" not in dec.__dict__
