@@ -29,6 +29,7 @@ from .params import (
     CmCcCmBranch,
     CmCcCmParams,
     LctParams,
+    ParamBlock,
     Program,
     ZeroBVariant,
     cddhfs_decompose,

@@ -10,7 +10,10 @@ Studies that transform one signal under many parameter sets (the NMSE
 suites, the parameter search, the ratios of the compression study) run their
 transforms as blocks of rows through the block executors of
 :mod:`glct.product`; row t of a block is computed as the one-signal call
-computes it (bit for bit with single-threaded BLAS). The compression pipeline
+computes it (bit for bit with single-threaded BLAS). Their parameters stay
+arrays (:class:`~glct.params.ParamBlock`) from the draw to the executor: a
+suite draws every trial from its own generator, then composes or inverts the
+whole block once and factorizes it one chunk at a time. The compression pipeline
 ranks each coefficient row once for all its ratios and takes RE / NRMS / CC
 as reductions along the rows of the reconstruction block, so a row's metrics
 do not depend on the block's height.
@@ -33,23 +36,22 @@ from .graphs import (
 )
 from .params import (
     LctParams,
+    ParamBlock,
     ZeroBVariant,
-    cddhfs_decompose,
-    cmccm_decompose,
     compose,
     inverse,
+    sample_abc,
     sample_random_params,
 )
 from .product import (
     ProductContext,
     SignalNd,
     block_rows,
-    cddhfs_block,
-    cmccm_block,
     gfrft_block,
     gfrft_nd,
     glct_cddhfs_nd,
     glct_cmccm_nd,
+    program_block,
 )
 
 VARIANTS = ("cddhfs", "cmccm")
@@ -121,16 +123,15 @@ def apply_glct(
 
 def _glct_block(
     values: np.ndarray,
-    params: Sequence[LctParams],
+    params: ParamBlock,
     ctx: ProductContext,
     variant: str,
     zero_b_variant: ZeroBVariant,
 ) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`apply_glct` with ``params[t]``."""
+    """Row t of ``values`` (T, P) through :func:`apply_glct` with row t of ``params``."""
     _check_variant(variant)
-    if variant == "cddhfs":
-        return cddhfs_block(values, [cddhfs_decompose(p) for p in params], ctx)
-    return cmccm_block(values, [cmccm_decompose(p, zero_b_variant) for p in params], ctx)
+    groups = params.cddhfs() if variant == "cddhfs" else params.cmccm(zero_b_variant)
+    return program_block(values, groups, ctx)
 
 
 def _rows(x: SignalNd, t: int) -> np.ndarray:
@@ -161,16 +162,17 @@ def nmse_additivity(
     return num / den
 
 
-def _nmse_additivity_block(x, pairs, ctx, variant, zero_b_variant) -> np.ndarray:
-    """:func:`nmse_additivity` of every (p1, p2) in ``pairs``, as three block transforms."""
+def _nmse_additivity_block(x, p1, p2, p12, ctx, variant, zero_b_variant) -> np.ndarray:
+    """:func:`nmse_additivity` of every row pair of the blocks ``p1`` and
+    ``p2``, whose composition is ``p12``, as three block transforms."""
     ctx.check(x)
-    block = _rows(x, len(pairs))
-    one = _glct_block(block, [compose(p1, p2) for p1, p2 in pairs], ctx, variant, zero_b_variant)
+    block = _rows(x, len(p1))
+    one = _glct_block(block, p12, ctx, variant, zero_b_variant)
     den = np.sum(np.abs(one) ** 2, axis=1)
     if (den == 0.0).any():
         raise ValidationError("degenerate signal: the reference transform is identically zero")
-    two = _glct_block(block, [p2 for _, p2 in pairs], ctx, variant, zero_b_variant)
-    two = _glct_block(two, [p1 for p1, _ in pairs], ctx, variant, zero_b_variant)
+    two = _glct_block(block, p2, ctx, variant, zero_b_variant)
+    two = _glct_block(two, p1, ctx, variant, zero_b_variant)
     return np.sum(np.abs(one - two) ** 2, axis=1) / den
 
 
@@ -190,14 +192,15 @@ def nmse_reversibility(
     return num / den
 
 
-def _nmse_reversibility_block(x, params, ctx, variant, zero_b_variant) -> np.ndarray:
-    """:func:`nmse_reversibility` of every p in ``params``, as two block transforms."""
+def _nmse_reversibility_block(x, params, inverses, ctx, variant, zero_b_variant) -> np.ndarray:
+    """:func:`nmse_reversibility` of every row of the block ``params``, whose
+    inverse is ``inverses``, as two block transforms."""
     ctx.check(x)
     den = float(np.sum(np.abs(x.values) ** 2))
     if den == 0.0:
         raise ValidationError("degenerate signal: ||x|| = 0")
     forward = _glct_block(_rows(x, len(params)), params, ctx, variant, zero_b_variant)
-    recon = _glct_block(forward, [inverse(p) for p in params], ctx, variant, zero_b_variant)
+    recon = _glct_block(forward, inverses, ctx, variant, zero_b_variant)
     return np.sum(np.abs(x.values - recon) ** 2, axis=1) / den
 
 
@@ -315,18 +318,22 @@ def _suite(
         sig_index = BENCHMARK_SIGNALS.index(name)
         graph, x = benchmark_signal(name)
         ctx = ProductContext(graph, gso_kind)
-        rngs = (_trial_rng(seed, sig_index, t) for t in range(trials))
+        # each trial draws from its own generator: one row, or two for a pair
+        per_trial = 2 if kind == "additivity" else 1
+        abc = sample_abc((_trial_rng(seed, sig_index, t) for t in range(trials)), per_trial)
         if kind == "additivity":
             nmse = _nmse_additivity_block
-            drawn = [(sample_random_params(rng), sample_random_params(rng)) for rng in rngs]
-            params = tuple((p1.astuple(), p2.astuple()) for p1, p2 in drawn)
+            p1, p2 = ParamBlock.from_abc(abc[0::2]), ParamBlock.from_abc(abc[1::2])
+            blocks = (p1, p2, p1.compose(p2))
+            params = tuple(zip(p1.astuples(), p2.astuples()))
         else:
             nmse = _nmse_reversibility_block
-            drawn = [sample_random_params(rng) for rng in rngs]
-            params = tuple(p.astuple() for p in drawn)
+            p = ParamBlock.from_abc(abc)
+            blocks = (p, p.inverse())
+            params = p.astuples()
         step = block_rows(x.n)
         for v in variants:
-            values = np.concatenate([nmse(x, drawn[i:i + step], ctx, v, zero_b_variant)
+            values = np.concatenate([nmse(x, *(b[i:i + step] for b in blocks), ctx, v, zero_b_variant)
                                      for i in range(0, trials, step)])
             reports.append(NmseReport(kind=kind, variant=v, signal=name, seed=seed, values=values, params=params))
     return reports
@@ -497,7 +504,7 @@ def _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed) -> tuple[np.nd
     the reports."""
     _check_nonzero(x)
     coeffs = apply_glct(x, p, ctx, variant, zero_b_variant).values[None]
-    pinv = [inverse(p)] * len(gammas)
+    pinv = ParamBlock.from_params([inverse(p)] * len(gammas))
     recon, metrics = _compress_rows(x, coeffs, _ranks(coeffs), gammas,
                                     lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
     return recon, _reports(gammas, metrics, method="glct", params=p.astuple(), variant=variant, seed=seed)
@@ -614,7 +621,8 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
     ctx.check(x)
     _check_nonzero(x)
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    drawn = [sample_random_params(rng) for _ in range(budget)]
+    drawn = ParamBlock.from_params([sample_random_params(rng) for _ in range(budget)])
+    inverses = drawn.inverse()
     which = ("re", "nrms", "cc").index(metric)
     sign = -1.0 if metric == "cc" else 1.0
     best: list[CompressionReport | None] = [None] * len(gammas)
@@ -623,7 +631,7 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
         ps = drawn[i:i + step]
         coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
         ranks = _ranks(coeffs)
-        pinv = [inverse(p) for p in ps]
+        pinv = inverses[i:i + step]
         for j, g in enumerate(gammas):
             _, metrics = _compress_rows(x, coeffs, ranks, [g] * len(ps),
                                         lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
@@ -631,7 +639,7 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
             t = int(np.argmin(scores))  # the first draw of the block's best
             if best[j] is None or scores[t] < sign * getattr(best[j], metric):
                 (best[j],) = _reports([g], [m[t:t + 1] for m in metrics], method="glct",
-                                      params=ps[t].astuple(), variant=variant, seed=seed)
+                                      params=tuple(ps.abcd[t].tolist()), variant=variant, seed=seed)
     return best
 
 

@@ -107,7 +107,7 @@ def read_graph(path: str | Path) -> Graph:
     try:
         n = data["n"]
         edges = tuple((int(i), int(j), float(w)) for i, j, w in data["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed graph file {path}: {exc}") from exc
     return Graph(n, edges)
 
@@ -177,7 +177,7 @@ def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalN
             data = json.loads(text)
             file_shape = tuple(int(s) for s in data["shape"])
             values = _json_values(data["data"])
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
             raise ValidationError(f"malformed signal file {path}: {exc}") from exc
         if shape is not None and tuple(shape) != file_shape:
             raise ValidationError(

@@ -15,11 +15,19 @@ factorizations into elementary graph operations are supported:
 Both are programs of ops: ``cm`` (chirp, rate xi), ``ft``/``ift`` (transform
 and inverse), ``frac`` (fractional transform, order alpha) and ``scale`` (shift
 operator over sigma), exposed as ``kinds``, ``rates`` and ``phase``.
+
+Many parameter sets at once are a :class:`ParamBlock`, a (T, 4) array of
+(a, b, c, d) rows. The 2x2 matrices with unit determinant form a group, so
+validation, inverse, composition and both factorizations are arithmetic on
+its columns, and a factorization yields :class:`ProgramGroup` rows that the
+block executor of :mod:`glct.product` runs without per-row objects.
+``cmccm_decompose`` and ``cddhfs_decompose`` are the one-row case.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,10 +93,7 @@ class LctParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         det = self.a * self.d - self.b * self.c
         if not np.isfinite(det) or abs(det - 1.0) >= DET_TOL:
-            raise ValidationError(
-                f"parameters must satisfy ad - bc = 1 within {DET_TOL:g}; "
-                f"got ad - bc = {det!r}"
-            )
+            raise _det_error(det)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -106,7 +111,7 @@ class LctParams:
         """Build parameters from (a, b, c) with d = (1 + bc) / a."""
         a, b, c = float(a), float(b), float(c)
         if a == 0.0:
-            raise ValidationError("from_abc requires a != 0")
+            raise ValidationError(_FROM_ABC_NEEDS_A)
         return cls(a, b, c, (1.0 + b * c) / a)
 
     @classmethod
@@ -123,6 +128,15 @@ class LctParams:
                 f"got ad - bc = {det!r}"
             )
         return cls.from_abc(a, b, c)
+
+
+_FROM_ABC_NEEDS_A = "from_abc requires a != 0"
+
+
+def _det_error(det: float) -> ValidationError:
+    return ValidationError(
+        f"parameters must satisfy ad - bc = 1 within {DET_TOL:g}; got ad - bc = {det!r}"
+    )
 
 
 def inverse(p: LctParams) -> LctParams:
@@ -170,19 +184,175 @@ class CmCcCmParams:
         return self.chirps[::-1]  # D3 is applied first
 
 
-def cddhfs_decompose(p: LctParams) -> CddhfsParams:
-    """Split (a, b; c, d) into chirp o scale o fractional-transform factors.
+_EQ30_PHASE = complex(np.exp(-1j * np.pi / 4.0))
+_EQ31_PHASE = complex(np.exp(1j * np.pi / 4.0))
+_BRANCH = {KINDS[br.value]: br for br in CmCcCmBranch}
 
-    The fractional order is normalized so that (0, 1; -1, 0) maps to order 1:
-    alpha_norm = atan2(b, a) / (pi / 2).
+
+class ProgramGroup(NamedTuple):
+    """The rows ``rows`` of a block that run one program: its op kinds, the
+    rates as a contiguous (R, T) array (row j holds the j-th rated op's rate
+    of every member row) and the member rows' phases, or None if all are 1."""
+
+    kinds: tuple[str, ...]
+    rows: np.ndarray
+    rates: np.ndarray
+    phases: np.ndarray | None
+
+
+def group_programs(programs: Sequence) -> list[ProgramGroup]:
+    """Stack per-row programs (objects with ``kinds``, ``rates`` and
+    ``phase``) once, one group per distinct op kinds in order of appearance."""
+    kinds = [pr.kinds for pr in programs]
+    groups = []
+    for k in dict.fromkeys(kinds):
+        rows = np.flatnonzero([kk == k for kk in kinds])
+        members = [programs[i] for i in rows]
+        rates = np.array([pr.rates for pr in members], dtype=float).T.copy()
+        phases = [pr.phase for pr in members]
+        phases = np.array(phases, dtype=complex) if any(ph != 1 for ph in phases) else None
+        groups.append(ProgramGroup(k, rows, rates, phases))
+    return groups
+
+
+#: Column arithmetic overflows to inf and NaN silently, as Python floats do.
+_AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
+
+
+@_AS_FLOATS
+def _check_det(abcd: np.ndarray) -> None:
+    a, b, c, d = abcd.T
+    det = a * d - b * c
+    bad = ~(np.abs(det - 1.0) < DET_TOL)  # NaN fails too
+    if bad.any():
+        raise _det_error(float(det[bad.argmax()]))
+
+
+class ParamBlock:
+    """T parameter matrices: a read-only C-contiguous float (T, 4) array
+    ``abcd`` of (a, b, c, d) rows, each with ad - bc = 1 as :class:`LctParams`
+    checks it.
+
+    Row t equals ``LctParams(*abcd[t])`` bit for bit, and so do the results
+    of :meth:`inverse`, :meth:`compose`, :meth:`cmccm` and :meth:`cddhfs`
+    against :func:`inverse`, :func:`compose`, :func:`cmccm_decompose` and
+    :func:`cddhfs_decompose`. Composition is a stacked (T, 2, 2) matmul, the
+    same BLAS product as the one-row ``p1.matrix @ p2.matrix``; spelled out
+    elementwise it would round differently wherever the GEMM fuses a
+    multiply-add.
     """
-    a, b, c, d = p.astuple()
-    rr = a * a + b * b
-    return CddhfsParams(
-        xi=(a * c + b * d) / rr,
-        delta=float(np.hypot(a, b)),
-        alpha_norm=float(np.arctan2(b, a) / (np.pi / 2.0)),
-    )
+
+    __slots__ = ("abcd",)
+
+    def __init__(self, abcd) -> None:
+        abcd = np.array(abcd, dtype=float, order="C")
+        if abcd.ndim != 2 or abcd.shape[1] != 4:
+            raise ValidationError(f"a parameter block is a (T, 4) array of (a, b, c, d) rows, got shape {abcd.shape}")
+        _check_det(abcd)
+        abcd.setflags(write=False)
+        self.abcd = abcd
+
+    @classmethod
+    def _of(cls, abcd: np.ndarray) -> "ParamBlock":
+        """A block of rows already known to be valid, taking ``abcd`` as it is."""
+        block = cls.__new__(cls)
+        abcd.setflags(write=False)
+        block.abcd = abcd
+        return block
+
+    @classmethod
+    def from_params(cls, ps: Sequence[LctParams]) -> "ParamBlock":
+        return cls._of(np.array([p.astuple() for p in ps], dtype=float).reshape(-1, 4))
+
+    @classmethod
+    def from_abc(cls, abc) -> "ParamBlock":
+        """Rows (a, b, c) of ``abc`` (T, 3) with d = (1 + bc) / a, as
+        :meth:`LctParams.from_abc` builds them."""
+        abc = np.asarray(abc, dtype=float).reshape(-1, 3)
+        a, b, c = abc.T
+        if (a == 0.0).any():
+            raise ValidationError(_FROM_ABC_NEEDS_A)
+        abcd = np.empty((abc.shape[0], 4))
+        abcd[:, :3] = abc
+        abcd[:, 3] = (1.0 + b * c) / a
+        _check_det(abcd)
+        return cls._of(abcd)
+
+    def __len__(self) -> int:
+        return self.abcd.shape[0]
+
+    def __getitem__(self, rows: slice) -> "ParamBlock":
+        return ParamBlock._of(np.ascontiguousarray(self.abcd[rows]))
+
+    def astuples(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Each row as :meth:`LctParams.astuple` gives it."""
+        return tuple(map(tuple, self.abcd.tolist()))
+
+    def inverse(self) -> "ParamBlock":
+        """Row-wise :func:`inverse`: (a, b, c, d) -> (d, -b, -c, a)."""
+        return ParamBlock._of(self.abcd[:, [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0]))
+
+    def compose(self, other: "ParamBlock") -> "ParamBlock":
+        """Row-wise :func:`compose`: row t is ``self`` row t times ``other`` row t."""
+        if len(self) != len(other):
+            raise ValidationError(f"cannot compose blocks of {len(self)} and {len(other)} rows")
+        m = self.abcd.reshape(-1, 2, 2) @ other.abcd.reshape(-1, 2, 2)
+        abcd = m.reshape(-1, 4)
+        _check_det(abcd)
+        return ParamBlock._of(abcd)
+
+    @_AS_FLOATS
+    def cddhfs(self) -> list[ProgramGroup]:
+        """Every row split into chirp o scale o fractional-transform factors.
+
+        The fractional order is normalized so that (0, 1; -1, 0) maps to order
+        1: alpha_norm = atan2(b, a) / (pi / 2).
+        """
+        a, b, c, d = self.abcd.T
+        rr = a * a + b * b
+        rates = np.array((np.arctan2(b, a) / (np.pi / 2.0), np.hypot(a, b), (a * c + b * d) / rr))
+        return [ProgramGroup(KINDS["cddhfs"], np.arange(len(self)), rates, None)]
+
+    @_AS_FLOATS
+    def cmccm(self, zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
+              b_tol: float = ZERO_B_TOL) -> list[ProgramGroup]:
+        """Every row split into chirp / chirp-convolution / chirp factors: one
+        group for the rows with |b| > ``b_tol`` and one for the others, which
+        take the six-factor form ``zero_b_variant``."""
+        general = np.abs(self.abcd[:, 1]) > b_tol
+        if general.all():
+            return [_general_b(np.arange(len(self)), self.abcd.T)]
+        rows = np.flatnonzero(general)
+        groups = [_general_b(rows, self.abcd[rows].T)] if rows.size else []
+        # b = 0 forces ad = 1, so a and d are both nonzero
+        rows = np.flatnonzero(~general)
+        a, _, c, d = self.abcd[rows].T
+        if zero_b_variant is ZeroBVariant.EQ30:
+            if (d == 0.0).any():
+                raise ValidationError("zero-b factorization eq30 requires d != 0")
+            branch, phase, rates = CmCcCmBranch.ZERO_B_EQ30, _EQ30_PHASE, ((c + 1.0) / d, d, 1.0 / d)
+        elif zero_b_variant is ZeroBVariant.EQ31:
+            if (a == 0.0).any():
+                raise ValidationError("zero-b factorization eq31 requires a != 0")
+            branch, phase, rates = CmCcCmBranch.ZERO_B_EQ31, _EQ31_PHASE, (-1.0 / a, -a, (c - 1.0) / a)
+        else:
+            raise ValidationError(f"unknown zero-b variant {zero_b_variant!r}")
+        groups.append(ProgramGroup(KINDS[branch.value], rows, np.array(rates), np.full(rows.size, phase)))
+        return groups
+
+
+def _general_b(rows: np.ndarray, columns: np.ndarray) -> ProgramGroup:
+    """The general-b cmccm group of ``rows``, from their (4, R) columns."""
+    a, b, _, d = columns
+    return ProgramGroup(KINDS[CmCcCmBranch.GENERAL.value], rows, np.array(((a - 1.0) / b, -b, (d - 1.0) / b)), None)
+
+
+def cddhfs_decompose(p: LctParams) -> CddhfsParams:
+    """Split (a, b; c, d) into chirp o scale o fractional-transform factors:
+    the one-row case of :meth:`ParamBlock.cddhfs`."""
+    ((_, _, rates, _),) = ParamBlock.from_params([p]).cddhfs()
+    alpha_norm, delta, xi = rates[:, 0].tolist()
+    return CddhfsParams(xi=xi, delta=delta, alpha_norm=alpha_norm)
 
 
 def cmccm_decompose(
@@ -190,32 +360,12 @@ def cmccm_decompose(
     zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
     b_tol: float = ZERO_B_TOL,
 ) -> CmCcCmParams:
-    """Split (a, b; c, d) into chirp / chirp-convolution / chirp factors."""
-    a, b, c, d = p.astuple()
-    if abs(b) > b_tol:
-        return CmCcCmParams(
-            branch=CmCcCmBranch.GENERAL,
-            chirps=((d - 1.0) / b, -b, (a - 1.0) / b),
-            phase=1.0 + 0.0j,
-        )
-    # b = 0 forces ad = 1, so a and d are both nonzero
-    if zero_b_variant is ZeroBVariant.EQ30:
-        if d == 0.0:
-            raise ValidationError("zero-b factorization eq30 requires d != 0")
-        return CmCcCmParams(
-            branch=CmCcCmBranch.ZERO_B_EQ30,
-            chirps=(1.0 / d, d, (c + 1.0) / d),
-            phase=complex(np.exp(-1j * np.pi / 4.0)),
-        )
-    if zero_b_variant is ZeroBVariant.EQ31:
-        if a == 0.0:
-            raise ValidationError("zero-b factorization eq31 requires a != 0")
-        return CmCcCmParams(
-            branch=CmCcCmBranch.ZERO_B_EQ31,
-            chirps=((c - 1.0) / a, -a, -1.0 / a),
-            phase=complex(np.exp(1j * np.pi / 4.0)),
-        )
-    raise ValidationError(f"unknown zero-b variant {zero_b_variant!r}")
+    """Split (a, b; c, d) into chirp / chirp-convolution / chirp factors: the
+    one-row case of :meth:`ParamBlock.cmccm`."""
+    ((kinds, _, rates, phases),) = ParamBlock.from_params([p]).cmccm(zero_b_variant, b_tol)
+    x3, x2, x1 = rates[:, 0].tolist()
+    return CmCcCmParams(branch=_BRANCH[kinds], chirps=(x1, x2, x3),
+                        phase=1.0 + 0.0j if phases is None else complex(phases[0]))
 
 
 def _op_matrix(kind: str, rate: float | None) -> np.ndarray:
@@ -242,6 +392,34 @@ def recompose(program) -> np.ndarray:
     return m
 
 
+def sample_abc(
+    rngs: np.random.Generator | Iterable[np.random.Generator],
+    n: int,
+    low: float = -2.0,
+    high: float = 2.0,
+    min_abs_a: float = 0.05,
+) -> np.ndarray:
+    """Draw ``n`` rows (a, b, c) uniformly from each generator, redrawing
+    rows with |a| < min_abs_a; returns them as one (G * n, 3) array, each
+    generator's rows in turn.
+
+    A generator yields its accepted rows in draw order and stops after the
+    n-th, so its rows and final state equal those of n draws of one row
+    each. Every generator's first n rows are checked at once; only those
+    that drew a small |a| draw again.
+    """
+    gens = [rngs] if isinstance(rngs, np.random.Generator) else list(rngs)
+    rows = np.array([g.uniform(low, high, size=(n, 3)) for g in gens]).reshape(len(gens), n, 3)
+    keep = np.abs(rows[:, :, 0]) >= min_abs_a
+    for i in np.flatnonzero(~keep.all(axis=1)):
+        kept = rows[i][keep[i]]
+        while kept.shape[0] < n:
+            more = gens[i].uniform(low, high, size=(n - kept.shape[0], 3))
+            kept = np.concatenate((kept, more[np.abs(more[:, 0]) >= min_abs_a]))
+        rows[i] = kept
+    return rows.reshape(-1, 3)
+
+
 def sample_random_params(
     rng: np.random.Generator | int,
     low: float = -2.0,
@@ -255,7 +433,4 @@ def sample_random_params(
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    while True:
-        a, b, c = rng.uniform(low, high, size=3)
-        if abs(a) >= min_abs_a:
-            return LctParams.from_abc(float(a), float(b), float(c))
+    return LctParams.from_abc(*sample_abc(rng, 1, low, high, min_abs_a)[0])

@@ -34,10 +34,13 @@ from .params import (
     CddhfsParams,
     CmCcCmParams,
     LctParams,
+    ParamBlock,
     Program,
+    ProgramGroup,
     ZeroBVariant,
     cddhfs_decompose,
     cmccm_decompose,
+    group_programs,
 )
 from .spectral import frac_diag_power
 
@@ -105,10 +108,18 @@ class ProductContext:
         diagonal of rate t, equal to :func:`~glct.spectral.frac_diag_power`.
 
         A scalar rate gives one (N_k,) diagonal per factor; an array of T
-        rates gives a (T, N_k) stack, one row per rate.
+        rates gives a (T, N_k) stack, one row per rate. The real and imaginary
+        parts are the cosine and sine of t times the eigenvalue angles, the
+        values ``np.exp(1j * (t * angle))`` has, without a complex exp.
         """
         t = np.asarray(t, dtype=float)[..., None]
-        return [np.exp(1j * (t * dec.spectrum.angles)) for dec in self.factors]
+        out = []
+        for dec in self.factors:
+            angle = t * dec.spectrum.angles
+            d = np.empty(angle.shape, dtype=complex)
+            d.real, d.imag = np.cos(angle), np.sin(angle)
+            out.append(d)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,40 +301,37 @@ def _run(x: np.ndarray, kinds: tuple[str, ...], rates: np.ndarray, phases: np.nd
     return x
 
 
-def _program_block(values: np.ndarray, programs: Sequence, ctx: ProductContext) -> np.ndarray:
-    """Row t of ``values`` (T, P) through ``programs[t]``: rows grouped by op
-    kinds, each group in chunks of at most :func:`block_rows` rows."""
-    values = _block(values, ctx, len(programs))
+def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> np.ndarray:
+    """The rows ``g.rows`` of ``values`` (T, P) through the program of each
+    group ``g`` (see :class:`~glct.params.ProgramGroup`; the groups partition
+    the rows), each group in chunks of at most :func:`block_rows` rows."""
+    values = _block(values, ctx, sum(len(g.rows) for g in groups))
     out = np.empty_like(values)
-    kinds = [pr.kinds for pr in programs]
-    if any(k != kinds[0] for k in kinds):
-        for k in dict.fromkeys(kinds):
-            group = np.flatnonzero([kk == k for kk in kinds])
-            out[group] = _program_block(values[group], [programs[i] for i in group], ctx)
-        return out
-    rates = np.array([pr.rates for pr in programs], dtype=float).T.copy()  # contiguous per op
-    phases = [pr.phase for pr in programs]
-    phases = np.array(phases, dtype=complex) if any(ph != 1 for ph in phases) else None
     step = block_rows(values.shape[1])
-    for i in range(0, len(programs), step):
-        rows = slice(i, i + step)
-        out[rows] = _run(values[rows], kinds[0], rates[:, rows], None if phases is None else phases[rows], ctx)
+    whole = len(groups) == 1
+    for kinds, rows, rates, phases in groups:
+        x = values if whole else values[rows]
+        for i in range(0, len(rows), step):
+            chunk = slice(i, i + step)
+            y = _run(x[chunk], kinds, rates[:, chunk], None if phases is None else phases[chunk], ctx)
+            out[chunk if whole else rows[chunk]] = y
     return out
 
 
 def gfrft_block(values: np.ndarray, alphas: Sequence[float], ctx: ProductContext) -> np.ndarray:
     """Row t of ``values`` (T, P) through :func:`gfrft_nd` of order ``alphas[t]``."""
-    return _program_block(values, [_single("gfrft", a) for a in np.asarray(alphas, dtype=float).ravel()], ctx)
+    alphas = np.array(alphas, dtype=float).reshape(1, -1)
+    return program_block(values, [ProgramGroup(("frac",), np.arange(alphas.shape[1]), alphas, None)], ctx)
 
 
 def cddhfs_block(values: np.ndarray, dps: Sequence[CddhfsParams], ctx: ProductContext) -> np.ndarray:
     """Row t of ``values`` (T, P) through :func:`glct_cddhfs_nd` with ``dps[t]``."""
-    return _program_block(values, dps, ctx)
+    return program_block(values, group_programs(dps), ctx)
 
 
 def cmccm_block(values: np.ndarray, cps: Sequence[CmCcCmParams], ctx: ProductContext) -> np.ndarray:
     """Row t of ``values`` (T, P) through :func:`glct_cmccm_nd` with ``cps[t]``."""
-    return _program_block(values, cps, ctx)
+    return program_block(values, group_programs(cps), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +363,20 @@ def _single(op: str, rate: float | None = None) -> Program:
     return Program(kinds, (rate,))
 
 
-def _one(x: SignalNd, program, ctx: ProductContext) -> SignalNd:
-    """``x`` through ``program``, as a block of one row."""
+def _one(x: SignalNd, groups: Sequence[ProgramGroup], ctx: ProductContext) -> SignalNd:
+    """``x`` through the program of ``groups``, as a block of one row."""
     ctx.check(x)
-    return SignalNd(ctx.shape, _program_block(x.values[None], [program], ctx)[0])
+    return SignalNd(ctx.shape, program_block(x.values[None], groups, ctx)[0])
 
 
 def gft_nd(x: SignalNd, ctx: ProductContext) -> SignalNd:
     """Separable analysis transform: factor-k matrix along axis k."""
-    return _one(x, _single("gft"), ctx)
+    return _one(x, group_programs([_single("gft")]), ctx)
 
 
 def igft_nd(xhat: SignalNd, ctx: ProductContext) -> SignalNd:
     """Inverse of :func:`gft_nd`."""
-    return _one(xhat, _single("igft"), ctx)
+    return _one(xhat, group_programs([_single("igft")]), ctx)
 
 
 def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
@@ -377,17 +385,17 @@ def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
     Along axis k this is P diag(mu**alpha) P^H with (P, mu) the unitary
     eigendecomposition of the factor's transform matrix.
     """
-    return _one(x, _single("gfrft", alpha_norm), ctx)
+    return _one(x, group_programs([_single("gfrft", alpha_norm)]), ctx)
 
 
 def gcm_nd(x: SignalNd, xi: float, ctx: ProductContext) -> SignalNd:
     """Chirp multiplication by the Kronecker product of per-factor diagonals."""
-    return _one(x, _single("gcm", xi), ctx)
+    return _one(x, group_programs([_single("gcm", xi)]), ctx)
 
 
 def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
     """Scaling transform: apply the Kronecker-sum shift operator over sigma."""
-    return _one(x, _single("gscale", sigma), ctx)
+    return _one(x, group_programs([_single("gscale", sigma)]), ctx)
 
 
 def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
@@ -397,7 +405,7 @@ def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
     (P D_alpha) P^H along each axis, the Kronecker-sum shift operator over
     delta, and the Kronecker-product chirp of rate xi.
     """
-    return _one(x, cddhfs_decompose(p), ctx)
+    return _one(x, ParamBlock.from_params([p]).cddhfs(), ctx)
 
 
 def glct_cmccm_nd(
@@ -415,7 +423,7 @@ def glct_cmccm_nd(
     and eq31 V behind it, and the branch's constant phase (1 for general b)
     multiplies the result.
     """
-    return _one(x, cmccm_decompose(p, zero_b_variant), ctx)
+    return _one(x, ParamBlock.from_params([p]).cmccm(zero_b_variant), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +490,7 @@ def apply_spec(x: SignalNd, spec: TransformSpec, ctx: ProductContext) -> SignalN
     """Apply the described transform using the factored implementation."""
     if ctx.kind.value != spec.gso:
         raise ValidationError(f"context uses gso {ctx.kind.value!r} but spec asks {spec.gso!r}")
-    return _one(x, spec.program(), ctx)
+    return _one(x, group_programs([spec.program()]), ctx)
 
 
 def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:

@@ -105,6 +105,22 @@ class TestTransform:
         assert "non-finite" in capsys.readouterr().err
         assert not (workspace / "y.json").exists()
 
+    @pytest.mark.parametrize("kind", ["signal", "graph"])
+    def test_number_too_large_for_a_float_exit_2(self, workspace, capsys, kind):
+        huge = "1" + "0" * 400
+        signal, graph = workspace / "x.csv", workspace / "g1.json"
+        if kind == "signal":
+            signal = workspace / "x.json"
+            signal.write_text('{"shape": [14, 8], "data": [[%s, 0.0]%s]}' % (huge, ", [1.0, 0.0]" * 111))
+        else:
+            graph = workspace / "bad.json"
+            graph.write_text('{"n": 14, "edges": [[0, 1, %s]]}' % huge)
+        rc = run("transform", "--signal", signal, "--graph", graph, "--graph", workspace / "g2.json",
+                 "--params", "0.6,0.8,-0.5,1.0", "--out", workspace / "y.json")
+        assert rc == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not (workspace / "y.json").exists()
+
     def test_non_finite_graph_weight_exit_2(self, workspace, capsys):
         (workspace / "bad.json").write_text('{"n": 14, "edges": [[0, 1, NaN]]}')
         rc = run("transform", "--signal", workspace / "x.csv",

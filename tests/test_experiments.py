@@ -205,6 +205,107 @@ class TestSuites:
             np.testing.assert_allclose(r.values, loop, rtol=1e-12, atol=1e-26)
 
 
+_FROZEN_SUITE_CHECK = """
+import numpy as np
+from glct import LctParams, ProductContext, ZeroBVariant, benchmark_signal, compose, inverse
+from glct import cddhfs_decompose, cmccm_block, cddhfs_block, cmccm_decompose, suite_additivity, suite_reversibility
+from glct.experiments import BENCHMARK_SIGNALS, _trial_rng
+from glct.graphs import GsoKind
+from glct.product import block_rows
+
+
+def sample(rng):
+    while True:
+        a, b, c = rng.uniform(-2.0, 2.0, size=3)
+        if abs(a) >= 0.05:
+            return LctParams.from_abc(float(a), float(b), float(c))
+
+
+def glct_block(values, params, ctx, variant, zb):
+    if variant == "cddhfs":
+        return cddhfs_block(values, [cddhfs_decompose(p) for p in params], ctx)
+    return cmccm_block(values, [cmccm_decompose(p, zb) for p in params], ctx)
+
+
+def additivity(x, pairs, ctx, variant, zb):
+    block = np.broadcast_to(x.values, (len(pairs), x.n))
+    one = glct_block(block, [compose(p1, p2) for p1, p2 in pairs], ctx, variant, zb)
+    den = np.sum(np.abs(one) ** 2, axis=1)
+    two = glct_block(block, [p2 for _, p2 in pairs], ctx, variant, zb)
+    two = glct_block(two, [p1 for p1, _ in pairs], ctx, variant, zb)
+    return np.sum(np.abs(one - two) ** 2, axis=1) / den
+
+
+def reversibility(x, params, ctx, variant, zb):
+    den = float(np.sum(np.abs(x.values) ** 2))
+    forward = glct_block(np.broadcast_to(x.values, (len(params), x.n)), params, ctx, variant, zb)
+    recon = glct_block(forward, [inverse(p) for p in params], ctx, variant, zb)
+    return np.sum(np.abs(x.values - recon) ** 2, axis=1) / den
+
+
+def frozen_suite(kind, name, trials, seed, variant, gso, zb):
+    sig_index = BENCHMARK_SIGNALS.index(name)
+    graph, x = benchmark_signal(name)
+    ctx = ProductContext(graph, gso)
+    rngs = (_trial_rng(seed, sig_index, t) for t in range(trials))
+    if kind == "additivity":
+        nmse, drawn = additivity, [(sample(rng), sample(rng)) for rng in rngs]
+        params = tuple((p1.astuple(), p2.astuple()) for p1, p2 in drawn)
+    else:
+        nmse, drawn = reversibility, [sample(rng) for rng in rngs]
+        params = tuple(p.astuple() for p in drawn)
+    step = block_rows(x.n)
+    values = np.concatenate([nmse(x, drawn[i:i + step], ctx, variant, zb) for i in range(0, trials, step)])
+    return values, params
+
+
+trials = max(block_rows(benchmark_signal(name)[1].n) for name in BENCHMARK_SIGNALS) + 3
+cases = [(seed, GsoKind.LAPLACIAN, ZeroBVariant.EQ30) for seed in (0, 9)]
+cases += [(4, GsoKind.ADJACENCY, ZeroBVariant.EQ31)]
+checked = 0
+for seed, gso, zb in cases:
+    for kind, suite in (("additivity", suite_additivity), ("reversibility", suite_reversibility)):
+        for r in suite(trials=trials, seed=seed, gso_kind=gso, zero_b_variant=zb):
+            values, params = frozen_suite(kind, r.signal, trials, seed, r.variant, gso, zb)
+            assert r.values.tobytes() == values.tobytes(), (kind, r.signal, r.variant, seed)
+            assert r.params == params, (kind, r.signal, r.variant, seed)
+            checked += 1
+assert checked == len(cases) * 2 * len(BENCHMARK_SIGNALS) * 2
+"""
+
+
+class TestSuiteParamBlocks:
+    def test_suites_equal_frozen_per_trial_suite_bit_for_bit(self):
+        # The suites draw every trial's parameters from its own generator as
+        # before, then build one parameter block per signal, compose or invert
+        # it once, and factorize it per chunk. A frozen copy of the per-trial
+        # suite (one LctParams and one decomposition per trial, parent sampler
+        # loop) must give the same bytes on every signal, with trials crossing
+        # a block boundary. Bit equality of block rows needs one BLAS thread.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _FROZEN_SUITE_CHECK], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("suite", [suite_reversibility, suite_additivity])
+    def test_per_trial_parameter_objects_do_not_grow_with_trials(self, suite, monkeypatch):
+        calls = []
+        post_init = LctParams.__post_init__
+
+        def spy(self):
+            calls.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(LctParams, "__post_init__", spy)
+        counts = []
+        for trials in (2, 3 * block_rows(112) + 1):
+            calls.clear()
+            suite(signals=("x1",), trials=trials, seed=2)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
 class TestMetrics:
     def test_relative_error_hand_value(self):
         assert relative_error([2.0, -2.0], [1.0, -1.0]) == pytest.approx(0.5)

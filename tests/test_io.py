@@ -53,6 +53,12 @@ class TestGraphFiles:
         with pytest.raises(ValidationError, match="finite"):
             read_graph(path)
 
+    def test_weight_too_large_for_a_float_raises(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1, 1%s], [1, 2, 1.0]]}' % ("0" * 400))
+        with pytest.raises(ValidationError, match="malformed"):
+            read_graph(path)
+
 
 class TestSignalFiles:
     def test_csv_real_round_trip(self, tmp_path):
@@ -111,6 +117,13 @@ class TestSignalFiles:
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ValidationError, match="non-finite"):
+            read_signal(path)
+
+    @pytest.mark.parametrize("entry", ["[1%s, 0.0]", "1%s"], ids=["pair", "scalar"])
+    def test_json_integer_too_large_for_a_float_raises(self, tmp_path, entry):
+        path = tmp_path / "s.json"
+        path.write_text('{"shape": [2], "data": [%s, [1.0, 0.0]]}' % (entry % ("0" * 400)))
+        with pytest.raises(ValidationError, match="malformed"):
             read_signal(path)
 
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from glct import (
     recompose,
     sample_random_params,
 )
+from glct.params import DET_TOL, KINDS, ZERO_B_TOL, ParamBlock, group_programs, sample_abc
 
 
 class TestValidation:
@@ -145,3 +146,164 @@ class TestSampler:
 
     def test_accepts_plain_seed(self):
         assert sample_random_params(5).astuple() == sample_random_params(np.random.default_rng(5)).astuple()
+
+
+# ---------------------------------------------------------------------------
+# ParamBlock: the column-wise group operations and factorizations against the
+# one-row functions, compared as bytes. The one-row factorizations are now
+# views of the block code, so the rates are also checked against a frozen
+# copy of the scalar formulas they replaced.
+
+ZB = {ZeroBVariant.EQ30: "eq30", ZeroBVariant.EQ31: "eq31"}
+
+
+def _frozen_cddhfs(a, b, c, d):
+    rr = a * a + b * b
+    return (float(np.arctan2(b, a) / (np.pi / 2.0)), float(np.hypot(a, b)), (a * c + b * d) / rr)
+
+
+def _frozen_cmccm(a, b, c, d, variant):
+    """(branch, rates in applied order, phase) of the scalar factorization."""
+    if abs(b) > ZERO_B_TOL:
+        return "general-b", ((a - 1.0) / b, -b, (d - 1.0) / b), 1.0 + 0.0j
+    if variant is ZeroBVariant.EQ30:
+        return "eq30", ((c + 1.0) / d, d, 1.0 / d), complex(np.exp(-1j * np.pi / 4.0))
+    return "eq31", (-1.0 / a, -a, (c - 1.0) / a), complex(np.exp(1j * np.pi / 4.0))
+
+
+def _bytes(rows) -> bytes:
+    return np.array(rows, dtype=float).tobytes()
+
+
+@pytest.fixture(scope="module")
+def draws():
+    """10 000 sampled parameter sets, then zero-b rows: b of 0, -0 and just
+    inside ZERO_B_TOL, and b just outside it."""
+    rng = np.random.default_rng(20240611)
+    ps = [sample_random_params(rng) for _ in range(10_000)]
+    for b in (0.0, -0.0, 0.9 * ZERO_B_TOL, -ZERO_B_TOL, 1.1 * ZERO_B_TOL):
+        for a, c in ((0.5, 1.0), (-2.0, 0.3), (1.0, 0.0), (1.7, -1.9)):
+            ps.append(LctParams(a, b, c, (1.0 + b * c) / a))
+    return ps
+
+
+class TestParamBlock:
+    def test_rows_validate_as_lct_params(self, draws):
+        rows = [p.astuple() for p in draws]
+        assert ParamBlock(rows).abcd.tobytes() == _bytes(rows)
+        abc = np.array(rows)[:, :3]
+        assert ParamBlock.from_abc(abc).abcd.tobytes() == _bytes(
+            [LctParams.from_abc(*r).astuple() for r in abc])
+
+    @pytest.mark.parametrize("row", [
+        (1.0, 1.0, 1.0, 1.0),
+        (1.0, 0.0, 0.0, 1.0 + 2 * DET_TOL),
+        (np.nan, 0.0, 0.0, 1.0),
+        (1.0, np.inf, 0.0, 1.0),
+        (np.inf, 0.0, 0.0, 0.0),
+    ], ids=["det-2", "det-off", "nan", "inf-b", "inf-times-0"])
+    def test_invalid_row_raises_as_lct_params(self, row):
+        with pytest.raises(ValidationError) as scalar:
+            LctParams(*row)
+        block = [(1.0, 0.0, 0.0, 1.0), row, (1.0, 1.0, 1.0, 1.0)]  # the first bad row is named
+        with pytest.raises(ValidationError) as vectorized:
+            ParamBlock(block)
+        assert str(vectorized.value) == str(scalar.value)
+
+    def test_from_abc_rejects_zero_a(self):
+        with pytest.raises(ValidationError) as scalar:
+            LctParams.from_abc(0.0, 1.0, -1.0)
+        with pytest.raises(ValidationError) as vectorized:
+            ParamBlock.from_abc([(1.0, 1.0, 0.0), (0.0, 1.0, -1.0)])
+        assert str(vectorized.value) == str(scalar.value)
+
+    def test_block_shape_is_checked(self):
+        with pytest.raises(ValidationError):
+            ParamBlock(np.ones((3, 3)))
+
+    def test_inverse(self, draws):
+        block = ParamBlock.from_params(draws).inverse()
+        assert block.abcd.tobytes() == _bytes([inverse(p).astuple() for p in draws])
+
+    def test_compose(self, draws):
+        # compose multiplies the 2x2 matrices with BLAS, which may fuse the
+        # multiply-adds; a product spelled out elementwise rounds differently
+        # on such a BLAS and fails this comparison
+        half = len(draws) // 2
+        p1, p2 = draws[:half], draws[half:2 * half]
+        block = ParamBlock.from_params(p1).compose(ParamBlock.from_params(p2))
+        assert block.abcd.tobytes() == _bytes([compose(q1, q2).astuple() for q1, q2 in zip(p1, p2)])
+        with pytest.raises(ValidationError):
+            ParamBlock.from_params(p1).compose(ParamBlock.from_params(p2[:-1]))
+
+    def test_slices_are_row_views(self, draws):
+        block = ParamBlock.from_params(draws)
+        assert len(block[10:20]) == 10
+        assert block[10:20].astuples() == tuple(p.astuple() for p in draws[10:20])
+
+    def test_cddhfs(self, draws):
+        (group,) = ParamBlock.from_params(draws).cddhfs()
+        assert group.kinds == KINDS["cddhfs"] and group.phases is None
+        np.testing.assert_array_equal(group.rows, np.arange(len(draws)))
+        assert group.rates.flags.c_contiguous
+        want = _bytes([cddhfs_decompose(p).rates for p in draws])
+        assert group.rates.T.tobytes() == want == _bytes([_frozen_cddhfs(*p.astuple()) for p in draws])
+
+    @pytest.mark.parametrize("variant", [ZeroBVariant.EQ30, ZeroBVariant.EQ31])
+    def test_cmccm(self, draws, variant):
+        groups = ParamBlock.from_params(draws).cmccm(variant)
+        assert [g.kinds for g in groups] == [KINDS["general-b"], KINDS[ZB[variant]]]
+        np.testing.assert_array_equal(np.sort(np.concatenate([g.rows for g in groups])), np.arange(len(draws)))
+        for kinds, rows, rates, phases in groups:
+            assert rates.flags.c_contiguous and rates.shape == (3, len(rows))
+            scalar = [cmccm_decompose(draws[i], variant) for i in rows]
+            frozen = [_frozen_cmccm(*draws[i].astuple(), variant) for i in rows]
+            assert all(KINDS[cp.branch.value] == kinds for cp in scalar)
+            assert all(KINDS[branch] == kinds for branch, _, _ in frozen)
+            assert rates.T.tobytes() == _bytes([cp.rates for cp in scalar]) == _bytes([f[1] for f in frozen])
+            phase = [cp.phase for cp in scalar]
+            assert phase == [f[2] for f in frozen]
+            if phases is None:
+                assert phase == [1.0] * len(rows)
+            else:
+                assert phases.tobytes() == np.array(phase, dtype=complex).tobytes()
+        # the one-row edge stacks the per-row dataclasses into the same groups
+        stacked = group_programs([cmccm_decompose(p, variant) for p in draws])
+        for got, want in zip(stacked, groups):
+            assert got.kinds == want.kinds
+            assert got.rows.tobytes() == want.rows.tobytes() and got.rates.tobytes() == want.rates.tobytes()
+            assert (got.phases is None) == (want.phases is None)
+            assert got.phases is None or got.phases.tobytes() == want.phases.tobytes()
+
+    @pytest.mark.parametrize("variant,row", [
+        (ZeroBVariant.EQ30, (5.0, 1e-10, -1e10, 0.0)),
+        (ZeroBVariant.EQ31, (0.0, 1e-10, -1e10, 5.0)),
+    ], ids=["eq30-d0", "eq31-a0"])
+    def test_zero_b_errors(self, variant, row):
+        p = LctParams(*row)
+        with pytest.raises(ValidationError) as scalar:
+            cmccm_decompose(p, variant)
+        with pytest.raises(ValidationError) as vectorized:
+            ParamBlock([(0.6, 0.8, -0.5, 1.0), row]).cmccm(variant)
+        assert str(vectorized.value) == str(scalar.value)
+        assert ("d != 0" if variant is ZeroBVariant.EQ30 else "a != 0") in str(scalar.value)
+        # the general-b branch never divides by d or a
+        other = ZeroBVariant.EQ31 if variant is ZeroBVariant.EQ30 else ZeroBVariant.EQ30
+        ParamBlock([row]).cmccm(other)
+
+
+class TestSampleAbc:
+    def test_rows_and_state_equal_one_row_draws(self):
+        # min_abs_a = 1.5 rejects most draws, so every generator redraws
+        for min_abs_a in (0.05, 1.5):
+            gens = [np.random.default_rng(s) for s in range(40)]
+            refs = [np.random.default_rng(s) for s in range(40)]
+            rows = sample_abc(gens, 3, min_abs_a=min_abs_a)
+            want = [sample_random_params(r, min_abs_a=min_abs_a).astuple()[:3] for r in refs for _ in range(3)]
+            assert rows.tobytes() == _bytes(want)
+            assert all(g.random() == r.random() for g, r in zip(gens, refs))
+
+    def test_single_generator(self):
+        rows = sample_abc(np.random.default_rng(4), 5)
+        rng = np.random.default_rng(4)
+        assert rows.tobytes() == _bytes([sample_random_params(rng).astuple()[:3] for _ in range(5)])
