@@ -12,7 +12,8 @@ transforms as blocks of rows through the block executors of
 :mod:`glct.product`; row t of a block is computed as the one-signal call
 computes it (bit for bit with single-threaded BLAS). Their parameters stay
 arrays (:class:`~glct.params.ParamBlock`) from the draw to the executor: a
-suite draws every trial from its own generator, then composes or inverts the
+suite draws every trial's rows in one array pass (:func:`glct.seeding.trial_abc`,
+byte-equal to a numpy generator per trial), then composes or inverts the
 whole block once and factorizes it one chunk at a time. The compression pipeline
 ranks each coefficient row once for all its ratios and takes RE / NRMS / CC
 as reductions along the rows of the reconstruction block, so a row's metrics
@@ -41,7 +42,6 @@ from .params import (
     compose,
     inverse,
     sample_abc,
-    sample_random_params,
 )
 from .product import (
     ProductContext,
@@ -53,6 +53,7 @@ from .product import (
     glct_cmccm_nd,
     program_block,
 )
+from .seeding import trial_abc
 
 VARIANTS = ("cddhfs", "cmccm")
 
@@ -293,8 +294,8 @@ class NmseReport:
         }
 
 
-def _trial_rng(seed: int, signal_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, signal_index, trial)))
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _suite(
@@ -306,8 +307,16 @@ def _suite(
     gso_kind: GsoKind,
     zero_b_variant: ZeroBVariant,
 ) -> list[NmseReport]:
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    if not _is_int(seed) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if not _is_int(trials) or trials < 1:
+        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+    signals, variants = tuple(signals), tuple(variants)
+    if not signals:
+        raise ValidationError("signals must name at least one benchmark signal")
+    if not variants:
+        raise ValidationError(f"variants must name at least one of {VARIANTS}")
+    seed, trials = int(seed), int(trials)
     for v in variants:
         _check_variant(v)
     unknown = [name for name in signals if name not in BENCHMARK_SIGNALS]
@@ -318,9 +327,8 @@ def _suite(
         sig_index = BENCHMARK_SIGNALS.index(name)
         graph, x = benchmark_signal(name)
         ctx = ProductContext(graph, gso_kind)
-        # each trial draws from its own generator: one row, or two for a pair
-        per_trial = 2 if kind == "additivity" else 1
-        abc = sample_abc((_trial_rng(seed, sig_index, t) for t in range(trials)), per_trial)
+        # one row per trial, or two for a pair
+        abc = trial_abc(seed, sig_index, trials, 2 if kind == "additivity" else 1)
         if kind == "additivity":
             nmse = _nmse_additivity_block
             p1, p2 = ParamBlock.from_abc(abc[0::2]), ParamBlock.from_abc(abc[1::2])
@@ -621,7 +629,7 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
     ctx.check(x)
     _check_nonzero(x)
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    drawn = ParamBlock.from_params([sample_random_params(rng) for _ in range(budget)])
+    drawn = ParamBlock.from_abc(sample_abc(rng, budget))
     inverses = drawn.inverse()
     which = ("re", "nrms", "cc").index(metric)
     sign = -1.0 if metric == "cc" else 1.0

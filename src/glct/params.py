@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -393,31 +393,26 @@ def recompose(program) -> np.ndarray:
 
 
 def sample_abc(
-    rngs: np.random.Generator | Iterable[np.random.Generator],
+    rng: np.random.Generator,
     n: int,
     low: float = -2.0,
     high: float = 2.0,
     min_abs_a: float = 0.05,
 ) -> np.ndarray:
-    """Draw ``n`` rows (a, b, c) uniformly from each generator, redrawing
-    rows with |a| < min_abs_a; returns them as one (G * n, 3) array, each
-    generator's rows in turn.
+    """Draw ``n`` rows (a, b, c) uniformly, redrawing rows with
+    |a| < min_abs_a; returns them as one (n, 3) array.
 
-    A generator yields its accepted rows in draw order and stops after the
-    n-th, so its rows and final state equal those of n draws of one row
-    each. Every generator's first n rows are checked at once; only those
-    that drew a small |a| draw again.
+    The accepted rows come in draw order and drawing stops after the n-th,
+    so the rows and the final state of ``rng`` equal those of n draws of one
+    row each. All n rows are drawn at once; only the shortfall left by small
+    |a| is drawn again.
     """
-    gens = [rngs] if isinstance(rngs, np.random.Generator) else list(rngs)
-    rows = np.array([g.uniform(low, high, size=(n, 3)) for g in gens]).reshape(len(gens), n, 3)
-    keep = np.abs(rows[:, :, 0]) >= min_abs_a
-    for i in np.flatnonzero(~keep.all(axis=1)):
-        kept = rows[i][keep[i]]
-        while kept.shape[0] < n:
-            more = gens[i].uniform(low, high, size=(n - kept.shape[0], 3))
-            kept = np.concatenate((kept, more[np.abs(more[:, 0]) >= min_abs_a]))
-        rows[i] = kept
-    return rows.reshape(-1, 3)
+    rows = rng.uniform(low, high, size=(n, 3))
+    kept = rows[np.abs(rows[:, 0]) >= min_abs_a]
+    while kept.shape[0] < n:
+        more = rng.uniform(low, high, size=(n - kept.shape[0], 3))
+        kept = np.concatenate((kept, more[np.abs(more[:, 0]) >= min_abs_a]))
+    return kept
 
 
 def sample_random_params(

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from glct import LctParams, ProductContext, SignalNd, block_rows, gfrft_nd, sample_random_params
+from glct import LctParams, ProductContext, SignalNd, block_rows, gfrft_nd
 from glct import experiments as xp
 from glct.experiments import _ranks as ranks
 from glct.cli import main
 from glct.io import fmt_num, read_graph, read_signal, write_signal
+from glct.params import sample_abc
 
 
 def run(*argv):
@@ -281,13 +282,12 @@ class TestCompress:
 
     def test_search_draws_budget_once_for_all_ratios(self, tmp_path, monkeypatch):
         draws, ranked = [], []
-        monkeypatch.setattr(xp, "sample_random_params",
-                            lambda rng: draws.append(1) or sample_random_params(rng))
+        monkeypatch.setattr(xp, "sample_abc", lambda rng, n: draws.append(n) or sample_abc(rng, n))
         monkeypatch.setattr(xp, "_ranks", lambda coeffs: ranked.append(len(coeffs)) or ranks(coeffs))
         budget = block_rows(40) + 1
         assert run("compress", "--search", budget, "--gammas", "0.2:0.8:0.2",
                    "--n1", 10, "--n2", 4, "--out", tmp_path / "s.json") == 0
-        assert len(draws) == budget and sum(ranked) == budget  # each draw transformed and ranked once
+        assert draws == [budget] and sum(ranked) == budget  # each draw transformed and ranked once
         assert len(json.loads((tmp_path / "s.json").read_text())["rows"]) == 4
 
     def test_rows_equal_one_ratio_calls_in_order(self, tmp_path):

@@ -1,4 +1,5 @@
 """NMSE studies, the complexity model, and the compression pipeline."""
+import json
 import os
 import subprocess
 import sys
@@ -40,7 +41,6 @@ from glct.experiments import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_GAMMAS,
     _keep_largest,
-    _trial_rng,
     best_by_metric,
     study_signal,
 )
@@ -174,6 +174,40 @@ class TestSuites:
         with pytest.raises(ValidationError):
             suite_reversibility(trials=0)
 
+    def test_bool_trials_raise(self):
+        with pytest.raises(ValidationError, match="trials"):
+            suite_reversibility(signals=("x1",), trials=True)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValidationError, match="seed"):
+            suite_reversibility(signals=("x1",), trials=2, seed=-1)
+
+    def test_float_seed_raises(self):
+        with pytest.raises(ValidationError, match="seed"):
+            suite_reversibility(signals=("x1",), trials=2, seed=1.5)
+
+    def test_str_seed_raises(self):
+        with pytest.raises(ValidationError, match="seed"):
+            suite_additivity(signals=("x1",), trials=2, seed="3")
+
+    def test_bool_seed_raises(self):
+        with pytest.raises(ValidationError, match="seed"):
+            suite_reversibility(signals=("x1",), trials=2, seed=True)
+
+    def test_no_signals_raise(self):
+        with pytest.raises(ValidationError, match="signals"):
+            suite_reversibility(signals=(), trials=2)
+
+    def test_no_variants_raise(self):
+        with pytest.raises(ValidationError, match="variants"):
+            suite_additivity(signals=("x1",), trials=2, variants=())
+
+    def test_numpy_int_seed_is_stored_as_int(self):
+        (report,) = suite_reversibility(signals=("x1",), trials=2, seed=np.uint64(5), variants=("cmccm",))
+        (plain,) = suite_reversibility(signals=("x1",), trials=2, seed=5, variants=("cmccm",))
+        assert type(report.seed) is int and report.seed == 5
+        assert json.loads(json.dumps(report.summary_dict())) == plain.summary_dict()
+
     def test_unknown_signal_raises_before_any_work(self, monkeypatch):
         def no_context(*args, **kwargs):
             raise AssertionError("a ProductContext was built before the names were checked")
@@ -193,7 +227,7 @@ class TestSuites:
         for r in reports:
             loop = []
             for t in range(trials):
-                rng = _trial_rng(seed, BENCHMARK_SIGNALS.index(name), t)
+                rng = np.random.default_rng(np.random.SeedSequence((seed, BENCHMARK_SIGNALS.index(name), t)))
                 if kind == "additivity":
                     p1, p2 = sample_random_params(rng), sample_random_params(rng)
                     loop.append(nmse_additivity(x, p1, p2, ctx, r.variant))
@@ -209,7 +243,7 @@ _FROZEN_SUITE_CHECK = """
 import numpy as np
 from glct import LctParams, ProductContext, ZeroBVariant, benchmark_signal, compose, inverse
 from glct import cddhfs_decompose, cmccm_block, cddhfs_block, cmccm_decompose, suite_additivity, suite_reversibility
-from glct.experiments import BENCHMARK_SIGNALS, _trial_rng
+from glct.experiments import BENCHMARK_SIGNALS
 from glct.graphs import GsoKind
 from glct.product import block_rows
 
@@ -247,7 +281,7 @@ def frozen_suite(kind, name, trials, seed, variant, gso, zb):
     sig_index = BENCHMARK_SIGNALS.index(name)
     graph, x = benchmark_signal(name)
     ctx = ProductContext(graph, gso)
-    rngs = (_trial_rng(seed, sig_index, t) for t in range(trials))
+    rngs = (np.random.default_rng(np.random.SeedSequence((seed, sig_index, t))) for t in range(trials))
     if kind == "additivity":
         nmse, drawn = additivity, [(sample(rng), sample(rng)) for rng in rngs]
         params = tuple((p1.astuple(), p2.astuple()) for p1, p2 in drawn)

@@ -298,7 +298,7 @@ class TestSampleAbc:
         for min_abs_a in (0.05, 1.5):
             gens = [np.random.default_rng(s) for s in range(40)]
             refs = [np.random.default_rng(s) for s in range(40)]
-            rows = sample_abc(gens, 3, min_abs_a=min_abs_a)
+            rows = np.concatenate([sample_abc(g, 3, min_abs_a=min_abs_a) for g in gens])
             want = [sample_random_params(r, min_abs_a=min_abs_a).astuple()[:3] for r in refs for _ in range(3)]
             assert rows.tobytes() == _bytes(want)
             assert all(g.random() == r.random() for g, r in zip(gens, refs))
