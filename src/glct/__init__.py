@@ -25,12 +25,9 @@ from .graphs import (
 )
 from .kernels import FactorDecomposition, decompose_graph
 from .params import (
-    CddhfsParams,
-    CmCcCmBranch,
-    CmCcCmParams,
     LctParams,
     ParamBlock,
-    Program,
+    ProgramGroup,
     ZeroBVariant,
     cddhfs_decompose,
     cmccm_decompose,

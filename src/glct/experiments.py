@@ -47,11 +47,12 @@ from .product import (
     ProductContext,
     SignalNd,
     block_rows,
+    cddhfs_block,
+    cmccm_block,
     gfrft_block,
     gfrft_nd,
     glct_cddhfs_nd,
     glct_cmccm_nd,
-    program_block,
 )
 from .seeding import trial_abc
 
@@ -131,8 +132,9 @@ def _glct_block(
 ) -> np.ndarray:
     """Row t of ``values`` (T, P) through :func:`apply_glct` with row t of ``params``."""
     _check_variant(variant)
-    groups = params.cddhfs() if variant == "cddhfs" else params.cmccm(zero_b_variant)
-    return program_block(values, groups, ctx)
+    if variant == "cddhfs":
+        return cddhfs_block(values, params, ctx)
+    return cmccm_block(values, params, ctx, zero_b_variant)
 
 
 def _rows(x: SignalNd, t: int) -> np.ndarray:
@@ -298,6 +300,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_seed(seed) -> int:
+    """A master seed, a non-negative integer (numpy ints accepted), as an int."""
+    if not _is_int(seed) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _suite(
     kind: str,
     signals: Sequence[str],
@@ -307,8 +316,7 @@ def _suite(
     gso_kind: GsoKind,
     zero_b_variant: ZeroBVariant,
 ) -> list[NmseReport]:
-    if not _is_int(seed) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    seed, zero_b_variant = _check_seed(seed), ZeroBVariant(zero_b_variant)
     if not _is_int(trials) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     signals, variants = tuple(signals), tuple(variants)
@@ -316,7 +324,7 @@ def _suite(
         raise ValidationError("signals must name at least one benchmark signal")
     if not variants:
         raise ValidationError(f"variants must name at least one of {VARIANTS}")
-    seed, trials = int(seed), int(trials)
+    trials = int(trials)
     for v in variants:
         _check_variant(v)
     unknown = [name for name in signals if name not in BENCHMARK_SIGNALS]
@@ -567,8 +575,8 @@ DEFAULT_ALPHA_GRID = tuple(round(0.05 * k, 2) for k in range(21))
 
 def study_signal(n1: int = 100, n2: int = 15, seed: int = 0) -> tuple[ProductGraph, SignalNd]:
     """Default compression-study setup: ring x path with uniform [-10, 10] data."""
+    rng = np.random.default_rng(np.random.SeedSequence((_check_seed(seed),)))
     graph = cartesian_product([make_family("ring", n1), make_family("path", n2)])
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     values = rng.uniform(-10.0, 10.0, size=graph.n)
     return graph, SignalNd(graph.shape, values)
 
@@ -621,8 +629,9 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
     """:func:`search_glct_params` at every ratio of ``gammas``, one report per
     ratio, over one draw of the budget: each block of draws is transformed
     forward and ranked once, then reconstructed once per ratio."""
-    if budget < 1:
-        raise ValidationError("search budget must be >= 1")
+    if not _is_int(budget) or budget < 1:
+        raise ValidationError(f"search budget must be >= 1, as an integer; got {budget!r}")
+    budget, seed = int(budget), _check_seed(seed)
     if metric not in ("re", "nrms", "cc"):
         raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
     gammas = [_check_gamma(g) for g in gammas]

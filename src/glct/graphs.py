@@ -30,6 +30,10 @@ class GsoKind(enum.Enum):
     LAPLACIAN = "laplacian"
     ADJACENCY = "adjacency"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"unknown shift operator {value!r}; choose laplacian or adjacency")
+
 
 @dataclass(frozen=True)
 class Graph:

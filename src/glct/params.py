@@ -14,14 +14,15 @@ factorizations into elementary graph operations are supported:
 
 Both are programs of ops: ``cm`` (chirp, rate xi), ``ft``/``ift`` (transform
 and inverse), ``frac`` (fractional transform, order alpha) and ``scale`` (shift
-operator over sigma), exposed as ``kinds``, ``rates`` and ``phase``.
+operator over sigma). A :class:`ProgramGroup` holds the program of many rows:
+its op ``kinds``, the member ``rows``, their ``rates`` and their ``phases``.
 
 Many parameter sets at once are a :class:`ParamBlock`, a (T, 4) array of
 (a, b, c, d) rows. The 2x2 matrices with unit determinant form a group, so
 validation, inverse, composition and both factorizations are arithmetic on
-its columns, and a factorization yields :class:`ProgramGroup` rows that the
-block executor of :mod:`glct.product` runs without per-row objects.
-``cmccm_decompose`` and ``cddhfs_decompose`` are the one-row case.
+its columns, and a factorization yields the groups that the block executor
+of :mod:`glct.product` runs. ``cmccm_decompose`` and ``cddhfs_decompose``
+are the one-row case and return one group of one row.
 """
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ from .errors import ValidationError
 
 DET_TOL = 1e-9
 ZERO_B_TOL = 1e-9
+#: How far ad - bc may stray from 1 in a parameter set rounded for print.
+LOOSE_DET_TOL = 0.02
 
 
 class ZeroBVariant(enum.Enum):
@@ -48,11 +51,9 @@ class ZeroBVariant(enum.Enum):
     EQ30 = "eq30"
     EQ31 = "eq31"
 
-
-class CmCcCmBranch(enum.Enum):
-    GENERAL = "general-b"
-    ZERO_B_EQ30 = "eq30"
-    ZERO_B_EQ31 = "eq31"
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"unknown zero-b variant {value!r}; choose eq30 or eq31")
 
 
 #: Ops that take a rate: chirp rate, fractional order, scale factor.
@@ -60,23 +61,25 @@ RATED_KINDS = frozenset(("cm", "frac", "scale"))
 
 _GENERAL_B = ("cm", "ft", "cm", "ift", "cm")
 #: Op kinds of each factorization, in the order they are applied, keyed by
-#: cmccm branch value or "cddhfs".
+#: cmccm branch ("general-b", or the zero-b variant) or "cddhfs".
 KINDS = {
-    CmCcCmBranch.GENERAL.value: _GENERAL_B,
-    CmCcCmBranch.ZERO_B_EQ30.value: _GENERAL_B + ("ft",),
-    CmCcCmBranch.ZERO_B_EQ31.value: ("ift",) + _GENERAL_B,
+    "general-b": _GENERAL_B,
+    "eq30": _GENERAL_B + ("ft",),
+    "eq31": ("ift",) + _GENERAL_B,
     "cddhfs": ("frac", "scale", "cm"),
 }
 
 
-@dataclass(frozen=True)
-class Program:
-    """Op kinds in the order they are applied, the rates of the ops in
-    ``RATED_KINDS`` in the same order, and a constant phase."""
+class ProgramGroup(NamedTuple):
+    """The rows ``rows`` of a block that run one program: its op kinds in the
+    order they are applied, the rates of its ops in ``RATED_KINDS`` as a
+    contiguous (R, T) array (row j holds the j-th rated op's rate of every
+    member row) and the member rows' constant phases, or None if all are 1."""
 
     kinds: tuple[str, ...]
-    rates: tuple[float, ...] = ()
-    phase: complex = 1.0
+    rows: np.ndarray
+    rates: np.ndarray
+    phases: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -115,16 +118,16 @@ class LctParams:
         return cls(a, b, c, (1.0 + b * c) / a)
 
     @classmethod
-    def from_loose(cls, a: float, b: float, c: float, d: float, tol: float = 0.02) -> "LctParams":
+    def from_loose(cls, a: float, b: float, c: float, d: float) -> "LctParams":
         """Accept a rounded parameter set and renormalize d to (1 + bc) / a.
 
         Useful for parameter values printed to two decimals; rejects sets
-        whose determinant is off by more than ``tol``.
+        whose determinant is off by more than ``LOOSE_DET_TOL``.
         """
         det = float(a) * float(d) - float(b) * float(c)
-        if not np.isfinite(det) or abs(det - 1.0) > tol:
+        if not np.isfinite(det) or abs(det - 1.0) > LOOSE_DET_TOL:
             raise ValidationError(
-                f"parameters fail ad - bc = 1 beyond the rounding tolerance {tol:g}; "
+                f"parameters fail ad - bc = 1 beyond the rounding tolerance {LOOSE_DET_TOL:g}; "
                 f"got ad - bc = {det!r}"
             )
         return cls.from_abc(a, b, c)
@@ -150,71 +153,6 @@ def compose(p1: LctParams, p2: LctParams) -> LctParams:
     return LctParams(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
-@dataclass(frozen=True)
-class CddhfsParams:
-    """Chirp rate, scale factor, and normalized fractional order."""
-
-    xi: float
-    delta: float
-    alpha_norm: float
-
-    kinds = KINDS["cddhfs"]
-    phase = 1.0
-
-    @property
-    def rates(self) -> tuple[float, float, float]:
-        return (self.alpha_norm, self.delta, self.xi)
-
-
-@dataclass(frozen=True)
-class CmCcCmParams:
-    """Three chirp rates (x1, x2, x3 of D1 V D2 V^T D3) plus a constant phase
-    for one cmccm branch."""
-
-    branch: CmCcCmBranch
-    chirps: tuple[float, float, float]
-    phase: complex
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return KINDS[self.branch.value]
-
-    @property
-    def rates(self) -> tuple[float, float, float]:
-        return self.chirps[::-1]  # D3 is applied first
-
-
-_EQ30_PHASE = complex(np.exp(-1j * np.pi / 4.0))
-_EQ31_PHASE = complex(np.exp(1j * np.pi / 4.0))
-_BRANCH = {KINDS[br.value]: br for br in CmCcCmBranch}
-
-
-class ProgramGroup(NamedTuple):
-    """The rows ``rows`` of a block that run one program: its op kinds, the
-    rates as a contiguous (R, T) array (row j holds the j-th rated op's rate
-    of every member row) and the member rows' phases, or None if all are 1."""
-
-    kinds: tuple[str, ...]
-    rows: np.ndarray
-    rates: np.ndarray
-    phases: np.ndarray | None
-
-
-def group_programs(programs: Sequence) -> list[ProgramGroup]:
-    """Stack per-row programs (objects with ``kinds``, ``rates`` and
-    ``phase``) once, one group per distinct op kinds in order of appearance."""
-    kinds = [pr.kinds for pr in programs]
-    groups = []
-    for k in dict.fromkeys(kinds):
-        rows = np.flatnonzero([kk == k for kk in kinds])
-        members = [programs[i] for i in rows]
-        rates = np.array([pr.rates for pr in members], dtype=float).T.copy()
-        phases = [pr.phase for pr in members]
-        phases = np.array(phases, dtype=complex) if any(ph != 1 for ph in phases) else None
-        groups.append(ProgramGroup(k, rows, rates, phases))
-    return groups
-
-
 #: Column arithmetic overflows to inf and NaN silently, as Python floats do.
 _AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
 
@@ -234,12 +172,10 @@ class ParamBlock:
     checks it.
 
     Row t equals ``LctParams(*abcd[t])`` bit for bit, and so do the results
-    of :meth:`inverse`, :meth:`compose`, :meth:`cmccm` and :meth:`cddhfs`
-    against :func:`inverse`, :func:`compose`, :func:`cmccm_decompose` and
-    :func:`cddhfs_decompose`. Composition is a stacked (T, 2, 2) matmul, the
-    same BLAS product as the one-row ``p1.matrix @ p2.matrix``; spelled out
-    elementwise it would round differently wherever the GEMM fuses a
-    multiply-add.
+    of :meth:`inverse` and :meth:`compose` against :func:`inverse` and
+    :func:`compose`. Composition is a stacked (T, 2, 2) matmul, the same BLAS
+    product as the one-row ``p1.matrix @ p2.matrix``; spelled out elementwise
+    it would round differently wherever the GEMM fuses a multiply-add.
     """
 
     __slots__ = ("abcd",)
@@ -314,12 +250,12 @@ class ParamBlock:
         return [ProgramGroup(KINDS["cddhfs"], np.arange(len(self)), rates, None)]
 
     @_AS_FLOATS
-    def cmccm(self, zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
-              b_tol: float = ZERO_B_TOL) -> list[ProgramGroup]:
+    def cmccm(self, zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30) -> list[ProgramGroup]:
         """Every row split into chirp / chirp-convolution / chirp factors: one
-        group for the rows with |b| > ``b_tol`` and one for the others, which
-        take the six-factor form ``zero_b_variant``."""
-        general = np.abs(self.abcd[:, 1]) > b_tol
+        group for the rows with |b| > ``ZERO_B_TOL`` and one for the others,
+        which take the six-factor form ``zero_b_variant``."""
+        zero_b_variant = ZeroBVariant(zero_b_variant)
+        general = np.abs(self.abcd[:, 1]) > ZERO_B_TOL
         if general.all():
             return [_general_b(np.arange(len(self)), self.abcd.T)]
         rows = np.flatnonzero(general)
@@ -330,42 +266,32 @@ class ParamBlock:
         if zero_b_variant is ZeroBVariant.EQ30:
             if (d == 0.0).any():
                 raise ValidationError("zero-b factorization eq30 requires d != 0")
-            branch, phase, rates = CmCcCmBranch.ZERO_B_EQ30, _EQ30_PHASE, ((c + 1.0) / d, d, 1.0 / d)
-        elif zero_b_variant is ZeroBVariant.EQ31:
+            phase, rates = np.exp(-1j * np.pi / 4.0), ((c + 1.0) / d, d, 1.0 / d)
+        else:
             if (a == 0.0).any():
                 raise ValidationError("zero-b factorization eq31 requires a != 0")
-            branch, phase, rates = CmCcCmBranch.ZERO_B_EQ31, _EQ31_PHASE, (-1.0 / a, -a, (c - 1.0) / a)
-        else:
-            raise ValidationError(f"unknown zero-b variant {zero_b_variant!r}")
-        groups.append(ProgramGroup(KINDS[branch.value], rows, np.array(rates), np.full(rows.size, phase)))
+            phase, rates = np.exp(1j * np.pi / 4.0), (-1.0 / a, -a, (c - 1.0) / a)
+        groups.append(ProgramGroup(KINDS[zero_b_variant.value], rows, np.array(rates), np.full(rows.size, phase)))
         return groups
 
 
 def _general_b(rows: np.ndarray, columns: np.ndarray) -> ProgramGroup:
     """The general-b cmccm group of ``rows``, from their (4, R) columns."""
     a, b, _, d = columns
-    return ProgramGroup(KINDS[CmCcCmBranch.GENERAL.value], rows, np.array(((a - 1.0) / b, -b, (d - 1.0) / b)), None)
+    return ProgramGroup(KINDS["general-b"], rows, np.array(((a - 1.0) / b, -b, (d - 1.0) / b)), None)
 
 
-def cddhfs_decompose(p: LctParams) -> CddhfsParams:
+def cddhfs_decompose(p: LctParams) -> ProgramGroup:
     """Split (a, b; c, d) into chirp o scale o fractional-transform factors:
-    the one-row case of :meth:`ParamBlock.cddhfs`."""
-    ((_, _, rates, _),) = ParamBlock.from_params([p]).cddhfs()
-    alpha_norm, delta, xi = rates[:, 0].tolist()
-    return CddhfsParams(xi=xi, delta=delta, alpha_norm=alpha_norm)
+    the one-row case of :meth:`ParamBlock.cddhfs`, rates (alpha_norm, delta, xi)."""
+    return ParamBlock.from_params([p]).cddhfs()[0]
 
 
-def cmccm_decompose(
-    p: LctParams,
-    zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
-    b_tol: float = ZERO_B_TOL,
-) -> CmCcCmParams:
+def cmccm_decompose(p: LctParams, zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30) -> ProgramGroup:
     """Split (a, b; c, d) into chirp / chirp-convolution / chirp factors: the
-    one-row case of :meth:`ParamBlock.cmccm`."""
-    ((kinds, _, rates, phases),) = ParamBlock.from_params([p]).cmccm(zero_b_variant, b_tol)
-    x3, x2, x1 = rates[:, 0].tolist()
-    return CmCcCmParams(branch=_BRANCH[kinds], chirps=(x1, x2, x3),
-                        phase=1.0 + 0.0j if phases is None else complex(phases[0]))
+    one-row case of :meth:`ParamBlock.cmccm`, rates (x3, x2, x1) of
+    D1 V D2 V^T D3 in the order they are applied."""
+    return ParamBlock.from_params([p]).cmccm(zero_b_variant)[0]
 
 
 def _op_matrix(kind: str, rate: float | None) -> np.ndarray:
@@ -382,50 +308,43 @@ def _op_matrix(kind: str, rate: float | None) -> np.ndarray:
     return np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
 
 
-def recompose(program) -> np.ndarray:
-    """Multiply a program's op matrices back into (a, b; c, d), the last op
-    leftmost. The constant phase has no 2x2 counterpart."""
-    rates = iter(program.rates)
+def recompose(group: ProgramGroup) -> np.ndarray:
+    """Multiply the op matrices of a one-row program group back into
+    (a, b; c, d), the last op leftmost. The constant phase has no 2x2
+    counterpart."""
+    if len(group.rows) != 1:
+        raise ValidationError(f"recompose takes a program group of one row, got {len(group.rows)} rows")
+    rates = iter(group.rates[:, 0].tolist())
     m = np.eye(2)
-    for kind in program.kinds:
+    for kind in group.kinds:
         m = _op_matrix(kind, next(rates) if kind in RATED_KINDS else None) @ m
     return m
 
 
-def sample_abc(
-    rng: np.random.Generator,
-    n: int,
-    low: float = -2.0,
-    high: float = 2.0,
-    min_abs_a: float = 0.05,
-) -> np.ndarray:
-    """Draw ``n`` rows (a, b, c) uniformly, redrawing rows with
+def sample_abc(rng: np.random.Generator, n: int, min_abs_a: float = 0.05) -> np.ndarray:
+    """Draw ``n`` rows (a, b, c) uniformly from [-2, 2), redrawing rows with
     |a| < min_abs_a; returns them as one (n, 3) array.
 
     The accepted rows come in draw order and drawing stops after the n-th,
     so the rows and the final state of ``rng`` equal those of n draws of one
     row each. All n rows are drawn at once; only the shortfall left by small
-    |a| is drawn again.
+    |a| is drawn again. The bounds are fixed: :func:`glct.seeding.trial_abc`
+    reproduces these draws with them.
     """
-    rows = rng.uniform(low, high, size=(n, 3))
+    rows = rng.uniform(-2.0, 2.0, size=(n, 3))
     kept = rows[np.abs(rows[:, 0]) >= min_abs_a]
     while kept.shape[0] < n:
-        more = rng.uniform(low, high, size=(n - kept.shape[0], 3))
+        more = rng.uniform(-2.0, 2.0, size=(n - kept.shape[0], 3))
         kept = np.concatenate((kept, more[np.abs(more[:, 0]) >= min_abs_a]))
     return kept
 
 
-def sample_random_params(
-    rng: np.random.Generator | int,
-    low: float = -2.0,
-    high: float = 2.0,
-    min_abs_a: float = 0.05,
-) -> LctParams:
-    """Draw (a, b, c) uniformly and set d = (1 + bc) / a.
+def sample_random_params(rng: np.random.Generator | int, min_abs_a: float = 0.05) -> LctParams:
+    """Draw (a, b, c) uniformly from [-2, 2) and set d = (1 + bc) / a.
 
     Triples with |a| < min_abs_a are redrawn to keep |d| bounded. Accepts a
     seed or a generator; pass a generator to draw a reproducible sequence.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return LctParams.from_abc(*sample_abc(rng, 1, low, high, min_abs_a)[0])
+    return LctParams.from_abc(*sample_abc(rng, 1, min_abs_a)[0])

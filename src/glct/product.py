@@ -1,11 +1,12 @@
 """Transforms on Cartesian product graphs, run from op programs.
 
-A transform is a program (see :mod:`glct.params`): op kinds in the order
-they are applied, the rates of the ops that take one, and a constant phase.
-The factorizations take their kinds from ``glct.params.KINDS`` and the five
-single ops from ``_SINGLE_OPS``. Four interpreters read a program: the block
-executor here, ``dense_operator`` (explicit Kronecker-product matrices, a
-differential-testing oracle), ``mult_count`` and ``glct.params.recompose``.
+A transform is a :class:`~glct.params.ProgramGroup`: op kinds in the order
+they are applied, and the rates of the ops that take one and a constant phase
+for each of its rows. The factorizations take their kinds from
+``glct.params.KINDS`` and the five single ops from ``_SINGLE_OPS``. Four
+interpreters read a program: the block executor here and, on one row,
+``dense_operator`` (explicit Kronecker-product matrices, a differential-testing
+oracle), ``mult_count`` and ``glct.params.recompose``.
 
 Transforms run on blocks: T signals on one graph, one program per row. The
 executor splits a program at its ``scale`` ops, which apply the Kronecker sum
@@ -29,19 +30,7 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import GsoKind, ProductGraph, kronecker_sum
 from .kernels import FactorDecomposition, decompose_graph
-from .params import (
-    RATED_KINDS,
-    CddhfsParams,
-    CmCcCmParams,
-    LctParams,
-    ParamBlock,
-    Program,
-    ProgramGroup,
-    ZeroBVariant,
-    cddhfs_decompose,
-    cmccm_decompose,
-    group_programs,
-)
+from .params import RATED_KINDS, LctParams, ParamBlock, ProgramGroup, ZeroBVariant
 from .spectral import frac_diag_power
 
 DENSE_SIZE_CAP = 4096
@@ -320,18 +309,18 @@ def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: Produ
 
 def gfrft_block(values: np.ndarray, alphas: Sequence[float], ctx: ProductContext) -> np.ndarray:
     """Row t of ``values`` (T, P) through :func:`gfrft_nd` of order ``alphas[t]``."""
-    alphas = np.array(alphas, dtype=float).reshape(1, -1)
-    return program_block(values, [ProgramGroup(("frac",), np.arange(alphas.shape[1]), alphas, None)], ctx)
+    return program_block(values, [_single("gfrft", alphas)], ctx)
 
 
-def cddhfs_block(values: np.ndarray, dps: Sequence[CddhfsParams], ctx: ProductContext) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`glct_cddhfs_nd` with ``dps[t]``."""
-    return program_block(values, group_programs(dps), ctx)
+def cddhfs_block(values: np.ndarray, params: ParamBlock, ctx: ProductContext) -> np.ndarray:
+    """Row t of ``values`` (T, P) through :func:`glct_cddhfs_nd` with row t of ``params``."""
+    return program_block(values, params.cddhfs(), ctx)
 
 
-def cmccm_block(values: np.ndarray, cps: Sequence[CmCcCmParams], ctx: ProductContext) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`glct_cmccm_nd` with ``cps[t]``."""
-    return program_block(values, group_programs(cps), ctx)
+def cmccm_block(values: np.ndarray, params: ParamBlock, ctx: ProductContext,
+                zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30) -> np.ndarray:
+    """Row t of ``values`` (T, P) through :func:`glct_cmccm_nd` with row t of ``params``."""
+    return program_block(values, params.cmccm(zero_b_variant), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +334,25 @@ _SINGLE_OPS = {
     "gcm": (("cm",), "xi"),
     "gscale": (("scale",), "sigma"),
 }
-#: The factorized ops: op name -> program of its (a, b; c, d) and zero-b variant.
+#: The factorized ops: op name -> programs of a parameter block and zero-b variant.
 _FACTORIZED = {
-    "glct_cddhfs": lambda p, zero_b_variant: cddhfs_decompose(p),
-    "glct_cmccm": cmccm_decompose,
+    "glct_cddhfs": lambda params, zero_b_variant: params.cddhfs(),
+    "glct_cmccm": ParamBlock.cmccm,
 }
 OPS = (*_SINGLE_OPS, *_FACTORIZED)
 
 
-def _single(op: str, rate: float | None = None) -> Program:
-    """The program of one single op, its rate already a float."""
+def _single(op: str, rates: float | Sequence[float] = ()) -> ProgramGroup:
+    """The program of one single op on one row, or on T rows for T rates."""
     kinds, key = _SINGLE_OPS[op]
     if key is None:
-        return Program(kinds)
-    if kinds == ("scale",) and rate == 0:
+        return ProgramGroup(kinds, np.arange(1), np.empty((0, 1)), None)
+    rates = np.array(rates, dtype=float).reshape(1, -1)
+    if not np.isfinite(rates).all():
+        raise ValidationError(f"op {op!r} needs a finite {key}, got {rates[~np.isfinite(rates)][0]}")
+    if kinds == ("scale",) and (rates == 0).any():
         raise ValidationError("scaling factor must be nonzero")
-    return Program(kinds, (rate,))
+    return ProgramGroup(kinds, np.arange(rates.shape[1]), rates, None)
 
 
 def _one(x: SignalNd, groups: Sequence[ProgramGroup], ctx: ProductContext) -> SignalNd:
@@ -371,12 +363,12 @@ def _one(x: SignalNd, groups: Sequence[ProgramGroup], ctx: ProductContext) -> Si
 
 def gft_nd(x: SignalNd, ctx: ProductContext) -> SignalNd:
     """Separable analysis transform: factor-k matrix along axis k."""
-    return _one(x, group_programs([_single("gft")]), ctx)
+    return _one(x, [_single("gft")], ctx)
 
 
 def igft_nd(xhat: SignalNd, ctx: ProductContext) -> SignalNd:
     """Inverse of :func:`gft_nd`."""
-    return _one(xhat, group_programs([_single("igft")]), ctx)
+    return _one(xhat, [_single("igft")], ctx)
 
 
 def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
@@ -385,17 +377,17 @@ def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
     Along axis k this is P diag(mu**alpha) P^H with (P, mu) the unitary
     eigendecomposition of the factor's transform matrix.
     """
-    return _one(x, group_programs([_single("gfrft", alpha_norm)]), ctx)
+    return _one(x, [_single("gfrft", alpha_norm)], ctx)
 
 
 def gcm_nd(x: SignalNd, xi: float, ctx: ProductContext) -> SignalNd:
     """Chirp multiplication by the Kronecker product of per-factor diagonals."""
-    return _one(x, group_programs([_single("gcm", xi)]), ctx)
+    return _one(x, [_single("gcm", xi)], ctx)
 
 
 def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
     """Scaling transform: apply the Kronecker-sum shift operator over sigma."""
-    return _one(x, group_programs([_single("gscale", sigma)]), ctx)
+    return _one(x, [_single("gscale", sigma)], ctx)
 
 
 def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
@@ -470,10 +462,11 @@ class TransformSpec:
             raise ValidationError(f"op {self.op!r} needs params['abcd'] = (a, b, c, d)") from exc
         return LctParams(a, b, c, d)
 
-    def program(self):
-        """The described transform as a program (see :mod:`glct.params`)."""
+    def program(self) -> ProgramGroup:
+        """The described transform as a program group of one row."""
         if self.op in _FACTORIZED:
-            return _FACTORIZED[self.op](self.abcd(), ZeroBVariant(self.zero_b_variant))
+            (group,) = _FACTORIZED[self.op](ParamBlock.from_params([self.abcd()]), self.zero_b_variant)
+            return group
         key = _SINGLE_OPS[self.op][1]
         if key is None:
             return _single(self.op)
@@ -481,8 +474,6 @@ class TransformSpec:
             rate = float(self.params[key])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"op {self.op!r} needs a number params[{key!r}]") from exc
-        if not math.isfinite(rate):
-            raise ValidationError(f"op {self.op!r} needs a finite params[{key!r}], got {rate}")
         return _single(self.op, rate)
 
 
@@ -490,7 +481,7 @@ def apply_spec(x: SignalNd, spec: TransformSpec, ctx: ProductContext) -> SignalN
     """Apply the described transform using the factored implementation."""
     if ctx.kind.value != spec.gso:
         raise ValidationError(f"context uses gso {ctx.kind.value!r} but spec asks {spec.gso!r}")
-    return _one(x, group_programs([spec.program()]), ctx)
+    return _one(x, [spec.program()], ctx)
 
 
 def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -523,13 +514,13 @@ def dense_operator(spec: TransformSpec, graph: ProductGraph) -> np.ndarray:
     if graph.n > DENSE_SIZE_CAP:
         raise ValidationError(f"dense operator capped at {DENSE_SIZE_CAP} vertices, got {graph.n}")
     ctx = ProductContext(graph, GsoKind(spec.gso))
-    program = spec.program()
-    rates = iter(program.rates)
+    kinds, _, rates, phases = spec.program()
+    rates = iter(rates[:, 0].tolist())
     out = None
-    for kind in program.kinds:
+    for kind in kinds:
         op = _dense_op(kind, next(rates) if kind in RATED_KINDS else None, ctx)
         out = op if out is None else op @ out
-    return program.phase * out
+    return (1.0 if phases is None else complex(phases[0])) * out
 
 
 #: Real multiplications of one op per (P * sum(N_k), P), P the signal's entry count.
@@ -555,6 +546,6 @@ def mult_count(spec: TransformSpec, shape: Sequence[int]) -> int:
         raise ValidationError(f"invalid shape {shape}")
     p = math.prod(shape)
     ps = p * sum(shape)
-    program = spec.program()
-    count = sum(_OP_MULTS[kind][0] * ps + _OP_MULTS[kind][1] * p for kind in program.kinds)
-    return count + (4 * p if program.phase != 1 else 0)
+    kinds, _, _, phases = spec.program()
+    count = sum(_OP_MULTS[kind][0] * ps + _OP_MULTS[kind][1] * p for kind in kinds)
+    return count + (4 * p if phases is not None else 0)

@@ -152,13 +152,13 @@ def _bound(residual: float, tol: float, what: str) -> None:
         raise NumericalError(f"unitary eigenvalue stage: {what} {residual:.3g} not below {tol:g}")
 
 
-def eig_unitary_angles(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> UnitaryAngles:
+def eig_unitary_angles(f: np.ndarray) -> UnitaryAngles:
     """Eigenvalues of a real orthogonal matrix, without its eigenvectors.
 
     Because ``f`` is normal, its Hermitian and skew parts commute; the skew
     part is diagonalized inside each eigenspace of the symmetric part, which
     needs only symmetric eigensolvers. Those eigenspaces are the clusters of
-    the symmetric part's eigenvalues, split at gaps above ``gap_tol``, with
+    the symmetric part's eigenvalues, split at gaps above ``_CLUSTER_GAP``, with
     eigenvectors ``q``. The product ``g = q.T @ f @ q`` is formed once; for
     a cluster's diagonal block ``g_c``, the Hermitian matrix
     ``(g_c - g_c.T) / 2j`` has the eigenvectors ``w`` that diagonalize ``f``
@@ -186,7 +186,7 @@ def eig_unitary_angles(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> Unita
     h, q = np.linalg.eigh((f + f.T) / 2.0)
     g = q.T @ f @ q
     mu = np.diagonal(g).astype(complex)
-    starts, sizes = _runs(h[1:] - h[:-1] > gap_tol)
+    starts, sizes = _runs(h[1:] - h[:-1] > _CLUSTER_GAP)
     clusters, solved = [], []
     for m in sorted(set(sizes.tolist()) - {1}):
         idx = starts[sizes == m][:, None] + np.arange(m)  # (clusters, m) column indices
@@ -249,13 +249,13 @@ def eig_unitary_vectors(stage: UnitaryAngles) -> FourierEigen:
     return FourierEigen(vectors=p, values=mu, source=f)
 
 
-def eig_unitary(f: np.ndarray, *, gap_tol: float = _CLUSTER_GAP) -> FourierEigen:
+def eig_unitary(f: np.ndarray) -> FourierEigen:
     """Unitary eigendecomposition of a real orthogonal matrix.
 
     The values stage :func:`eig_unitary_angles` followed by the eigenvector
     stage :func:`eig_unitary_vectors`; see those for the method and bounds.
     """
-    return eig_unitary_vectors(eig_unitary_angles(f, gap_tol=gap_tol))
+    return eig_unitary_vectors(eig_unitary_angles(f))
 
 
 def principal_angle(mu: np.ndarray) -> np.ndarray:

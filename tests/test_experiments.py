@@ -194,6 +194,11 @@ class TestSuites:
         with pytest.raises(ValidationError, match="seed"):
             suite_reversibility(signals=("x1",), trials=2, seed=True)
 
+    @pytest.mark.parametrize("variants", [("cmccm",), ("cddhfs",)])
+    def test_unknown_zero_b_variant_raises(self, variants):
+        with pytest.raises(ValidationError, match="zero-b"):
+            suite_reversibility(signals=("x1",), trials=2, variants=variants, zero_b_variant="eq99")
+
     def test_no_signals_raise(self):
         with pytest.raises(ValidationError, match="signals"):
             suite_reversibility(signals=(), trials=2)
@@ -241,8 +246,8 @@ class TestSuites:
 
 _FROZEN_SUITE_CHECK = """
 import numpy as np
-from glct import LctParams, ProductContext, ZeroBVariant, benchmark_signal, compose, inverse
-from glct import cddhfs_decompose, cmccm_block, cddhfs_block, cmccm_decompose, suite_additivity, suite_reversibility
+from glct import LctParams, ParamBlock, ProductContext, ZeroBVariant, benchmark_signal, compose, inverse
+from glct import cmccm_block, cddhfs_block, suite_additivity, suite_reversibility
 from glct.experiments import BENCHMARK_SIGNALS
 from glct.graphs import GsoKind
 from glct.product import block_rows
@@ -256,9 +261,10 @@ def sample(rng):
 
 
 def glct_block(values, params, ctx, variant, zb):
+    params = ParamBlock.from_params(params)
     if variant == "cddhfs":
-        return cddhfs_block(values, [cddhfs_decompose(p) for p in params], ctx)
-    return cmccm_block(values, [cmccm_decompose(p, zb) for p in params], ctx)
+        return cddhfs_block(values, params, ctx)
+    return cmccm_block(values, params, ctx, zb)
 
 
 def additivity(x, pairs, ctx, variant, zb):
@@ -491,6 +497,26 @@ class TestStudy:
             want = manual[int(np.argmin(scores))]
             assert rep.params == want.params
             assert getattr(rep, metric) == pytest.approx(getattr(want, metric), rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [0, -2, 2.5, True, "3"])
+    def test_search_budget_must_be_a_positive_int(self, small_study, budget):
+        ctx, x = small_study
+        with pytest.raises(ValidationError, match="budget"):
+            search_glct_params(x, ctx, gamma=0.5, budget=budget)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_search_and_study_seed_must_be_a_non_negative_int(self, small_study, seed):
+        ctx, x = small_study
+        with pytest.raises(ValidationError, match="seed"):
+            search_glct_params(x, ctx, gamma=0.5, budget=2, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            compression_study(seed=seed, n1=10, n2=4)
+
+    def test_search_and_study_take_numpy_ints(self, small_study):
+        ctx, x = small_study
+        assert search_glct_params(x, ctx, 0.5, budget=np.int64(3), seed=np.uint8(1)) == \
+            search_glct_params(x, ctx, 0.5, budget=3, seed=1)
+        assert study_signal(10, 4, np.int32(2))[1].values.tobytes() == study_signal(10, 4, 2)[1].values.tobytes()
 
     def test_search_returns_best_of_budget(self, small_study):
         ctx, x = small_study

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from glct import (
-    CmCcCmBranch,
     LctParams,
     ValidationError,
     ZeroBVariant,
@@ -14,7 +13,7 @@ from glct import (
     recompose,
     sample_random_params,
 )
-from glct.params import DET_TOL, KINDS, ZERO_B_TOL, ParamBlock, group_programs, sample_abc
+from glct.params import DET_TOL, KINDS, ZERO_B_TOL, ParamBlock, sample_abc
 
 
 class TestValidation:
@@ -66,19 +65,20 @@ class TestGroupOps:
 
 
 class TestCddhfsDecompose:
+    # rates in applied order: fractional order alpha_norm, scale delta, chirp xi
     def test_plain_transform_params(self):
-        dp = cddhfs_decompose(LctParams(0, 1, -1, 0))
-        assert (dp.xi, dp.delta, dp.alpha_norm) == pytest.approx((0.0, 1.0, 1.0))
+        group = cddhfs_decompose(LctParams(0, 1, -1, 0))
+        assert group.kinds == KINDS["cddhfs"] and group.phases is None
+        assert tuple(group.rates[:, 0]) == pytest.approx((1.0, 1.0, 0.0))
 
     def test_identity_params(self):
-        dp = cddhfs_decompose(LctParams(1, 0, 0, 1))
-        assert (dp.xi, dp.delta, dp.alpha_norm) == pytest.approx((0.0, 1.0, 0.0))
+        assert tuple(cddhfs_decompose(LctParams(1, 0, 0, 1)).rates[:, 0]) == pytest.approx((0.0, 1.0, 0.0))
 
     def test_hand_evaluated_case(self):
-        dp = cddhfs_decompose(LctParams(0.6, 0.8, -0.5, 1.0))
-        assert dp.xi == pytest.approx(0.5)
-        assert dp.delta == pytest.approx(1.0)
-        assert dp.alpha_norm == pytest.approx(np.arctan2(0.8, 0.6) / (np.pi / 2))
+        alpha_norm, delta, xi = cddhfs_decompose(LctParams(0.6, 0.8, -0.5, 1.0)).rates[:, 0]
+        assert xi == pytest.approx(0.5)
+        assert delta == pytest.approx(1.0)
+        assert alpha_norm == pytest.approx(np.arctan2(0.8, 0.6) / (np.pi / 2))
 
     def test_recompose_round_trip(self):
         rng = np.random.default_rng(7)
@@ -87,25 +87,31 @@ class TestCddhfsDecompose:
             m = recompose(cddhfs_decompose(p))
             assert np.abs(m - p.matrix).max() < 1e-9
 
+    def test_recompose_takes_one_row(self):
+        (group,) = ParamBlock([(0.6, 0.8, -0.5, 1.0)] * 2).cddhfs()
+        with pytest.raises(ValidationError, match="one row"):
+            recompose(group)
+
 
 class TestCmCcCmDecompose:
+    # rates in applied order: chirp rates x3, x2, x1 of D1 V D2 V^T D3
     def test_general_branch_chirps(self):
-        cp = cmccm_decompose(LctParams(1, 1, 0, 1))
-        assert cp.branch is CmCcCmBranch.GENERAL
-        assert cp.chirps == pytest.approx((0.0, -1.0, 0.0))
-        assert cp.phase == 1.0
+        group = cmccm_decompose(LctParams(1, 1, 0, 1))
+        assert group.kinds == KINDS["general-b"]
+        assert tuple(group.rates[:, 0]) == pytest.approx((0.0, -1.0, 0.0))
+        assert group.phases is None
 
     def test_zero_b_eq30(self):
-        cp = cmccm_decompose(LctParams(1, 0, 0, 1), ZeroBVariant.EQ30)
-        assert cp.branch is CmCcCmBranch.ZERO_B_EQ30
-        assert cp.chirps == pytest.approx((1.0, 1.0, 1.0))
-        assert cp.phase == pytest.approx(np.exp(-1j * np.pi / 4))
+        group = cmccm_decompose(LctParams(1, 0, 0, 1), ZeroBVariant.EQ30)
+        assert group.kinds == KINDS["eq30"]
+        assert tuple(group.rates[:, 0]) == pytest.approx((1.0, 1.0, 1.0))
+        assert group.phases[0] == pytest.approx(np.exp(-1j * np.pi / 4))
 
     def test_zero_b_eq31(self):
-        cp = cmccm_decompose(LctParams(1, 0, 0, 1), ZeroBVariant.EQ31)
-        assert cp.branch is CmCcCmBranch.ZERO_B_EQ31
-        assert cp.chirps == pytest.approx((-1.0, -1.0, -1.0))
-        assert cp.phase == pytest.approx(np.exp(1j * np.pi / 4))
+        group = cmccm_decompose(LctParams(1, 0, 0, 1), ZeroBVariant.EQ31)
+        assert group.kinds == KINDS["eq31"]
+        assert tuple(group.rates[:, 0]) == pytest.approx((-1.0, -1.0, -1.0))
+        assert group.phases[0] == pytest.approx(np.exp(1j * np.pi / 4))
 
     def test_recompose_round_trip_general(self):
         rng = np.random.default_rng(8)
@@ -125,8 +131,8 @@ class TestCmCcCmDecompose:
     def test_inverse_negates_general_chirps_in_reverse(self):
         # the factor-wise cancellation behind exact reversibility
         p = LctParams.from_abc(0.9, -1.3, 0.4)
-        fwd = cmccm_decompose(p).chirps
-        bwd = cmccm_decompose(inverse(p)).chirps
+        fwd = cmccm_decompose(p).rates[:, 0]
+        bwd = cmccm_decompose(inverse(p)).rates[:, 0]
         assert bwd[0] == -fwd[2] and bwd[1] == -fwd[1] and bwd[2] == -fwd[0]
 
 
@@ -246,7 +252,7 @@ class TestParamBlock:
         assert group.kinds == KINDS["cddhfs"] and group.phases is None
         np.testing.assert_array_equal(group.rows, np.arange(len(draws)))
         assert group.rates.flags.c_contiguous
-        want = _bytes([cddhfs_decompose(p).rates for p in draws])
+        want = _bytes([cddhfs_decompose(p).rates[:, 0] for p in draws])
         assert group.rates.T.tobytes() == want == _bytes([_frozen_cddhfs(*p.astuple()) for p in draws])
 
     @pytest.mark.parametrize("variant", [ZeroBVariant.EQ30, ZeroBVariant.EQ31])
@@ -258,22 +264,15 @@ class TestParamBlock:
             assert rates.flags.c_contiguous and rates.shape == (3, len(rows))
             scalar = [cmccm_decompose(draws[i], variant) for i in rows]
             frozen = [_frozen_cmccm(*draws[i].astuple(), variant) for i in rows]
-            assert all(KINDS[cp.branch.value] == kinds for cp in scalar)
+            assert all(cp.kinds == kinds and (cp.phases is None) == (phases is None) for cp in scalar)
             assert all(KINDS[branch] == kinds for branch, _, _ in frozen)
-            assert rates.T.tobytes() == _bytes([cp.rates for cp in scalar]) == _bytes([f[1] for f in frozen])
-            phase = [cp.phase for cp in scalar]
+            assert rates.T.tobytes() == _bytes([cp.rates[:, 0] for cp in scalar]) == _bytes([f[1] for f in frozen])
+            phase = [1.0 + 0.0j if cp.phases is None else complex(cp.phases[0]) for cp in scalar]
             assert phase == [f[2] for f in frozen]
             if phases is None:
                 assert phase == [1.0] * len(rows)
             else:
                 assert phases.tobytes() == np.array(phase, dtype=complex).tobytes()
-        # the one-row edge stacks the per-row dataclasses into the same groups
-        stacked = group_programs([cmccm_decompose(p, variant) for p in draws])
-        for got, want in zip(stacked, groups):
-            assert got.kinds == want.kinds
-            assert got.rows.tobytes() == want.rows.tobytes() and got.rates.tobytes() == want.rates.tobytes()
-            assert (got.phases is None) == (want.phases is None)
-            assert got.phases is None or got.phases.tobytes() == want.phases.tobytes()
 
     @pytest.mark.parametrize("variant,row", [
         (ZeroBVariant.EQ30, (5.0, 1e-10, -1e10, 0.0)),
@@ -290,6 +289,20 @@ class TestParamBlock:
         # the general-b branch never divides by d or a
         other = ZeroBVariant.EQ31 if variant is ZeroBVariant.EQ30 else ZeroBVariant.EQ30
         ParamBlock([row]).cmccm(other)
+
+    @pytest.mark.parametrize("rows", [[(0.6, 0.8, -0.5, 1.0)], [(1.0, 0.0, 0.0, 1.0)]], ids=["general-b", "zero-b"])
+    @pytest.mark.parametrize("variant", ["eq99", "EQ30", None, 30])
+    def test_unknown_zero_b_variant_raises_whatever_the_rows(self, rows, variant):
+        with pytest.raises(ValidationError, match="unknown zero-b variant"):
+            ParamBlock(rows).cmccm(variant)
+        with pytest.raises(ValidationError, match="unknown zero-b variant"):
+            cmccm_decompose(LctParams(*rows[0]), variant)
+
+    @pytest.mark.parametrize("variant", ZeroBVariant)
+    def test_zero_b_variant_by_value(self, variant):
+        for row in ((0.6, 0.8, -0.5, 1.0), (1.0, 0.0, 0.0, 1.0)):
+            (by_value,), (by_member,) = ParamBlock([row]).cmccm(variant.value), ParamBlock([row]).cmccm(variant)
+            assert by_value.kinds == by_member.kinds and by_value.rates.tobytes() == by_member.rates.tobytes()
 
 
 class TestSampleAbc:

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from glct import (
-    CmCcCmBranch,
     Graph,
     GsoKind,
     LctParams,
@@ -19,6 +18,7 @@ from glct import (
     cddhfs_decompose,
     cmccm_block,
     cmccm_decompose,
+    compress_gfrft,
     dense_operator,
     gcm_nd,
     gfrft_block,
@@ -36,6 +36,7 @@ from glct import (
     kronecker_sum,
     sample_random_params,
 )
+from glct.params import KINDS, ParamBlock
 from glct import cli, kernels
 from glct.experiments import BENCHMARK_SIGNALS, benchmark_signal
 from glct.io import write_graph, write_signal
@@ -259,6 +260,12 @@ class TestTransformSpec:
         with pytest.raises(ValidationError):
             TransformSpec("dct")
 
+    @pytest.mark.parametrize("field", [{"gso": "lap"}, {"zero_b_variant": "eq99"}], ids=["gso", "zero-b"])
+    @pytest.mark.parametrize("abcd", [GENERAL_ABCD, ZERO_B_ABCD], ids=["general-b", "zero-b"])
+    def test_unknown_enum_value_raises(self, field, abcd):
+        with pytest.raises(ValidationError, match="unknown"):
+            TransformSpec("glct_cmccm", {"abcd": abcd}, **field)
+
     def test_gso_mismatch_raises(self, ctx_ring4_path3):
         spec = TransformSpec("gft", gso="adjacency")
         with pytest.raises(ValidationError):
@@ -268,7 +275,8 @@ class TestTransformSpec:
         with pytest.raises(ValidationError):
             TransformSpec("glct_cmccm").abcd()
 
-    @pytest.mark.parametrize("value", [None, "fast"], ids=["missing", "non-numeric"])
+    @pytest.mark.parametrize("value", [None, "fast", float("nan"), float("-inf")],
+                             ids=["missing", "non-numeric", "nan", "-inf"])
     @pytest.mark.parametrize("op,key", [("gfrft", "alpha"), ("gcm", "xi"), ("gscale", "sigma")])
     def test_bad_rate_raises(self, ctx_ring4_path3, op, key, value):
         spec = TransformSpec(op, {} if value is None else {key: value})
@@ -278,6 +286,19 @@ class TestTransformSpec:
             dense_operator(spec, ctx_ring4_path3.graph)
         with pytest.raises(ValidationError):
             mult_count(spec, ctx_ring4_path3.shape)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, ctx: gfrft_nd(x, float("nan"), ctx),
+    lambda x, ctx: gcm_nd(x, float("inf"), ctx),
+    lambda x, ctx: gscale_nd(x, float("nan"), ctx),
+    lambda x, ctx: gfrft_block(np.ones((2, x.n)), [0.5, float("nan")], ctx),
+    lambda x, ctx: compress_gfrft(x, float("nan"), ctx, 0.5),
+], ids=["gfrft_nd", "gcm_nd", "gscale_nd", "gfrft_block", "compress_gfrft"])
+def test_non_finite_single_op_rate_raises(ctx_ring4_path3, call):
+    x = SignalNd(ctx_ring4_path3.shape, np.arange(12.0))
+    with pytest.raises(ValidationError, match="finite"):
+        call(x, ctx_ring4_path3)
 
 
 class TestMultCount:
@@ -330,8 +351,7 @@ def _frozen_mult_count(spec, shape):
         return 2 * p * s + 2 * p
     if spec.op == "glct_cddhfs":
         return (4 * p * s) + (2 * p * s + 2 * p) + 4 * p
-    cp = cmccm_decompose(spec.abcd(), ZeroBVariant(spec.zero_b_variant))
-    if cp.branch is CmCcCmBranch.GENERAL:
+    if cmccm_decompose(spec.abcd(), ZeroBVariant(spec.zero_b_variant)).kinds == KINDS["general-b"]:
         return 3 * 4 * p + 2 * (2 * p * s)
     return 3 * 4 * p + 3 * (2 * p * s) + 4 * p
 
@@ -375,30 +395,30 @@ def _ref_gcm(x, xi, ctx):
 
 
 def _ref_cddhfs(x, p, ctx):
-    dp = cddhfs_decompose(p)
+    alpha_norm, delta, xi = cddhfs_decompose(p).rates[:, 0]
     frac = []
     for dec in ctx.factors:
         pv = dec.fourier.vectors
-        frac.append((pv * _ref_frac_diag_power(dec.fourier.values, dp.alpha_norm)) @ pv.conj().T)
+        frac.append((pv * _ref_frac_diag_power(dec.fourier.values, alpha_norm)) @ pv.conj().T)
     y = _ref_axes_apply(x, frac).tensor()
     acc = np.zeros_like(y)
     for axis, dec in enumerate(ctx.factors):
         acc = acc + np.moveaxis(np.tensordot(dec.z, y, axes=(1, axis)), 0, axis)
-    return _ref_gcm(SignalNd.from_tensor(acc / dp.delta), dp.xi, ctx)
+    return _ref_gcm(SignalNd.from_tensor(acc / delta), xi, ctx)
 
 
 def _ref_cmccm(x, p, ctx, zero_b_variant):
-    cp = cmccm_decompose(p, zero_b_variant)
-    x1, x2, x3 = cp.chirps
-    if cp.branch is CmCcCmBranch.ZERO_B_EQ31:
+    kinds, _, rates, phases = cmccm_decompose(p, zero_b_variant)
+    x3, x2, x1 = rates[:, 0]
+    if kinds == KINDS["eq31"]:
         x = _ref_igft(x, ctx)
     y = _ref_gcm(_ref_gft(_ref_gcm(x, x3, ctx), ctx), x2, ctx)
     y = _ref_gcm(_ref_igft(y, ctx), x1, ctx)
-    if cp.branch is CmCcCmBranch.GENERAL:
+    if kinds == KINDS["general-b"]:
         return y
-    if cp.branch is CmCcCmBranch.ZERO_B_EQ30:
+    if kinds == KINDS["eq30"]:
         y = _ref_gft(y, ctx)
-    return SignalNd(y.shape, cp.phase * y.values)
+    return SignalNd(y.shape, phases[0] * y.values)
 
 
 def _differential_params():
@@ -442,7 +462,7 @@ def test_matches_chained_reference(graph, kind, rand_signal):
 # ---------------------------------------------------------------------------
 # Blocks: row t of a block executor equals the one-signal call with row t's
 # parameters, at every block size around the byte budget, on blocks whose rows
-# mix all cmccm branches.
+# mix the general-b branch with one zero-b variant.
 
 
 @pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
@@ -450,23 +470,21 @@ def test_matches_chained_reference(graph, kind, rand_signal):
 def test_block_rows_match_single_calls(graph, kind):
     ctx = ProductContext(cartesian_product(DIFFERENTIAL_GRAPHS[graph]()), GsoKind(kind))
     n = ctx.graph.n
-    sets = [(p, ZeroBVariant(zb)) for p, zb in _differential_params()]
+    sets = [p for p, _ in _differential_params()]
     rng = np.random.default_rng(29)
     budget = block_rows(n)
     for t in (1, budget - 1, budget, budget + 1):
         xs = rng.normal(size=(t, n)) + 1j * rng.normal(size=(t, n))
         rows = [sets[i % len(sets)] for i in range(t)]
-        dps = [cddhfs_decompose(p) for p, _ in rows]
-        alphas = [dp.alpha_norm for dp in dps]
-        blocks = (
-            cmccm_block(xs, [cmccm_decompose(p, zb) for p, zb in rows], ctx),
-            cddhfs_block(xs, dps, ctx),
-            gfrft_block(xs, alphas, ctx),
-        )
-        for i, (p, zb) in enumerate(rows):
+        params = ParamBlock.from_params(rows)
+        alphas = [cddhfs_decompose(p).rates[0, 0] for p in rows]
+        cmccm = {zb: cmccm_block(xs, params, ctx, zb) for zb in ZeroBVariant}  # one block per zero-b variant
+        cddhfs, gfrft = cddhfs_block(xs, params, ctx), gfrft_block(xs, alphas, ctx)
+        for i, p in enumerate(rows):
             x = SignalNd(ctx.shape, xs[i])
-            singles = (glct_cmccm_nd(x, p, ctx, zb), glct_cddhfs_nd(x, p, ctx), gfrft_nd(x, alphas[i], ctx))
-            for block, single in zip(blocks, singles):
+            pairs = [(cmccm[zb], glct_cmccm_nd(x, p, ctx, zb), zb) for zb in ZeroBVariant]
+            pairs += [(cddhfs, glct_cddhfs_nd(x, p, ctx), None), (gfrft, gfrft_nd(x, alphas[i], ctx), None)]
+            for block, single, zb in pairs:
                 err = np.linalg.norm(block[i] - single.values) / np.linalg.norm(single.values)
                 assert err < 1e-13, (t, i, p, zb, err)
 
@@ -474,9 +492,8 @@ def test_block_rows_match_single_calls(graph, kind):
 def test_block_budget_and_shape_check(ctx_ring4_path3):
     assert block_rows(288) == 16
     assert block_rows(10**6) == 1
-    cp = cmccm_decompose(LctParams(*GENERAL_ABCD))
     with pytest.raises(ValidationError):
-        cmccm_block(np.ones((2, 12)), [cp], ctx_ring4_path3)
+        cmccm_block(np.ones((2, 12)), ParamBlock([GENERAL_ABCD]), ctx_ring4_path3)
     with pytest.raises(ValidationError):
         gfrft_block(np.ones((1, 11)), [0.5], ctx_ring4_path3)
 
@@ -507,8 +524,8 @@ def test_cmccm_never_builds_eigenvectors(rand_signal):
     sets = _differential_params()
     for p, zb in sets:
         glct_cmccm_nd(x, p, ctx, ZeroBVariant(zb))
-    cmccm_block(np.repeat(x.values[None], len(sets), axis=0),
-                [cmccm_decompose(p, ZeroBVariant(zb)) for p, zb in sets], ctx)
+    for zb in ZeroBVariant:
+        cmccm_block(np.repeat(x.values[None], len(sets), axis=0), ParamBlock.from_params([p for p, _ in sets]), ctx, zb)
     assert all("fourier" not in dec.__dict__ for dec in ctx.factors)
 
 
@@ -550,6 +567,6 @@ def test_lazy_eigenvectors_give_the_eager_outputs(kind):
         for dec in eager.factors:
             dec.__dict__["fourier"] = eig_unitary(dec.f)
         for p in params:
-            alpha = cddhfs_decompose(p).alpha_norm
+            alpha = cddhfs_decompose(p).rates[0, 0]
             for op in (lambda c: glct_cddhfs_nd(x, p, c), lambda c: gfrft_nd(x, alpha, c)):
                 assert op(lazy).values.tobytes() == op(eager).values.tobytes(), (name, p)
