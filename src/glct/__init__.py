@@ -21,7 +21,6 @@ from .graphs import (
     make_low_stretch_tree,
     make_path,
     make_ring,
-    product_gso,
 )
 from .kernels import FactorDecomposition, decompose_graph
 from .params import (

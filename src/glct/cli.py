@@ -25,6 +25,7 @@ from .product import ProductContext, SignalNd
 
 _BENCH_FIELDS = ("kind", "variant", "signal", "seed", "rank", "nmse")
 _COMPRESS_FIELDS = ("method", "variant", "alpha", "a", "b", "c", "d", "gamma", "re", "nrms", "cc")
+_MAX_RATIOS = 1000  # bound on what one --gammas range may expand to
 
 
 def _parse_params(text: str) -> tuple[float, float, float, float]:
@@ -46,6 +47,10 @@ def _parse_gammas(text: str) -> list[float]:
         raise ValidationError(f"--gammas expects start:stop:step, got {text!r}") from exc
     if step <= 0:
         raise ValidationError("--gammas step must be positive")
+    if not 0.0 < start <= 1.0:
+        raise ValidationError(f"--gammas start must lie in (0, 1], got {start}")
+    if not (stop - start) / step < _MAX_RATIOS:
+        raise ValidationError(f"--gammas range {text!r} spans more than {_MAX_RATIOS} ratios")
     out = []
     k = 0
     while True:
@@ -216,34 +221,21 @@ def _cmd_bench(args) -> int:
 
 
 def _compress_reports(args, gammas, ctx, x) -> list:
-    """(reconstruction, report) pairs, one per method and ratio.
-
-    Each method transforms forward once for all ratios, and the search draws
-    its budget once for all ratios. Reconstructions are real rows, kept only
-    for --recon-dir; a search winner's is None, because the search returns
-    only the report.
-    """
-    zb = ZeroBVariant(args.zero_b_variant)
-    results = []
-
-    def keep(recon, reports):
-        if recon is None or not args.recon_dir:
-            recon = [None] * len(reports)
-        results.extend(zip(recon, reports))
-
+    """(reconstruction, report) pairs, one per method and ratio, in the order
+    of :func:`glct.experiments._study`. Reconstructions are real rows, kept
+    only for --recon-dir; a search winner's is the row its report scored."""
     alphas = list(args.alpha or [])
     if args.sweep_gfrft:
         alphas.extend(a for a in xp.DEFAULT_ALPHA_GRID if a not in alphas)
     param_sets = [LctParams.from_loose(*_parse_params(t)) for t in (args.glct_params or [])]
     if not alphas and not param_sets and args.search is None:
         alphas = [1.0]  # plain-transform baseline
-    for alpha in alphas:
-        keep(*xp._gfrft_sweep(x, alpha, ctx, gammas, args.seed))
-    for p in param_sets:
-        keep(*xp._glct_sweep(x, p, ctx, gammas, args.variant, zb, args.seed))
-    if args.search is not None:
-        keep(None, xp._search_sweep(x, ctx, gammas, args.search, args.seed,
-                                    args.metric, args.variant, zb))
+    results = []
+    for recon, reports in xp._study(x, ctx, gammas, alphas, param_sets, args.variant,
+                                    ZeroBVariant(args.zero_b_variant), args.seed, args.search, args.metric):
+        if not args.recon_dir:
+            recon = [None] * len(reports)
+        results.extend(zip(recon, reports))
     return results
 
 
@@ -260,9 +252,6 @@ def _cmd_compress(args) -> int:
         gammas.extend(_parse_gammas(args.gammas))
     if not gammas:
         gammas = list(xp.DEFAULT_GAMMAS)
-    for g in gammas:
-        if not 0.0 < g <= 1.0:
-            raise ValidationError(f"compression ratio must lie in (0, 1], got {g}")
     graph, x = xp.study_signal(args.n1, args.n2, args.seed)
     ctx = ProductContext(graph, GsoKind(args.gso))
     results = _compress_reports(args, gammas, ctx, x)
@@ -282,15 +271,9 @@ def _cmd_compress(args) -> int:
                          for r in sorted(reps, key=lambda r: r.gamma)]
                 gio.write_csv(path, ("gamma", metric), curve, config)
     if args.recon_dir:
-        zb = ZeroBVariant(args.zero_b_variant)
         for recon, rep in results:
-            if recon is None:
-                recon, _ = xp.compress(x, LctParams(*rep.params), ctx, rep.gamma,
-                                       rep.variant, zb, seed=args.seed)
-            else:
-                recon = SignalNd(x.shape, recon)
             path = Path(args.recon_dir) / f"{_method_label(rep)}_gamma{gio.fmt_num(rep.gamma)}.json"
-            gio.write_signal(path, recon, fmt="json")
+            gio.write_signal(path, SignalNd(x.shape, recon), fmt="json")
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -478,12 +478,6 @@ def _keep_by_rank(coeffs: np.ndarray, ranks: np.ndarray, ks: Sequence[int]) -> n
     return np.where(ranks < np.asarray(ks)[:, None], coeffs, 0)
 
 
-def _keep_largest(values: np.ndarray, k: int) -> np.ndarray:
-    """Zero all but the k largest-magnitude entries; ties keep the lower index."""
-    row = values[None]
-    return _keep_by_rank(row, _ranks(row), [k])[0]
-
-
 def _check_gamma(gamma: float) -> float:
     gamma = float(gamma)
     if not 0.0 < gamma <= 1.0:
@@ -551,7 +545,6 @@ def compress(
     same factorization; metrics compare real parts against the original.
     """
     gamma = _check_gamma(gamma)
-    _check_variant(variant)
     recon, (report,) = _glct_sweep(x, p, ctx, [gamma], variant, zero_b_variant, seed)
     return SignalNd(x.shape, recon[0]), report
 
@@ -581,6 +574,20 @@ def study_signal(n1: int = 100, n2: int = 15, seed: int = 0) -> tuple[ProductGra
     return graph, SignalNd(graph.shape, values)
 
 
+def _study(x, ctx, gammas, alphas, params, variant, zero_b_variant, seed, budget=None, metric="nrms"):
+    """The compression run: yields (real reconstructions, reports) at every ratio
+    of ``gammas`` for each fractional order of ``alphas``, each :class:`LctParams`
+    of ``params`` and, given a ``budget``, the search; checks ratios and variant first."""
+    gammas = [_check_gamma(g) for g in gammas]
+    _check_variant(variant)
+    for alpha in alphas:
+        yield _gfrft_sweep(x, float(alpha), ctx, gammas, seed)
+    for p in params:
+        yield _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed)
+    if budget is not None:
+        yield _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
+
+
 def compression_study(
     seed: int = 0,
     gammas: Sequence[float] = DEFAULT_GAMMAS,
@@ -599,42 +606,27 @@ def compression_study(
     parameter set's coefficients are computed once and serve every ratio;
     the reports equal those of :func:`compress_gfrft` and :func:`compress`.
     """
-    gammas = [_check_gamma(g) for g in gammas]
-    _check_variant(variant)
     graph, x = study_signal(n1, n2, seed)
     ctx = ProductContext(graph, gso_kind)
+    params = [LctParams.from_loose(*row) for row in glct_param_sets or ()]
     reports: list[CompressionReport] = []
-    for alpha in alpha_grid or ():
-        reports += _gfrft_sweep(x, float(alpha), ctx, gammas, seed)[1]
-    for row in glct_param_sets or ():
-        p = LctParams.from_loose(*row)
-        reports += _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed)[1]
+    for recon, method in _study(x, ctx, gammas, alpha_grid or (), params, variant, zero_b_variant, seed):
+        del recon  # held while the next method runs, it makes glibc trim and regrow the heap
+        reports += method
     return reports
 
 
-def best_by_metric(reports: Iterable[CompressionReport], metric: str = "nrms") -> dict[float, CompressionReport]:
-    """Best report per compression ratio; lower is better except for cc."""
-    if metric not in ("re", "nrms", "cc"):
-        raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
-    sign = -1.0 if metric == "cc" else 1.0
-    best: dict[float, CompressionReport] = {}
-    for rep in reports:
-        cur = best.get(rep.gamma)
-        if cur is None or sign * getattr(rep, metric) < sign * getattr(cur, metric):
-            best[rep.gamma] = rep
-    return best
-
-
-def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant) -> list[CompressionReport]:
-    """:func:`search_glct_params` at every ratio of ``gammas``, one report per
-    ratio, over one draw of the budget: each block of draws is transformed
-    forward and ranked once, then reconstructed once per ratio."""
+def _search_sweep(x, ctx, gammas, budget, seed, metric, variant,
+                  zero_b_variant) -> tuple[np.ndarray, list[CompressionReport]]:
+    """:func:`search_glct_params` at every ratio of ``gammas`` over one draw of
+    the budget: each block of draws is transformed forward and ranked once,
+    then reconstructed once per ratio. Returns what :func:`_glct_sweep` does;
+    row j is the reconstruction that ratio j's winning report scored."""
     if not _is_int(budget) or budget < 1:
         raise ValidationError(f"search budget must be >= 1, as an integer; got {budget!r}")
     budget, seed = int(budget), _check_seed(seed)
     if metric not in ("re", "nrms", "cc"):
         raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
-    gammas = [_check_gamma(g) for g in gammas]
     ctx.check(x)
     _check_nonzero(x)
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
@@ -643,6 +635,7 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
     which = ("re", "nrms", "cc").index(metric)
     sign = -1.0 if metric == "cc" else 1.0
     best: list[CompressionReport | None] = [None] * len(gammas)
+    recons = np.empty((len(gammas), x.n))
     step = block_rows(x.n)
     for i in range(0, budget, step):
         ps = drawn[i:i + step]
@@ -650,14 +643,15 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
         ranks = _ranks(coeffs)
         pinv = inverses[i:i + step]
         for j, g in enumerate(gammas):
-            _, metrics = _compress_rows(x, coeffs, ranks, [g] * len(ps),
-                                        lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
+            recon, metrics = _compress_rows(x, coeffs, ranks, [g] * len(ps),
+                                            lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
             scores = sign * metrics[which]
             t = int(np.argmin(scores))  # the first draw of the block's best
             if best[j] is None or scores[t] < sign * getattr(best[j], metric):
                 (best[j],) = _reports([g], [m[t:t + 1] for m in metrics], method="glct",
                                       params=tuple(ps.abcd[t].tolist()), variant=variant, seed=seed)
-    return best
+                recons[j] = recon[t]
+    return recons, best
 
 
 def search_glct_params(
@@ -675,4 +669,4 @@ def search_glct_params(
     The budget is drawn in order and run in blocks (forward transform,
     keep-largest, backward transform); ties keep the earliest draw.
     """
-    return _search_sweep(x, ctx, [gamma], budget, seed, metric, variant, zero_b_variant)[0]
+    return _search_sweep(x, ctx, [_check_gamma(gamma)], budget, seed, metric, variant, zero_b_variant)[1][0]

@@ -43,7 +43,7 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {self.n!r}")
         seen: set[tuple[int, int]] = set()
         norm: list[Edge] = []
@@ -135,11 +135,6 @@ def kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
         term = np.kron(np.eye(after), np.kron(z, np.eye(before)))
         total = term if total is None else total + term
     return total
-
-
-def product_gso(pg: ProductGraph, kind: GsoKind = GsoKind.LAPLACIAN) -> np.ndarray:
-    """Shift operator of the product graph: the Kronecker sum of factor GSOs."""
-    return kronecker_sum([gso(g, kind) for g in pg.factors])
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ def glct_cmccm_nd(
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Serializable description of one transform, for dispatch and oracles."""
+    """Description of one transform, for dispatch and oracles."""
 
     op: str
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -437,23 +437,6 @@ class TransformSpec:
         GsoKind(self.gso)
         ZeroBVariant(self.zero_b_variant)
         object.__setattr__(self, "params", dict(self.params))
-
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "params": dict(self.params),
-            "gso": self.gso,
-            "zero_b_variant": self.zero_b_variant,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "TransformSpec":
-        return cls(
-            op=d["op"],
-            params=d.get("params", {}),
-            gso=d.get("gso", "laplacian"),
-            zero_b_variant=d.get("zero_b_variant", "eq30"),
-        )
 
     def abcd(self) -> LctParams:
         try:

@@ -131,6 +131,16 @@ class TestTransform:
         assert "finite" in capsys.readouterr().err
         assert not (workspace / "y.json").exists()
 
+    def test_bool_vertex_count_exit_2(self, workspace, capsys):
+        # JSON true is a Python bool, which isinstance(..., int) accepts
+        (workspace / "bad.json").write_text('{"n": true, "edges": []}')
+        rc = run("transform", "--signal", workspace / "x.csv",
+                 "--graph", workspace / "bad.json", "--graph", workspace / "g2.json",
+                 "--params", "0.6,0.8,-0.5,1.0", "--out", workspace / "y.json")
+        assert rc == 2
+        assert "vertex count" in capsys.readouterr().err
+        assert not (workspace / "y.json").exists()
+
 
 class TestBench:
     def test_complexity_payload(self, tmp_path):
@@ -200,6 +210,14 @@ class TestCompress:
 
     def test_invalid_gamma_exit_2(self):
         assert run("compress", "--gamma", 1.5, "--n1", 10, "--n2", 4) == 2
+
+    @pytest.mark.parametrize("text", ["nan:1:0.1", "0.1:inf:0.1", "-1e18:1:1", "0.1:0.9:1e-9"])
+    def test_unbounded_gamma_range_exits_2(self, tmp_path, capsys, text):
+        # each range is rejected before it is expanded
+        out = tmp_path / "c.json"
+        assert run("compress", f"--gammas={text}", "--n1", 10, "--n2", 4, "--out", out) == 2
+        assert "--gammas" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("budget", [0, -2])
     def test_search_budget_below_one_exits_2(self, tmp_path, capsys, budget):

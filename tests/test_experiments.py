@@ -40,8 +40,8 @@ from glct.experiments import (
     BENCHMARK_SIGNALS,
     DEFAULT_ALPHA_GRID,
     DEFAULT_GAMMAS,
-    _keep_largest,
-    best_by_metric,
+    _keep_by_rank,
+    _ranks,
     study_signal,
 )
 from glct.product import block_rows
@@ -366,15 +366,15 @@ class TestMetrics:
 
 class TestKeepLargest:
     def test_keeps_top_magnitudes(self):
-        vals = np.array([1.0, -4.0, 2.0, 0.5], dtype=complex)
+        row = np.array([[1.0, -4.0, 2.0, 0.5]], dtype=complex)
         np.testing.assert_array_equal(
-            _keep_largest(vals, 2), np.array([0.0, -4.0, 2.0, 0.0], dtype=complex)
+            _keep_by_rank(row, _ranks(row), [2]), np.array([[0.0, -4.0, 2.0, 0.0]], dtype=complex)
         )
 
     def test_ties_keep_lower_index(self):
-        vals = np.array([1.0, -1.0, 1.0], dtype=complex)
+        row = np.array([[1.0, -1.0, 1.0]], dtype=complex)
         np.testing.assert_array_equal(
-            _keep_largest(vals, 2), np.array([1.0, -1.0, 0.0], dtype=complex)
+            _keep_by_rank(row, _ranks(row), [2]), np.array([[1.0, -1.0, 0.0]], dtype=complex)
         )
 
 
@@ -460,14 +460,6 @@ class TestStudy:
         g2, x2 = study_signal(8, 3, seed=9)
         assert g1.shape == (8, 3)
         np.testing.assert_array_equal(x1.values, x2.values)
-
-    def test_best_by_metric(self):
-        reports = compression_study(
-            seed=3, gammas=(0.5,), alpha_grid=(0.5, 1.0), glct_param_sets=(), n1=10, n2=4,
-        )
-        best = best_by_metric(reports, "nrms")
-        assert set(best) == {0.5}
-        assert best[0.5].nrms == min(r.nrms for r in reports)
 
     def test_study_reports_equal_per_call_reports(self):
         alphas, rows = DEFAULT_ALPHA_GRID[::5], COMPRESSION_REFERENCE_PARAMS[:4]
@@ -622,12 +614,14 @@ class TestRanking:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_keep_matches_lexsort(self, name):
         values = self.CASES[name]
+        row = values[None]
+        ranks = _ranks(row)
         for k in sorted({1, values.size, *range(1, values.size, 1 + values.size // 64)}):
-            got = _keep_largest(values, k)
+            (got,) = _keep_by_rank(row, ranks, [k])
             np.testing.assert_array_equal(got, _ref_keep_largest(values, k))
             assert got.dtype == values.dtype
-            assert np.count_nonzero(experiments._ranks(values[None]) < k) == k
-        np.testing.assert_array_equal(_keep_largest(values, values.size), values)
+            assert np.count_nonzero(ranks < k) == k
+        np.testing.assert_array_equal(_keep_by_rank(row, ranks, [values.size])[0], values)
 
     def test_shared_row_equals_distinct_rows(self):
         values = self.CASES["rounded"]
@@ -724,16 +718,32 @@ class TestFrozenPipeline:
         ctx, x = small_study
         gammas = [0.2, 0.5, 0.9, 0.5]
         budget = 2 * block_rows(x.n) + 1
-        together = experiments._search_sweep(x, ctx, gammas, budget, 3, "nrms", "cmccm", ZeroBVariant.EQ30)
+        _, together = experiments._search_sweep(x, ctx, gammas, budget, 3, "nrms", "cmccm", ZeroBVariant.EQ30)
         apart = [search_glct_params(x, ctx, g, budget=budget, seed=3) for g in gammas]
         assert together == apart
+
+    @pytest.mark.parametrize("metric", ["re", "cc"])
+    def test_search_returns_the_reconstructions_it_scored(self, default_study, metric):
+        # each row is the winning draw's reconstruction at that ratio: its
+        # metrics are the report's, bit for bit, and compress rebuilds it
+        ctx, x = default_study
+        gammas = [0.2, 0.6, 0.9]
+        recon, reports = experiments._search_sweep(x, ctx, gammas, 2 * block_rows(x.n) + 1, 7, metric,
+                                                   "cmccm", ZeroBVariant.EQ30)
+        assert recon.shape == (len(gammas), x.n) and recon.dtype == float
+        xr = x.values.real
+        for row, rep in zip(recon, reports):
+            assert (relative_error(xr, row), normalized_rms(xr, row), correlation_coefficient(xr, row)) == \
+                (rep.re, rep.nrms, rep.cc)
+            want, _ = compress(x, LctParams(*rep.params), ctx, rep.gamma)
+            np.testing.assert_allclose(row, want.values.real, rtol=0, atol=1e-13 * np.abs(want.values).max())
 
     def test_search_ties_keep_earliest_draw(self, small_study, monkeypatch):
         # every score ties, so at every ratio the first draw wins
         ctx, x = small_study
         monkeypatch.setattr(experiments, "_normalized_rms_rows", lambda x, xc: np.zeros(xc.shape[0]))
         budget = 2 * block_rows(x.n) + 1
-        reports = experiments._search_sweep(x, ctx, [0.3, 0.6], budget, 4, "nrms", "cmccm", ZeroBVariant.EQ30)
+        _, reports = experiments._search_sweep(x, ctx, [0.3, 0.6], budget, 4, "nrms", "cmccm", ZeroBVariant.EQ30)
         first = sample_random_params(np.random.default_rng(np.random.SeedSequence((4,))))
         assert [r.gamma for r in reports] == [0.3, 0.6]
         assert all(r.params == first.astuple() and r.nrms == 0.0 for r in reports)

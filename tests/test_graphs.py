@@ -16,7 +16,6 @@ from glct import (
     make_low_stretch_tree,
     make_path,
     make_ring,
-    product_gso,
 )
 
 
@@ -156,7 +155,7 @@ class TestProducts:
 
     def test_product_spectrum_is_pairwise_sums(self):
         g1, g2 = make_ring(4), make_path(3)
-        lam = np.linalg.eigvalsh(product_gso(cartesian_product([g1, g2])))
+        lam = np.linalg.eigvalsh(kronecker_sum([gso(g) for g in (g1, g2)]))
         l1 = np.linalg.eigvalsh(gso(g1))
         l2 = np.linalg.eigvalsh(gso(g2))
         expected = np.sort(np.add.outer(l1, l2).ravel())
@@ -164,7 +163,7 @@ class TestProducts:
 
     def test_product_spectrum_three_factors(self):
         factors = [make_path(2), make_ring(3), make_path(2)]
-        lam = np.sort(np.linalg.eigvalsh(product_gso(cartesian_product(factors))))
+        lam = np.sort(np.linalg.eigvalsh(kronecker_sum([gso(g) for g in factors])))
         parts = [np.linalg.eigvalsh(gso(g)) for g in factors]
         sums = parts[0]
         for more in parts[1:]:
@@ -180,7 +179,7 @@ class TestProducts:
     def test_product_gso_matches_vertex_linearization(self):
         # edge (i1, j1) at fixed i2 must connect linear indices i1 + N1*i2, j1 + N1*i2
         g1, g2 = make_path(2), make_path(3)
-        a = product_gso(cartesian_product([g1, g2]), GsoKind.ADJACENCY)
+        a = kronecker_sum([gso(g, GsoKind.ADJACENCY) for g in (g1, g2)])
         expected = np.zeros((6, 6))
         for i2 in range(3):
             expected[0 + 2 * i2, 1 + 2 * i2] = expected[1 + 2 * i2, 0 + 2 * i2] = 1
