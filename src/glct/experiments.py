@@ -14,10 +14,17 @@ computes it (bit for bit with single-threaded BLAS). Their parameters stay
 arrays (:class:`~glct.params.ParamBlock`) from the draw to the executor: a
 suite draws every trial's rows in one array pass (:func:`glct.seeding.trial_abc`,
 byte-equal to a numpy generator per trial), then composes or inverts the
-whole block once and factorizes it one chunk at a time. The compression pipeline
-ranks each coefficient row once for all its ratios and takes RE / NRMS / CC
-as reductions along the rows of the reconstruction block, so a row's metrics
-do not depend on the block's height.
+whole block once and factorizes it one chunk at a time.
+
+The compression pipeline sorts the magnitudes of each coefficient row once
+for all its ratios. A ratio that keeps k entries reads the k-th largest
+magnitude v from the sorted row and keeps every entry above v and, of the
+entries equal to v, the lowest-index ones until it has k: the set a stable
+sort by descending magnitude would put first. The ratios of one parameter set
+or fractional order are reconstructed as one block run by one program, one
+rate column shared by every row (see :class:`~glct.params.ProgramGroup`).
+RE / NRMS / CC are reductions along the rows of the reconstruction block, so
+a row's metrics do not depend on the block's height.
 """
 from __future__ import annotations
 
@@ -46,13 +53,14 @@ from .params import (
 from .product import (
     ProductContext,
     SignalNd,
+    TransformSpec,
     block_rows,
     cddhfs_block,
     cmccm_block,
-    gfrft_block,
     gfrft_nd,
     glct_cddhfs_nd,
     glct_cmccm_nd,
+    program_block,
 )
 from .seeding import trial_abc
 
@@ -463,19 +471,30 @@ class CompressionReport:
         }
 
 
-def _ranks(coeffs: np.ndarray) -> np.ndarray:
-    """Rank of every entry within its row of ``coeffs`` (R, P), largest
-    magnitude first; the stable sort ranks ties by lower index first."""
-    order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(coeffs.shape[1]), axis=1)
-    return ranks
+def _sorted_magnitudes(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The magnitudes of ``coeffs`` (R, P) and each of their rows sorted
+    ascending: the one sort per coefficient row that every ratio kept from it shares."""
+    mags = np.abs(coeffs)
+    return mags, np.sort(mags, axis=1)
 
 
-def _keep_by_rank(coeffs: np.ndarray, ranks: np.ndarray, ks: Sequence[int]) -> np.ndarray:
-    """Row t keeps the entries of its row of ``coeffs`` ranked below ``ks[t]``
-    and zeroes the rest; one row of ``coeffs`` and ``ranks`` may serve every t."""
-    return np.where(ranks < np.asarray(ks)[:, None], coeffs, 0)
+def _keep_top(coeffs: np.ndarray, magnitudes: tuple[np.ndarray, np.ndarray], ks: Sequence[int]) -> np.ndarray:
+    """Row t keeps the ``ks[t]`` largest-magnitude entries of its row of
+    ``coeffs`` and zeroes the rest; one row of ``coeffs`` may serve every t.
+
+    With v the ks[t]-th largest magnitude, read from the sorted row of
+    ``magnitudes`` (see :func:`_sorted_magnitudes`), the row keeps every entry
+    above v and, of the entries equal to v, the lowest-index ones until it has
+    ks[t]: the set that a stable sort by descending magnitude puts first."""
+    mags, ordered = magnitudes
+    ks = np.asarray(ks)
+    v = np.take_along_axis(ordered, (coeffs.shape[1] - ks)[:, None], axis=1)
+    keep = mags >= v
+    extra = keep.sum(axis=1) - ks
+    if extra.any():  # ties at v beyond ks[t]: drop the highest-index ones
+        ties = mags == v
+        keep &= ~ties | (np.cumsum(ties, axis=1) <= (ties.sum(axis=1) - extra)[:, None])
+    return np.where(keep, coeffs, 0)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -490,14 +509,14 @@ def _check_nonzero(x: SignalNd) -> None:
         raise ValidationError("cannot compress an all-zero signal")
 
 
-def _compress_rows(x, coeffs, ranks, gammas, backward) -> tuple[np.ndarray, list[np.ndarray]]:
+def _compress_rows(x, coeffs, magnitudes, gammas, backward) -> tuple[np.ndarray, list[np.ndarray]]:
     """Row t keeps the ceil(gammas[t] * P) largest entries of its row of
-    ``coeffs`` (one row per t, or one row shared by every t, ranked by
-    :func:`_ranks`), one block ``backward`` reconstructs every row, and the
-    real parts are compared with ``x``. Returns the real reconstructions
-    (T, P) and the RE, NRMS and CC of every row."""
+    ``coeffs`` (one row per t, or one row shared by every t, with their
+    :func:`_sorted_magnitudes`), one block ``backward`` reconstructs every
+    row, and the real parts are compared with ``x``. Returns the real
+    reconstructions (T, P) and the RE, NRMS and CC of every row."""
     ks = [math.ceil(g * x.n) for g in gammas]
-    recon = np.ascontiguousarray(backward(_keep_by_rank(coeffs, ranks, ks)).real)
+    recon = np.ascontiguousarray(backward(_keep_top(coeffs, magnitudes, ks)).real)
     xr = x.values.real
     return recon, [metric(xr, recon) for metric in (_relative_error_rows, _normalized_rms_rows, _correlation_rows)]
 
@@ -508,25 +527,33 @@ def _reports(gammas, metrics, **fields) -> list[CompressionReport]:
             for g, re, nrms, cc in zip(gammas, *metrics)]
 
 
+def _backward(spec: TransformSpec, ctx: ProductContext, t: int):
+    """The block transform of ``t`` rows that runs the one-row program of
+    ``spec`` on every row."""
+    program = [spec.program()._replace(rows=np.arange(t))]
+    return lambda kept: program_block(kept, program, ctx)
+
+
 def _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed) -> tuple[np.ndarray, list[CompressionReport]]:
     """:func:`compress` at every ratio of ``gammas``, transforming forward and
-    ranking once; returns the real reconstructions, one row per ratio, and
-    the reports."""
+    sorting once and back with one program for all ratios; returns the real
+    reconstructions, one row per ratio, and the reports."""
     _check_nonzero(x)
     coeffs = apply_glct(x, p, ctx, variant, zero_b_variant).values[None]
-    pinv = ParamBlock.from_params([inverse(p)] * len(gammas))
-    recon, metrics = _compress_rows(x, coeffs, _ranks(coeffs), gammas,
-                                    lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
+    pinv = TransformSpec(f"glct_{variant}", {"abcd": inverse(p).astuple()},
+                         zero_b_variant=ZeroBVariant(zero_b_variant).value)
+    back = _backward(pinv, ctx, len(gammas))
+    recon, metrics = _compress_rows(x, coeffs, _sorted_magnitudes(coeffs), gammas, back)
     return recon, _reports(gammas, metrics, method="glct", params=p.astuple(), variant=variant, seed=seed)
 
 
 def _gfrft_sweep(x, alpha, ctx, gammas, seed) -> tuple[np.ndarray, list[CompressionReport]]:
     """:func:`compress_gfrft` at every ratio of ``gammas``, transforming
-    forward and ranking once; returns what :func:`_glct_sweep` returns."""
+    forward and sorting once; returns what :func:`_glct_sweep` returns."""
     _check_nonzero(x)
     coeffs = gfrft_nd(x, alpha, ctx).values[None]
-    recon, metrics = _compress_rows(x, coeffs, _ranks(coeffs), gammas,
-                                    lambda kept: gfrft_block(kept, [-alpha] * len(gammas), ctx))
+    back = _backward(TransformSpec("gfrft", {"alpha": -alpha}), ctx, len(gammas))
+    recon, metrics = _compress_rows(x, coeffs, _sorted_magnitudes(coeffs), gammas, back)
     return recon, _reports(gammas, metrics, method="gfrft", alpha=float(alpha), seed=seed)
 
 
@@ -577,15 +604,17 @@ def study_signal(n1: int = 100, n2: int = 15, seed: int = 0) -> tuple[ProductGra
 def _study(x, ctx, gammas, alphas, params, variant, zero_b_variant, seed, budget=None, metric="nrms"):
     """The compression run: yields (real reconstructions, reports) at every ratio
     of ``gammas`` for each fractional order of ``alphas``, each :class:`LctParams`
-    of ``params`` and, given a ``budget``, the search; checks ratios and variant first."""
+    of ``params`` and, given a ``budget``, the search; checks ratios, variant
+    and the search's budget, seed and metric before any transform."""
     gammas = [_check_gamma(g) for g in gammas]
     _check_variant(variant)
+    search = None if budget is None else _check_search(budget, seed, metric)
     for alpha in alphas:
         yield _gfrft_sweep(x, float(alpha), ctx, gammas, seed)
     for p in params:
         yield _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed)
-    if budget is not None:
-        yield _search_sweep(x, ctx, gammas, budget, seed, metric, variant, zero_b_variant)
+    if search is not None:
+        yield _search_sweep(x, ctx, gammas, *search, metric, variant, zero_b_variant)
 
 
 def compression_study(
@@ -616,17 +645,23 @@ def compression_study(
     return reports
 
 
+def _check_search(budget, seed, metric) -> tuple[int, int]:
+    """A search's budget and master seed as ints, after checking them and its metric."""
+    if not _is_int(budget) or budget < 1:
+        raise ValidationError(f"search budget must be >= 1, as an integer; got {budget!r}")
+    seed = _check_seed(seed)
+    if metric not in ("re", "nrms", "cc"):
+        raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
+    return int(budget), seed
+
+
 def _search_sweep(x, ctx, gammas, budget, seed, metric, variant,
                   zero_b_variant) -> tuple[np.ndarray, list[CompressionReport]]:
     """:func:`search_glct_params` at every ratio of ``gammas`` over one draw of
-    the budget: each block of draws is transformed forward and ranked once,
-    then reconstructed once per ratio. Returns what :func:`_glct_sweep` does;
-    row j is the reconstruction that ratio j's winning report scored."""
-    if not _is_int(budget) or budget < 1:
-        raise ValidationError(f"search budget must be >= 1, as an integer; got {budget!r}")
-    budget, seed = int(budget), _check_seed(seed)
-    if metric not in ("re", "nrms", "cc"):
-        raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
+    the budget (checked by :func:`_check_search`): each block of draws is
+    transformed forward and sorted once, then reconstructed once per ratio.
+    Returns what :func:`_glct_sweep` does; row j is the reconstruction that
+    ratio j's winning report scored."""
     ctx.check(x)
     _check_nonzero(x)
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
@@ -640,10 +675,10 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant,
     for i in range(0, budget, step):
         ps = drawn[i:i + step]
         coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
-        ranks = _ranks(coeffs)
+        magnitudes = _sorted_magnitudes(coeffs)
         pinv = inverses[i:i + step]
         for j, g in enumerate(gammas):
-            recon, metrics = _compress_rows(x, coeffs, ranks, [g] * len(ps),
+            recon, metrics = _compress_rows(x, coeffs, magnitudes, [g] * len(ps),
                                             lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
             scores = sign * metrics[which]
             t = int(np.argmin(scores))  # the first draw of the block's best
@@ -669,4 +704,6 @@ def search_glct_params(
     The budget is drawn in order and run in blocks (forward transform,
     keep-largest, backward transform); ties keep the earliest draw.
     """
-    return _search_sweep(x, ctx, [_check_gamma(gamma)], budget, seed, metric, variant, zero_b_variant)[1][0]
+    gamma = _check_gamma(gamma)
+    budget, seed = _check_search(budget, seed, metric)
+    return _search_sweep(x, ctx, [gamma], budget, seed, metric, variant, zero_b_variant)[1][0]

@@ -74,7 +74,13 @@ class ProgramGroup(NamedTuple):
     """The rows ``rows`` of a block that run one program: its op kinds in the
     order they are applied, the rates of its ops in ``RATED_KINDS`` as a
     contiguous (R, T) array (row j holds the j-th rated op's rate of every
-    member row) and the member rows' constant phases, or None if all are 1."""
+    member row) and the member rows' constant phases, or None if all are 1.
+
+    A group whose ``rates`` has one column runs that parameter set on every
+    member row, and its ``phases``, if any, has one entry. A sweep that
+    transforms many rows with one parameter set so factorizes it once, and
+    computes its chirp diagonals and forms its matrices once per chunk of
+    rows instead of once per row."""
 
     kinds: tuple[str, ...]
     rows: np.ndarray

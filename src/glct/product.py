@@ -262,7 +262,8 @@ def _chain(x: np.ndarray, run, axis: int, dec: FactorDecomposition, diags: dict,
 def _run(x: np.ndarray, kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | None,
          ctx: ProductContext) -> np.ndarray:
     """One chunk of rows through one program: row t has rates ``rates[:, t]``
-    and phase ``phases[t]`` (None: all ones)."""
+    and phase ``phases[t]`` (None: all ones), or every row has the one column
+    ``rates[:, 0]`` and ``phases[0]``."""
     runs, diag_cols, scale_cols, fold = _layout(kinds)
     diags = {j: ctx.diag_powers(rates[j]) for j in diag_cols}
     sigma = None
@@ -293,16 +294,22 @@ def _run(x: np.ndarray, kinds: tuple[str, ...], rates: np.ndarray, phases: np.nd
 def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> np.ndarray:
     """The rows ``g.rows`` of ``values`` (T, P) through the program of each
     group ``g`` (see :class:`~glct.params.ProgramGroup`; the groups partition
-    the rows), each group in chunks of at most :func:`block_rows` rows."""
+    the rows), each group in chunks of at most :func:`block_rows` rows.
+
+    A group with one rate column runs it on every chunk whole: ``_run``
+    broadcasts its (1, N_k) diagonals and (1, N_k, N_k) formed matrices over
+    the chunk's rows, so each chunk computes them once."""
     values = _block(values, ctx, sum(len(g.rows) for g in groups))
     out = np.empty_like(values)
     step = block_rows(values.shape[1])
     whole = len(groups) == 1
     for kinds, rows, rates, phases in groups:
         x = values if whole else values[rows]
+        shared = rates.shape[1] == 1
         for i in range(0, len(rows), step):
             chunk = slice(i, i + step)
-            y = _run(x[chunk], kinds, rates[:, chunk], None if phases is None else phases[chunk], ctx)
+            own = slice(None) if shared else chunk
+            y = _run(x[chunk], kinds, rates[:, own], None if phases is None else phases[own], ctx)
             out[chunk if whole else rows[chunk]] = y
     return out
 

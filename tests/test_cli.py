@@ -6,7 +6,7 @@ import pytest
 
 from glct import LctParams, ProductContext, SignalNd, block_rows, gfrft_nd
 from glct import experiments as xp
-from glct.experiments import _ranks as ranks
+from glct.experiments import _sorted_magnitudes as sorted_magnitudes
 from glct.cli import main
 from glct.io import fmt_num, read_graph, read_signal, write_signal
 from glct.params import sample_abc
@@ -298,14 +298,23 @@ class TestCompress:
                    "--n1", 10, "--n2", 4, "--out", tmp_path / "sweep.json") == 0
         assert sorted(calls) == sorted(xp.DEFAULT_ALPHA_GRID) and len(calls) == 21
 
+    def test_bad_search_budget_exits_before_any_transform(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(xp, "gfrft_nd", lambda *args: calls.append(args) or gfrft_nd(*args))
+        assert run("compress", "--sweep-gfrft", "--search", 0, "--n1", 10, "--n2", 4,
+                   "--out", tmp_path / "s.json") == 2
+        assert "search budget must be >= 1" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "s.json").exists()
+
     def test_search_draws_budget_once_for_all_ratios(self, tmp_path, monkeypatch):
         draws, ranked = [], []
         monkeypatch.setattr(xp, "sample_abc", lambda rng, n: draws.append(n) or sample_abc(rng, n))
-        monkeypatch.setattr(xp, "_ranks", lambda coeffs: ranked.append(len(coeffs)) or ranks(coeffs))
+        monkeypatch.setattr(xp, "_sorted_magnitudes",
+                            lambda coeffs: ranked.append(len(coeffs)) or sorted_magnitudes(coeffs))
         budget = block_rows(40) + 1
         assert run("compress", "--search", budget, "--gammas", "0.2:0.8:0.2",
                    "--n1", 10, "--n2", 4, "--out", tmp_path / "s.json") == 0
-        assert draws == [budget] and sum(ranked) == budget  # each draw transformed and ranked once
+        assert draws == [budget] and sum(ranked) == budget  # each draw transformed and sorted once
         assert len(json.loads((tmp_path / "s.json").read_text())["rows"]) == 4
 
     def test_rows_equal_one_ratio_calls_in_order(self, tmp_path):

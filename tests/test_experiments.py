@@ -40,8 +40,8 @@ from glct.experiments import (
     BENCHMARK_SIGNALS,
     DEFAULT_ALPHA_GRID,
     DEFAULT_GAMMAS,
-    _keep_by_rank,
-    _ranks,
+    _keep_top,
+    _sorted_magnitudes,
     study_signal,
 )
 from glct.product import block_rows
@@ -364,18 +364,18 @@ class TestMetrics:
             normalized_rms([2.0, 2.0], [1.0, 0.0])
 
 
+def _keep(rows, ks):
+    return _keep_top(rows, _sorted_magnitudes(rows), ks)
+
+
 class TestKeepLargest:
     def test_keeps_top_magnitudes(self):
         row = np.array([[1.0, -4.0, 2.0, 0.5]], dtype=complex)
-        np.testing.assert_array_equal(
-            _keep_by_rank(row, _ranks(row), [2]), np.array([[0.0, -4.0, 2.0, 0.0]], dtype=complex)
-        )
+        np.testing.assert_array_equal(_keep(row, [2]), np.array([[0.0, -4.0, 2.0, 0.0]], dtype=complex))
 
     def test_ties_keep_lower_index(self):
         row = np.array([[1.0, -1.0, 1.0]], dtype=complex)
-        np.testing.assert_array_equal(
-            _keep_by_rank(row, _ranks(row), [2]), np.array([[1.0, -1.0, 0.0]], dtype=complex)
-        )
+        np.testing.assert_array_equal(_keep(row, [2]), np.array([[1.0, -1.0, 0.0]], dtype=complex))
 
 
 @pytest.fixture(scope="module")
@@ -522,8 +522,8 @@ class TestStudy:
 
 
 # ---------------------------------------------------------------------------
-# Differential tests: the block compression pipeline (one ranking per
-# coefficient row, keep-by-rank masks, RE/NRMS/CC as row reductions) against
+# Differential tests: the block compression pipeline (one magnitude sort per
+# coefficient row, threshold masks, RE/NRMS/CC as row reductions) against
 # the per-row pipeline it replaced, frozen here as the reference: a lexsort
 # keep-largest per row and per ratio, one backward call per row, and scalar
 # metrics taken with np.linalg.norm and np.dot.
@@ -570,16 +570,16 @@ def _assert_metrics_close(report, want):
 
 @pytest.fixture
 def kept_calls(monkeypatch):
-    """Every (coeffs, ks, kept) that the pipeline passes through _keep_by_rank."""
+    """Every (coeffs, ks, kept) that the pipeline passes through _keep_top."""
     calls = []
-    keep = experiments._keep_by_rank
+    keep = experiments._keep_top
 
-    def spy(coeffs, ranks, ks):
-        kept = keep(coeffs, ranks, ks)
+    def spy(coeffs, magnitudes, ks):
+        kept = keep(coeffs, magnitudes, ks)
         calls.append((coeffs, list(ks), kept))
         return kept
 
-    monkeypatch.setattr(experiments, "_keep_by_rank", spy)
+    monkeypatch.setattr(experiments, "_keep_top", spy)
     return calls
 
 
@@ -615,29 +615,47 @@ class TestRanking:
     def test_keep_matches_lexsort(self, name):
         values = self.CASES[name]
         row = values[None]
-        ranks = _ranks(row)
+        magnitudes = _sorted_magnitudes(row)
+        marks = np.arange(1, values.size + 1)[None]  # nonzero stand-ins: kept positions stay nonzero
         for k in sorted({1, values.size, *range(1, values.size, 1 + values.size // 64)}):
-            (got,) = _keep_by_rank(row, ranks, [k])
+            (got,) = _keep_top(row, magnitudes, [k])
             np.testing.assert_array_equal(got, _ref_keep_largest(values, k))
             assert got.dtype == values.dtype
-            assert np.count_nonzero(ranks < k) == k
-        np.testing.assert_array_equal(_keep_by_rank(row, ranks, [values.size])[0], values)
+            assert np.count_nonzero(_keep_top(marks, magnitudes, [k])) == k
+        np.testing.assert_array_equal(_keep_top(row, magnitudes, [values.size])[0], values)
+
+    def test_keeps_k_positions_per_row(self):
+        rows = np.stack([self.CASES["rounded"], self.CASES["rounded"][::-1]])
+        magnitudes = _sorted_magnitudes(rows)
+        marks = np.arange(1, rows.size + 1).reshape(rows.shape)
+        for k in range(1, rows.shape[1] + 1):
+            np.testing.assert_array_equal(np.count_nonzero(_keep_top(marks, magnitudes, [k, k]), axis=1), [k, k])
 
     def test_shared_row_equals_distinct_rows(self):
         values = self.CASES["rounded"]
         ks = [1, 7, 7, 20, 40, 3]
-        shared = experiments._keep_by_rank(values[None], experiments._ranks(values[None]), ks)
+        shared = _keep(values[None], ks)
         rows = np.repeat(values[None], len(ks), axis=0)
-        distinct = experiments._keep_by_rank(rows, experiments._ranks(rows), ks)
+        distinct = _keep(rows, ks)
         np.testing.assert_array_equal(shared, distinct)
         for t, k in enumerate(ks):
             np.testing.assert_array_equal(shared[t], _ref_keep_largest(values, k))
 
-    def test_ranks_are_a_permutation_per_row(self):
-        rows = np.stack([self.CASES["rounded"], self.CASES["rounded"][::-1]])
-        ranks = experiments._ranks(rows)
-        for r in ranks:
-            np.testing.assert_array_equal(np.sort(r), np.arange(rows.shape[1]))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_ties_match_lexsort(self, seed):
+        """Blocks whose values come from a few magnitudes, so ties straddle
+        most cuts: a shared row and distinct rows against the lexsort."""
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, 1.0, -1.0, 1j, -1j, 2.0, 0.5j])
+        for _ in range(20):
+            t, p = rng.integers(1, 7), rng.integers(1, 61)
+            rows = rng.choice(pool, size=(t, p))
+            ks = rng.integers(1, p + 1, size=t)
+            distinct = _keep(rows, ks)
+            shared = _keep(rows[:1], ks)
+            for i, k in enumerate(ks):
+                np.testing.assert_array_equal(distinct[i], _ref_keep_largest(rows[i], k))
+                np.testing.assert_array_equal(shared[i], _ref_keep_largest(rows[0], k))
 
 
 class TestFrozenPipeline:

@@ -37,6 +37,7 @@ from glct import (
     sample_random_params,
 )
 from glct.params import KINDS, ParamBlock
+from glct.product import program_block
 from glct import cli, kernels
 from glct.experiments import BENCHMARK_SIGNALS, benchmark_signal
 from glct.io import write_graph, write_signal
@@ -483,6 +484,30 @@ def test_block_rows_match_single_calls(graph, kind):
             for block, single, zb in pairs:
                 err = np.linalg.norm(block[i] - single.values) / np.linalg.norm(single.values)
                 assert err < 1e-13, (t, i, p, zb, err)
+
+
+SHARED_SPECS = {
+    "general-b": TransformSpec("glct_cmccm", {"abcd": GENERAL_ABCD}),
+    "eq30": TransformSpec("glct_cmccm", {"abcd": ZERO_B_ABCD}, zero_b_variant="eq30"),
+    "eq31": TransformSpec("glct_cmccm", {"abcd": ZERO_B_ABCD}, zero_b_variant="eq31"),
+    "cddhfs": TransformSpec("glct_cddhfs", {"abcd": LctParams.from_abc(1.2, 0.5, -0.3).astuple()}),  # delta != 1
+    "gfrft": TransformSpec("gfrft", {"alpha": 0.4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_SPECS))
+def test_shared_rate_column_equals_repeated_column(name):
+    """A group whose one rate column (and phase) serves every row equals, byte
+    for byte, the group with that column repeated once per row, over more rows
+    than one chunk; ring(20) x path(4) has a chained axis and a formed axis."""
+    ctx = ProductContext(cartesian_product([make_ring(20), make_path(4)]))
+    t = block_rows(ctx.graph.n) + 5
+    rng = np.random.default_rng(31)
+    xs = rng.normal(size=(t, ctx.graph.n)) + 1j * rng.normal(size=(t, ctx.graph.n))
+    group = SHARED_SPECS[name].program()._replace(rows=np.arange(t))
+    repeated = group._replace(rates=np.repeat(group.rates, t, axis=1),
+                              phases=None if group.phases is None else np.repeat(group.phases, t))
+    assert program_block(xs, [group], ctx).tobytes() == program_block(xs, [repeated], ctx).tobytes()
 
 
 def test_block_budget_and_shape_check(ctx_ring4_path3):
