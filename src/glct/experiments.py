@@ -45,6 +45,7 @@ from .graphs import (
 from .params import (
     LctParams,
     ParamBlock,
+    ProgramGroup,
     ZeroBVariant,
     compose,
     inverse,
@@ -55,8 +56,6 @@ from .product import (
     SignalNd,
     TransformSpec,
     block_rows,
-    cddhfs_block,
-    cmccm_block,
     gfrft_nd,
     glct_cddhfs_nd,
     glct_cmccm_nd,
@@ -131,6 +130,13 @@ def apply_glct(
     return glct_cmccm_nd(x, p, ctx, zero_b_variant)
 
 
+def _glct_groups(params: ParamBlock, variant: str, zero_b_variant: ZeroBVariant) -> list[ProgramGroup]:
+    """The program groups that run row t of a block through :func:`apply_glct`
+    with row t of ``params``."""
+    _check_variant(variant)
+    return params.cddhfs() if variant == "cddhfs" else params.cmccm(zero_b_variant)
+
+
 def _glct_block(
     values: np.ndarray,
     params: ParamBlock,
@@ -139,10 +145,16 @@ def _glct_block(
     zero_b_variant: ZeroBVariant,
 ) -> np.ndarray:
     """Row t of ``values`` (T, P) through :func:`apply_glct` with row t of ``params``."""
-    _check_variant(variant)
-    if variant == "cddhfs":
-        return cddhfs_block(values, params, ctx)
-    return cmccm_block(values, params, ctx, zero_b_variant)
+    return program_block(values, _glct_groups(params, variant, zero_b_variant), ctx)
+
+
+def _square_row_sums(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.sum(np.abs(z) ** 2, axis=1)`` of a complex (T, P) ``z``, with the
+    squares made in the memory of ``scratch``, a C-contiguous array of at
+    least z's bytes that it overwrites."""
+    squares = scratch.reshape(-1).view(float)[:z.size].reshape(z.shape)
+    np.abs(z, out=squares)
+    return np.square(squares, out=squares).sum(axis=1)
 
 
 def _rows(x: SignalNd, t: int) -> np.ndarray:
@@ -179,12 +191,12 @@ def _nmse_additivity_block(x, p1, p2, p12, ctx, variant, zero_b_variant) -> np.n
     ctx.check(x)
     block = _rows(x, len(p1))
     one = _glct_block(block, p12, ctx, variant, zero_b_variant)
-    den = np.sum(np.abs(one) ** 2, axis=1)
+    half = _glct_block(block, p2, ctx, variant, zero_b_variant)
+    two = _glct_block(half, p1, ctx, variant, zero_b_variant)
+    den = _square_row_sums(one, half)
     if (den == 0.0).any():
         raise ValidationError("degenerate signal: the reference transform is identically zero")
-    two = _glct_block(block, p2, ctx, variant, zero_b_variant)
-    two = _glct_block(two, p1, ctx, variant, zero_b_variant)
-    return np.sum(np.abs(one - two) ** 2, axis=1) / den
+    return _square_row_sums(np.subtract(one, two, out=two), half) / den
 
 
 def nmse_reversibility(
@@ -212,7 +224,7 @@ def _nmse_reversibility_block(x, params, inverses, ctx, variant, zero_b_variant)
         raise ValidationError("degenerate signal: ||x|| = 0")
     forward = _glct_block(_rows(x, len(params)), params, ctx, variant, zero_b_variant)
     recon = _glct_block(forward, inverses, ctx, variant, zero_b_variant)
-    return np.sum(np.abs(x.values - recon) ** 2, axis=1) / den
+    return _square_row_sums(np.subtract(x.values, recon, out=recon), forward) / den
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +408,8 @@ def _relative_error_rows(x: np.ndarray, xc: np.ndarray) -> np.ndarray:
     den = np.abs(x).sum()
     if den == 0.0:
         raise ValidationError("relative error undefined for an all-zero signal")
-    return np.abs(x - xc).sum(axis=1) / den
+    d = np.subtract(x, xc)
+    return np.abs(d, out=d).sum(axis=1) / den
 
 
 def _normalized_rms_rows(x: np.ndarray, xc: np.ndarray) -> np.ndarray:
@@ -405,18 +418,19 @@ def _normalized_rms_rows(x: np.ndarray, xc: np.ndarray) -> np.ndarray:
     den = np.sqrt((dx * dx).sum())
     if den == 0.0:
         raise ValidationError("normalized RMS undefined for a constant signal")
-    d = x - xc
-    return np.sqrt((d * d).sum(axis=1)) / den
+    d = np.subtract(x, xc)
+    return np.sqrt(np.multiply(d, d, out=d).sum(axis=1)) / den
 
 
 def _correlation_rows(x: np.ndarray, xc: np.ndarray) -> np.ndarray:
     """Pearson correlation of every row of ``xc`` (T, P) with ``x`` (P,)."""
     dx = x - x.mean()
     dc = xc - xc.mean(axis=1, keepdims=True)
-    den = np.sqrt((dx * dx).sum()) * np.sqrt((dc * dc).sum(axis=1))
+    products = dc * dc
+    den = np.sqrt((dx * dx).sum()) * np.sqrt(products.sum(axis=1))
     if (den == 0.0).any():
         raise ValidationError("correlation undefined for a constant signal")
-    return (dx * dc).sum(axis=1) / den
+    return np.multiply(dx, dc, out=products).sum(axis=1) / den
 
 
 def _one_row(metric, x, xc) -> float:
@@ -676,10 +690,10 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant,
         ps = drawn[i:i + step]
         coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
         magnitudes = _sorted_magnitudes(coeffs)
-        pinv = inverses[i:i + step]
+        back = _glct_groups(inverses[i:i + step], variant, zero_b_variant)
         for j, g in enumerate(gammas):
             recon, metrics = _compress_rows(x, coeffs, magnitudes, [g] * len(ps),
-                                            lambda kept: _glct_block(kept, pinv, ctx, variant, zero_b_variant))
+                                            lambda kept: program_block(kept, back, ctx))
             scores = sign * metrics[which]
             t = int(np.argmin(scores))  # the first draw of the block's best
             if best[j] is None or scores[t] < sign * getattr(best[j], metric):

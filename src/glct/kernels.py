@@ -67,6 +67,11 @@ class FactorDecomposition:
         """Unitary eigendecomposition of :attr:`f`, built on first use."""
         return eig_unitary_vectors(self.spectrum)
 
+    @cached_property
+    def fourier_conj(self) -> np.ndarray:
+        """The entrywise conjugate of P (:attr:`fourier`), whose transpose is P^H."""
+        return self.fourier.vectors.conj()
+
     @property
     def diagnostics(self) -> dict:
         """Residuals and cluster counts of both eigendecompositions."""

@@ -16,11 +16,14 @@ row's ops are multiplied into one N_k x N_k matrix; along the others the
 matrices every row shares (V, V^T, P, P^H) are applied once over the whole
 block and each row's chirps as diagonals. Chirps are per-factor diagonals, so
 mode-wise application, exact power additivity and separability hold by
-construction. The one-signal functions are the T = 1 case.
+construction. The one-signal functions are the T = 1 case. A block runs in
+chunks of at most BLOCK_BYTES, in work arrays that each thread keeps between
+calls (see the blocks section below).
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Any, Mapping, Sequence
@@ -34,9 +37,11 @@ from .params import RATED_KINDS, LctParams, ParamBlock, ProgramGroup, ZeroBVaria
 from .spectral import frac_diag_power
 
 DENSE_SIZE_CAP = 4096
-#: Byte budget of one block: 16 rows of the largest benchmark signal (x2,
-#: 288 entries). Larger blocks buy little speed and raise peak memory.
-BLOCK_BYTES = 16 * 288 * 16
+#: Byte budget of one block: 48 rows of the largest benchmark signal (x2, 288
+#: entries), 9 rows of the 100 x 15 compression-study signal. Larger blocks
+#: spread numpy's per-call cost over more rows; the per-thread workspace keeps
+#: them from costing page faults, and its size grows with the budget.
+BLOCK_BYTES = 48 * 288 * 16
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,46 @@ class ProductContext:
 # (L, N_k, R) array, R being the product of the earlier axes, so the whole
 # block is a (T * L, N_k, R) stack. Row t of every result depends on row t of
 # the block and its own parameters only, never on T.
+#
+# The ops write into the work arrays of a per-thread workspace, never into a
+# fresh array: a chunk's rows alternate between two block-sized buffers, and
+# chirps multiply in place. The workspace grows to the largest chunk seen and
+# stays allocated for the thread's next call. So no op allocates a block, and
+# no freed block makes the allocator return memory to the system that the
+# next op faults back in.
+
+
+class _Workspace:
+    """Work arrays by slot name: one flat buffer per slot, grown to the
+    largest request and reused by every later one."""
+
+    def __init__(self) -> None:
+        self.slots: dict = {}
+
+    def take(self, slot, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        """An uninitialized C-contiguous array of ``shape`` in the buffer of ``slot``."""
+        count = math.prod(shape) * np.dtype(dtype).itemsize // 8
+        buf = self.slots.get(slot)
+        if buf is None or buf.size < count:
+            buf = self.slots[slot] = np.empty(count)
+        return buf[:count].view(dtype).reshape(shape)
+
+
+class _PerThread(threading.local):
+    def __init__(self) -> None:
+        self.workspace = _Workspace()
+
+
+_THREAD = _PerThread()
+
+
+def _workspace(p: int) -> _Workspace:
+    """The calling thread's workspace for rows of ``p`` entries, kept between
+    calls while a row fits in BLOCK_BYTES. Then every work array fits in the
+    budget too (a formed matrix has N_k^2 <= P entries per row). A larger row
+    gets a workspace of its own that the call drops, so what a thread keeps
+    allocated is bounded by the budget."""
+    return _THREAD.workspace if 16 * p <= BLOCK_BYTES else _Workspace()
 
 
 def block_rows(n: int) -> int:
@@ -129,48 +174,73 @@ def _dims(shape: tuple[int, ...], axis: int) -> tuple[int, int]:
     return shape[axis], math.prod(shape[:axis])
 
 
-def _shared(x: np.ndarray, shape: tuple[int, ...], axis: int, mat: np.ndarray) -> np.ndarray:
-    """Apply one matrix along ``axis`` of every row of block ``x``.
+class _Buffers:
+    """The workspace's two block buffers, which a chunk's ops alternate between."""
+
+    def __init__(self, ws: _Workspace, shape: tuple[int, int]) -> None:
+        self.ws = ws
+        self.pair = (ws.take("x0", shape), ws.take("x1", shape))
+
+    def other(self, x: np.ndarray) -> np.ndarray:
+        """The buffer that does not hold ``x``: where a product of ``x`` goes."""
+        return self.pair[x is self.pair[0]]
+
+    def own(self, x: np.ndarray) -> np.ndarray:
+        """``x`` if it is a buffer, else the first: where an elementwise op on ``x`` goes."""
+        return x if x is self.pair[1] else self.pair[0]
+
+
+def _shared(x: np.ndarray, shape: tuple[int, ...], axis: int, mat: np.ndarray, out: np.ndarray,
+            ws: _Workspace) -> np.ndarray:
+    """Apply one matrix along ``axis`` of every row of block ``x`` into ``out``.
 
     On the first axis (R = 1) this is one GEMM over all T * L fibres. A real
     matrix acts on real and imaginary parts separately: on the first axis
-    stacked as 2 * T * L rows, on later axes through the float view of the
-    block, whose (N_k, 2R) slices interleave real and imaginary parts.
+    stacked as 2 * T * L rows in the memory of ``out``, with the product in
+    the workspace slot "b"; on later axes through the float view of the block,
+    whose (N_k, 2R) slices interleave real and imaginary parts.
     """
-    t = x.shape[0]
     n, r = _dims(shape, axis)
     real = mat.dtype.kind == "f"
     if r == 1:
-        rows = x.reshape(-1, n)
+        rows, res = x.reshape(-1, n), out.reshape(-1, n)
         if not real:
-            return (rows @ mat.T).reshape(t, -1)
+            np.matmul(rows, mat.T, out=res)
+            return out
         half = rows.shape[0]
-        res = np.concatenate((rows.real, rows.imag)) @ mat.T
-        out = np.empty(rows.shape, dtype=complex)
-        out.real, out.imag = res[:half], res[half:]
-        return out.reshape(t, -1)
-    if not real:
-        return (mat @ x.reshape(-1, n, r)).reshape(t, -1)
-    return (mat @ x.reshape(-1, n, r).view(float)).view(complex).reshape(t, -1)
+        parts = out.reshape(-1).view(float).reshape(2 * half, n)
+        parts[:half], parts[half:] = rows.real, rows.imag
+        prod = np.matmul(parts, mat.T, out=ws.take("b", parts.shape, float))
+        res.real, res.imag = prod[:half], prod[half:]
+        return out
+    if real:
+        np.matmul(mat, x.reshape(-1, n, r).view(float), out=out.reshape(-1, n, r).view(float))
+    else:
+        np.matmul(mat, x.reshape(-1, n, r), out=out.reshape(-1, n, r))
+    return out
 
 
-def _diag(x: np.ndarray, shape: tuple[int, ...], axis: int, d: np.ndarray) -> np.ndarray:
-    """Multiply along ``axis`` of row t by the diagonal ``d[t]`` (d is (T, N_k))."""
+def _diag(x: np.ndarray, shape: tuple[int, ...], axis: int, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Multiply along ``axis`` of row t by the diagonal ``d[t]`` (d is (T, N_k))
+    into ``out``, which may be ``x``."""
     t = x.shape[0]
     n, r = _dims(shape, axis)
-    return (x.reshape(t, -1, n, r) * d[:, None, :, None]).reshape(t, -1)
+    np.multiply(x.reshape(t, -1, n, r), d[:, None, :, None], out=out.reshape(t, -1, n, r))
+    return out
 
 
-def _stacked(x: np.ndarray, shape: tuple[int, ...], axis: int, mats: np.ndarray) -> np.ndarray:
-    """Apply ``mats[t]`` along ``axis`` of row t (mats is (T, N_k, N_k))."""
+def _stacked(x: np.ndarray, shape: tuple[int, ...], axis: int, mats: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Apply ``mats[t]`` along ``axis`` of row t (mats is (T, N_k, N_k)) into ``out``."""
     t = x.shape[0]
     n, r = _dims(shape, axis)
     if r == 1:
-        return (x.reshape(t, -1, n) @ mats.transpose(0, 2, 1)).reshape(t, -1)
-    return (mats[:, None] @ x.reshape(t, -1, n, r)).reshape(t, -1)
+        np.matmul(x.reshape(t, -1, n), mats.transpose(0, 2, 1), out=out.reshape(t, -1, n))
+    else:
+        np.matmul(mats[:, None], x.reshape(t, -1, n, r), out=out.reshape(t, -1, n, r))
+    return out
 
 
-def _formed(n: int, x: np.ndarray) -> bool:
+def _formed(n: int, p: int) -> bool:
     """Whether an axis's factors are multiplied into one matrix per row.
 
     Forming the product costs N^3 per extra factor and applying one factor
@@ -178,7 +248,7 @@ def _formed(n: int, x: np.ndarray) -> bool:
     N^2 <= P, the comparison ``np.linalg.multi_dot`` makes. P is the entry
     count of one row, so the choice never depends on T.
     """
-    return n * n <= x.shape[1]
+    return n * n <= p
 
 
 def _block(values: np.ndarray, ctx: ProductContext, t: int) -> np.ndarray:
@@ -191,9 +261,16 @@ def _block(values: np.ndarray, ctx: ProductContext, t: int) -> np.ndarray:
     return values
 
 
-def _kron_sum(x: np.ndarray, ctx: ProductContext) -> np.ndarray:
-    """Apply the Kronecker sum of the shift operators: the sum of their mode products."""
-    return sum(_shared(x, ctx.shape, axis, dec.z) for axis, dec in enumerate(ctx.factors))
+def _kron_sum(x: np.ndarray, ctx: ProductContext, out: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Apply the Kronecker sum of the shift operators into ``out``: the sum of
+    their mode products, each after the first made in the workspace slot "a".
+    The sum starts from 0, as ``sum`` does, which turns -0.0 into +0.0."""
+    _shared(x, ctx.shape, 0, ctx.factors[0].z, out, ws)
+    np.add(out, 0, out=out)
+    term = ws.take("a", x.shape)
+    for axis, dec in enumerate(ctx.factors[1:], 1):
+        np.add(out, _shared(x, ctx.shape, axis, dec.z, term, ws), out=out)
+    return out
 
 
 @lru_cache(maxsize=None)  # one entry per distinct kinds tuple: the op tables' rows
@@ -218,99 +295,153 @@ def _layout(kinds: tuple[str, ...]):
     return tuple(zip(map(tuple, runs), formable)), diag_cols, scale_cols, fold
 
 
-def _form(run, axis: int, dec: FactorDecomposition, diags: dict) -> np.ndarray:
-    """One run's ops along ``axis`` multiplied into one (T, N_k, N_k) matrix per row."""
-    m = pending = None
+def _form(run, axis: int, dec: FactorDecomposition, diags: dict, ws: _Workspace, slot) -> np.ndarray:
+    """One run's ops along ``axis`` multiplied into one (T, N_k, N_k) matrix per
+    row m, in the workspace slots ``slot + (0,)`` and ``slot + (1,)``: each
+    product goes to the slot that does not hold its operand, and a chirp
+    multiplies m in place. A shared matrix times per-row diagonals is copied
+    out first and scaled in place, so that only one operand of the multiply
+    broadcasts (numpy buffers each broadcast operand)."""
+    m = pending = held = None  # held: the slot that holds m, once m is a product
+
+    def into(shape, dtype=complex) -> np.ndarray:
+        nonlocal held
+        held = 1 if held == 0 else 0
+        return ws.take(slot + (held,), shape, dtype)
+
+    def scaled(a, d) -> np.ndarray:  # a * d[:, None, :]
+        out = into(d.shape[:1] + a.shape)
+        np.copyto(out, a)
+        return np.multiply(out, d[:, None, :], out=out)
+
+    def chirp(d) -> np.ndarray:  # d[:, :, None] * m
+        shape = np.broadcast_shapes(d.shape + (1,), m.shape)
+        return np.multiply(d[:, :, None], m, out=m if held is not None and shape == m.shape else into(shape))
+
+    def times(a) -> np.ndarray:  # a @ m
+        if a.dtype.kind == "f" and m.dtype.kind == "c":  # real and imaginary parts as one real GEMM
+            out = into(m.shape)
+            np.matmul(a, m.view(float), out=out.view(float))
+            return out
+        return np.matmul(a, m, out=into(np.broadcast_shapes(a.shape, m.shape), np.result_type(a, m)))
+
     for kind, j in run:
+        d = None if j is None else diags[j][axis]
         if kind == "cm":
-            d = diags[j][axis]
-            if m is None:
-                pending = d if pending is None else pending * d
+            if m is not None:
+                m = chirp(d)
             else:
-                m = d[:, :, None] * m
-            continue
-        if kind == "frac":
-            p = dec.fourier.vectors
-            a = (p * diags[j][axis][:, None, :]) @ p.conj().T
+                pending = d if pending is None else np.multiply(pending, d, out=ws.take("pending", d.shape))
+        elif kind == "frac":
+            if m is not None:  # P (diag(d) (P^H m))
+                m = times(dec.fourier_conj.T)
+                m = chirp(d)
+                m = times(dec.fourier.vectors)
+            else:  # P diag(d) P^H
+                a = scaled(dec.fourier.vectors, d)
+                m = np.matmul(a, dec.fourier_conj.T, out=into(a.shape))
+                if pending is not None:
+                    np.multiply(m, pending[:, None, :], out=m)
         else:
             a = dec.f if kind == "ft" else dec.basis.vectors
-        if m is None:
-            m = a if pending is None else a * pending[:, None, :]
-        elif a.dtype.kind == "f" and m.dtype.kind == "c":  # real and imaginary parts as one real GEMM
-            m = (a @ m.view(float)).view(complex)
-        else:
-            m = a @ m
+            if m is not None:
+                m = times(a)
+            else:
+                m = a if pending is None else scaled(a, pending)
     return m
 
 
 def _chain(x: np.ndarray, run, axis: int, dec: FactorDecomposition, diags: dict,
-           shape: tuple[int, ...]) -> np.ndarray:
+           shape: tuple[int, ...], buf: _Buffers) -> np.ndarray:
     """One run's ops along ``axis`` one after another: shared matrices over the
     whole block, chirps and fractional powers as (T, N_k) diagonals."""
     for kind, j in run:
         if kind == "cm":
-            x = _diag(x, shape, axis, diags[j][axis])
+            x = _diag(x, shape, axis, diags[j][axis], buf.own(x))
         elif kind == "frac":
-            p = dec.fourier.vectors
-            x = _shared(x, shape, axis, p.conj().T)
-            x = _shared(_diag(x, shape, axis, diags[j][axis]), shape, axis, p)
+            x = _shared(x, shape, axis, dec.fourier_conj.T, buf.other(x), buf.ws)
+            x = _diag(x, shape, axis, diags[j][axis], x)
+            x = _shared(x, shape, axis, dec.fourier.vectors, buf.other(x), buf.ws)
         else:
-            x = _shared(x, shape, axis, dec.f if kind == "ft" else dec.basis.vectors)
+            x = _shared(x, shape, axis, dec.f if kind == "ft" else dec.basis.vectors, buf.other(x), buf.ws)
     return x
 
 
-def _run(x: np.ndarray, kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | None,
-         ctx: ProductContext) -> np.ndarray:
-    """One chunk of rows through one program: row t has rates ``rates[:, t]``
-    and phase ``phases[t]`` (None: all ones), or every row has the one column
-    ``rates[:, 0]`` and ``phases[0]``."""
+def _prepare(kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | None, ctx: ProductContext,
+             p: int, ws: _Workspace):
+    """What the rows of one program with rates ``rates`` (R, T) and phases
+    ``phases`` share between chunks: the chirp diagonals, with the phase and
+    each 1 / sigma folded in where a chirp takes them, and the matrix that
+    each formed axis of each run multiplies into one per row (in the
+    workspace). Returns them with the phases and the product of the sigmas,
+    or None where folded, for :func:`_apply`."""
     runs, diag_cols, scale_cols, fold = _layout(kinds)
     diags = {j: ctx.diag_powers(rates[j]) for j in diag_cols}
     sigma = None
     for j in scale_cols:
         sigma = rates[j, :, None] if sigma is None else sigma * rates[j, :, None]
     if fold is not None:
-        d = diags[fold]
+        d = diags[fold][0]
         if phases is not None:
-            d[0] = d[0] * phases[:, None]
+            np.multiply(d, phases[:, None], out=d)
         if sigma is not None:
-            d[0] = d[0] / sigma
-    for i, (run, formable) in enumerate(runs):
+            np.divide(d, sigma, out=d)
+        phases = sigma = None
+    formed = {(i, axis): _form(run, axis, dec, diags, ws, ("form", i, axis))
+              for i, (run, formable) in enumerate(runs) if formable
+              for axis, dec in enumerate(ctx.factors) if _formed(ctx.shape[axis], p)}
+    return runs, diags, formed, phases, sigma
+
+
+def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.ndarray:
+    """One chunk of rows through a program prepared by :func:`_prepare` for
+    its rows, or for one rate column that every row shares; the result is one
+    of the buffers ``buf``, and so may be ``x``."""
+    runs, diags, formed, phases, sigma = prepared
+    ws = buf.ws
+    for i, (run, _) in enumerate(runs):
         if i:
-            x = _kron_sum(x, ctx)
+            x = _kron_sum(x, ctx, buf.other(x), ws)
         for axis, dec in enumerate(ctx.factors):
-            if formable and _formed(ctx.shape[axis], x):
-                x = _stacked(x, ctx.shape, axis, _form(run, axis, dec, diags))
+            if (i, axis) in formed:
+                x = _stacked(x, ctx.shape, axis, formed[i, axis], buf.other(x))
             else:
-                x = _chain(x, run, axis, dec, diags, ctx.shape)
-    if fold is None:  # no chirp to fold the scalars into
-        if phases is not None:
-            x = x * phases[:, None]
-        if sigma is not None:
-            x = x / sigma
+                x = _chain(x, run, axis, dec, diags, ctx.shape, buf)
+    if phases is not None:  # no chirp to fold the scalars into
+        x = np.multiply(x, phases[:, None], out=buf.own(x))
+    if sigma is not None:
+        x = np.divide(x, sigma, out=buf.own(x))
     return x
 
 
 def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> np.ndarray:
     """The rows ``g.rows`` of ``values`` (T, P) through the program of each
     group ``g`` (see :class:`~glct.params.ProgramGroup`; the groups partition
-    the rows), each group in chunks of at most :func:`block_rows` rows.
+    the rows), each group in chunks of at most :func:`block_rows` rows, in the
+    calling thread's workspace; the result is a new array.
 
-    A group with one rate column runs it on every chunk whole: ``_run``
-    broadcasts its (1, N_k) diagonals and (1, N_k, N_k) formed matrices over
-    the chunk's rows, so each chunk computes them once."""
+    A group with one rate column prepares it once for all its chunks: its
+    (1, N_k) diagonals and (1, N_k, N_k) formed matrices broadcast over the
+    rows of every chunk."""
     values = _block(values, ctx, sum(len(g.rows) for g in groups))
     out = np.empty_like(values)
-    step = block_rows(values.shape[1])
+    p = values.shape[1]
+    step, ws = block_rows(p), _workspace(p)
     whole = len(groups) == 1
     for kinds, rows, rates, phases in groups:
-        x = values if whole else values[rows]
         shared = rates.shape[1] == 1
+        if shared:
+            prepared = _prepare(kinds, rates, phases, ctx, p, ws)
         for i in range(0, len(rows), step):
             chunk = slice(i, i + step)
-            own = slice(None) if shared else chunk
-            y = _run(x[chunk], kinds, rates[:, own], None if phases is None else phases[own], ctx)
-            out[chunk if whole else rows[chunk]] = y
+            if not shared:
+                prepared = _prepare(kinds, rates[:, chunk], None if phases is None else phases[chunk], ctx, p, ws)
+            buf = _Buffers(ws, (len(rows[chunk]), p))
+            if whole:
+                out[chunk] = _apply(values[chunk], prepared, ctx, buf)
+            else:  # gathered into a buffer (numpy copies into out= first only in mode "raise")
+                x = np.take(values, rows[chunk], axis=0, out=buf.pair[0], mode="clip")
+                out[rows[chunk]] = _apply(x, prepared, ctx, buf)
     return out
 
 

@@ -44,6 +44,7 @@ from glct.experiments import (
     _sorted_magnitudes,
     study_signal,
 )
+from glct.params import ParamBlock
 from glct.product import block_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -679,11 +680,13 @@ class TestFrozenPipeline:
             _assert_metrics_close(rep, metrics)
 
     def test_sweeps_across_block_boundary(self, default_study, kept_calls):
-        # block_rows(1500) is 3, so nine ratios take three backward blocks
+        # block_rows(1500) is 9, so nineteen ratios take three backward blocks
         ctx, x = default_study
-        assert block_rows(x.n) == 3
+        assert block_rows(x.n) == 9
         p = LctParams.from_abc(0.6, 0.8, -0.5)
-        gammas = [0.1, 0.25, 0.3, 0.5, 0.55, 0.7, 0.9, 0.95, 1.0]
+        gammas = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
+                  0.55, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
+        assert len(gammas) >= 2 * block_rows(x.n) + 1
         for sweep, ref in ((lambda: experiments._glct_sweep(x, p, ctx, gammas, "cmccm", ZeroBVariant.EQ30, 1),
                             lambda g: _ref_glct(x, p, ctx, g)),
                            (lambda: experiments._gfrft_sweep(x, 0.45, ctx, gammas, 1),
@@ -739,6 +742,18 @@ class TestFrozenPipeline:
         _, together = experiments._search_sweep(x, ctx, gammas, budget, 3, "nrms", "cmccm", ZeroBVariant.EQ30)
         apart = [search_glct_params(x, ctx, g, budget=budget, seed=3) for g in gammas]
         assert together == apart
+
+    def test_search_factorizes_each_block_once(self, small_study, monkeypatch):
+        # each block's draws and their inverses: two factorizations, whatever the ratio count
+        ctx, x = small_study
+        budget = 2 * block_rows(x.n) + 1
+        calls = []
+        cmccm = ParamBlock.cmccm
+        monkeypatch.setattr(ParamBlock, "cmccm", lambda self, *zb: calls.append(len(self)) or cmccm(self, *zb))
+        for gammas in ([0.3], [0.1, 0.3, 0.5, 0.7, 0.9]):
+            calls.clear()
+            experiments._search_sweep(x, ctx, gammas, budget, 2, "nrms", "cmccm", ZeroBVariant.EQ30)
+            assert len(calls) == 2 * 3 and sum(calls) == 2 * budget
 
     @pytest.mark.parametrize("metric", ["re", "cc"])
     def test_search_returns_the_reconstructions_it_scored(self, default_study, metric):

@@ -1,4 +1,8 @@
 """Factored multi-dimensional transforms against dense Kronecker oracles."""
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,9 +40,9 @@ from glct import (
     kronecker_sum,
     sample_random_params,
 )
-from glct.params import KINDS, ParamBlock
-from glct.product import program_block
-from glct import cli, kernels
+from glct.params import KINDS, ParamBlock, ProgramGroup
+from glct.product import BLOCK_BYTES, program_block
+from glct import cli, kernels, product
 from glct.experiments import BENCHMARK_SIGNALS, benchmark_signal
 from glct.io import write_graph, write_signal
 from glct.spectral import eig_unitary
@@ -511,12 +515,181 @@ def test_shared_rate_column_equals_repeated_column(name):
 
 
 def test_block_budget_and_shape_check(ctx_ring4_path3):
-    assert block_rows(288) == 16
+    assert block_rows(288) == 48
+    assert block_rows(1500) == 9
     assert block_rows(10**6) == 1
     with pytest.raises(ValidationError):
         cmccm_block(np.ones((2, 12)), ParamBlock([GENERAL_ABCD]), ctx_ring4_path3)
     with pytest.raises(ValidationError):
         gfrft_block(np.ones((1, 11)), [0.5], ctx_ring4_path3)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_SPECS))
+def test_shared_rate_column_is_prepared_once(name, monkeypatch):
+    """A group with one rate column computes each chirp diagonal once, not once
+    per chunk, over more rows than one chunk."""
+    ctx = ProductContext(cartesian_product([make_ring(20), make_path(4)]))
+    t = block_rows(ctx.graph.n) + 5
+    calls = []
+    diag_powers = ProductContext.diag_powers
+    monkeypatch.setattr(ProductContext, "diag_powers", lambda self, rates: calls.append(rates) or diag_powers(self, rates))
+    group = SHARED_SPECS[name].program()._replace(rows=np.arange(t))
+    program_block(np.ones((t, ctx.graph.n), complex), [group], ctx)
+    assert len(calls) == sum(kind in ("cm", "frac") for kind in group.kinds)
+    assert all(rates.shape == (1,) for rates in calls)
+
+
+@pytest.mark.parametrize("kinds", [("cm", "frac"), ("ft", "cm", "frac"), ("ft", "ift", "cm"),
+                                   ("frac", "cm", "frac", "ft"), ("cm", "scale", "ft", "frac", "cm")])
+def test_any_program_equals_its_ops_one_at_a_time(kinds):
+    """Op orders that no factorization makes, on a formed and a chained axis:
+    the program equals its single ops applied one after another."""
+    ctx = ProductContext(cartesian_product([make_ring(20), make_path(4)]))
+    t = 3
+    rng = np.random.default_rng(43)
+    xs = rng.normal(size=(t, ctx.graph.n)) + 1j * rng.normal(size=(t, ctx.graph.n))
+    rated = [k for k in kinds if k in ("cm", "frac", "scale")]
+    rates = rng.uniform(0.5, 1.5, size=(len(rated), t))
+    got = program_block(xs, [ProgramGroup(kinds, np.arange(t), rates, None)], ctx)
+    want, j = xs, 0
+    for kind in kinds:
+        own = rates[j:j + 1] if kind in rated else np.empty((0, t))
+        j += kind in rated
+        want = program_block(want, [ProgramGroup((kind,), np.arange(t), own, None)], ctx)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# The workspace: per thread, never aliased by a result, bounded by the budget.
+
+
+def _mixed_block(ctx, t, seed):
+    """``t`` random rows and a parameter block with general-b and b = 0 rows."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(t, ctx.graph.n)) + 1j * rng.normal(size=(t, ctx.graph.n))
+    abc = np.column_stack([rng.uniform(0.5, 2.0, t), rng.uniform(-2.0, 2.0, t), rng.uniform(-2.0, 2.0, t)])
+    abc[::5, 1] = 0.0
+    return xs, ParamBlock.from_abc(abc)
+
+
+def test_threads_get_the_bytes_of_sequential_runs():
+    """Two threads transforming different blocks at once (other graphs, programs
+    and heights, several chunks each) get the bytes of the same calls made one
+    after another: each thread runs in a workspace of its own."""
+    jobs = []
+    for factors, run, seed in (([make_ring(18), make_path(16)], cmccm_block, 1),
+                               ([make_ring(20), make_path(4)], cddhfs_block, 2)):
+        ctx = ProductContext(cartesian_product(factors))
+        xs, params = _mixed_block(ctx, 2 * block_rows(ctx.graph.n) + 3, seed)
+        jobs.append((lambda run=run, xs=xs, params=params, ctx=ctx: run(xs, params, ctx)))
+    want = [job().tobytes() for job in jobs]
+    start, wrong, done = threading.Barrier(len(jobs)), [], []
+
+    def work(i):
+        start.wait(timeout=30)
+        for _ in range(15):
+            wrong.extend([i] * (jobs[i]().tobytes() != want[i]))
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(done) == [0, 1] and wrong == []
+
+
+@pytest.mark.parametrize("extra", [-1, 2])  # one chunk, two chunks
+def test_results_never_alias_the_workspace(extra):
+    ctx = ProductContext(cartesian_product([make_ring(18), make_path(16)]))
+    xs, params = _mixed_block(ctx, block_rows(ctx.graph.n) + extra, 3)
+    first = cddhfs_block(xs, params, ctx)
+    kept = first.copy()
+    second = cddhfs_block(xs[::-1].copy(), params, ctx)
+    assert first.tobytes() == kept.tobytes()
+    buffers = product._THREAD.workspace.slots.values()
+    assert buffers and not any(np.shares_memory(y, buf) for y in (first, second) for buf in buffers)
+
+
+def test_large_rows_leave_the_kept_workspace_within_budget(rand_signal):
+    """A row larger than BLOCK_BYTES (ring(800) x path(40), 512 KB) runs in a
+    workspace of its own that the call drops: the thread's kept workspace does
+    not grow, and none of its buffers exceeds the budget."""
+    small = ProductContext(cartesian_product([make_ring(18), make_path(16)]))
+    cddhfs_block(*_mixed_block(small, block_rows(small.graph.n), 4), small)
+    ws = product._THREAD.workspace
+    before = {slot: buf.nbytes for slot, buf in ws.slots.items()}
+    big = ProductContext(cartesian_product([make_ring(800), make_path(40)]))
+    assert 16 * big.graph.n > BLOCK_BYTES
+    glct_cmccm_nd(rand_signal(big, 5), LctParams(*GENERAL_ABCD), big)
+    assert ws is product._THREAD.workspace
+    assert {slot: buf.nbytes for slot, buf in ws.slots.items()} == before
+    assert all(size <= BLOCK_BYTES for size in before.values())
+
+
+def test_kron_sum_adds_from_zero(ctx_3d, monkeypatch):
+    """The Kronecker sum adds its mode products to 0, as Python's ``sum`` does,
+    so mode products that are all -0.0 sum to +0.0. BLAS gives no -0.0 mode
+    product on these graphs, so -0.0 arrays stand in for them."""
+
+    def negative_zero(x, shape, axis, mat, out, ws):
+        out[...] = complex(-0.0, -0.0)
+        return out
+
+    monkeypatch.setattr(product, "_shared", negative_zero)
+    x = np.ones((2, ctx_3d.graph.n), complex)
+    got = product._kron_sum(x, ctx_3d, np.empty_like(x), product._Workspace())
+    want = sum(negative_zero(x, ctx_3d.shape, axis, None, np.empty_like(x), None) for axis in range(3))
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got.view(float)).any()
+
+
+#: How far the peak allocation of a warm block call may grow per byte of
+#: output, between blocks of 2/3 and all of block_rows(P) rows. The output
+#: accounts for 1 and the chirp diagonals (T * sum(N_k) entries per rate
+#: column) for a little more; the workspace, once grown, and numpy's iterator
+#: buffers (8192 entries, 128 KiB complex, per broadcasting operand) do not
+#: grow with T. The cases below grow by 1.08 to 1.5; a block-sized temporary
+#: in one op of their chains adds 1, and the executor before the workspace
+#: peaked at 5.1 times its output on x2.
+ALLOCATION_GROWTH = 1.75
+
+
+def _peak(values, groups, ctx) -> tuple[int, int]:
+    """Peak bytes allocated by a block call, and the bytes of its output."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = program_block(values, groups, ctx)
+        return tracemalloc.get_traced_memory()[1] - base, out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["x2-cmccm", "x2-cddhfs", "ring20xpath30-cddhfs", "study-gfrft"])
+def test_warm_block_allocates_little_beyond_its_output(case):
+    """x2 forms its second axis; ring(20) x path(30) forms its first and chains
+    its second with the complex P and P^H; the study signal chains its first."""
+    if case.startswith("study"):
+        ctx = ProductContext(cartesian_product([make_ring(100), make_path(15)]))
+        values, _ = _mixed_block(ctx, block_rows(ctx.graph.n), 7)
+        program = lambda t: [product._single("gfrft", np.linspace(-0.9, 0.9, t))]  # noqa: E731
+    else:
+        graph = benchmark_signal("x2")[0] if case.startswith("x2") else cartesian_product([make_ring(20), make_path(30)])
+        ctx = ProductContext(graph)
+        values, params = _mixed_block(ctx, block_rows(ctx.graph.n), 6)
+        program = lambda t: params[:t].cmccm() if case.endswith("cmccm") else params[:t].cddhfs()  # noqa: E731
+    t = len(values)
+    part = values[:2 * t // 3].copy()
+    program_block(values, program(t), ctx)  # warm: the workspace has grown to the full block
+    (full, full_out), (less, less_out) = _peak(values, program(t), ctx), _peak(part, program(len(part)), ctx)
+    assert (full - less) / (full_out - less_out) <= ALLOCATION_GROWTH
 
 
 # ---------------------------------------------------------------------------
