@@ -79,8 +79,8 @@ class ProgramGroup(NamedTuple):
     A group whose ``rates`` has one column runs that parameter set on every
     member row, and its ``phases``, if any, has one entry. A sweep that
     transforms many rows with one parameter set so factorizes it once, and
-    computes its chirp diagonals and forms its matrices once for all its
-    rows instead of once per row."""
+    computes its chirp diagonals once for all its rows instead of once per
+    row."""
 
     kinds: tuple[str, ...]
     rows: np.ndarray

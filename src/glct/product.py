@@ -10,15 +10,14 @@ oracle), ``mult_count`` and ``glct.params.recompose``.
 
 Transforms run on blocks: T signals on one graph, one program per row. The
 executor splits a program at its ``scale`` ops, which apply the Kronecker sum
-of the shift operators. Between them it goes axis by axis and never forms a
-Kronecker product: along an axis with N_k^2 <= P (P entries per signal) each
-row's ops are multiplied into one N_k x N_k matrix; along the others the
-matrices every row shares (V, V^T, P, P^H) are applied once over the whole
-block and each row's chirps as diagonals. Chirps are per-factor diagonals, so
-mode-wise application, exact power additivity and separability hold by
-construction. The one-signal functions are the T = 1 case. A block runs in
-chunks of at most BLOCK_BYTES, in work arrays that each thread keeps between
-calls (see the blocks section below).
+of the shift operators. Between them it goes axis by axis, one op after
+another, and never forms a Kronecker product: along each axis the matrices
+every row shares (V, V^T, P, P^H) are applied once over the whole block, and
+each row's chirps and fractional powers as (T, N_k) diagonals. Chirps are
+per-factor diagonals, so mode-wise application, exact power additivity and
+separability hold by construction. The one-signal functions are the T = 1
+case. A block runs in chunks of at most BLOCK_BYTES, in work arrays that each
+thread keeps between calls (see the blocks section below).
 """
 from __future__ import annotations
 
@@ -159,7 +158,8 @@ _THREAD = _PerThread()
 def _workspace(p: int) -> _Workspace:
     """The calling thread's workspace for rows of ``p`` entries, kept between
     calls while a row fits in BLOCK_BYTES. Then every work array fits in the
-    budget too (a formed matrix has N_k^2 <= P entries per row). A larger row
+    budget too, since each holds one chunk: the two block buffers, the
+    Kronecker-sum term and the stacked real and imaginary parts. A larger row
     gets a workspace of its own that the call drops, so what a thread keeps
     allocated is bounded by the budget."""
     return _THREAD.workspace if 16 * p <= BLOCK_BYTES else _Workspace()
@@ -229,36 +229,30 @@ def _diag(x: np.ndarray, shape: tuple[int, ...], axis: int, d: np.ndarray, out: 
     return out
 
 
-def _stacked(x: np.ndarray, shape: tuple[int, ...], axis: int, mats: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Apply ``mats[t]`` along ``axis`` of row t (mats is (T, N_k, N_k)) into ``out``."""
-    t = x.shape[0]
-    n, r = _dims(shape, axis)
-    if r == 1:
-        np.matmul(x.reshape(t, -1, n), mats.transpose(0, 2, 1), out=out.reshape(t, -1, n))
-    else:
-        np.matmul(mats[:, None], x.reshape(t, -1, n, r), out=out.reshape(t, -1, n, r))
-    return out
-
-
-def _formed(n: int, p: int) -> bool:
-    """Whether an axis's factors are multiplied into one matrix per row.
-
-    Forming the product costs N^3 per extra factor and applying one factor
-    costs N * P for P signal entries, so the product is formed only when
-    N^2 <= P, the comparison ``np.linalg.multi_dot`` makes. P is the entry
-    count of one row, so the choice never depends on T.
-    """
-    return n * n <= p
-
-
-def _block(values: np.ndarray, ctx: ProductContext, t: int) -> np.ndarray:
+def _block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> tuple[np.ndarray, bool]:
+    """``values`` as a complex (T, P) block, and whether one group holds its
+    rows in order, after checking that the groups' rows name each of its T
+    rows once and that each group's rates and phases fit its kinds and rows."""
+    t = sum(len(g.rows) for g in groups)
     values = np.ascontiguousarray(values, dtype=complex)
     if values.shape != (t, math.prod(ctx.shape)):
         raise ValidationError(
             f"block has shape {values.shape}; {t} parameter rows on shape {ctx.shape} "
             f"need ({t}, {math.prod(ctx.shape)})"
         )
-    return values
+    rows = np.concatenate([g.rows for g in groups] or [np.arange(0)])
+    listed, order = rows.tolist(), list(range(t))
+    in_order = listed == order
+    if rows.dtype.kind not in "iu" or not (in_order or sorted(listed) == order):
+        raise ValidationError(f"the groups' rows must name each of the block's {t} rows once")
+    for kinds, rows, rates, phases in groups:
+        r = sum(kind in RATED_KINDS for kind in kinds)
+        if rates.shape not in ((r, 1), (r, len(rows))) or (phases is not None and phases.shape != rates.shape[1:]):
+            raise ValidationError(
+                f"a group of {len(rows)} rows with {r} rated ops needs rates of shape ({r}, 1) or "
+                f"({r}, {len(rows)}) and one phase per rate column, got {rates.shape} and {np.shape(phases)}"
+            )
+    return values, in_order and len(groups) == 1
 
 
 def _kron_sum(x: np.ndarray, ctx: ProductContext, out: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -276,9 +270,8 @@ def _kron_sum(x: np.ndarray, ctx: ProductContext, out: np.ndarray, ws: _Workspac
 @lru_cache(maxsize=None)  # one entry per distinct kinds tuple: the op tables' rows
 def _layout(kinds: tuple[str, ...]):
     """A program's runs of (kind, rate column) ops between its ``scale`` ops,
-    each flagged when it holds a matrix and a per-row diagonal (so an axis may
-    form it), and its diagonal, scale and fold columns: the phase and each
-    1 / sigma fold into the axis-0 diagonal of the last chirp."""
+    and its diagonal, scale and fold columns: the phase and each 1 / sigma
+    fold into the axis-0 diagonal of the last chirp."""
     runs, diag_cols, scale_cols, fold, col = [[]], [], [], None, 0
     for kind in kinds:
         if kind == "scale":
@@ -291,90 +284,15 @@ def _layout(kinds: tuple[str, ...]):
         else:
             runs[-1].append((kind, None))
         col += kind in RATED_KINDS
-    formable = [any(k != "cm" for k, _ in r) and any(j is not None for _, j in r) for r in runs]
-    return tuple(zip(map(tuple, runs), formable)), diag_cols, scale_cols, fold
+    return tuple(map(tuple, runs)), diag_cols, scale_cols, fold
 
 
-def _form(run, axis: int, dec: FactorDecomposition, diags: dict, ws: _Workspace, slot) -> np.ndarray:
-    """One run's ops along ``axis`` multiplied into one (T, N_k, N_k) matrix per
-    row m, in the workspace slots ``slot + (0,)`` and ``slot + (1,)``: each
-    product goes to the slot that does not hold its operand, and a chirp
-    multiplies m in place. A shared matrix times per-row diagonals is copied
-    out first and scaled in place, so that only one operand of the multiply
-    broadcasts (numpy buffers each broadcast operand)."""
-    m = pending = held = None  # held: the slot that holds m, once m is a product
-
-    def into(shape, dtype=complex) -> np.ndarray:
-        nonlocal held
-        held = 1 if held == 0 else 0
-        return ws.take(slot + (held,), shape, dtype)
-
-    def scaled(a, d) -> np.ndarray:  # a * d[:, None, :]
-        out = into(d.shape[:1] + a.shape)
-        np.copyto(out, a)
-        return np.multiply(out, d[:, None, :], out=out)
-
-    def chirp(d) -> np.ndarray:  # d[:, :, None] * m
-        shape = np.broadcast_shapes(d.shape + (1,), m.shape)
-        return np.multiply(d[:, :, None], m, out=m if held is not None and shape == m.shape else into(shape))
-
-    def times(a) -> np.ndarray:  # a @ m
-        if a.dtype.kind == "f" and m.dtype.kind == "c":  # real and imaginary parts as one real GEMM
-            out = into(m.shape)
-            np.matmul(a, m.view(float), out=out.view(float))
-            return out
-        return np.matmul(a, m, out=into(np.broadcast_shapes(a.shape, m.shape), np.result_type(a, m)))
-
-    for kind, j in run:
-        d = None if j is None else diags[j][axis]
-        if kind == "cm":
-            if m is not None:
-                m = chirp(d)
-            else:
-                pending = d if pending is None else np.multiply(pending, d, out=ws.take("pending", d.shape))
-        elif kind == "frac":
-            if m is not None:  # P (diag(d) (P^H m))
-                m = times(dec.fourier_conj.T)
-                m = chirp(d)
-                m = times(dec.fourier.vectors)
-            else:  # P diag(d) P^H
-                a = scaled(dec.fourier.vectors, d)
-                m = np.matmul(a, dec.fourier_conj.T, out=into(a.shape))
-                if pending is not None:
-                    np.multiply(m, pending[:, None, :], out=m)
-        else:
-            a = dec.f if kind == "ft" else dec.basis.vectors
-            if m is not None:
-                m = times(a)
-            else:
-                m = a if pending is None else scaled(a, pending)
-    return m
-
-
-def _chain(x: np.ndarray, run, axis: int, dec: FactorDecomposition, diags: dict,
-           shape: tuple[int, ...], buf: _Buffers) -> np.ndarray:
-    """One run's ops along ``axis`` one after another: shared matrices over the
-    whole block, chirps and fractional powers as (T, N_k) diagonals."""
-    for kind, j in run:
-        if kind == "cm":
-            x = _diag(x, shape, axis, diags[j][axis], buf.own(x))
-        elif kind == "frac":
-            x = _shared(x, shape, axis, dec.fourier_conj.T, buf.other(x), buf.ws)
-            x = _diag(x, shape, axis, diags[j][axis], x)
-            x = _shared(x, shape, axis, dec.fourier.vectors, buf.other(x), buf.ws)
-        else:
-            x = _shared(x, shape, axis, dec.f if kind == "ft" else dec.basis.vectors, buf.other(x), buf.ws)
-    return x
-
-
-def _prepare(kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | None, ctx: ProductContext,
-             p: int, ws: _Workspace):
+def _prepare(kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | None, ctx: ProductContext):
     """What the rows of one program with rates ``rates`` (R, T) and phases
     ``phases`` share between chunks: the chirp diagonals, with the phase and
-    each 1 / sigma folded in where a chirp takes them, and the matrix that
-    each formed axis of each run multiplies into one per row (in the
-    workspace). Returns them with the phases and the product of the sigmas,
-    or None where folded, for :func:`_apply`."""
+    each 1 / sigma folded in where a chirp takes them. Returns them with the
+    runs, the phases and the product of the sigmas, or None where folded, for
+    :func:`_apply`."""
     runs, diag_cols, scale_cols, fold = _layout(kinds)
     diags = {j: ctx.diag_powers(rates[j]) for j in diag_cols}
     sigma = None
@@ -387,26 +305,30 @@ def _prepare(kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | Non
         if sigma is not None:
             np.divide(d, sigma, out=d)
         phases = sigma = None
-    formed = {(i, axis): _form(run, axis, dec, diags, ws, ("form", i, axis))
-              for i, (run, formable) in enumerate(runs) if formable
-              for axis, dec in enumerate(ctx.factors) if _formed(ctx.shape[axis], p)}
-    return runs, diags, formed, phases, sigma
+    return runs, diags, phases, sigma
 
 
 def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.ndarray:
     """One chunk of rows through a program prepared by :func:`_prepare` for
-    its rows, or for one rate column that every row shares; the result is one
-    of the buffers ``buf``, and so may be ``x``."""
-    runs, diags, formed, phases, sigma = prepared
-    ws = buf.ws
-    for i, (run, _) in enumerate(runs):
+    its rows, or for one rate column that every row shares: along each axis,
+    the matrices every row shares over the whole chunk, and chirps and
+    fractional powers as (T, N_k) diagonals. The result is one of the buffers
+    ``buf``, and so may be ``x``."""
+    runs, diags, phases, sigma = prepared
+    shape, ws = ctx.shape, buf.ws
+    for i, run in enumerate(runs):
         if i:
             x = _kron_sum(x, ctx, buf.other(x), ws)
         for axis, dec in enumerate(ctx.factors):
-            if (i, axis) in formed:
-                x = _stacked(x, ctx.shape, axis, formed[i, axis], buf.other(x))
-            else:
-                x = _chain(x, run, axis, dec, diags, ctx.shape, buf)
+            for kind, j in run:
+                if kind == "cm":
+                    x = _diag(x, shape, axis, diags[j][axis], buf.own(x))
+                elif kind == "frac":
+                    x = _shared(x, shape, axis, dec.fourier_conj.T, buf.other(x), ws)
+                    x = _diag(x, shape, axis, diags[j][axis], x)
+                    x = _shared(x, shape, axis, dec.fourier.vectors, buf.other(x), ws)
+                else:
+                    x = _shared(x, shape, axis, dec.f if kind == "ft" else dec.basis.vectors, buf.other(x), ws)
     if phases is not None:  # no chirp to fold the scalars into
         x = np.multiply(x, phases[:, None], out=buf.own(x))
     if sigma is not None:
@@ -416,26 +338,26 @@ def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.nd
 
 def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> np.ndarray:
     """The rows ``g.rows`` of ``values`` (T, P) through the program of each
-    group ``g`` (see :class:`~glct.params.ProgramGroup`; the groups partition
-    the rows), each group in chunks of at most :func:`block_rows` rows, in the
-    calling thread's workspace; the result is a new array.
+    group ``g`` (see :class:`~glct.params.ProgramGroup`), each group in chunks
+    of at most :func:`block_rows` rows, in the calling thread's workspace; the
+    result is a new array. The groups' rows must name each row of the block
+    once, and each group's rates need one row per rated op and one column, or
+    one per member row; the phases, if any, one entry per rate column.
 
     A group with one rate column prepares it once for all its chunks: its
-    (1, N_k) diagonals and (1, N_k, N_k) formed matrices broadcast over the
-    rows of every chunk."""
-    values = _block(values, ctx, sum(len(g.rows) for g in groups))
+    (1, N_k) diagonals broadcast over the rows of every chunk."""
+    values, whole = _block(values, groups, ctx)
     out = np.empty_like(values)
     p = values.shape[1]
     step, ws = block_rows(p), _workspace(p)
-    whole = len(groups) == 1
     for kinds, rows, rates, phases in groups:
         shared = rates.shape[1] == 1
         if shared:
-            prepared = _prepare(kinds, rates, phases, ctx, p, ws)
+            prepared = _prepare(kinds, rates, phases, ctx)
         for i in range(0, len(rows), step):
             chunk = slice(i, i + step)
             if not shared:
-                prepared = _prepare(kinds, rates[:, chunk], None if phases is None else phases[chunk], ctx, p, ws)
+                prepared = _prepare(kinds, rates[:, chunk], None if phases is None else phases[chunk], ctx)
             buf = _Buffers(ws, (len(rows[chunk]), p))
             if whole:
                 out[chunk] = _apply(values[chunk], prepared, ctx, buf)
@@ -652,15 +574,21 @@ def mult_count(spec: TransformSpec, shape: Sequence[int]) -> int:
     """Real multiplications used to apply the factored transform once.
 
     Counts the paper's chained factorization, one elementary op after another,
-    which is what the complexity comparison between cddhfs and cmccm is about;
-    the block executors multiply small axes' factors into one matrix per row
-    and do other arithmetic. Counts the run phase only, with all per-factor operators and diagonals
+    which is what the complexity comparison between cddhfs and cmccm is about.
+    Counts the run phase only, with all per-factor operators and diagonals
     precomputed: a complex-complex scalar multiply costs 4 real multiplies, a
     real-complex one costs 2. Applying an N_k x N_k factor along axis k of a
     complex tensor with P entries therefore costs 2*N_k*P (real factor) or
     4*N_k*P (complex factor); a precomputed Kronecker diagonal, and a phase
     other than 1, costs one complex multiply per entry. Eigendecompositions
     and operator assembly are setup and excluded.
+
+    The block executor runs this chain except that it applies ``frac`` as P^H,
+    a diagonal and P (8*N_k*P + 4*P per axis, counted 4*N_k*P), each chirp as
+    one diagonal per axis (4*P per axis, counted 4*P in all), and folds the
+    phase and each 1/sigma into the last chirp's axis-0 diagonal if there is
+    a chirp. Real factors act on stacked real and imaginary parts, 2*N_k*P as
+    counted.
     """
     shape = tuple(int(s) for s in shape)
     if any(s < 1 for s in shape) or not shape:
