@@ -28,8 +28,6 @@ from .params import (
     ParamBlock,
     ProgramGroup,
     ZeroBVariant,
-    cddhfs_decompose,
-    cmccm_decompose,
     compose,
     inverse,
     recompose,
@@ -39,13 +37,9 @@ from .product import (
     ProductContext,
     SignalNd,
     TransformSpec,
-    apply_spec,
     block_rows,
-    cddhfs_block,
-    cmccm_block,
     dense_operator,
     gcm_nd,
-    gfrft_block,
     gfrft_nd,
     gft_nd,
     glct_cddhfs_nd,
@@ -58,9 +52,7 @@ from .spectral import (
     FourierEigen,
     SpectralBasis,
     eig_sym,
-    eig_unitary,
     frac_diag_power,
-    frac_operator,
     gft_matrix,
 )
 from .experiments import (
@@ -74,11 +66,8 @@ from .experiments import (
     compress,
     compress_gfrft,
     compression_study,
-    correlation_coefficient,
     nmse_additivity,
     nmse_reversibility,
-    normalized_rms,
-    relative_error,
     search_glct_params,
     suite_additivity,
     suite_reversibility,

@@ -1,6 +1,8 @@
 """Quantitative studies: additivity and reversibility NMSE, an operation-count
 model for the two factorizations, and a transform-domain compression pipeline
-with RE / NRMS / CC quality metrics.
+with RE / NRMS / CC quality metrics. A variant (:data:`VARIANTS`) names a
+factorization, which :meth:`~glct.params.ParamBlock.factorize` runs on a block
+of parameter sets.
 
 All randomized routines take an explicit master seed; every trial derives its
 own sub-seed from (seed, signal index, trial index), so results do not depend
@@ -43,10 +45,12 @@ from .graphs import (
     make_family,
 )
 from .params import (
+    VARIANTS,
     LctParams,
     ParamBlock,
     ProgramGroup,
     ZeroBVariant,
+    check_variant,
     compose,
     inverse,
     sample_abc,
@@ -54,7 +58,6 @@ from .params import (
 from .product import (
     ProductContext,
     SignalNd,
-    TransformSpec,
     block_rows,
     gfrft_nd,
     glct_cddhfs_nd,
@@ -62,8 +65,6 @@ from .product import (
     program_block,
 )
 from .seeding import trial_abc
-
-VARIANTS = ("cddhfs", "cmccm")
 
 #: Benchmark product graphs: name -> ((family, size), (family, size))
 BENCHMARK_GRAPHS: dict[str, tuple[tuple[str, int], tuple[str, int]]] = {
@@ -111,11 +112,6 @@ COMPRESSION_REFERENCE_PARAMS: tuple[tuple[float, float, float, float], ...] = (
 )
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-
-
 def apply_glct(
     x: SignalNd,
     p: LctParams,
@@ -124,17 +120,10 @@ def apply_glct(
     zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
 ) -> SignalNd:
     """Dispatch to the chosen factorization."""
-    _check_variant(variant)
+    check_variant(variant)
     if variant == "cddhfs":
         return glct_cddhfs_nd(x, p, ctx)
     return glct_cmccm_nd(x, p, ctx, zero_b_variant)
-
-
-def _glct_groups(params: ParamBlock, variant: str, zero_b_variant: ZeroBVariant) -> list[ProgramGroup]:
-    """The program groups that run row t of a block through :func:`apply_glct`
-    with row t of ``params``."""
-    _check_variant(variant)
-    return params.cddhfs() if variant == "cddhfs" else params.cmccm(zero_b_variant)
 
 
 def _glct_block(
@@ -145,7 +134,7 @@ def _glct_block(
     zero_b_variant: ZeroBVariant,
 ) -> np.ndarray:
     """Row t of ``values`` (T, P) through :func:`apply_glct` with row t of ``params``."""
-    return program_block(values, _glct_groups(params, variant, zero_b_variant), ctx)
+    return program_block(values, params.factorize(variant, zero_b_variant), ctx)
 
 
 def _square_row_sums(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -346,7 +335,7 @@ def _suite(
         raise ValidationError(f"variants must name at least one of {VARIANTS}")
     trials = int(trials)
     for v in variants:
-        _check_variant(v)
+        check_variant(v)
     unknown = [name for name in signals if name not in BENCHMARK_SIGNALS]
     if unknown:
         raise ValidationError(f"unknown benchmark signals {unknown}; choose from {BENCHMARK_SIGNALS}")
@@ -431,28 +420,6 @@ def _correlation_rows(x: np.ndarray, xc: np.ndarray) -> np.ndarray:
     if (den == 0.0).any():
         raise ValidationError("correlation undefined for a constant signal")
     return np.multiply(dx, dc, out=products).sum(axis=1) / den
-
-
-def _one_row(metric, x, xc) -> float:
-    """``metric`` of one reconstruction, any shapes of equal size."""
-    x = np.asarray(x, dtype=float).ravel()
-    xc = np.asarray(xc, dtype=float).reshape(1, -1)
-    return float(metric(x, xc)[0])
-
-
-def relative_error(x: np.ndarray, xc: np.ndarray) -> float:
-    """Sum of absolute errors over the sum of absolute signal values."""
-    return _one_row(_relative_error_rows, x, xc)
-
-
-def normalized_rms(x: np.ndarray, xc: np.ndarray) -> float:
-    """Root-sum-square error normalized by the signal's deviation from its mean."""
-    return _one_row(_normalized_rms_rows, x, xc)
-
-
-def correlation_coefficient(x: np.ndarray, xc: np.ndarray) -> float:
-    """Pearson correlation between original and reconstruction."""
-    return _one_row(_correlation_rows, x, xc)
 
 
 @dataclass(frozen=True)
@@ -541,10 +508,10 @@ def _reports(gammas, metrics, **fields) -> list[CompressionReport]:
             for g, re, nrms, cc in zip(gammas, *metrics)]
 
 
-def _backward(spec: TransformSpec, ctx: ProductContext, t: int):
-    """The block transform of ``t`` rows that runs the one-row program of
-    ``spec`` on every row."""
-    program = [spec.program()._replace(rows=np.arange(t))]
+def _backward(group: ProgramGroup, ctx: ProductContext, t: int):
+    """The block transform of ``t`` rows that runs the one-row program
+    ``group`` on every row."""
+    program = [group._replace(rows=np.arange(t))]
     return lambda kept: program_block(kept, program, ctx)
 
 
@@ -554,8 +521,7 @@ def _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed) -> tuple[np.nd
     reconstructions, one row per ratio, and the reports."""
     _check_nonzero(x)
     coeffs = apply_glct(x, p, ctx, variant, zero_b_variant).values[None]
-    pinv = TransformSpec(f"glct_{variant}", {"abcd": inverse(p).astuple()},
-                         zero_b_variant=ZeroBVariant(zero_b_variant).value)
+    (pinv,) = ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant)
     back = _backward(pinv, ctx, len(gammas))
     recon, metrics = _compress_rows(x, coeffs, _sorted_magnitudes(coeffs), gammas, back)
     return recon, _reports(gammas, metrics, method="glct", params=p.astuple(), variant=variant, seed=seed)
@@ -566,7 +532,7 @@ def _gfrft_sweep(x, alpha, ctx, gammas, seed) -> tuple[np.ndarray, list[Compress
     forward and sorting once; returns what :func:`_glct_sweep` returns."""
     _check_nonzero(x)
     coeffs = gfrft_nd(x, alpha, ctx).values[None]
-    back = _backward(TransformSpec("gfrft", {"alpha": -alpha}), ctx, len(gammas))
+    back = _backward(ProgramGroup(("frac",), np.arange(1), np.array([[-alpha]], dtype=float), None), ctx, len(gammas))
     recon, metrics = _compress_rows(x, coeffs, _sorted_magnitudes(coeffs), gammas, back)
     return recon, _reports(gammas, metrics, method="gfrft", alpha=float(alpha), seed=seed)
 
@@ -621,7 +587,7 @@ def _study(x, ctx, gammas, alphas, params, variant, zero_b_variant, seed, budget
     of ``params`` and, given a ``budget``, the search; checks ratios, variant
     and the search's budget, seed and metric before any transform."""
     gammas = [_check_gamma(g) for g in gammas]
-    _check_variant(variant)
+    check_variant(variant)
     search = None if budget is None else _check_search(budget, seed, metric)
     for alpha in alphas:
         yield _gfrft_sweep(x, float(alpha), ctx, gammas, seed)
@@ -690,7 +656,7 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant,
         ps = drawn[i:i + step]
         coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
         magnitudes = _sorted_magnitudes(coeffs)
-        back = _glct_groups(inverses[i:i + step], variant, zero_b_variant)
+        back = inverses[i:i + step].factorize(variant, zero_b_variant)
         for j, g in enumerate(gammas):
             recon, metrics = _compress_rows(x, coeffs, magnitudes, [g] * len(ps),
                                             lambda kept: program_block(kept, back, ctx))

@@ -21,8 +21,8 @@ Many parameter sets at once are a :class:`ParamBlock`, a (T, 4) array of
 (a, b, c, d) rows. The 2x2 matrices with unit determinant form a group, so
 validation, inverse, composition and both factorizations are arithmetic on
 its columns, and a factorization yields the groups that the block executor
-of :mod:`glct.product` runs. ``cmccm_decompose`` and ``cddhfs_decompose``
-are the one-row case and return one group of one row.
+of :mod:`glct.product` runs. :meth:`ParamBlock.factorize` maps a variant name
+(:data:`VARIANTS`) to its factorization; a parameter set is the one-row block.
 """
 from __future__ import annotations
 
@@ -58,6 +58,12 @@ class ZeroBVariant(enum.Enum):
 
 #: Ops that take a rate: chirp rate, fractional order, scale factor.
 RATED_KINDS = frozenset(("cm", "frac", "scale"))
+#: Every op a program may name: the rated ones, the transform and its inverse.
+OP_KINDS = RATED_KINDS | {"ft", "ift"}
+#: The factorizations, by the variant name :meth:`ParamBlock.factorize` takes.
+VARIANTS = ("cddhfs", "cmccm")
+#: Parameter draws redraw rows with |a| below this, which keeps |d| bounded.
+MIN_ABS_A = 0.05
 
 _GENERAL_B = ("cm", "ft", "cm", "ift", "cm")
 #: Op kinds of each factorization, in the order they are applied, keyed by
@@ -87,6 +93,29 @@ class ProgramGroup(NamedTuple):
     rates: np.ndarray
     phases: np.ndarray | None
 
+    def check(self) -> None:
+        """Raise ValidationError unless the block executor can run the group:
+        its kinds are in ``OP_KINDS``, its rates and phases are finite, its
+        ``scale`` rates nonzero, and rates and phases have the shapes given
+        above."""
+        kinds, rows, rates, phases = self
+        if not OP_KINDS.issuperset(kinds):
+            raise ValidationError(f"unknown op kinds {sorted(set(kinds) - OP_KINDS)}; choose from {sorted(OP_KINDS)}")
+        rated = [kind for kind in kinds if kind in RATED_KINDS]
+        r = len(rated)
+        if rates.shape not in ((r, 1), (r, len(rows))) or (phases is not None and phases.shape != rates.shape[1:]):
+            raise ValidationError(
+                f"a group of {len(rows)} rows with {r} rated ops needs rates of shape ({r}, 1) or "
+                f"({r}, {len(rows)}) and one phase per rate column, got {rates.shape} and {np.shape(phases)}"
+            )
+        if not np.isfinite(rates).all():
+            raise ValidationError(f"op rates must be finite, got {rates[~np.isfinite(rates)][0]}")
+        for j, kind in enumerate(rated):
+            if kind == "scale" and not rates[j].all():
+                raise ValidationError("scaling factor must be nonzero")
+        if phases is not None and not np.isfinite(phases).all():
+            raise ValidationError("phases must be finite")
+
 
 @dataclass(frozen=True)
 class LctParams:
@@ -110,10 +139,6 @@ class LctParams:
 
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-    @classmethod
-    def identity(cls) -> "LctParams":
-        return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
     def from_abc(cls, a: float, b: float, c: float) -> "LctParams":
@@ -140,6 +165,11 @@ class LctParams:
 
 
 _FROM_ABC_NEEDS_A = "from_abc requires a != 0"
+
+
+def check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}; choose from {VARIANTS}")
 
 
 def _det_error(det: float) -> ValidationError:
@@ -223,8 +253,9 @@ class ParamBlock:
     def __len__(self) -> int:
         return self.abcd.shape[0]
 
-    def __getitem__(self, rows: slice) -> "ParamBlock":
-        return ParamBlock._of(np.ascontiguousarray(self.abcd[rows]))
+    def __getitem__(self, rows: int | slice) -> "ParamBlock":
+        """The rows ``rows`` as a block; an integer gives a block of one row."""
+        return ParamBlock._of(np.ascontiguousarray(self.abcd[rows]).reshape(-1, 4))
 
     def astuples(self) -> tuple[tuple[float, float, float, float], ...]:
         """Each row as :meth:`LctParams.astuple` gives it."""
@@ -242,6 +273,12 @@ class ParamBlock:
         abcd = m.reshape(-1, 4)
         _check_det(abcd)
         return ParamBlock._of(abcd)
+
+    def factorize(self, variant: str, zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30) -> list[ProgramGroup]:
+        """The program groups of factorization ``variant`` (one of
+        :data:`VARIANTS`): :meth:`cddhfs`, or :meth:`cmccm` with ``zero_b_variant``."""
+        check_variant(variant)
+        return self.cddhfs() if variant == "cddhfs" else self.cmccm(zero_b_variant)
 
     @_AS_FLOATS
     def cddhfs(self) -> list[ProgramGroup]:
@@ -287,19 +324,6 @@ def _general_b(rows: np.ndarray, columns: np.ndarray) -> ProgramGroup:
     return ProgramGroup(KINDS["general-b"], rows, np.array(((a - 1.0) / b, -b, (d - 1.0) / b)), None)
 
 
-def cddhfs_decompose(p: LctParams) -> ProgramGroup:
-    """Split (a, b; c, d) into chirp o scale o fractional-transform factors:
-    the one-row case of :meth:`ParamBlock.cddhfs`, rates (alpha_norm, delta, xi)."""
-    return ParamBlock.from_params([p]).cddhfs()[0]
-
-
-def cmccm_decompose(p: LctParams, zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30) -> ProgramGroup:
-    """Split (a, b; c, d) into chirp / chirp-convolution / chirp factors: the
-    one-row case of :meth:`ParamBlock.cmccm`, rates (x3, x2, x1) of
-    D1 V D2 V^T D3 in the order they are applied."""
-    return ParamBlock.from_params([p]).cmccm(zero_b_variant)[0]
-
-
 def _op_matrix(kind: str, rate: float | None) -> np.ndarray:
     """Parameter matrix of one op; ``ft`` is ``frac(1)`` and ``ift`` ``frac(-1)``."""
     if kind == "ft":
@@ -327,9 +351,9 @@ def recompose(group: ProgramGroup) -> np.ndarray:
     return m
 
 
-def sample_abc(rng: np.random.Generator, n: int, min_abs_a: float = 0.05) -> np.ndarray:
+def sample_abc(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` rows (a, b, c) uniformly from [-2, 2), redrawing rows with
-    |a| < min_abs_a; returns them as one (n, 3) array.
+    |a| < ``MIN_ABS_A``; returns them as one (n, 3) array.
 
     The accepted rows come in draw order and drawing stops after the n-th,
     so the rows and the final state of ``rng`` equal those of n draws of one
@@ -338,19 +362,18 @@ def sample_abc(rng: np.random.Generator, n: int, min_abs_a: float = 0.05) -> np.
     reproduces these draws with them.
     """
     rows = rng.uniform(-2.0, 2.0, size=(n, 3))
-    kept = rows[np.abs(rows[:, 0]) >= min_abs_a]
+    kept = rows[np.abs(rows[:, 0]) >= MIN_ABS_A]
     while kept.shape[0] < n:
         more = rng.uniform(-2.0, 2.0, size=(n - kept.shape[0], 3))
-        kept = np.concatenate((kept, more[np.abs(more[:, 0]) >= min_abs_a]))
+        kept = np.concatenate((kept, more[np.abs(more[:, 0]) >= MIN_ABS_A]))
     return kept
 
 
-def sample_random_params(rng: np.random.Generator | int, min_abs_a: float = 0.05) -> LctParams:
-    """Draw (a, b, c) uniformly from [-2, 2) and set d = (1 + bc) / a.
-
-    Triples with |a| < min_abs_a are redrawn to keep |d| bounded. Accepts a
-    seed or a generator; pass a generator to draw a reproducible sequence.
+def sample_random_params(rng: np.random.Generator | int) -> LctParams:
+    """Draw (a, b, c) uniformly from [-2, 2) and set d = (1 + bc) / a,
+    redrawing triples with |a| < ``MIN_ABS_A``. Accepts a seed or a
+    generator; pass a generator to draw a reproducible sequence.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return LctParams.from_abc(*sample_abc(rng, 1, min_abs_a)[0])
+    return LctParams.from_abc(*sample_abc(rng, 1)[0])

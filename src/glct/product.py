@@ -2,9 +2,11 @@
 
 A transform is a :class:`~glct.params.ProgramGroup`: op kinds in the order
 they are applied, and the rates of the ops that take one and a constant phase
-for each of its rows. The factorizations take their kinds from
-``glct.params.KINDS`` and the five single ops from ``_SINGLE_OPS``. Four
-interpreters read a program: the block executor here and, on one row,
+for each of its rows. The factorizations come from
+:meth:`glct.params.ParamBlock.factorize` and the five single ops from
+``_SINGLE_OPS``. Four interpreters read a program: the block executor
+:func:`program_block` here, which runs what
+:meth:`~glct.params.ProgramGroup.check` accepts, and, on one row,
 ``dense_operator`` (explicit Kronecker-product matrices, a differential-testing
 oracle), ``mult_count`` and ``glct.params.recompose``.
 
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import GsoKind, ProductGraph, kronecker_sum
 from .kernels import FactorDecomposition, decompose_graph
-from .params import RATED_KINDS, LctParams, ParamBlock, ProgramGroup, ZeroBVariant
+from .params import RATED_KINDS, VARIANTS, LctParams, ParamBlock, ProgramGroup, ZeroBVariant
 from .spectral import frac_diag_power
 
 DENSE_SIZE_CAP = 4096
@@ -76,9 +78,6 @@ class SignalNd:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 class ProductContext:
@@ -232,7 +231,7 @@ def _diag(x: np.ndarray, shape: tuple[int, ...], axis: int, d: np.ndarray, out: 
 def _block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> tuple[np.ndarray, bool]:
     """``values`` as a complex (T, P) block, and whether one group holds its
     rows in order, after checking that the groups' rows name each of its T
-    rows once and that each group's rates and phases fit its kinds and rows."""
+    rows once and that each group is a program the executor can run."""
     t = sum(len(g.rows) for g in groups)
     values = np.ascontiguousarray(values, dtype=complex)
     if values.shape != (t, math.prod(ctx.shape)):
@@ -245,13 +244,8 @@ def _block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductConte
     in_order = listed == order
     if rows.dtype.kind not in "iu" or not (in_order or sorted(listed) == order):
         raise ValidationError(f"the groups' rows must name each of the block's {t} rows once")
-    for kinds, rows, rates, phases in groups:
-        r = sum(kind in RATED_KINDS for kind in kinds)
-        if rates.shape not in ((r, 1), (r, len(rows))) or (phases is not None and phases.shape != rates.shape[1:]):
-            raise ValidationError(
-                f"a group of {len(rows)} rows with {r} rated ops needs rates of shape ({r}, 1) or "
-                f"({r}, {len(rows)}) and one phase per rate column, got {rates.shape} and {np.shape(phases)}"
-            )
+    for group in groups:
+        group.check()
     return values, in_order and len(groups) == 1
 
 
@@ -341,8 +335,7 @@ def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: Produ
     group ``g`` (see :class:`~glct.params.ProgramGroup`), each group in chunks
     of at most :func:`block_rows` rows, in the calling thread's workspace; the
     result is a new array. The groups' rows must name each row of the block
-    once, and each group's rates need one row per rated op and one column, or
-    one per member row; the phases, if any, one entry per rate column.
+    once, and each group must pass :meth:`~glct.params.ProgramGroup.check`.
 
     A group with one rate column prepares it once for all its chunks: its
     (1, N_k) diagonals broadcast over the rows of every chunk."""
@@ -367,22 +360,6 @@ def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: Produ
     return out
 
 
-def gfrft_block(values: np.ndarray, alphas: Sequence[float], ctx: ProductContext) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`gfrft_nd` of order ``alphas[t]``."""
-    return program_block(values, [_single("gfrft", alphas)], ctx)
-
-
-def cddhfs_block(values: np.ndarray, params: ParamBlock, ctx: ProductContext) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`glct_cddhfs_nd` with row t of ``params``."""
-    return program_block(values, params.cddhfs(), ctx)
-
-
-def cmccm_block(values: np.ndarray, params: ParamBlock, ctx: ProductContext,
-                zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`glct_cmccm_nd` with row t of ``params``."""
-    return program_block(values, params.cmccm(zero_b_variant), ctx)
-
-
 # ---------------------------------------------------------------------------
 # one signal: a block of one row
 
@@ -394,12 +371,8 @@ _SINGLE_OPS = {
     "gcm": (("cm",), "xi"),
     "gscale": (("scale",), "sigma"),
 }
-#: The factorized ops: op name -> programs of a parameter block and zero-b variant.
-_FACTORIZED = {
-    "glct_cddhfs": lambda params, zero_b_variant: params.cddhfs(),
-    "glct_cmccm": ParamBlock.cmccm,
-}
-OPS = (*_SINGLE_OPS, *_FACTORIZED)
+#: The single ops, then the factorized ones: "glct_" and the variant name.
+OPS = (*_SINGLE_OPS, *(f"glct_{variant}" for variant in VARIANTS))
 
 
 def _single(op: str, rates: float | Sequence[float] = ()) -> ProgramGroup:
@@ -408,11 +381,9 @@ def _single(op: str, rates: float | Sequence[float] = ()) -> ProgramGroup:
     if key is None:
         return ProgramGroup(kinds, np.arange(1), np.empty((0, 1)), None)
     rates = np.array(rates, dtype=float).reshape(1, -1)
-    if not np.isfinite(rates).all():
-        raise ValidationError(f"op {op!r} needs a finite {key}, got {rates[~np.isfinite(rates)][0]}")
-    if kinds == ("scale",) and (rates == 0).any():
-        raise ValidationError("scaling factor must be nonzero")
-    return ProgramGroup(kinds, np.arange(rates.shape[1]), rates, None)
+    group = ProgramGroup(kinds, np.arange(rates.shape[1]), rates, None)
+    group.check()
+    return group
 
 
 def _one(x: SignalNd, groups: Sequence[ProgramGroup], ctx: ProductContext) -> SignalNd:
@@ -453,7 +424,7 @@ def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
 def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
     """Linear canonical transform as chirp o scaling o fractional transform.
 
-    The one-row case of :func:`cddhfs_block`: the fractional transform
+    The one-row case of :meth:`ParamBlock.cddhfs`: the fractional transform
     (P D_alpha) P^H along each axis, the Kronecker-sum shift operator over
     delta, and the Kronecker-product chirp of rate xi.
     """
@@ -468,7 +439,7 @@ def glct_cmccm_nd(
 ) -> SignalNd:
     """Linear canonical transform as chirp / chirp-convolution / chirp factors.
 
-    The one-row case of :func:`cmccm_block`. Every factor of the chain is a
+    The one-row case of :meth:`ParamBlock.cmccm`. Every factor of the chain is a
     Kronecker product, so along axis k the general-b transform is
     D1 V D2 V^T D3, with V the factor's GFT synthesis basis and D1, D2, D3
     its chirp diagonals of rates x1, x2, x3; eq30 applies V^T in front of it
@@ -484,7 +455,8 @@ def glct_cmccm_nd(
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Description of one transform, for dispatch and oracles."""
+    """Description of one transform on one signal, for the dense oracle and
+    the operation count."""
 
     op: str
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -507,24 +479,16 @@ class TransformSpec:
 
     def program(self) -> ProgramGroup:
         """The described transform as a program group of one row."""
-        if self.op in _FACTORIZED:
-            (group,) = _FACTORIZED[self.op](ParamBlock.from_params([self.abcd()]), self.zero_b_variant)
+        if self.op not in _SINGLE_OPS:
+            variant = self.op.removeprefix("glct_")
+            (group,) = ParamBlock.from_params([self.abcd()]).factorize(variant, self.zero_b_variant)
             return group
         key = _SINGLE_OPS[self.op][1]
-        if key is None:
-            return _single(self.op)
         try:
-            rate = float(self.params[key])
+            rate = () if key is None else float(self.params[key])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"op {self.op!r} needs a number params[{key!r}]") from exc
         return _single(self.op, rate)
-
-
-def apply_spec(x: SignalNd, spec: TransformSpec, ctx: ProductContext) -> SignalNd:
-    """Apply the described transform using the factored implementation."""
-    if ctx.kind.value != spec.gso:
-        raise ValidationError(f"context uses gso {ctx.kind.value!r} but spec asks {spec.gso!r}")
-    return _one(x, [spec.program()], ctx)
 
 
 def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:

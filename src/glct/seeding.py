@@ -3,8 +3,8 @@
 Trial t of benchmark signal s draws its rows (a, b, c) from its own generator,
 ``np.random.default_rng(np.random.SeedSequence((seed, s, t)))``, with
 ``Generator.uniform(-2, 2)`` and :func:`glct.params.sample_abc`'s rule of
-redrawing rows with |a| < 0.05. Building a SeedSequence, a PCG64 and a
-Generator per trial costs more than the draws themselves, so
+redrawing rows with |a| < ``glct.params.MIN_ABS_A``. Building a SeedSequence,
+a PCG64 and a Generator per trial costs more than the draws themselves, so
 :func:`trial_abc` computes the same three stages with integer arrays whose
 element t is trial t:
 
@@ -37,6 +37,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from . import params
 
 _MASK32 = 0xFFFF_FFFF
 
@@ -142,14 +144,14 @@ def _uniform(state: np.ndarray, k: int) -> np.ndarray:
     return _LOW + _SPAN * u
 
 
-def trial_abc(seed: int, signal_index: int, trials: int, n: int, min_abs_a: float = 0.05) -> np.ndarray:
-    """The rows that ``sample_abc(rng, n, min_abs_a=min_abs_a)`` returns for
+def trial_abc(seed: int, signal_index: int, trials: int, n: int) -> np.ndarray:
+    """The rows that ``sample_abc(rng, n)`` returns for
     ``rng = np.random.default_rng(np.random.SeedSequence((seed, signal_index,
     t)))``, byte for byte, for every t < trials in turn: a (trials * n, 3) array.
 
     Every stream draws n rows at once; streams left short by rows with
-    |a| < min_abs_a draw together again, as many rows as the shortest needs,
-    keeping accepted rows in draw order up to the n-th. Later rows of a
+    |a| < ``MIN_ABS_A`` draw together again, as many rows as the shortest
+    needs, keeping accepted rows in draw order up to the n-th. Later rows of a
     stream are never returned, so drawing more of them changes nothing.
     """
     t = np.arange(trials, dtype=np.uint32)
@@ -161,7 +163,7 @@ def trial_abc(seed: int, signal_index: int, trials: int, n: int, min_abs_a: floa
     need = n
     while live.size:
         drawn = _uniform(state, 3 * need).reshape(live.size, need, 3)
-        ok = np.abs(drawn[:, :, 0]) >= min_abs_a
+        ok = np.abs(drawn[:, :, 0]) >= params.MIN_ABS_A
         slot = filled[live, None] + np.cumsum(ok, axis=1) - 1
         i, j = np.nonzero(ok & (slot < n))
         rows[live[i], slot[i, j]] = drawn[i, j]

@@ -7,9 +7,10 @@ matrix (unimodular eigenvalues in a canonical order). The unitary one runs in
 two stages: a values stage (:func:`eig_unitary_angles`) that bounds and
 returns the sorted eigenvalue angles without forming an eigenvector, and an
 eigenvector stage (:func:`eig_unitary_vectors`) that builds the eigenvectors
-from the values stage's state; :func:`eig_unitary` runs both. Fractional operator
-powers are taken entrywise on the unimodular eigenvalues with the principal
-logarithm, so repeated powers compose additively for a fixed branch.
+from the values stage's state; the full decomposition is the two in turn.
+Fractional powers are taken entrywise on the unimodular eigenvalues with the
+principal logarithm (:func:`frac_diag_power`), so repeated powers compose
+additively for a fixed branch.
 """
 from __future__ import annotations
 
@@ -50,9 +51,9 @@ class FourierEigen:
     source: np.ndarray
 
 
-def _fix_signs(v: np.ndarray, tol: float = _SIGN_TOL) -> np.ndarray:
+def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible component is positive."""
-    mask = np.abs(v) > tol
+    mask = np.abs(v) > _SIGN_TOL
     cols = np.arange(v.shape[1])
     flip = mask.any(axis=0) & (v[mask.argmax(axis=0), cols] < 0)
     w = v.copy()
@@ -128,12 +129,12 @@ def _canonical_order(mu: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class UnitaryAngles:
-    """Values stage of :func:`eig_unitary`: the sorted eigenvalue angles.
+    """Values stage of the unitary eigendecomposition: the sorted eigenvalue angles.
 
     ``angles`` holds the principal arguments of the eigenvalues of
-    ``source``, ascending; they equal ``principal_angle(eig_unitary(source)
-    .values)`` bit for bit. ``residuals`` holds the bound residuals the
-    stage checked. The private fields are the state
+    ``source``, ascending; they equal the principal angles of the values
+    :func:`eig_unitary_vectors` returns, bit for bit. ``residuals`` holds the
+    bound residuals the stage checked. The private fields are the state
     :func:`eig_unitary_vectors` builds the eigenvectors from: the symmetric
     part's eigenvectors, each stacked cluster solve as (column indices,
     eigenvectors), and the eigenvalues in cluster order.
@@ -229,7 +230,7 @@ def eig_unitary_angles(f: np.ndarray) -> UnitaryAngles:
 
 
 def eig_unitary_vectors(stage: UnitaryAngles) -> FourierEigen:
-    """Eigenvector stage of :func:`eig_unitary`: build P from the values stage.
+    """Eigenvector stage of the unitary eigendecomposition: build P from the values stage.
 
     The eigenvectors of ``f`` are ``q_c @ w`` on each cluster, taken from the
     values stage's state with no second eigensolve. Pairs are returned in the
@@ -249,15 +250,6 @@ def eig_unitary_vectors(stage: UnitaryAngles) -> FourierEigen:
     return FourierEigen(vectors=p, values=mu, source=f)
 
 
-def eig_unitary(f: np.ndarray) -> FourierEigen:
-    """Unitary eigendecomposition of a real orthogonal matrix.
-
-    The values stage :func:`eig_unitary_angles` followed by the eigenvector
-    stage :func:`eig_unitary_vectors`; see those for the method and bounds.
-    """
-    return eig_unitary_vectors(eig_unitary_angles(f))
-
-
 def principal_angle(mu: np.ndarray) -> np.ndarray:
     """Principal argument in (-pi, pi]; values on the negative real axis get +pi."""
     # adding +0.0 turns an imaginary part of -0.0 into +0.0; np.angle would
@@ -275,9 +267,3 @@ def frac_diag_power(mu: np.ndarray, t: float) -> np.ndarray:
     if mu.size and np.abs(np.abs(mu) - 1.0).max() > 1e-8:
         raise ValidationError("fractional powers require unimodular eigenvalues")
     return np.exp(1j * (float(t) * principal_angle(mu)))
-
-
-def frac_operator(fe: FourierEigen, t: float) -> np.ndarray:
-    """Fractional power of the decomposed operator: P diag(mu**t) P^H."""
-    d = frac_diag_power(fe.values, t)
-    return (fe.vectors * d) @ fe.vectors.conj().T

@@ -2,6 +2,21 @@ import numpy as np
 import pytest
 
 from glct import ProductContext, SignalNd, cartesian_product, make_path, make_ring
+from glct.product import program_block
+from glct.spectral import frac_diag_power
+
+
+def frac_operator(fe, t):
+    """Fractional power P diag(mu**t) P^H of a unitary eigendecomposition
+    ``fe`` (a FourierEigen), with mu**t from ``frac_diag_power``: the dense
+    matrix the transforms' fractional op stands for."""
+    return (fe.vectors * frac_diag_power(fe.values, t)) @ fe.vectors.conj().T
+
+
+def run_spec(x, spec, ctx):
+    """The values of ``x`` through the program of ``spec`` (a TransformSpec),
+    run by the block executor as a block of one row."""
+    return program_block(x.values[None], [spec.program()], ctx)[0]
 
 
 @pytest.fixture(scope="session")

@@ -184,4 +184,4 @@ class TestGlct1d:
 
     def test_unknown_variant_raises(self, ring6):
         with pytest.raises(ValidationError):
-            glct(rand(6), LctParams.identity(), ring6, variant="other")
+            glct(rand(6), LctParams(1, 0, 0, 1), ring6, variant="other")

@@ -6,14 +6,23 @@ from glct import (
     LctParams,
     ValidationError,
     ZeroBVariant,
-    cddhfs_decompose,
-    cmccm_decompose,
     compose,
     inverse,
     recompose,
     sample_random_params,
 )
+from glct import params
 from glct.params import DET_TOL, KINDS, ZERO_B_TOL, ParamBlock, sample_abc
+
+
+def one_row_cddhfs(p):
+    """The cddhfs group of one parameter set: a one-row block's."""
+    return ParamBlock.from_params([p]).cddhfs()[0]
+
+
+def one_row_cmccm(p, variant=ZeroBVariant.EQ30):
+    """The cmccm group of one parameter set: a one-row block's."""
+    return ParamBlock.from_params([p]).cmccm(variant)[0]
 
 
 class TestValidation:
@@ -50,7 +59,7 @@ class TestGroupOps:
 
     def test_compose_with_identity(self):
         p = LctParams(0.6, 0.8, -0.5, 1.0)
-        assert compose(p, LctParams.identity()).astuple() == pytest.approx(p.astuple())
+        assert compose(p, LctParams(1, 0, 0, 1)).astuple() == pytest.approx(p.astuple())
 
     def test_compose_rotations(self):
         r = LctParams(0, 1, -1, 0)
@@ -67,15 +76,15 @@ class TestGroupOps:
 class TestCddhfsDecompose:
     # rates in applied order: fractional order alpha_norm, scale delta, chirp xi
     def test_plain_transform_params(self):
-        group = cddhfs_decompose(LctParams(0, 1, -1, 0))
+        group = one_row_cddhfs(LctParams(0, 1, -1, 0))
         assert group.kinds == KINDS["cddhfs"] and group.phases is None
         assert tuple(group.rates[:, 0]) == pytest.approx((1.0, 1.0, 0.0))
 
     def test_identity_params(self):
-        assert tuple(cddhfs_decompose(LctParams(1, 0, 0, 1)).rates[:, 0]) == pytest.approx((0.0, 1.0, 0.0))
+        assert tuple(one_row_cddhfs(LctParams(1, 0, 0, 1)).rates[:, 0]) == pytest.approx((0.0, 1.0, 0.0))
 
     def test_hand_evaluated_case(self):
-        alpha_norm, delta, xi = cddhfs_decompose(LctParams(0.6, 0.8, -0.5, 1.0)).rates[:, 0]
+        alpha_norm, delta, xi = one_row_cddhfs(LctParams(0.6, 0.8, -0.5, 1.0)).rates[:, 0]
         assert xi == pytest.approx(0.5)
         assert delta == pytest.approx(1.0)
         assert alpha_norm == pytest.approx(np.arctan2(0.8, 0.6) / (np.pi / 2))
@@ -84,7 +93,7 @@ class TestCddhfsDecompose:
         rng = np.random.default_rng(7)
         for _ in range(2000):
             p = sample_random_params(rng)
-            m = recompose(cddhfs_decompose(p))
+            m = recompose(one_row_cddhfs(p))
             assert np.abs(m - p.matrix).max() < 1e-9
 
     def test_recompose_takes_one_row(self):
@@ -96,19 +105,19 @@ class TestCddhfsDecompose:
 class TestCmCcCmDecompose:
     # rates in applied order: chirp rates x3, x2, x1 of D1 V D2 V^T D3
     def test_general_branch_chirps(self):
-        group = cmccm_decompose(LctParams(1, 1, 0, 1))
+        group = one_row_cmccm(LctParams(1, 1, 0, 1))
         assert group.kinds == KINDS["general-b"]
         assert tuple(group.rates[:, 0]) == pytest.approx((0.0, -1.0, 0.0))
         assert group.phases is None
 
     def test_zero_b_eq30(self):
-        group = cmccm_decompose(LctParams(1, 0, 0, 1), ZeroBVariant.EQ30)
+        group = one_row_cmccm(LctParams(1, 0, 0, 1), ZeroBVariant.EQ30)
         assert group.kinds == KINDS["eq30"]
         assert tuple(group.rates[:, 0]) == pytest.approx((1.0, 1.0, 1.0))
         assert group.phases[0] == pytest.approx(np.exp(-1j * np.pi / 4))
 
     def test_zero_b_eq31(self):
-        group = cmccm_decompose(LctParams(1, 0, 0, 1), ZeroBVariant.EQ31)
+        group = one_row_cmccm(LctParams(1, 0, 0, 1), ZeroBVariant.EQ31)
         assert group.kinds == KINDS["eq31"]
         assert tuple(group.rates[:, 0]) == pytest.approx((-1.0, -1.0, -1.0))
         assert group.phases[0] == pytest.approx(np.exp(1j * np.pi / 4))
@@ -117,7 +126,7 @@ class TestCmCcCmDecompose:
         rng = np.random.default_rng(8)
         for _ in range(2000):
             p = sample_random_params(rng)
-            m = recompose(cmccm_decompose(p))
+            m = recompose(one_row_cmccm(p))
             assert np.abs(m - p.matrix).max() < 1e-9
 
     @pytest.mark.parametrize("variant", [ZeroBVariant.EQ30, ZeroBVariant.EQ31])
@@ -125,14 +134,14 @@ class TestCmCcCmDecompose:
         for a in (-2.0, -0.5, 0.7, 1.0, 3.0):
             for c in (-1.5, 0.0, 0.4, 2.0):
                 p = LctParams(a, 0.0, c, 1.0 / a)
-                m = recompose(cmccm_decompose(p, variant))
+                m = recompose(one_row_cmccm(p, variant))
                 assert np.abs(m - p.matrix).max() < 1e-9
 
     def test_inverse_negates_general_chirps_in_reverse(self):
         # the factor-wise cancellation behind exact reversibility
         p = LctParams.from_abc(0.9, -1.3, 0.4)
-        fwd = cmccm_decompose(p).rates[:, 0]
-        bwd = cmccm_decompose(inverse(p)).rates[:, 0]
+        fwd = one_row_cmccm(p).rates[:, 0]
+        bwd = one_row_cmccm(inverse(p)).rates[:, 0]
         assert bwd[0] == -fwd[2] and bwd[1] == -fwd[1] and bwd[2] == -fwd[0]
 
 
@@ -247,12 +256,18 @@ class TestParamBlock:
         assert len(block[10:20]) == 10
         assert block[10:20].astuples() == tuple(p.astuple() for p in draws[10:20])
 
+    def test_integer_index_is_a_one_row_block(self, draws):
+        block = ParamBlock.from_params(draws)
+        for i in (0, 7, -1):
+            assert block[i].abcd.shape == (1, 4) and len(block[i]) == 1
+            assert block[i].astuples() == (draws[i].astuple(),)
+
     def test_cddhfs(self, draws):
         (group,) = ParamBlock.from_params(draws).cddhfs()
         assert group.kinds == KINDS["cddhfs"] and group.phases is None
         np.testing.assert_array_equal(group.rows, np.arange(len(draws)))
         assert group.rates.flags.c_contiguous
-        want = _bytes([cddhfs_decompose(p).rates[:, 0] for p in draws])
+        want = _bytes([one_row_cddhfs(p).rates[:, 0] for p in draws])
         assert group.rates.T.tobytes() == want == _bytes([_frozen_cddhfs(*p.astuple()) for p in draws])
 
     @pytest.mark.parametrize("variant", [ZeroBVariant.EQ30, ZeroBVariant.EQ31])
@@ -262,7 +277,7 @@ class TestParamBlock:
         np.testing.assert_array_equal(np.sort(np.concatenate([g.rows for g in groups])), np.arange(len(draws)))
         for kinds, rows, rates, phases in groups:
             assert rates.flags.c_contiguous and rates.shape == (3, len(rows))
-            scalar = [cmccm_decompose(draws[i], variant) for i in rows]
+            scalar = [one_row_cmccm(draws[i], variant) for i in rows]
             frozen = [_frozen_cmccm(*draws[i].astuple(), variant) for i in rows]
             assert all(cp.kinds == kinds and (cp.phases is None) == (phases is None) for cp in scalar)
             assert all(KINDS[branch] == kinds for branch, _, _ in frozen)
@@ -281,7 +296,7 @@ class TestParamBlock:
     def test_zero_b_errors(self, variant, row):
         p = LctParams(*row)
         with pytest.raises(ValidationError) as scalar:
-            cmccm_decompose(p, variant)
+            one_row_cmccm(p, variant)
         with pytest.raises(ValidationError) as vectorized:
             ParamBlock([(0.6, 0.8, -0.5, 1.0), row]).cmccm(variant)
         assert str(vectorized.value) == str(scalar.value)
@@ -296,7 +311,7 @@ class TestParamBlock:
         with pytest.raises(ValidationError, match="unknown zero-b variant"):
             ParamBlock(rows).cmccm(variant)
         with pytest.raises(ValidationError, match="unknown zero-b variant"):
-            cmccm_decompose(LctParams(*rows[0]), variant)
+            one_row_cmccm(LctParams(*rows[0]), variant)
 
     @pytest.mark.parametrize("variant", ZeroBVariant)
     def test_zero_b_variant_by_value(self, variant):
@@ -306,13 +321,14 @@ class TestParamBlock:
 
 
 class TestSampleAbc:
-    def test_rows_and_state_equal_one_row_draws(self):
-        # min_abs_a = 1.5 rejects most draws, so every generator redraws
-        for min_abs_a in (0.05, 1.5):
+    def test_rows_and_state_equal_one_row_draws(self, monkeypatch):
+        # a bound of 1.5 rejects most draws, so every generator redraws
+        for min_abs_a in (params.MIN_ABS_A, 1.5):
+            monkeypatch.setattr(params, "MIN_ABS_A", min_abs_a)
             gens = [np.random.default_rng(s) for s in range(40)]
             refs = [np.random.default_rng(s) for s in range(40)]
-            rows = np.concatenate([sample_abc(g, 3, min_abs_a=min_abs_a) for g in gens])
-            want = [sample_random_params(r, min_abs_a=min_abs_a).astuple()[:3] for r in refs for _ in range(3)]
+            rows = np.concatenate([sample_abc(g, 3) for g in gens])
+            want = [sample_random_params(r).astuple()[:3] for r in refs for _ in range(3)]
             assert rows.tobytes() == _bytes(want)
             assert all(g.random() == r.random() for g, r in zip(gens, refs))
 

@@ -15,17 +15,11 @@ from glct import (
     TransformSpec,
     ValidationError,
     ZeroBVariant,
-    apply_spec,
     block_rows,
     cartesian_product,
-    cddhfs_block,
-    cddhfs_decompose,
-    cmccm_block,
-    cmccm_decompose,
     compress_gfrft,
     dense_operator,
     gcm_nd,
-    gfrft_block,
     gfrft_nd,
     gft_nd,
     gft_matrix,
@@ -45,7 +39,9 @@ from glct.product import BLOCK_BYTES, program_block
 from glct import cli, kernels, product
 from glct.experiments import BENCHMARK_SIGNALS, benchmark_signal
 from glct.io import write_graph, write_signal
-from glct.spectral import eig_unitary
+from glct.spectral import eig_unitary_angles, eig_unitary_vectors
+
+from conftest import run_spec
 
 GENERAL_ABCD = (0.6, 0.8, -0.5, 1.0)
 ZERO_B_ABCD = (2.0, 0.0, 0.7, 0.5)
@@ -70,8 +66,13 @@ def factored_matrix(spec, ctx):
     for k in range(n):
         e = np.zeros(n, dtype=complex)
         e[k] = 1.0
-        cols.append(apply_spec(SignalNd(ctx.shape, e), spec, ctx).values)
+        cols.append(run_spec(SignalNd(ctx.shape, e), spec, ctx))
     return np.column_stack(cols)
+
+
+def _frac_group(alphas):
+    """The program that runs row t of a block through gfrft_nd of order alphas[t]."""
+    return [ProgramGroup(("frac",), np.arange(len(alphas)), np.array([alphas], dtype=float), None)]
 
 
 class TestSignalNd:
@@ -114,7 +115,8 @@ class TestGftNd:
 
     def test_parseval(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 3)
-        assert gft_nd(x, ctx_ring4_path3).norm() == pytest.approx(x.norm(), abs=1e-10)
+        y = gft_nd(x, ctx_ring4_path3)
+        assert np.linalg.norm(y.values) == pytest.approx(np.linalg.norm(x.values), abs=1e-10)
 
     def test_shape_mismatch_raises(self, ctx_ring4_path3):
         with pytest.raises(ValidationError):
@@ -224,7 +226,7 @@ class TestOps:
         x = rand_signal(ctx_ring4_path3, 11)
         p = LctParams(*GENERAL_ABCD)
         y = glct_cmccm_nd(x, p, ctx_ring4_path3)
-        assert y.norm() == pytest.approx(x.norm(), abs=1e-9)
+        assert np.linalg.norm(y.values) == pytest.approx(np.linalg.norm(x.values), abs=1e-9)
         back = glct_cmccm_nd(y, inverse(p), ctx_ring4_path3)
         assert np.abs(back.values - x.values).max() < 1e-9
 
@@ -267,11 +269,6 @@ class TestTransformSpec:
         with pytest.raises(ValidationError, match="unknown"):
             TransformSpec("glct_cmccm", {"abcd": abcd}, **field)
 
-    def test_gso_mismatch_raises(self, ctx_ring4_path3):
-        spec = TransformSpec("gft", gso="adjacency")
-        with pytest.raises(ValidationError):
-            apply_spec(SignalNd(ctx_ring4_path3.shape, np.ones(12)), spec, ctx_ring4_path3)
-
     def test_missing_abcd_raises(self):
         with pytest.raises(ValidationError):
             TransformSpec("glct_cmccm").abcd()
@@ -282,7 +279,7 @@ class TestTransformSpec:
     def test_bad_rate_raises(self, ctx_ring4_path3, op, key, value):
         spec = TransformSpec(op, {} if value is None else {key: value})
         with pytest.raises(ValidationError):
-            apply_spec(SignalNd(ctx_ring4_path3.shape, np.ones(12)), spec, ctx_ring4_path3)
+            run_spec(SignalNd(ctx_ring4_path3.shape, np.ones(12)), spec, ctx_ring4_path3)
         with pytest.raises(ValidationError):
             dense_operator(spec, ctx_ring4_path3.graph)
         with pytest.raises(ValidationError):
@@ -293,7 +290,7 @@ class TestTransformSpec:
     lambda x, ctx: gfrft_nd(x, float("nan"), ctx),
     lambda x, ctx: gcm_nd(x, float("inf"), ctx),
     lambda x, ctx: gscale_nd(x, float("nan"), ctx),
-    lambda x, ctx: gfrft_block(np.ones((2, x.n)), [0.5, float("nan")], ctx),
+    lambda x, ctx: program_block(np.ones((2, x.n)), _frac_group([0.5, float("nan")]), ctx),
     lambda x, ctx: compress_gfrft(x, float("nan"), ctx, 0.5),
 ], ids=["gfrft_nd", "gcm_nd", "gscale_nd", "gfrft_block", "compress_gfrft"])
 def test_non_finite_single_op_rate_raises(ctx_ring4_path3, call):
@@ -352,7 +349,7 @@ def _frozen_mult_count(spec, shape):
         return 2 * p * s + 2 * p
     if spec.op == "glct_cddhfs":
         return (4 * p * s) + (2 * p * s + 2 * p) + 4 * p
-    if cmccm_decompose(spec.abcd(), ZeroBVariant(spec.zero_b_variant)).kinds == KINDS["general-b"]:
+    if spec.program().kinds == KINDS["general-b"]:
         return 3 * 4 * p + 2 * (2 * p * s)
     return 3 * 4 * p + 3 * (2 * p * s) + 4 * p
 
@@ -396,7 +393,7 @@ def _ref_gcm(x, xi, ctx):
 
 
 def _ref_cddhfs(x, p, ctx):
-    alpha_norm, delta, xi = cddhfs_decompose(p).rates[:, 0]
+    alpha_norm, delta, xi = ParamBlock.from_params([p]).cddhfs()[0].rates[:, 0]
     frac = []
     for dec in ctx.factors:
         pv = dec.fourier.vectors
@@ -409,7 +406,7 @@ def _ref_cddhfs(x, p, ctx):
 
 
 def _ref_cmccm(x, p, ctx, zero_b_variant):
-    kinds, _, rates, phases = cmccm_decompose(p, zero_b_variant)
+    kinds, _, rates, phases = ParamBlock.from_params([p]).cmccm(zero_b_variant)[0]
     x3, x2, x1 = rates[:, 0]
     if kinds == KINDS["eq31"]:
         x = _ref_igft(x, ctx)
@@ -478,7 +475,7 @@ def test_block_rows_match_single_calls(graph, kind):
     budget = block_rows(n)
     xs = rng.normal(size=(budget + 1, n)) + 1j * rng.normal(size=(budget + 1, n))
     rows = [sets[i % len(sets)] for i in range(budget + 1)]
-    alphas = [cddhfs_decompose(p).rates[0, 0] for p in rows]
+    alphas = ParamBlock.from_params(rows).cddhfs()[0].rates[0].tolist()
     names = [*ZeroBVariant, "cddhfs", "gfrft"]
     singles = []
     for x, p, alpha in zip(xs, rows, alphas):
@@ -487,8 +484,9 @@ def test_block_rows_match_single_calls(graph, kind):
                        + [glct_cddhfs_nd(x, p, ctx), gfrft_nd(x, alpha, ctx)])
     for t in (1, budget - 1, budget, budget + 1):
         params = ParamBlock.from_params(rows[:t])
-        blocks = [cmccm_block(xs[:t], params, ctx, zb) for zb in ZeroBVariant]  # one block per zero-b variant
-        blocks += [cddhfs_block(xs[:t], params, ctx), gfrft_block(xs[:t], alphas[:t], ctx)]
+        groups = [params.cmccm(zb) for zb in ZeroBVariant]  # one block per zero-b variant
+        groups += [params.cddhfs(), _frac_group(alphas[:t])]
+        blocks = [program_block(xs[:t], g, ctx) for g in groups]
         for i in range(t):
             for block, single, name in zip(blocks, singles[i], names):
                 err = np.linalg.norm(block[i] - single.values) / np.linalg.norm(single.values)
@@ -555,14 +553,30 @@ def test_group_rates_and_phases_must_fit(ctx_ring4_path3, rates, phases):
         program_block(np.ones((2, 12), complex), [group], ctx_ring4_path3)
 
 
+@pytest.mark.parametrize("kinds,rates,phases,match", [
+    (("foo",), np.empty((0, 2)), None, "unknown op kinds"),
+    (("frac", "cm"), np.array([[0.5, 0.5], [0.3, np.nan]]), None, "finite"),
+    (("frac",), np.array([[0.5, np.inf]]), None, "finite"),
+    (("frac", "scale", "cm"), np.array([[0.5, 0.5], [1.5, 0.0], [0.3, 0.3]]), None, "nonzero"),
+    (("ft",), np.empty((0, 2)), np.array([1.0, np.nan]), "phases must be finite"),
+], ids=["unknown-kind", "nan-cm-rate", "inf-frac-rate", "zero-scale-rate", "nan-phase"])
+def test_executor_rejects_programs_it_cannot_run(ctx_ring4_path3, kinds, rates, phases, match):
+    """A kind that is no op would run as V, a non-finite rate or phase would
+    give NaN rows and a zero scale rate would divide by zero; the bad entry is
+    in the second row of each group."""
+    group = ProgramGroup(kinds, np.arange(2), rates, phases)
+    with pytest.raises(ValidationError, match=match):
+        program_block(np.ones((2, 12), complex), [group], ctx_ring4_path3)
+
+
 def test_block_budget_and_shape_check(ctx_ring4_path3):
     assert block_rows(288) == 48
     assert block_rows(1500) == 9
     assert block_rows(10**6) == 1
     with pytest.raises(ValidationError):
-        cmccm_block(np.ones((2, 12)), ParamBlock([GENERAL_ABCD]), ctx_ring4_path3)
+        program_block(np.ones((2, 12)), ParamBlock([GENERAL_ABCD]).cmccm(), ctx_ring4_path3)
     with pytest.raises(ValidationError):
-        gfrft_block(np.ones((1, 11)), [0.5], ctx_ring4_path3)
+        program_block(np.ones((1, 11)), _frac_group([0.5]), ctx_ring4_path3)
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_SPECS))
@@ -618,11 +632,12 @@ def test_threads_get_the_bytes_of_sequential_runs():
     and heights, several chunks each) get the bytes of the same calls made one
     after another: each thread runs in a workspace of its own."""
     jobs = []
-    for factors, run, seed in (([make_ring(18), make_path(16)], cmccm_block, 1),
-                               ([make_ring(20), make_path(4)], cddhfs_block, 2)):
+    for factors, variant, seed in (([make_ring(18), make_path(16)], "cmccm", 1),
+                                   ([make_ring(20), make_path(4)], "cddhfs", 2)):
         ctx = ProductContext(cartesian_product(factors))
         xs, params = _mixed_block(ctx, 2 * block_rows(ctx.graph.n) + 3, seed)
-        jobs.append((lambda run=run, xs=xs, params=params, ctx=ctx: run(xs, params, ctx)))
+        groups = params.factorize(variant)
+        jobs.append((lambda xs=xs, groups=groups, ctx=ctx: program_block(xs, groups, ctx)))
     want = [job().tobytes() for job in jobs]
     start, wrong, done = threading.Barrier(len(jobs)), [], []
 
@@ -650,9 +665,9 @@ def test_threads_get_the_bytes_of_sequential_runs():
 def test_results_never_alias_the_workspace(extra):
     ctx = ProductContext(cartesian_product([make_ring(18), make_path(16)]))
     xs, params = _mixed_block(ctx, block_rows(ctx.graph.n) + extra, 3)
-    first = cddhfs_block(xs, params, ctx)
+    first = program_block(xs, params.cddhfs(), ctx)
     kept = first.copy()
-    second = cddhfs_block(xs[::-1].copy(), params, ctx)
+    second = program_block(xs[::-1].copy(), params.cddhfs(), ctx)
     assert first.tobytes() == kept.tobytes()
     buffers = product._THREAD.workspace.slots.values()
     assert buffers and not any(np.shares_memory(y, buf) for y in (first, second) for buf in buffers)
@@ -663,7 +678,8 @@ def test_large_rows_leave_the_kept_workspace_within_budget(rand_signal):
     workspace of its own that the call drops: the thread's kept workspace does
     not grow, and none of its buffers exceeds the budget."""
     small = ProductContext(cartesian_product([make_ring(18), make_path(16)]))
-    cddhfs_block(*_mixed_block(small, block_rows(small.graph.n), 4), small)
+    xs, params = _mixed_block(small, block_rows(small.graph.n), 4)
+    program_block(xs, params.cddhfs(), small)
     ws = product._THREAD.workspace
     before = {slot: buf.nbytes for slot, buf in ws.slots.items()}
     big = ProductContext(cartesian_product([make_ring(800), make_path(40)]))
@@ -681,9 +697,9 @@ def test_kept_workspace_holds_only_the_block_buffers():
     for graph in (benchmark_signal("x2")[0], cartesian_product([make_ring(100), make_path(15)])):
         ctx = ProductContext(graph)
         xs, params = _mixed_block(ctx, block_rows(ctx.graph.n), 8)
-        cmccm_block(xs, params, ctx)
-        cddhfs_block(xs, params, ctx)
-        gfrft_block(xs, np.linspace(-0.9, 0.9, len(xs)), ctx)
+        program_block(xs, params.cmccm(), ctx)
+        program_block(xs, params.cddhfs(), ctx)
+        program_block(xs, _frac_group(np.linspace(-0.9, 0.9, len(xs))), ctx)
     slots = product._THREAD.workspace.slots
     assert set(slots) == {"x0", "x1", "a", "b"}
     assert all(buf.nbytes <= BLOCK_BYTES for buf in slots.values())
@@ -776,7 +792,8 @@ def test_cmccm_never_builds_eigenvectors(rand_signal):
     for p, zb in sets:
         glct_cmccm_nd(x, p, ctx, ZeroBVariant(zb))
     for zb in ZeroBVariant:
-        cmccm_block(np.repeat(x.values[None], len(sets), axis=0), ParamBlock.from_params([p for p, _ in sets]), ctx, zb)
+        groups = ParamBlock.from_params([p for p, _ in sets]).cmccm(zb)
+        program_block(np.repeat(x.values[None], len(sets), axis=0), groups, ctx)
     assert all("fourier" not in dec.__dict__ for dec in ctx.factors)
 
 
@@ -816,8 +833,8 @@ def test_lazy_eigenvectors_give_the_eager_outputs(kind):
         graph, x = benchmark_signal(name)
         lazy, eager = ProductContext(graph, kind), ProductContext(graph, kind)
         for dec in eager.factors:
-            dec.__dict__["fourier"] = eig_unitary(dec.f)
+            dec.__dict__["fourier"] = eig_unitary_vectors(eig_unitary_angles(dec.f))
         for p in params:
-            alpha = cddhfs_decompose(p).rates[0, 0]
+            alpha = ParamBlock.from_params([p]).cddhfs()[0].rates[0, 0]
             for op in (lambda c: glct_cddhfs_nd(x, p, c), lambda c: gfrft_nd(x, alpha, c)):
                 assert op(lazy).values.tobytes() == op(eager).values.tobytes(), (name, p)

@@ -2,20 +2,20 @@
 import numpy as np
 import pytest
 
-from glct import seeding, suite_additivity, suite_reversibility
+from glct import params, seeding, suite_additivity, suite_reversibility
 from glct.seeding import trial_abc
 
 
-def numpy_rows(seed, signal_index, trials, n, min_abs_a=0.05):
+def numpy_rows(seed, signal_index, trials, n):
     """Rows (a, b, c) drawn one at a time from numpy's generator of each
-    trial, redrawing |a| < min_abs_a."""
+    trial, redrawing |a| < MIN_ABS_A."""
     rows = []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, signal_index, t)))
         kept = 0
         while kept < n:
             a, b, c = rng.uniform(-2.0, 2.0, size=3)
-            if abs(a) >= min_abs_a:
+            if abs(a) >= params.MIN_ABS_A:
                 rows.append((a, b, c))
                 kept += 1
     return np.array(rows, dtype=float).reshape(-1, 3)
@@ -44,8 +44,9 @@ def test_forced_redraws_equal_numpy_streams(monkeypatch):
         return uniform(state, k)
 
     monkeypatch.setattr(seeding, "_uniform", counted)
-    got = trial_abc(7, 2, 120, 2, min_abs_a=1.95)
-    assert got.tobytes() == numpy_rows(7, 2, 120, 2, min_abs_a=1.95).tobytes()
+    monkeypatch.setattr(params, "MIN_ABS_A", 1.95)
+    got = trial_abc(7, 2, 120, 2)
+    assert got.tobytes() == numpy_rows(7, 2, 120, 2).tobytes()
     assert len(rounds) > 10 and rounds[0] == 120 and rounds[-1] < rounds[0]
 
 

@@ -10,9 +10,7 @@ from glct import (
     ValidationError,
     make_family,
     eig_sym,
-    eig_unitary,
     frac_diag_power,
-    frac_operator,
     gft_matrix,
     gso,
     make_comet,
@@ -22,9 +20,16 @@ from glct import (
     make_ring,
 )
 from glct.kernels import decompose_graph
-from glct.spectral import _canonical_order, eig_unitary_angles, principal_angle
+from glct.spectral import _canonical_order, eig_unitary_angles, eig_unitary_vectors, principal_angle
+
+from conftest import frac_operator
 
 RT2 = np.sqrt(2.0)
+
+
+def eig_unitary(f):
+    """The full unitary eigendecomposition: the values stage, then the eigenvector stage."""
+    return eig_unitary_vectors(eig_unitary_angles(f))
 
 
 class TestEigSym:
