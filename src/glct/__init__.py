@@ -28,9 +28,7 @@ from .params import (
     ParamBlock,
     ProgramGroup,
     ZeroBVariant,
-    compose,
     inverse,
-    recompose,
     sample_random_params,
 )
 from .product import (
@@ -39,13 +37,10 @@ from .product import (
     TransformSpec,
     block_rows,
     dense_operator,
-    gcm_nd,
     gfrft_nd,
     gft_nd,
     glct_cddhfs_nd,
     glct_cmccm_nd,
-    gscale_nd,
-    igft_nd,
     mult_count,
 )
 from .spectral import (

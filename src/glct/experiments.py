@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +52,6 @@ from .params import (
     ProgramGroup,
     ZeroBVariant,
     check_variant,
-    compose,
     inverse,
     sample_abc,
 )
@@ -66,8 +66,8 @@ from .product import (
 )
 from .seeding import trial_abc
 
-#: Benchmark product graphs: name -> ((family, size), (family, size))
-BENCHMARK_GRAPHS: dict[str, tuple[tuple[str, int], tuple[str, int]]] = {
+#: Benchmark product graphs: name -> one (family, size) per factor
+BENCHMARK_GRAPHS: dict[str, tuple[tuple[str, int], ...]] = {
     "x1": (("ring", 14), ("path", 8)),
     "x2": (("ring", 18), ("lowstretch", 16)),
     "x3": (("complete", 14), ("comet", 6)),
@@ -164,19 +164,17 @@ def nmse_additivity(
     zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
 ) -> float:
     """Squared-error ratio between the one-step transform at p1*p2 and the
-    two-step cascade: ||T_{p1 p2} x - T_{p1} T_{p2} x||^2 / ||T_{p1 p2} x||^2."""
-    one = apply_glct(x, compose(p1, p2), ctx, variant, zero_b_variant)
-    den = float(np.sum(np.abs(one.values) ** 2))
-    if den == 0.0:
-        raise ValidationError("degenerate signal: the reference transform is identically zero")
-    two = apply_glct(apply_glct(x, p2, ctx, variant, zero_b_variant), p1, ctx, variant, zero_b_variant)
-    num = float(np.sum(np.abs(one.values - two.values) ** 2))
-    return num / den
+    two-step cascade: ||T_{p1 p2} x - T_{p1} T_{p2} x||^2 / ||T_{p1 p2} x||^2.
+
+    The one-row case of the additivity suite: p1, p2 and their product as
+    one-row blocks through :func:`_nmse_additivity_block`."""
+    b1, b2 = ParamBlock.from_params([p1]), ParamBlock.from_params([p2])
+    return float(_nmse_additivity_block(x, b1, b2, b1.compose(b2), ctx, variant, zero_b_variant)[0])
 
 
 def _nmse_additivity_block(x, p1, p2, p12, ctx, variant, zero_b_variant) -> np.ndarray:
-    """:func:`nmse_additivity` of every row pair of the blocks ``p1`` and
-    ``p2``, whose composition is ``p12``, as three block transforms."""
+    """The additivity NMSE of every row pair of the blocks ``p1`` and ``p2``,
+    whose composition is ``p12``, as three block transforms."""
     ctx.check(x)
     block = _rows(x, len(p1))
     one = _glct_block(block, p12, ctx, variant, zero_b_variant)
@@ -248,7 +246,8 @@ def complexity_model(n1: int, n2: int, variant: str) -> float:
 
 
 def benchmark_signal(name: str) -> tuple[ProductGraph, SignalNd]:
-    """Benchmark 2-D signal: outer product of per-factor rectangular signals.
+    """Benchmark M-D signal: outer product of per-factor rectangular signals,
+    one per factor of its graph.
 
     Each factor carries the +1/-1 rectangular signal, so the product signal
     is itself +1/-1 valued.
@@ -260,8 +259,7 @@ def benchmark_signal(name: str) -> tuple[ProductGraph, SignalNd]:
     factors = [make_family(fam, n) for fam, n in specs]
     graph = cartesian_product(factors)
     parts = [bipolar_rect_signal(g.n) for g in factors]
-    tensor = np.multiply.outer(parts[0], parts[1])
-    return graph, SignalNd.from_tensor(tensor)
+    return graph, SignalNd.from_tensor(reduce(np.multiply.outer, parts))
 
 
 @dataclass(frozen=True)

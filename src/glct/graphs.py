@@ -92,14 +92,6 @@ class ProductGraph:
     def n(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def edge_count(self) -> int:
-        total = 0
-        for k, g in enumerate(self.factors):
-            others = self.n // g.n
-            total += g.edge_count * others
-        return total
-
 
 def cartesian_product(factors: Sequence[Graph]) -> ProductGraph:
     """Bundle factor graphs into a product graph (no matrices materialized)."""

@@ -183,12 +183,6 @@ def inverse(p: LctParams) -> LctParams:
     return LctParams(p.d, -p.b, -p.c, p.a)
 
 
-def compose(p1: LctParams, p2: LctParams) -> LctParams:
-    """Parameter matrix product, so transforms compose as T_p1 o T_p2."""
-    m = p1.matrix @ p2.matrix
-    return LctParams(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-
 #: Column arithmetic overflows to inf and NaN silently, as Python floats do.
 _AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
 
@@ -207,11 +201,11 @@ class ParamBlock:
     ``abcd`` of (a, b, c, d) rows, each with ad - bc = 1 as :class:`LctParams`
     checks it.
 
-    Row t equals ``LctParams(*abcd[t])`` bit for bit, and so do the results
-    of :meth:`inverse` and :meth:`compose` against :func:`inverse` and
-    :func:`compose`. Composition is a stacked (T, 2, 2) matmul, the same BLAS
-    product as the one-row ``p1.matrix @ p2.matrix``; spelled out elementwise
-    it would round differently wherever the GEMM fuses a multiply-add.
+    Row t equals ``LctParams(*abcd[t])`` bit for bit, and so does row t of
+    :meth:`inverse` against :func:`inverse`. Composition is a stacked
+    (T, 2, 2) matmul, the same BLAS product as ``p1.matrix @ p2.matrix`` on
+    each pair of rows; spelled out elementwise it would round differently
+    wherever the GEMM fuses a multiply-add.
     """
 
     __slots__ = ("abcd",)
@@ -266,7 +260,8 @@ class ParamBlock:
         return ParamBlock._of(self.abcd[:, [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0]))
 
     def compose(self, other: "ParamBlock") -> "ParamBlock":
-        """Row-wise :func:`compose`: row t is ``self`` row t times ``other`` row t."""
+        """Row-wise parameter matrix product: row t is ``self`` row t times
+        ``other`` row t, so the transforms compose as T_self o T_other."""
         if len(self) != len(other):
             raise ValidationError(f"cannot compose blocks of {len(self)} and {len(other)} rows")
         m = self.abcd.reshape(-1, 2, 2) @ other.abcd.reshape(-1, 2, 2)
@@ -322,33 +317,6 @@ def _general_b(rows: np.ndarray, columns: np.ndarray) -> ProgramGroup:
     """The general-b cmccm group of ``rows``, from their (4, R) columns."""
     a, b, _, d = columns
     return ProgramGroup(KINDS["general-b"], rows, np.array(((a - 1.0) / b, -b, (d - 1.0) / b)), None)
-
-
-def _op_matrix(kind: str, rate: float | None) -> np.ndarray:
-    """Parameter matrix of one op; ``ft`` is ``frac(1)`` and ``ift`` ``frac(-1)``."""
-    if kind == "ft":
-        return np.array([[0.0, 1.0], [-1.0, 0.0]])
-    if kind == "ift":
-        return np.array([[0.0, -1.0], [1.0, 0.0]])
-    if kind == "cm":
-        return np.array([[1.0, 0.0], [rate, 1.0]])
-    if kind == "scale":
-        return np.diag([rate, 1.0 / rate])
-    angle = rate * np.pi / 2.0
-    return np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
-
-
-def recompose(group: ProgramGroup) -> np.ndarray:
-    """Multiply the op matrices of a one-row program group back into
-    (a, b; c, d), the last op leftmost. The constant phase has no 2x2
-    counterpart."""
-    if len(group.rows) != 1:
-        raise ValidationError(f"recompose takes a program group of one row, got {len(group.rows)} rows")
-    rates = iter(group.rates[:, 0].tolist())
-    m = np.eye(2)
-    for kind in group.kinds:
-        m = _op_matrix(kind, next(rates) if kind in RATED_KINDS else None) @ m
-    return m
 
 
 def sample_abc(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -4,11 +4,12 @@ A transform is a :class:`~glct.params.ProgramGroup`: op kinds in the order
 they are applied, and the rates of the ops that take one and a constant phase
 for each of its rows. The factorizations come from
 :meth:`glct.params.ParamBlock.factorize` and the five single ops from
-``_SINGLE_OPS``. Four interpreters read a program: the block executor
+``_SINGLE_OPS``. Three interpreters read a program: the block executor
 :func:`program_block` here, which runs what
 :meth:`~glct.params.ProgramGroup.check` accepts, and, on one row,
 ``dense_operator`` (explicit Kronecker-product matrices, a differential-testing
-oracle), ``mult_count`` and ``glct.params.recompose``.
+oracle) and ``mult_count``. The tests hold a fourth, which multiplies a
+program's 2x2 parameter matrices back into (a, b; c, d).
 
 Transforms run on blocks: T signals on one graph, one program per row. The
 executor splits a program at its ``scale`` ops, which apply the Kronecker sum
@@ -397,11 +398,6 @@ def gft_nd(x: SignalNd, ctx: ProductContext) -> SignalNd:
     return _one(x, [_single("gft")], ctx)
 
 
-def igft_nd(xhat: SignalNd, ctx: ProductContext) -> SignalNd:
-    """Inverse of :func:`gft_nd`."""
-    return _one(xhat, [_single("igft")], ctx)
-
-
 def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
     """Separable fractional transform of normalized order ``alpha_norm``.
 
@@ -409,16 +405,6 @@ def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
     eigendecomposition of the factor's transform matrix.
     """
     return _one(x, [_single("gfrft", alpha_norm)], ctx)
-
-
-def gcm_nd(x: SignalNd, xi: float, ctx: ProductContext) -> SignalNd:
-    """Chirp multiplication by the Kronecker product of per-factor diagonals."""
-    return _one(x, [_single("gcm", xi)], ctx)
-
-
-def gscale_nd(x: SignalNd, sigma: float, ctx: ProductContext) -> SignalNd:
-    """Scaling transform: apply the Kronecker-sum shift operator over sigma."""
-    return _one(x, [_single("gscale", sigma)], ctx)
 
 
 def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:

@@ -29,7 +29,6 @@ from glct import (
     make_path,
     make_ring,
     mult_count,
-    recompose,
     sample_random_params,
     suite_additivity,
     suite_reversibility,
@@ -39,7 +38,7 @@ from glct.io import write_csv, write_json
 from glct.params import ParamBlock, ZeroBVariant
 from glct.spectral import eig_unitary_angles, eig_unitary_vectors
 
-from conftest import frac_operator, run_spec
+from conftest import frac_operator, recompose, run_spec
 
 GENERAL_ABCD = (0.6, 0.8, -0.5, 1.0)
 ZERO_B_ABCD = (2.0, 0.0, 0.7, 0.5)

@@ -10,6 +10,7 @@ import pytest
 
 from glct import (
     COMPRESSION_REFERENCE_PARAMS,
+    GsoKind,
     LctParams,
     ProductContext,
     SignalNd,
@@ -46,6 +47,8 @@ from glct.experiments import (
 )
 from glct.params import ParamBlock
 from glct.product import block_rows
+
+from conftest import nmse_additivity_scalar
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -91,6 +94,29 @@ class TestNmse:
         for variant in ("cddhfs", "cmccm"):
             value = nmse_additivity(x, p1, p2, ctx, variant)
             assert np.isfinite(value) and value >= 0.0
+
+    def test_additivity_equals_frozen_scalar_formula(self):
+        # nmse_additivity is the one-row case of the suite's block path; the
+        # two one-signal cascades it replaced must give the same bits, on
+        # every signal, shift operator, variant and zero-b form, with both
+        # parameter sets of every seventh pair, and so their product, at b = 0
+        rng = np.random.default_rng(17)
+        pairs = []
+        for i in range(20):
+            p1, p2 = sample_random_params(rng), sample_random_params(rng)
+            if i % 7 == 0:
+                p1, p2 = LctParams.from_abc(p1.a, 0.0, p1.c), LctParams.from_abc(p2.a, 0.0, p2.c)
+            pairs.append((p1, p2))
+        for name in BENCHMARK_SIGNALS:
+            graph, x = benchmark_signal(name)
+            for gso in (GsoKind.LAPLACIAN, GsoKind.ADJACENCY):
+                ctx = ProductContext(graph, gso)
+                for variant in ("cddhfs", "cmccm"):
+                    for zb in (ZeroBVariant.EQ30, ZeroBVariant.EQ31):
+                        for p1, p2 in pairs:
+                            got = nmse_additivity(x, p1, p2, ctx, variant, zb)
+                            want = nmse_additivity_scalar(x, p1, p2, ctx, variant, zb)
+                            assert got == want, (name, gso, variant, zb, p1, p2)
 
 
 class TestComplexityModel:
@@ -236,7 +262,7 @@ class TestSuites:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, BENCHMARK_SIGNALS.index(name), t)))
                 if kind == "additivity":
                     p1, p2 = sample_random_params(rng), sample_random_params(rng)
-                    loop.append(nmse_additivity(x, p1, p2, ctx, r.variant))
+                    loop.append(nmse_additivity_scalar(x, p1, p2, ctx, r.variant))
                 else:
                     loop.append(nmse_reversibility(x, sample_random_params(rng), ctx, r.variant))
             # bit for bit with OpenBLAS; cmccm reversibility NMSEs are rounding
@@ -247,11 +273,15 @@ class TestSuites:
 
 _FROZEN_SUITE_CHECK = """
 import numpy as np
-from glct import LctParams, ParamBlock, ProductContext, ZeroBVariant, benchmark_signal, compose, inverse
+from glct import LctParams, ParamBlock, ProductContext, ZeroBVariant, benchmark_signal, inverse
 from glct import suite_additivity, suite_reversibility
 from glct.experiments import BENCHMARK_SIGNALS
 from glct.graphs import GsoKind
 from glct.product import block_rows, program_block
+
+
+def compose(p1, p2):
+    return LctParams(*(p1.matrix @ p2.matrix).ravel())
 
 
 def sample(rng):

@@ -173,7 +173,8 @@ class TestProducts:
     def test_vertex_and_edge_counts(self):
         pg = cartesian_product([make_ring(4), make_path(2)])
         assert pg.n == 8
-        assert pg.edge_count == 4 * 2 + 4 * 1  # |E1|*N2 + N1*|E2|
+        adjacency = kronecker_sum([gso(g, GsoKind.ADJACENCY) for g in pg.factors])
+        assert np.count_nonzero(np.triu(adjacency, 1)) == 4 * 2 + 4 * 1  # |E1|*N2 + N1*|E2|
         assert cartesian_product([make_ring(14), make_path(8)]).n == 112
 
     def test_product_gso_matches_vertex_linearization(self):

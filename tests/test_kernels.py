@@ -6,19 +6,19 @@ from glct import (
     LctParams,
     ProductContext,
     SignalNd,
+    TransformSpec,
     ValidationError,
     ZeroBVariant,
     apply_glct,
     cartesian_product,
-    gcm_nd,
     gfrft_nd,
     gft_nd,
-    gscale_nd,
-    igft_nd,
     inverse,
     make_path,
     make_ring,
 )
+
+from conftest import run_spec
 
 
 def one_factor(graph):
@@ -50,7 +50,7 @@ def gft(x, ctx):
 
 
 def igft(xhat, ctx):
-    return igft_nd(SignalNd(ctx.shape, xhat), ctx).values
+    return run_spec(SignalNd(ctx.shape, xhat), TransformSpec("igft"), ctx)
 
 
 def gfrft(x, alpha, ctx):
@@ -58,11 +58,11 @@ def gfrft(x, alpha, ctx):
 
 
 def gcm(x, xi, ctx):
-    return gcm_nd(SignalNd(ctx.shape, x), xi, ctx).values
+    return run_spec(SignalNd(ctx.shape, x), TransformSpec("gcm", {"xi": xi}), ctx)
 
 
 def gscale(x, sigma, ctx):
-    return gscale_nd(SignalNd(ctx.shape, x), sigma, ctx).values
+    return run_spec(SignalNd(ctx.shape, x), TransformSpec("gscale", {"sigma": sigma}), ctx)
 
 
 def glct(x, p, ctx, variant="cmccm", zero_b_variant=ZeroBVariant.EQ30):

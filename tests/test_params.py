@@ -6,13 +6,13 @@ from glct import (
     LctParams,
     ValidationError,
     ZeroBVariant,
-    compose,
     inverse,
-    recompose,
     sample_random_params,
 )
 from glct import params
 from glct.params import DET_TOL, KINDS, ZERO_B_TOL, ParamBlock, sample_abc
+
+from conftest import compose, recompose
 
 
 def one_row_cddhfs(p):
@@ -23,6 +23,11 @@ def one_row_cddhfs(p):
 def one_row_cmccm(p, variant=ZeroBVariant.EQ30):
     """The cmccm group of one parameter set: a one-row block's."""
     return ParamBlock.from_params([p]).cmccm(variant)[0]
+
+
+def one_row_compose(p1, p2):
+    """p1 p2 as the composition of two one-row blocks."""
+    return LctParams(*ParamBlock.from_params([p1]).compose(ParamBlock.from_params([p2])).abcd[0])
 
 
 class TestValidation:
@@ -59,17 +64,17 @@ class TestGroupOps:
 
     def test_compose_with_identity(self):
         p = LctParams(0.6, 0.8, -0.5, 1.0)
-        assert compose(p, LctParams(1, 0, 0, 1)).astuple() == pytest.approx(p.astuple())
+        assert one_row_compose(p, LctParams(1, 0, 0, 1)).astuple() == pytest.approx(p.astuple())
 
     def test_compose_rotations(self):
         r = LctParams(0, 1, -1, 0)
-        assert compose(r, r).astuple() == pytest.approx((-1.0, 0.0, 0.0, -1.0))
+        assert one_row_compose(r, r).astuple() == pytest.approx((-1.0, 0.0, 0.0, -1.0))
 
     def test_compose_inverse_is_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = sample_random_params(rng)
-            q = compose(p, inverse(p))
+            q = one_row_compose(p, inverse(p))
             np.testing.assert_allclose(q.matrix, np.eye(2), atol=1e-9)
 
 
@@ -243,7 +248,7 @@ class TestParamBlock:
     def test_compose(self, draws):
         # compose multiplies the 2x2 matrices with BLAS, which may fuse the
         # multiply-adds; a product spelled out elementwise rounds differently
-        # on such a BLAS and fails this comparison
+        # on such a BLAS and fails this comparison with the one-row matmul
         half = len(draws) // 2
         p1, p2 = draws[:half], draws[half:2 * half]
         block = ParamBlock.from_params(p1).compose(ParamBlock.from_params(p2))

@@ -19,14 +19,11 @@ from glct import (
     cartesian_product,
     compress_gfrft,
     dense_operator,
-    gcm_nd,
     gfrft_nd,
     gft_nd,
     gft_matrix,
     glct_cddhfs_nd,
     glct_cmccm_nd,
-    gscale_nd,
-    igft_nd,
     inverse,
     make_path,
     make_ring,
@@ -41,7 +38,7 @@ from glct.experiments import BENCHMARK_SIGNALS, benchmark_signal
 from glct.io import write_graph, write_signal
 from glct.spectral import eig_unitary_angles, eig_unitary_vectors
 
-from conftest import run_spec
+from conftest import recompose, run_spec
 
 GENERAL_ABCD = (0.6, 0.8, -0.5, 1.0)
 ZERO_B_ABCD = (2.0, 0.0, 0.7, 0.5)
@@ -68,6 +65,21 @@ def factored_matrix(spec, ctx):
         e[k] = 1.0
         cols.append(run_spec(SignalNd(ctx.shape, e), spec, ctx))
     return np.column_stack(cols)
+
+
+def igft(x, ctx):
+    """The SignalNd ``x`` through the inverse transform, run by ``run_spec``."""
+    return SignalNd(ctx.shape, run_spec(x, TransformSpec("igft"), ctx))
+
+
+def gcm(x, xi, ctx):
+    """The SignalNd ``x`` through the chirp of rate ``xi``, run by ``run_spec``."""
+    return SignalNd(ctx.shape, run_spec(x, TransformSpec("gcm", {"xi": xi}), ctx))
+
+
+def gscale(x, sigma, ctx):
+    """The SignalNd ``x`` through the scaling by ``sigma``, run by ``run_spec``."""
+    return SignalNd(ctx.shape, run_spec(x, TransformSpec("gscale", {"sigma": sigma}), ctx))
 
 
 def _frac_group(alphas):
@@ -110,7 +122,7 @@ class TestGftNd:
 
     def test_round_trip(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 2)
-        back = igft_nd(gft_nd(x, ctx_ring4_path3), ctx_ring4_path3)
+        back = igft(gft_nd(x, ctx_ring4_path3), ctx_ring4_path3)
         np.testing.assert_allclose(back.values, x.values, atol=1e-10)
 
     def test_parseval(self, ctx_ring4_path3, rand_signal):
@@ -182,44 +194,44 @@ class TestOps:
 
     def test_gcm_identity_and_modulus(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 5)
-        np.testing.assert_allclose(gcm_nd(x, 0.0, ctx_ring4_path3).values, x.values, atol=1e-12)
+        np.testing.assert_allclose(gcm(x, 0.0, ctx_ring4_path3).values, x.values, atol=1e-12)
         np.testing.assert_allclose(
-            np.abs(gcm_nd(x, 1.9, ctx_ring4_path3).values), np.abs(x.values), atol=1e-12
+            np.abs(gcm(x, 1.9, ctx_ring4_path3).values), np.abs(x.values), atol=1e-12
         )
 
     def test_gcm_powers_add(self, ctx_ring4_path3, rand_signal):
         # separability keeps the combined diagonal exactly power-additive
         x = rand_signal(ctx_ring4_path3, 6)
-        lhs = gcm_nd(gcm_nd(x, 0.45, ctx_ring4_path3), 1.3, ctx_ring4_path3)
-        rhs = gcm_nd(x, 1.75, ctx_ring4_path3)
+        lhs = gcm(gcm(x, 0.45, ctx_ring4_path3), 1.3, ctx_ring4_path3)
+        rhs = gcm(x, 1.75, ctx_ring4_path3)
         np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-10)
 
     def test_gscale_constant_signal_nulls(self, ctx_ring4_path3):
-        out = gscale_nd(SignalNd(ctx_ring4_path3.shape, np.ones(12)), 2.5, ctx_ring4_path3)
+        out = gscale(SignalNd(ctx_ring4_path3.shape, np.ones(12)), 2.5, ctx_ring4_path3)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
 
     def test_gscale_matches_kronecker_sum(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 7)
         zsum = kronecker_sum([dec.z for dec in ctx_ring4_path3.factors])
         np.testing.assert_allclose(
-            gscale_nd(x, 1.0, ctx_ring4_path3).values, zsum @ x.values, atol=1e-10
+            gscale(x, 1.0, ctx_ring4_path3).values, zsum @ x.values, atol=1e-10
         )
 
     def test_gscale_linearity(self, ctx_ring4_path3, rand_signal):
         x, y = rand_signal(ctx_ring4_path3, 8), rand_signal(ctx_ring4_path3, 9)
         mix = SignalNd(x.shape, 1.5 * x.values - 2.0j * y.values)
-        lhs = gscale_nd(mix, 0.7, ctx_ring4_path3).values
-        rhs = 1.5 * gscale_nd(x, 0.7, ctx_ring4_path3).values - 2.0j * gscale_nd(y, 0.7, ctx_ring4_path3).values
+        lhs = gscale(mix, 0.7, ctx_ring4_path3).values
+        rhs = 1.5 * gscale(x, 0.7, ctx_ring4_path3).values - 2.0j * gscale(y, 0.7, ctx_ring4_path3).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_gscale_zero_sigma_raises(self, ctx_ring4_path3):
         with pytest.raises(ValidationError):
-            gscale_nd(SignalNd(ctx_ring4_path3.shape, np.ones(12)), 0.0, ctx_ring4_path3)
+            gscale(SignalNd(ctx_ring4_path3.shape, np.ones(12)), 0.0, ctx_ring4_path3)
 
     def test_cddhfs_plain_transform_reduction(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 10)
         out = glct_cddhfs_nd(x, LctParams(0, 1, -1, 0), ctx_ring4_path3)
-        expected = gscale_nd(gft_nd(x, ctx_ring4_path3), 1.0, ctx_ring4_path3)
+        expected = gscale(gft_nd(x, ctx_ring4_path3), 1.0, ctx_ring4_path3)
         np.testing.assert_allclose(out.values, expected.values, atol=1e-9)
 
     def test_cmccm_norm_and_inversion(self, ctx_ring4_path3, rand_signal):
@@ -288,11 +300,9 @@ class TestTransformSpec:
 
 @pytest.mark.parametrize("call", [
     lambda x, ctx: gfrft_nd(x, float("nan"), ctx),
-    lambda x, ctx: gcm_nd(x, float("inf"), ctx),
-    lambda x, ctx: gscale_nd(x, float("nan"), ctx),
     lambda x, ctx: program_block(np.ones((2, x.n)), _frac_group([0.5, float("nan")]), ctx),
     lambda x, ctx: compress_gfrft(x, float("nan"), ctx, 0.5),
-], ids=["gfrft_nd", "gcm_nd", "gscale_nd", "gfrft_block", "compress_gfrft"])
+], ids=["gfrft_nd", "gfrft_block", "compress_gfrft"])
 def test_non_finite_single_op_rate_raises(ctx_ring4_path3, call):
     x = SignalNd(ctx_ring4_path3.shape, np.arange(12.0))
     with pytest.raises(ValidationError, match="finite"):
@@ -563,10 +573,13 @@ def test_group_rates_and_phases_must_fit(ctx_ring4_path3, rates, phases):
 def test_executor_rejects_programs_it_cannot_run(ctx_ring4_path3, kinds, rates, phases, match):
     """A kind that is no op would run as V, a non-finite rate or phase would
     give NaN rows and a zero scale rate would divide by zero; the bad entry is
-    in the second row of each group."""
+    in the second row of each group. The 2x2 recomposition oracle rejects the
+    group the same way before it counts its rows."""
     group = ProgramGroup(kinds, np.arange(2), rates, phases)
     with pytest.raises(ValidationError, match=match):
         program_block(np.ones((2, 12), complex), [group], ctx_ring4_path3)
+    with pytest.raises(ValidationError, match=match):
+        recompose(group)
 
 
 def test_block_budget_and_shape_check(ctx_ring4_path3):
