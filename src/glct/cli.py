@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Commands: ``gen-graph``, ``transform``, ``bench``, ``compress``. Every
-command is deterministic given its inputs and ``--seed``; persisted outputs
+Commands: ``gen-graph``, ``transform``, ``bench``, ``compress``. Each is
+deterministic given its inputs (and ``--seed``, where taken); persisted outputs
 embed the resolved configuration as a JSON key, a leading CSV comment, or a
 ``<out>.run.json`` sidecar for fixed-schema files.
 
@@ -82,8 +82,9 @@ def _sidecar(out: str, config: dict) -> None:
     gio.write_json(str(out) + ".run.json", {"config": config})
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="master seed (non-negative integer)")
+def _add_common(sp: argparse.ArgumentParser, seed: bool = True) -> None:
+    if seed:
+        sp.add_argument("--seed", type=int, default=0, help="master seed (non-negative integer)")
     sp.add_argument("--out", help="output file; stdout when omitted")
     sp.add_argument("--format", choices=("csv", "json"), default=None,
                     help="output format (default json; signal files follow the suffix)")
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("family", choices=GRAPH_FAMILIES)
     g.add_argument("n", type=int, help="vertex count")
     g.add_argument("--head", type=int, help="comet only: number of star leaves")
-    _add_common(g)
+    g.add_argument("--out", help="output file; stdout when omitted")
 
     t = sub.add_parser("transform", help="apply a linear canonical transform to a signal file")
     t.add_argument("--signal", required=True, help="input signal file (csv or json)")
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--variant", choices=xp.VARIANTS, default="cmccm")
     t.add_argument("--zero-b-variant", choices=("eq30", "eq31"), default="eq30")
     t.add_argument("--inverse", action="store_true", help="apply the inverse-parameter transform")
-    _add_common(t)
+    _add_common(t, seed=False)
 
     b = sub.add_parser("bench", help="run the additivity / reversibility / complexity studies")
     b.add_argument("kind", choices=("additivity", "reversibility", "complexity"))
@@ -178,7 +179,7 @@ def _cmd_transform(args) -> int:
     out_sig = xp.apply_glct(sig, p, ctx, args.variant, ZeroBVariant(args.zero_b_variant))
     config = _config_echo(args)
     if args.out is None:
-        sys.stdout.write(gio.dumps_json(gio.signal_to_dict(out_sig)))
+        sys.stdout.write(gio.signal_text(out_sig, args.format or "json", compact=False))
     else:
         gio.write_signal(args.out, out_sig, fmt=args.format)
         _sidecar(args.out, config)
@@ -188,8 +189,7 @@ def _cmd_transform(args) -> int:
 def _bench_complexity(args, config) -> int:
     if args.n1 is None or args.n2 is None:
         raise ValidationError("bench complexity requires --n1 and --n2")
-    counts = {v: xp.complexity_model(args.n1, args.n2, v)
-              for v in ("cddhfs", "cmccm", "cmccm_zero_b")}
+    counts = {v: xp.complexity_model(args.n1, args.n2, v) for v in xp.MODEL_PROGRAMS}
     payload = {"config": config, "complexity": counts}
     rows = [{"variant": k, "count": v} for k, v in counts.items()]
     _emit(payload, args.out, args.format, ("variant", "count"), rows, config)
@@ -288,7 +288,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ValidationError("--seed must be non-negative")
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

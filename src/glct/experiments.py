@@ -1,5 +1,5 @@
-"""Quantitative studies: additivity and reversibility NMSE, an operation-count
-model for the two factorizations, and a transform-domain compression pipeline
+"""Quantitative studies: additivity and reversibility NMSE, the paper's cost
+model of the two factorizations, and a transform-domain compression pipeline
 with RE / NRMS / CC quality metrics. A variant (:data:`VARIANTS`) names a
 factorization, which :meth:`~glct.params.ParamBlock.factorize` runs on a block
 of parameter sets.
@@ -46,6 +46,7 @@ from .graphs import (
     make_family,
 )
 from .params import (
+    KINDS,
     VARIANTS,
     LctParams,
     ParamBlock,
@@ -218,27 +219,28 @@ def _nmse_reversibility_block(x, params, inverses, ctx, variant, zero_b_variant)
 # operation-count model
 
 
+#: The paper's per-axis cost of each op kind in real multiplies, as coefficients
+#: of (N, N log2 N, N^2) on an axis of length N: a chirp or a scale is N complex
+#: multiplies, a fast (inverse) transform (N/2) log2 N, the fractional one N^2.
+PAPER_AXIS_COSTS = {"cm": (4, 0, 0), "scale": (4, 0, 0), "ft": (0, 2, 0), "ift": (0, 2, 0), "frac": (0, 0, 4)}
+#: The program the paper's model counts for each variant; eq31 has eq30's totals.
+MODEL_PROGRAMS = {"cddhfs": KINDS["cddhfs"], "cmccm": KINDS["general-b"], "cmccm_zero_b": KINDS["eq30"]}
+
+
 def complexity_model(n1: int, n2: int, variant: str) -> float:
-    """Modeled real-multiplication count of one 2-D transform.
+    """The paper's real-multiplication count of one 2-D transform.
 
-    The model assumes fast length-N transforms at (N/2) log2 N complex
-    multiplies, so it reflects the asymptotic regime rather than the dense
-    implementation measured by ``mult_count``:
-
-    - cddhfs:        4 (N1^2 + N2^2) + 8 (N1 + N2)
-    - cmccm:         12 (N1 + N2) + 4 (N1 log2 N1 + N2 log2 N2)
-    - cmccm_zero_b:  12 (N1 + N2) + 6 (N1 log2 N1 + N2 log2 N2)
+    Sums :data:`PAPER_AXIS_COSTS` over the op kinds of the variant's program
+    (:data:`MODEL_PROGRAMS`) and over both axes. The model assumes fast
+    transforms, so it reflects the asymptotic regime rather than the dense
+    chain counted by :func:`glct.product.mult_count`.
     """
     if n1 < 2 or n2 < 2:
         raise ValidationError(f"sizes must be >= 2, got ({n1}, {n2})")
-    logs = n1 * math.log2(n1) + n2 * math.log2(n2)
-    if variant == "cddhfs":
-        return 4.0 * (n1 * n1 + n2 * n2) + 8.0 * (n1 + n2)
-    if variant == "cmccm":
-        return 12.0 * (n1 + n2) + 4.0 * logs
-    if variant == "cmccm_zero_b":
-        return 12.0 * (n1 + n2) + 6.0 * logs
-    raise ValidationError(f"unknown variant {variant!r}; choose cddhfs, cmccm, or cmccm_zero_b")
+    if variant not in MODEL_PROGRAMS:
+        raise ValidationError(f"unknown variant {variant!r}; choose cddhfs, cmccm, or cmccm_zero_b")
+    lin, log, sq = (sum(c) for c in zip(*(PAPER_AXIS_COSTS[kind] for kind in MODEL_PROGRAMS[variant])))
+    return float(lin * (n1 + n2) + log * (n1 * math.log2(n1) + n2 * math.log2(n2)) + sq * (n1 * n1 + n2 * n2))
 
 
 # ---------------------------------------------------------------------------

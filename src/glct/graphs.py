@@ -175,72 +175,35 @@ def make_comet(n: int, head: int | None = None) -> Graph:
     return Graph(n, tuple(edges))
 
 
-class _Dsu:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def make_low_stretch_tree(n: int) -> Graph:
     """Low-stretch spanning tree of the sqrt(n) x sqrt(n) grid.
 
     Built by recursive quadrant subdivision: each region is split in half
-    along both axes, the sub-regions are built recursively in row-major
-    order, and adjacent sub-regions are joined by the grid edge crossing
-    their shared boundary with the smallest vertex indices. Grid vertex
-    (r, c) has index r * sqrt(n) + c.
+    along each axis longer than 1 and its sub-regions are built recursively,
+    then joined in a fixed order. A column split joins the top row band's
+    left and right regions by the edge on that band's first row; a row split
+    joins each column band's upper and lower regions by the edge on that
+    band's first column. Grid vertex (r, c) has index r * sqrt(n) + c.
     """
     s = math.isqrt(n)
     if n < 4 or s * s != n:
         raise ValidationError(f"low-stretch tree requires a perfect square n >= 4, got {n}")
-
-    def idx(r: int, c: int) -> int:
-        return r * s + c
-
-    dsu = _Dsu(n)
     edges: list[Edge] = []
-
-    def add(u: int, v: int) -> None:
-        if dsu.union(u, v):
-            edges.append((min(u, v), max(u, v), 1.0))
-
-    def crossing_edge(a: tuple[int, int, int, int], b: tuple[int, int, int, int]):
-        ar0, ar1, ac0, ac1 = a
-        br0, br1, bc0, bc1 = b
-        if ar0 == br0 and ar1 == br1 and bc0 == ac1:
-            r = ar0  # smallest row along the shared vertical boundary
-            return idx(r, ac1 - 1), idx(r, ac1)
-        if ac0 == bc0 and ac1 == bc1 and br0 == ar1:
-            c = ac0  # smallest column along the shared horizontal boundary
-            return idx(ar1 - 1, c), idx(ar1, c)
-        return None
 
     def build(r0: int, r1: int, c0: int, c1: int) -> None:
         nr, nc = r1 - r0, c1 - c0
         if nr == 1 and nc == 1:
             return
-        rbands = [(r0, r1)] if nr == 1 else [(r0, r0 + nr // 2), (r0 + nr // 2, r1)]
-        cbands = [(c0, c1)] if nc == 1 else [(c0, c0 + nc // 2), (c0 + nc // 2, c1)]
-        regions = [(a0, a1, b0, b1) for a0, a1 in rbands for b0, b1 in cbands]
-        for reg in regions:
-            build(*reg)
-        for i in range(len(regions)):
-            for j in range(i + 1, len(regions)):
-                e = crossing_edge(regions[i], regions[j])
-                if e is not None and dsu.find(e[0]) != dsu.find(e[1]):
-                    add(*e)
+        rm, cm = r0 + nr // 2, c0 + nc // 2
+        rbands = [(r0, r1)] if nr == 1 else [(r0, rm), (rm, r1)]
+        cbands = [(c0, c1)] if nc == 1 else [(c0, cm), (cm, c1)]
+        for a0, a1 in rbands:
+            for b0, b1 in cbands:
+                build(a0, a1, b0, b1)
+        if nc > 1:
+            edges.append((r0 * s + cm - 1, r0 * s + cm, 1.0))
+        if nr > 1:
+            edges.extend(((rm - 1) * s + b0, rm * s + b0, 1.0) for b0, _ in cbands)
 
     build(0, s, 0, s)
     return Graph(n, tuple(edges))
@@ -250,7 +213,9 @@ GRAPH_FAMILIES = ("ring", "path", "complete", "comet", "lowstretch")
 
 
 def make_family(family: str, n: int, head: int | None = None) -> Graph:
-    """Construct a graph from one of the named families."""
+    """Construct a graph from one of the named families; only comet takes ``head``."""
+    if head is not None and family != "comet":
+        raise ValidationError(f"only comet graphs take a head size, got head={head} for {family!r}")
     if family == "ring":
         return make_ring(n)
     if family == "path":

@@ -121,20 +121,21 @@ def signal_to_dict(sig: SignalNd) -> dict:
     return {"shape": list(sig.shape), "data": sig.values.view(float).reshape(-1, 2).tolist()}
 
 
+def signal_text(sig: SignalNd, fmt: str = "json", compact: bool = True) -> str:
+    """The text of a JSON or CSV signal file; JSON is indented unless ``compact``."""
+    if fmt == "json":
+        return dumps_json(signal_to_dict(sig), compact=compact)
+    if fmt != "csv":
+        raise ValidationError(f"unknown signal format {fmt!r}; choose csv or json")
+    return "\n".join(fmt_num(v.real) if v.imag == 0.0 else repr(complex(v)) for v in sig.values) + "\n"
+
+
 def write_signal(path: str | Path, sig: SignalNd, fmt: str | None = None) -> None:
     """Write a signal as JSON or CSV; the default follows the file suffix."""
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "json"
-    if fmt == "json":
-        write_json(path, signal_to_dict(sig), compact=True)
-        return
-    if fmt != "csv":
-        raise ValidationError(f"unknown signal format {fmt!r}; choose csv or json")
-    lines = []
-    for v in sig.values:
-        lines.append(fmt_num(v.real) if v.imag == 0.0 else repr(complex(v)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, signal_text(sig, fmt))
 
 
 def _json_values(entries) -> np.ndarray:

@@ -298,7 +298,8 @@ class ParamBlock:
             return [_general_b(np.arange(len(self)), self.abcd.T)]
         rows = np.flatnonzero(general)
         groups = [_general_b(rows, self.abcd[rows].T)] if rows.size else []
-        # b = 0 forces ad = 1, so a and d are both nonzero
+        # |b| <= ZERO_B_TOL does not make ad = 1 + bc nonzero: (5, 1e-10, -1e10, 0) is
+        # valid, so each form checks the entry it divides by
         rows = np.flatnonzero(~general)
         a, _, c, d = self.abcd[rows].T
         if zero_b_variant is ZeroBVariant.EQ30:

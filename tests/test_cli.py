@@ -24,7 +24,6 @@ class TestGenGraph:
         assert g.n == 14 and g.edge_count == 14
         sidecar = json.loads((tmp_path / "g.json.run.json").read_text())
         assert sidecar["config"]["command"] == "gen-graph"
-        assert sidecar["config"]["seed"] == 0
 
     def test_lowstretch_is_tree(self, tmp_path):
         out = tmp_path / "t.json"
@@ -42,8 +41,6 @@ class TestGenGraph:
 
 
 @pytest.mark.parametrize("command", [
-    ("gen-graph", "ring", 5),
-    ("transform", "--signal", "x.csv", "--graph", "g.json", "--params", "1,0,0,1"),
     ("bench", "complexity", "--n1", 4, "--n2", 3),
     ("compress", "--gamma", 0.5, "--n1", 6, "--n2", 3),
 ])
@@ -52,6 +49,20 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert run(*command, "--seed", -5, "--out", out) == 2
     assert "--seed must be non-negative" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "out.json.run.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("gen-graph", "ring", 4, "--format", "csv"),
+    ("gen-graph", "ring", 4, "--seed", 1),
+    ("gen-graph", "ring", 4, "--gso", "adjacency"),
+    ("transform", "--signal", "x.csv", "--graph", "g.json", "--params", "1,0,0,1", "--seed", 1),
+], ids=["gen-graph-format", "gen-graph-seed", "gen-graph-gso", "transform-seed"])
+def test_option_not_taken_exits_2(tmp_path, command):
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(*command, "--out", out)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTransform:
@@ -73,6 +84,14 @@ class TestTransform:
         x = read_signal(workspace / "x.csv", shape=(14, 8))
         back = read_signal(workspace / "back.json")
         assert np.abs(back.values - x.values).max() < 1e-9
+
+    def test_csv_to_stdout_equals_csv_file(self, workspace, capsys):
+        args = ["transform", "--signal", workspace / "x.csv", "--graph", workspace / "g1.json",
+                "--graph", workspace / "g2.json", "--params", "0.6,0.8,-0.5,1.0", "--format", "csv"]
+        assert run(*args, "--out", workspace / "y.csv") == 0
+        capsys.readouterr()
+        assert run(*args) == 0
+        assert capsys.readouterr().out == (workspace / "y.csv").read_text()
 
     def test_malformed_params_exit_2(self, workspace, capsys):
         rc = run("transform", "--signal", workspace / "x.csv",

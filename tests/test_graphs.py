@@ -1,4 +1,6 @@
 """Graph families, shift operators, Kronecker sums, and test signals."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,12 @@ class TestFamilies:
             assert g.edge_count == n - 1
             assert is_tree(g)
 
+    def test_low_stretch_edges_are_pinned(self):
+        # any change to the order in which regions are joined changes this digest
+        edges = repr([make_low_stretch_tree(k * k).edges for k in range(2, 41)])
+        digest = hashlib.sha256(edges.encode()).hexdigest()
+        assert digest == "c41d4377d9e309fbe2f6e46ae20e26fc04bcb625ebaa0923b8c1feb638d07c54"
+
     def test_trees_have_n_minus_1_edges(self):
         for g in (make_comet(9), make_comet(9, head=2), make_low_stretch_tree(16)):
             assert g.edge_count == g.n - 1
@@ -100,6 +108,7 @@ class TestFamilies:
             lambda: make_low_stretch_tree(8),
             lambda: make_low_stretch_tree(15),
             lambda: make_family("unknown", 5),
+            lambda: make_family("ring", 5, head=2),
         ],
     )
     def test_invalid_sizes_raise(self, build):
