@@ -43,6 +43,8 @@ class TestGenGraph:
 @pytest.mark.parametrize("command", [
     ("bench", "complexity", "--n1", 4, "--n2", 3),
     ("compress", "--gamma", 0.5, "--n1", 6, "--n2", 3),
+    ("bench", "additivity", "--signal", "x1", "--trials", 2),
+    ("bench", "reversibility", "--signal", "x1", "--trials", 2),
 ])
 def test_negative_seed_exits_2(tmp_path, capsys, command):
     out = tmp_path / "out.json"
