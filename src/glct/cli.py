@@ -1,11 +1,14 @@
 """Command-line interface.
 
-Commands: ``gen-graph``, ``transform``, ``bench``, ``compress``. Each is
-deterministic given its inputs (and ``--seed``, where taken); persisted outputs
-embed the resolved configuration as a JSON key, a leading CSV comment, or a
-``<out>.run.json`` sidecar for fixed-schema files.
+Commands: ``gen-graph``, ``transform``, ``bench`` (kinds ``additivity``,
+``reversibility``, ``complexity``; options follow the kind), ``compress``.
+Each takes only the options it uses and is deterministic given its inputs (and
+``--seed``, where taken); persisted outputs embed the resolved configuration
+as a JSON key, a leading CSV comment, or a ``<out>.run.json`` sidecar for
+fixed-schema files.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or validation error or a failed write,
+3 numerical failure.
 """
 from __future__ import annotations
 
@@ -65,13 +68,13 @@ def _parse_gammas(text: str) -> list[float]:
 
 
 def _emit(payload: dict, out: str | None, fmt: str | None, csv_fields, csv_rows, config: dict) -> None:
-    """Write JSON or CSV to --out, or print to stdout when --out is absent."""
-    if fmt is None and out is not None and str(out).endswith(".csv"):
-        fmt = "csv"
-    if fmt != "csv":
-        text = gio.dumps_json(payload)
-    else:
+    """Write ``payload`` as JSON, or ``csv_rows`` as CSV with ``config`` in a
+    leading comment, to --out or to stdout; :func:`glct.io.output_format`
+    picks the format."""
+    if gio.output_format(out, fmt) == "csv":
         text = gio.csv_text(csv_fields, csv_rows, config)
+    else:
+        text = gio.dumps_json(payload)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -82,20 +85,21 @@ def _sidecar(out: str, config: dict) -> None:
     gio.write_json(str(out) + ".run.json", {"config": config})
 
 
-def _add_common(sp: argparse.ArgumentParser, seed: bool = True) -> None:
-    if seed:
-        sp.add_argument("--seed", type=int, default=0, help="master seed (non-negative integer)")
-    sp.add_argument("--out", help="output file; stdout when omitted")
-    sp.add_argument("--format", choices=("csv", "json"), default=None,
-                    help="output format (default json; signal files follow the suffix)")
-    sp.add_argument("--gso", choices=("laplacian", "adjacency"), default="laplacian",
-                    help="graph shift operator")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="glct", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
+
+    # option groups shared by several commands, added through parents=
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output file; stdout when omitted")
+    output.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="output format (default csv when --out ends in .csv, else json)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="master seed (non-negative integer)")
+    gso = argparse.ArgumentParser(add_help=False)
+    gso.add_argument("--gso", choices=("laplacian", "adjacency"), default="laplacian",
+                     help="graph shift operator")
 
     g = sub.add_parser("gen-graph", help="generate a graph family and write it as JSON")
     g.add_argument("family", choices=GRAPH_FAMILIES)
@@ -103,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--head", type=int, help="comet only: number of star leaves")
     g.add_argument("--out", help="output file; stdout when omitted")
 
-    t = sub.add_parser("transform", help="apply a linear canonical transform to a signal file")
+    t = sub.add_parser("transform", parents=[output, gso],
+                       help="apply a linear canonical transform to a signal file")
     t.add_argument("--signal", required=True, help="input signal file (csv or json)")
     t.add_argument("--graph", action="append", required=True,
                    help="factor graph file; repeat once per dimension")
@@ -111,21 +116,25 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--variant", choices=xp.VARIANTS, default="cmccm")
     t.add_argument("--zero-b-variant", choices=("eq30", "eq31"), default="eq30")
     t.add_argument("--inverse", action="store_true", help="apply the inverse-parameter transform")
-    _add_common(t, seed=False)
 
     b = sub.add_parser("bench", help="run the additivity / reversibility / complexity studies")
-    b.add_argument("kind", choices=("additivity", "reversibility", "complexity"))
-    b.add_argument("--signal", action="append", choices=xp.BENCHMARK_SIGNALS,
-                   help="benchmark signal; repeatable, default all")
-    b.add_argument("--trials", type=int, default=1000)
-    b.add_argument("--variant", choices=xp.VARIANTS + ("both",), default="both")
-    b.add_argument("--zero-b-variant", choices=("eq30", "eq31"), default="eq30")
-    b.add_argument("--curves-dir", help="write one sorted (rank, nmse) CSV per signal and variant")
-    b.add_argument("--n1", type=int, help="complexity only: first size")
-    b.add_argument("--n2", type=int, help="complexity only: second size")
-    _add_common(b)
+    kinds = b.add_subparsers(dest="kind", required=True)
+    for kind in ("additivity", "reversibility"):
+        suite = kinds.add_parser(kind, parents=[seed, output, gso],
+                                 help=f"{kind} NMSE suite on the benchmark signals")
+        suite.add_argument("--signal", action="append", choices=xp.BENCHMARK_SIGNALS,
+                           help="benchmark signal; repeatable, default all")
+        suite.add_argument("--trials", type=int, default=1000)
+        suite.add_argument("--variant", choices=xp.VARIANTS + ("both",), default="both")
+        suite.add_argument("--zero-b-variant", choices=("eq30", "eq31"), default="eq30")
+        suite.add_argument("--curves-dir", help="write one sorted (rank, nmse) CSV per signal and variant")
+    k = kinds.add_parser("complexity", parents=[output],
+                         help="the paper's real-multiplication count of each variant")
+    k.add_argument("--shape", type=int, nargs="+", required=True, metavar="N",
+                   help="axis lengths N1 N2 ... of the M-D signal")
 
-    c = sub.add_parser("compress", help="transform-domain compression study")
+    c = sub.add_parser("compress", parents=[seed, output, gso],
+                       help="transform-domain compression study")
     c.add_argument("--gamma", action="append", type=float, help="compression ratio; repeatable")
     c.add_argument("--gammas", help="ratio range start:stop:step")
     c.add_argument("--alpha", action="append", type=float,
@@ -144,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="objective for --search")
     c.add_argument("--curves-dir", help="write one (gamma, metric) CSV per method and metric")
     c.add_argument("--recon-dir", help="write reconstructed signals, one JSON per method and ratio")
-    _add_common(c)
     return ap
 
 
@@ -187,9 +195,7 @@ def _cmd_transform(args) -> int:
 
 
 def _bench_complexity(args, config) -> int:
-    if args.n1 is None or args.n2 is None:
-        raise ValidationError("bench complexity requires --n1 and --n2")
-    counts = {v: xp.complexity_model(args.n1, args.n2, v) for v in xp.MODEL_PROGRAMS}
+    counts = {v: xp.complexity_model(args.shape, v) for v in xp.MODEL_PROGRAMS}
     payload = {"config": config, "complexity": counts}
     rows = [{"variant": k, "count": v} for k, v in counts.items()]
     _emit(payload, args.out, args.format, ("variant", "count"), rows, config)
@@ -291,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError("--seed must be non-negative")
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an output could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -227,20 +227,24 @@ PAPER_AXIS_COSTS = {"cm": (4, 0, 0), "scale": (4, 0, 0), "ft": (0, 2, 0), "ift":
 MODEL_PROGRAMS = {"cddhfs": KINDS["cddhfs"], "cmccm": KINDS["general-b"], "cmccm_zero_b": KINDS["eq30"]}
 
 
-def complexity_model(n1: int, n2: int, variant: str) -> float:
-    """The paper's real-multiplication count of one 2-D transform.
+def complexity_model(shape: Sequence[int], variant: str) -> float:
+    """The paper's real-multiplication count of one M-D transform of ``shape``.
 
     Sums :data:`PAPER_AXIS_COSTS` over the op kinds of the variant's program
-    (:data:`MODEL_PROGRAMS`) and over both axes. The model assumes fast
-    transforms, so it reflects the asymptotic regime rather than the dense
-    chain counted by :func:`glct.product.mult_count`.
+    (:data:`MODEL_PROGRAMS`) and over every axis, as the ops are mode-wise
+    products: ``lin*sum(N) + log*sum(N log2 N) + sq*sum(N^2)``. The model
+    assumes fast transforms, so it reflects the asymptotic regime rather than
+    the dense chain counted by :func:`glct.product.mult_count`.
     """
-    if n1 < 2 or n2 < 2:
-        raise ValidationError(f"sizes must be >= 2, got ({n1}, {n2})")
+    shape = tuple(shape)
+    if not shape:
+        raise ValidationError("shape needs at least one axis")
+    if min(shape) < 2:
+        raise ValidationError(f"sizes must be >= 2, got {shape}")
     if variant not in MODEL_PROGRAMS:
         raise ValidationError(f"unknown variant {variant!r}; choose cddhfs, cmccm, or cmccm_zero_b")
     lin, log, sq = (sum(c) for c in zip(*(PAPER_AXIS_COSTS[kind] for kind in MODEL_PROGRAMS[variant])))
-    return float(lin * (n1 + n2) + log * (n1 * math.log2(n1) + n2 * math.log2(n2)) + sq * (n1 * n1 + n2 * n2))
+    return float(lin * sum(shape) + log * sum(n * math.log2(n) for n in shape) + sq * sum(n * n for n in shape))
 
 
 # ---------------------------------------------------------------------------

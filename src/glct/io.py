@@ -36,6 +36,15 @@ def fmt_num(v: Any) -> str:
     return repr(f)
 
 
+def output_format(path: str | Path | None, fmt: str | None = None) -> str:
+    """The format of an output: ``fmt`` when given, otherwise ``"csv"`` for a
+    path with a ``.csv`` suffix in any case and ``"json"`` for anything else,
+    stdout (``path`` None) included."""
+    if fmt is not None:
+        return fmt
+    return "csv" if path is not None and Path(path).suffix.lower() == ".csv" else "json"
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -96,6 +105,10 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def write_graph(path: str | Path, g: Graph) -> None:
+    """Write a graph file; graphs have no CSV form, so a path that
+    :func:`output_format` maps to CSV raises ValidationError."""
+    if output_format(path) == "csv":
+        raise ValidationError(f"graph files are JSON only; {path} names a CSV file")
     write_json(path, graph_to_dict(g), compact=True)
 
 
@@ -131,11 +144,8 @@ def signal_text(sig: SignalNd, fmt: str = "json", compact: bool = True) -> str:
 
 
 def write_signal(path: str | Path, sig: SignalNd, fmt: str | None = None) -> None:
-    """Write a signal as JSON or CSV; the default follows the file suffix."""
-    path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "json"
-    atomic_write_text(path, signal_text(sig, fmt))
+    """Write a signal as JSON or CSV, chosen by :func:`output_format`."""
+    atomic_write_text(path, signal_text(sig, output_format(path, fmt)))
 
 
 def _json_values(entries) -> np.ndarray:

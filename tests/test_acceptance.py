@@ -139,11 +139,11 @@ def test_criterion_4_additivity_harness(tmp_path):
 
 def test_criterion_5_complexity_model():
     """Operation-count formulas reproduce exactly; measured counts agree in ordering."""
-    assert complexity_model(16, 8, "cddhfs") == 1472.0
-    assert complexity_model(16, 8, "cmccm") == 640.0
+    assert complexity_model((16, 8), "cddhfs") == 1472.0
+    assert complexity_model((16, 8), "cmccm") == 640.0
     # formula value of the zero-b count at (16, 8): 12*24 + 6*(64 + 24)
-    assert complexity_model(16, 8, "cmccm_zero_b") == 816.0
-    assert complexity_model(100, 15, "cddhfs") > complexity_model(100, 15, "cmccm")
+    assert complexity_model((16, 8), "cmccm_zero_b") == 816.0
+    assert complexity_model((100, 15), "cddhfs") > complexity_model((100, 15), "cmccm")
     measured_cm = mult_count(TransformSpec("glct_cmccm", {"abcd": GENERAL_ABCD}), (100, 15))
     measured_cd = mult_count(TransformSpec("glct_cddhfs", {"abcd": GENERAL_ABCD}), (100, 15))
     assert measured_cm < measured_cd

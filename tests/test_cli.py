@@ -1,5 +1,8 @@
 """End-to-end command-line behavior, run in process via glct.cli.main."""
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from glct import LctParams, ProductContext, SignalNd, block_rows, gfrft_nd
 from glct import experiments as xp
 from glct.experiments import _sorted_magnitudes as sorted_magnitudes
-from glct.cli import main
+from glct.cli import build_parser, main
 from glct.io import fmt_num, read_graph, read_signal, write_signal
 from glct.params import sample_abc
 
@@ -39,9 +42,15 @@ class TestGenGraph:
         data = json.loads(capsys.readouterr().out)
         assert data["n"] == 3
 
+    @pytest.mark.parametrize("name", ["g.csv", "g.CSV"])
+    def test_csv_path_exits_2(self, tmp_path, capsys, name):
+        # graph files have no CSV form
+        assert run("gen-graph", "ring", 4, "--out", tmp_path / name) == 2
+        assert "JSON only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("command", [
-    ("bench", "complexity", "--n1", 4, "--n2", 3),
     ("compress", "--gamma", 0.5, "--n1", 6, "--n2", 3),
     ("bench", "additivity", "--signal", "x1", "--trials", 2),
     ("bench", "reversibility", "--signal", "x1", "--trials", 2),
@@ -54,11 +63,40 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [
+    ("gen-graph", "ring", 4, "--out", "{blocker}/g.json"),
+    ("bench", "reversibility", "--signal", "x1", "--trials", 2, "--curves-dir", "{blocker}"),
+], ids=["gen-graph", "bench-curves-dir"])
+def test_failed_write_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "afile"  # a regular file where a directory is needed
+    blocker.write_text("")
+    assert run(*(str(a).format(blocker=blocker) for a in command)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _readme_commands() -> list[str]:
+    """Every ``glct`` line of README's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M))
+    return [line for line in re.sub(r"\s*\\\n\s*", " ", blocks).splitlines() if line.startswith("glct ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_example_parses(line):
+    build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+@pytest.mark.parametrize("command", [
     ("gen-graph", "ring", 4, "--format", "csv"),
     ("gen-graph", "ring", 4, "--seed", 1),
     ("gen-graph", "ring", 4, "--gso", "adjacency"),
     ("transform", "--signal", "x.csv", "--graph", "g.json", "--params", "1,0,0,1", "--seed", 1),
-], ids=["gen-graph-format", "gen-graph-seed", "gen-graph-gso", "transform-seed"])
+    ("bench", "complexity", "--shape", 4, 3, "--seed", 1),
+    ("bench", "complexity", "--shape", 4, 3, "--trials", 2),
+    ("bench", "complexity", "--shape", 4, 3, "--gso", "adjacency"),
+    ("bench", "complexity", "--shape", 4, 3, "--curves-dir", "cdir"),
+    ("bench", "additivity", "--signal", "x1", "--trials", 2, "--n1", 5),
+], ids=["gen-graph-format", "gen-graph-seed", "gen-graph-gso", "transform-seed", "complexity-seed",
+        "complexity-trials", "complexity-gso", "complexity-curves-dir", "additivity-n1"])
 def test_option_not_taken_exits_2(tmp_path, command):
     out = tmp_path / "g.csv"
     with pytest.raises(SystemExit) as exc:
@@ -166,13 +204,25 @@ class TestTransform:
 class TestBench:
     def test_complexity_payload(self, tmp_path):
         out = tmp_path / "c.json"
-        assert run("bench", "complexity", "--n1", 16, "--n2", 8, "--out", out) == 0
+        assert run("bench", "complexity", "--shape", 16, 8, "--out", out) == 0
         data = json.loads(out.read_text())
         assert data["complexity"] == {"cddhfs": 1472.0, "cmccm": 640.0, "cmccm_zero_b": 816.0}
-        assert data["config"]["command"] == "bench"
+        config = data["config"]
+        assert config["command"] == "bench" and config["shape"] == [16, 8]
+        assert "seed" not in config and "trials" not in config
 
-    def test_complexity_needs_sizes(self):
-        assert run("bench", "complexity", "--n1", 16) == 2
+    def test_complexity_needs_sizes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "complexity")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run("bench", "complexity", "--shape", 16, 1) == 2
+        assert "sizes must be >= 2" in capsys.readouterr().err
+
+    def test_complexity_takes_any_shape(self, capsys):
+        assert run("bench", "complexity", "--shape", 100, 15, 4) == 0
+        counts = json.loads(capsys.readouterr().out)["complexity"]
+        assert counts == {v: xp.complexity_model((100, 15, 4), v) for v in xp.MODEL_PROGRAMS}
 
     def test_reversibility_json(self, tmp_path):
         out = tmp_path / "r.json"
@@ -191,6 +241,11 @@ class TestBench:
         assert run(*args, "--out", a) == 0
         assert run(*args, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_suffix_in_any_case(self, tmp_path):
+        out = tmp_path / "r.CSV"
+        assert run("bench", "reversibility", "--signal", "x1", "--trials", 2, "--out", out) == 0
+        assert out.read_text().splitlines()[1] == "kind,variant,signal,seed,rank,nmse"
 
     def test_curve_files(self, tmp_path):
         curves = tmp_path / "curves"

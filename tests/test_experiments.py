@@ -121,26 +121,32 @@ class TestNmse:
 
 class TestComplexityModel:
     def test_spot_values(self):
-        assert complexity_model(16, 8, "cddhfs") == 1472.0
-        assert complexity_model(16, 8, "cmccm") == 640.0
-        assert complexity_model(16, 8, "cmccm_zero_b") == 816.0
+        assert complexity_model((16, 8), "cddhfs") == 1472.0
+        assert complexity_model((16, 8), "cmccm") == 640.0
+        assert complexity_model((16, 8), "cmccm_zero_b") == 816.0
 
     def test_formulas(self):
-        n1, n2 = 10, 6
-        logs = n1 * np.log2(n1) + n2 * np.log2(n2)
-        assert complexity_model(n1, n2, "cddhfs") == 4 * (n1**2 + n2**2) + 8 * (n1 + n2)
-        assert complexity_model(n1, n2, "cmccm") == 12 * (n1 + n2) + 4 * logs
-        assert complexity_model(n1, n2, "cmccm_zero_b") == 12 * (n1 + n2) + 6 * logs
+        # one term per axis, for two axes and for the 3-D and 1-D cases
+        for shape in ((10, 6), (100, 15, 4), (16,)):
+            lin = sum(shape)
+            logs = sum(n * np.log2(n) for n in shape)
+            sq = sum(n * n for n in shape)
+            assert complexity_model(shape, "cddhfs") == 4 * sq + 8 * lin
+            assert complexity_model(shape, "cmccm") == 12 * lin + 4 * logs
+            assert complexity_model(shape, "cmccm_zero_b") == 12 * lin + 6 * logs
 
     def test_asymptotic_ordering(self):
-        assert complexity_model(100, 15, "cddhfs") > complexity_model(100, 15, "cmccm")
+        assert complexity_model((100, 15), "cddhfs") > complexity_model((100, 15), "cmccm")
 
     def test_validation(self):
+        with pytest.raises(ValidationError, match=r"sizes must be >= 2, got \(1, 8\)"):
+            complexity_model((1, 8), "cmccm")
+        with pytest.raises(ValidationError, match="sizes must be >= 2"):
+            complexity_model((16, 1), "cmccm")
+        with pytest.raises(ValidationError, match="at least one axis"):
+            complexity_model((), "cmccm")
         with pytest.raises(ValidationError):
-            complexity_model(1, 8, "cmccm")
-        with pytest.raises(ValidationError):
-            complexity_model(16, 8, "fft")
-
+            complexity_model((16, 8), "fft")
 
 class TestBenchmarkSignals:
     def test_registry(self):
