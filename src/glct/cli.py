@@ -81,6 +81,25 @@ def _emit(payload: dict, out: str | None, fmt: str | None, csv_fields, csv_rows,
         gio.atomic_write_text(out, text)
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Raise ValidationError, before any work, where an output cannot be
+    written: an --out that is a directory, or an output directory
+    (--curves-dir, --recon-dir, or the one --out lies in) that is or lies
+    under something other than a directory."""
+    dirs = [(f"--{opt.replace('_', '-')} {path}", Path(path))
+            for opt in ("curves_dir", "recon_dir") if (path := getattr(args, opt, None))]
+    out = getattr(args, "out", None)
+    if out:
+        if Path(out).is_dir():
+            raise ValidationError(f"--out {out} is a directory")
+        dirs.append((f"--out {out}", Path(out).parent))
+    for what, base in dirs:
+        while not base.exists() and base != base.parent:
+            base = base.parent
+        if not base.is_dir():
+            raise ValidationError(f"{what}: {base} exists and is not a directory")
+
+
 def _sidecar(out: str, config: dict) -> None:
     gio.write_json(str(out) + ".run.json", {"config": config})
 
@@ -296,6 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError("--seed must be non-negative")
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError) as exc:  # OSError: an output could not be written
         print(f"error: {exc}", file=sys.stderr)

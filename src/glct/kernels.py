@@ -7,12 +7,19 @@ diagonal of the transform matrix directly in the vertex domain, so their
 effect depends on the canonical eigenvalue order fixed in
 :mod:`glct.spectral`.
 
-The unitary eigendecomposition of the transform matrix F is built in two
-stages. The values stage (:func:`~glct.spectral.eig_unitary_angles`), which
-gives the chirps their angles, runs when the factor is decomposed. The
-eigenvectors P (:attr:`FactorDecomposition.fourier`) are built from its
-state on first use, which only the fractional transform, cddhfs and the
-dense oracle make; a context that runs cmccm alone never builds them.
+The unitary eigendecomposition of the transform matrix F = V^T is built in
+two stages. The values stage (:func:`~glct.spectral.eig_unitary_angles`),
+which gives the chirps their angles, runs when the factor is decomposed, on
+V^T as a view of the eigenbasis V. The eigenvectors P
+(:attr:`FactorDecomposition.fourier`) are built from its state on first use,
+which only the fractional transform, cddhfs and the dense oracle make; a
+context that runs cmccm alone never builds them.
+
+Each factor matrix is held once. After set-up a factor holds V, the values
+stage's q, its cluster blocks and the angles; the shift operator Z
+(:attr:`FactorDecomposition.z`) and a C-contiguous copy of F
+(:attr:`FactorDecomposition.f`) are built on first read, by the ``scale``
+and ``ft`` ops and the dense oracle.
 
 ``FactorDecomposition.diagnostics`` reports the residuals both
 decompositions checked against their bounds (entrywise maxima):
@@ -49,22 +56,34 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class FactorDecomposition:
-    """All spectral data needed to transform signals on one graph."""
+    """All spectral data needed to transform signals on one graph.
+
+    Set-up stores the eigenbasis V (:attr:`basis`) and the values stage of F
+    (:attr:`spectrum`), whose ``source`` is V^T, a view of V. The shift
+    operator, F as its own array and the unitary eigenvectors are built on
+    first read and then kept.
+    """
 
     graph: Graph
     kind: GsoKind
-    z: np.ndarray
     basis: SpectralBasis
     spectrum: UnitaryAngles
 
-    @property
+    @cached_property
+    def z(self) -> np.ndarray:
+        """The shift operator, rebuilt from :attr:`graph` on first read."""
+        return gso(self.graph, self.kind)
+
+    @cached_property
     def f(self) -> np.ndarray:
-        """The orthogonal analysis matrix."""
-        return self.spectrum.source
+        """The orthogonal analysis matrix V^T as a C-contiguous copy, made on
+        first read; the ``ft`` op needs its own layout for block rows to match
+        one-row calls bit for bit."""
+        return gft_matrix(self.basis)
 
     @cached_property
     def fourier(self) -> FourierEigen:
-        """Unitary eigendecomposition of :attr:`f`, built on first use."""
+        """Unitary eigendecomposition of F, built on first use."""
         return eig_unitary_vectors(self.spectrum)
 
     @cached_property
@@ -80,8 +99,7 @@ class FactorDecomposition:
 
 def decompose_graph(graph: Graph, kind: GsoKind = GsoKind.LAPLACIAN) -> FactorDecomposition:
     """Eigendecompose a graph's shift operator, and its transform matrix up to
-    the eigenvalues."""
-    z = gso(graph, kind)
-    basis = eig_sym(z, kind)
-    spectrum = eig_unitary_angles(gft_matrix(basis))
-    return FactorDecomposition(graph=graph, kind=kind, z=z, basis=basis, spectrum=spectrum)
+    the eigenvalues. Neither Z nor a copy of F outlives the call."""
+    basis = eig_sym(gso(graph, kind), kind)
+    spectrum = eig_unitary_angles(basis.vectors.T)
+    return FactorDecomposition(graph=graph, kind=kind, basis=basis, spectrum=spectrum)

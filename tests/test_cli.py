@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from glct import LctParams, ProductContext, SignalNd, block_rows, gfrft_nd
+from glct import cli
 from glct import experiments as xp
 from glct.experiments import _sorted_magnitudes as sorted_magnitudes
 from glct.cli import build_parser, main
@@ -62,15 +63,44 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert not out.exists() and not (tmp_path / "out.json.run.json").exists()
 
 
-@pytest.mark.parametrize("command", [
-    ("gen-graph", "ring", 4, "--out", "{blocker}/g.json"),
-    ("bench", "reversibility", "--signal", "x1", "--trials", 2, "--curves-dir", "{blocker}"),
-], ids=["gen-graph", "bench-curves-dir"])
-def test_failed_write_exits_2(tmp_path, capsys, command):
+_TRANSFORM = ("transform", "--signal", "{tmp}/x.json", "--graph", "{tmp}/g.json", "--params", "1,1,0,1")
+_COMPRESS = ("compress", "--gamma", 0.5, "--n1", 10, "--n2", 4)
+_BENCH = ("bench", "reversibility", "--signal", "x1", "--trials", 3)
+
+
+@pytest.mark.parametrize("command,out,spy", [
+    (("gen-graph", "ring", 4), "{blocker}/g.json", None),
+    (_BENCH + ("--curves-dir", "{blocker}"), None, None),
+    (_BENCH + ("--curves-dir", "{blocker}"), "{tmp}/out.json", "experiments.suite_reversibility"),
+    (_BENCH, "{blocker}/out.json", "experiments.suite_reversibility"),
+    (_BENCH, "{tmp}", "experiments.suite_reversibility"),
+    (_COMPRESS + ("--recon-dir", "{blocker}"), "{tmp}/out.json", "cli.ProductContext"),
+    (_COMPRESS + ("--curves-dir", "{blocker}"), "{tmp}/out.json", "cli.ProductContext"),
+    (_COMPRESS + ("--curves-dir", "{blocker}/sub"), "{tmp}/out.json", "cli.ProductContext"),
+    (_COMPRESS, "{blocker}/sub/out.json", "cli.ProductContext"),
+    (_TRANSFORM, "{blocker}/y.json", "cli.ProductContext"),
+], ids=["gen-graph", "bench-curves-dir", "bench-curves-dir-out", "bench-out-under-file",
+        "bench-out-is-dir", "compress-recon-dir-out", "compress-curves-dir-out",
+        "compress-curves-dir-under-file", "compress-out-under-file", "transform-out-under-file"])
+def test_failed_write_exits_2(tmp_path, capsys, monkeypatch, command, out, spy):
+    """An output that cannot be written exits 2 before any set-up or study
+    runs, and writes nothing."""
     blocker = tmp_path / "afile"  # a regular file where a directory is needed
     blocker.write_text("")
-    assert run(*(str(a).format(blocker=blocker) for a in command)) == 2
+    write_signal(tmp_path / "x.json", SignalNd((4,), np.ones(4)))
+    assert run("gen-graph", "ring", 4, "--out", tmp_path / "g.json") == 0
+    before = sorted(tmp_path.rglob("*"))
+    calls = []
+    if spy is not None:
+        module, name = spy.split(".")
+        target = {"cli": cli, "experiments": xp}[module]
+        real = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+    argv = command + (("--out", out) if out else ())
+    assert run(*(str(a).format(blocker=blocker, tmp=tmp_path) for a in argv)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def _readme_commands() -> list[str]:

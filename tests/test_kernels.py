@@ -1,4 +1,7 @@
-"""Transforms on one factor graph (a one-factor product) and their operator identities."""
+"""Transforms on one factor graph (a one-factor product), their operator
+identities, and what a factor decomposition keeps."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,11 @@ from glct import (
     ZeroBVariant,
     apply_glct,
     cartesian_product,
+    decompose_graph,
     gfrft_nd,
+    gft_matrix,
     gft_nd,
+    gso,
     inverse,
     make_path,
     make_ring,
@@ -185,3 +191,54 @@ class TestGlct1d:
     def test_unknown_variant_raises(self, ring6):
         with pytest.raises(ValidationError):
             glct(rand(6), LctParams(1, 0, 0, 1), ring6, variant="other")
+
+
+class TestRetained:
+    """Per factor, set-up keeps V and the values stage on a view of V; F and Z
+    are built on the first op that reads them."""
+
+    @pytest.fixture
+    def ctx(self):
+        return ProductContext(cartesian_product([make_ring(40), make_path(5)]))
+
+    def _x(self, ctx):
+        return rand(int(np.prod(ctx.shape)), 15)
+
+    def test_setup_keeps_neither_z_nor_f(self, ctx):
+        for dec in ctx.factors:
+            assert "z" not in vars(dec) and "f" not in vars(dec)
+            assert np.shares_memory(dec.spectrum.source, dec.basis.vectors)
+
+    def test_cmccm_builds_f_and_not_z(self, ctx):
+        glct(self._x(ctx), LctParams.from_abc(0.6, 0.8, -0.5), ctx)
+        for dec in ctx.factors:
+            assert "f" in vars(dec) and "z" not in vars(dec)
+            assert dec.f.flags.c_contiguous
+            assert dec.f.tobytes() == gft_matrix(dec.basis).tobytes()
+
+    def test_cddhfs_builds_z(self, ctx):
+        glct(self._x(ctx), LctParams.from_abc(0.6, 0.8, -0.5), ctx, variant="cddhfs")
+        for dec in ctx.factors:
+            assert "z" in vars(dec)
+            assert dec.z.tobytes() == gso(dec.graph, dec.kind).tobytes()
+
+
+def test_setup_working_set_on_ring400():
+    """decompose_graph(ring(400)) keeps V and q (2 n^2 doubles, plus the
+    angles and a few n-vectors) and peaks near 5 n^2 doubles, as traced by
+    tracemalloc. LAPACK's eigensolver workspace is allocated outside numpy
+    and so outside tracemalloc; it is not counted here. Holding Z and a copy
+    of F as well read 4.04 and 7.08 n^2."""
+    n = 400
+    graph = make_ring(n)
+    decompose_graph(make_ring(8))  # warm: imports and first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dec = decompose_graph(graph)
+        retained, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert dec.basis.vectors.shape == (n, n)
+    assert retained <= 2.2 * n * n * 8
+    assert peak <= 5.5 * n * n * 8

@@ -313,6 +313,26 @@ def test_values_stage_angles_equal_eig_unitary(family, n, kind):
     assert angles.tobytes() == principal_angle(eig_unitary(f).values).tobytes()
 
 
+@pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("family,n", _ANGLE_GRAPHS + [("ring", 300)], ids=lambda x: str(x))
+def test_both_stages_on_the_transposed_view_equal_them_on_a_copy(family, n, kind):
+    """decompose_graph runs the values stage on V^T as a view of V, not on a
+    C-contiguous copy; with this BLAS build both give the same bytes."""
+    g = Graph(n=1, edges=()) if family == "single" else make_family(family, n)
+    basis = eig_sym(gso(g, kind), kind)
+    view, copy = eig_unitary_angles(basis.vectors.T), eig_unitary_angles(gft_matrix(basis))
+    for name in ("angles", "_q", "_mu"):
+        assert getattr(view, name).tobytes() == getattr(copy, name).tobytes(), name
+    assert {k: float(v).hex() for k, v in view.residuals.items()} == \
+        {k: float(v).hex() for k, v in copy.residuals.items()}
+    assert len(view._clusters) == len(copy._clusters)
+    for (idx_v, w_v), (idx_c, w_c) in zip(view._clusters, copy._clusters):
+        assert idx_v.tobytes() == idx_c.tobytes() and w_v.tobytes() == w_c.tobytes()
+    vectors_v, vectors_c = eig_unitary_vectors(view), eig_unitary_vectors(copy)
+    assert vectors_v.vectors.tobytes() == vectors_c.vectors.tobytes()
+    assert vectors_v.values.tobytes() == vectors_c.values.tobytes()
+
+
 def test_path40_adjacency_ties_differ_in_value_not_angle():
     f = gft_matrix(eig_sym(gso(make_path(40), GsoKind.ADJACENCY), GsoKind.ADJACENCY))
     mu = eig_unitary(f).values
