@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--params", required=True, help="a,b,c,d with ad-bc=1")
     t.add_argument("--variant", choices=xp.VARIANTS, default="cmccm")
     t.add_argument("--zero-b-variant", choices=("eq30", "eq31"), default="eq30")
-    t.add_argument("--inverse", action="store_true", help="apply the inverse-parameter transform")
+    t.add_argument("--inverse", action="store_true",
+                   help="undo the transform: the inverse parameters, a b = 0 set in the other zero-b form")
 
     b = sub.add_parser("bench", help="run the additivity / reversibility / complexity studies")
     kinds = b.add_subparsers(dest="kind", required=True)
@@ -200,10 +201,10 @@ def _cmd_transform(args) -> int:
     graph = cartesian_product(factors)
     ctx = ProductContext(graph, GsoKind(args.gso))
     sig = gio.read_signal(args.signal, shape=graph.shape)
-    p = LctParams(*_parse_params(args.params))
+    p, form = LctParams(*_parse_params(args.params)), ZeroBVariant(args.zero_b_variant)
     if args.inverse:
-        p = inverse(p)
-    out_sig = xp.apply_glct(sig, p, ctx, args.variant, ZeroBVariant(args.zero_b_variant))
+        p, form = inverse(p), form.inverse_form
+    out_sig = xp.apply_glct(sig, p, ctx, args.variant, form)
     config = _config_echo(args)
     if args.out is None:
         sys.stdout.write(gio.signal_text(out_sig, args.format or "json", compact=False))
@@ -256,8 +257,8 @@ def _compress_reports(args, gammas, ctx, x) -> list:
     if not alphas and not param_sets and args.search is None:
         alphas = [1.0]  # plain-transform baseline
     results = []
-    for recon, reports in xp._study(x, ctx, gammas, alphas, param_sets, args.variant,
-                                    ZeroBVariant(args.zero_b_variant), args.seed, args.search, args.metric):
+    for recon, reports in xp._study(x, ctx, gammas, alphas, param_sets, args.variant, args.zero_b_variant,
+                                    args.seed, args.search, args.metric):
         if not args.recon_dir:
             recon = [None] * len(reports)
         results.extend(zip(recon, reports))

@@ -18,15 +18,20 @@ suite draws every trial's rows in one array pass (:func:`glct.seeding.trial_abc`
 byte-equal to a numpy generator per trial), then composes or inverts the
 whole block once and factorizes it one chunk at a time.
 
-The compression pipeline sorts the magnitudes of each coefficient row once
-for all its ratios. A ratio that keeps k entries reads the k-th largest
-magnitude v from the sorted row and keeps every entry above v and, of the
-entries equal to v, the lowest-index ones until it has k: the set a stable
-sort by descending magnitude would put first. The ratios of one parameter set
-or fractional order are reconstructed as one block run by one program, one
-rate column shared by every row (see :class:`~glct.params.ProgramGroup`).
-RE / NRMS / CC are reductions along the rows of the reconstruction block, so
-a row's metrics do not depend on the block's height.
+Every compression entry point runs :func:`_study`, which builds and checks
+each method's forward and backward programs before the first transform: an
+order alpha is undone by -alpha, a parameter set p by p^-1, whose b = 0 rows
+take the other six-factor form
+(:attr:`~glct.params.ZeroBVariant.inverse_form`). The pipeline sorts the
+magnitudes of each coefficient row once for all its ratios. A ratio that keeps
+k entries reads the k-th largest magnitude v from the sorted row and keeps
+every entry above v and, of the entries equal to v, the lowest-index ones
+until it has k: the set a stable sort by descending magnitude would put first.
+The ratios of one parameter set or fractional order are reconstructed as one
+block run by one program, one rate column shared by every row (see
+:class:`~glct.params.ProgramGroup`). RE / NRMS / CC are reductions along the
+rows of the reconstruction block, so a row's metrics do not depend on the
+block's height.
 """
 from __future__ import annotations
 
@@ -60,7 +65,6 @@ from .product import (
     ProductContext,
     SignalNd,
     block_rows,
-    gfrft_nd,
     glct_cddhfs_nd,
     glct_cmccm_nd,
     program_block,
@@ -194,11 +198,13 @@ def nmse_reversibility(
     variant: str = "cmccm",
     zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
 ) -> float:
-    """Reconstruction error ||x - T_{p^-1} T_p x||^2 / ||x||^2."""
+    """Reconstruction error ||x - T_{p^-1} T_p x||^2 / ||x||^2, with T_{p^-1}
+    in the zero-b form that undoes ``zero_b_variant``."""
     den = float(np.sum(np.abs(x.values) ** 2))
     if den == 0.0:
         raise ValidationError("degenerate signal: ||x|| = 0")
-    recon = apply_glct(apply_glct(x, p, ctx, variant, zero_b_variant), inverse(p), ctx, variant, zero_b_variant)
+    form = ZeroBVariant(zero_b_variant)
+    recon = apply_glct(apply_glct(x, p, ctx, variant, form), inverse(p), ctx, variant, form.inverse_form)
     num = float(np.sum(np.abs(x.values - recon.values) ** 2))
     return num / den
 
@@ -211,7 +217,7 @@ def _nmse_reversibility_block(x, params, inverses, ctx, variant, zero_b_variant)
     if den == 0.0:
         raise ValidationError("degenerate signal: ||x|| = 0")
     forward = _glct_block(_rows(x, len(params)), params, ctx, variant, zero_b_variant)
-    recon = _glct_block(forward, inverses, ctx, variant, zero_b_variant)
+    recon = _glct_block(forward, inverses, ctx, variant, zero_b_variant.inverse_form)
     return _square_row_sums(np.subtract(x.values, recon, out=recon), forward) / den
 
 
@@ -489,56 +495,28 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _check_nonzero(x: SignalNd) -> None:
-    if float(np.linalg.norm(x.values)) == 0.0:
-        raise ValidationError("cannot compress an all-zero signal")
-
-
-def _compress_rows(x, coeffs, magnitudes, gammas, backward) -> tuple[np.ndarray, list[np.ndarray]]:
+def _compress_rows(x, coeffs, magnitudes, gammas, backward, ctx) -> tuple[np.ndarray, list[np.ndarray]]:
     """Row t keeps the ceil(gammas[t] * P) largest entries of its row of
     ``coeffs`` (one row per t, or one row shared by every t, with their
-    :func:`_sorted_magnitudes`), one block ``backward`` reconstructs every
-    row, and the real parts are compared with ``x``. Returns the real
-    reconstructions (T, P) and the RE, NRMS and CC of every row."""
+    :func:`_sorted_magnitudes`), the program groups ``backward`` reconstruct
+    every row in one block, and the real parts are compared with ``x``.
+    Returns the real reconstructions (T, P) and the RE, NRMS and CC of every row."""
     ks = [math.ceil(g * x.n) for g in gammas]
-    recon = np.ascontiguousarray(backward(_keep_top(coeffs, magnitudes, ks)).real)
+    recon = np.ascontiguousarray(program_block(_keep_top(coeffs, magnitudes, ks), backward, ctx).real)
     xr = x.values.real
     return recon, [metric(xr, recon) for metric in (_relative_error_rows, _normalized_rms_rows, _correlation_rows)]
 
 
-def _reports(gammas, metrics, **fields) -> list[CompressionReport]:
-    """One report per ratio from the rows of :func:`_compress_rows`' metrics."""
-    return [CompressionReport(gamma=g, re=float(re), nrms=float(nrms), cc=float(cc), **fields)
-            for g, re, nrms, cc in zip(gammas, *metrics)]
-
-
-def _backward(group: ProgramGroup, ctx: ProductContext, t: int):
-    """The block transform of ``t`` rows that runs the one-row program
-    ``group`` on every row."""
-    program = [group._replace(rows=np.arange(t))]
-    return lambda kept: program_block(kept, program, ctx)
-
-
-def _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed) -> tuple[np.ndarray, list[CompressionReport]]:
-    """:func:`compress` at every ratio of ``gammas``, transforming forward and
-    sorting once and back with one program for all ratios; returns the real
-    reconstructions, one row per ratio, and the reports."""
-    _check_nonzero(x)
-    coeffs = apply_glct(x, p, ctx, variant, zero_b_variant).values[None]
-    (pinv,) = ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant)
-    back = _backward(pinv, ctx, len(gammas))
-    recon, metrics = _compress_rows(x, coeffs, _sorted_magnitudes(coeffs), gammas, back)
-    return recon, _reports(gammas, metrics, method="glct", params=p.astuple(), variant=variant, seed=seed)
-
-
-def _gfrft_sweep(x, alpha, ctx, gammas, seed) -> tuple[np.ndarray, list[CompressionReport]]:
-    """:func:`compress_gfrft` at every ratio of ``gammas``, transforming
-    forward and sorting once; returns what :func:`_glct_sweep` returns."""
-    _check_nonzero(x)
-    coeffs = gfrft_nd(x, alpha, ctx).values[None]
-    back = _backward(ProgramGroup(("frac",), np.arange(1), np.array([[-alpha]], dtype=float), None), ctx, len(gammas))
-    recon, metrics = _compress_rows(x, coeffs, _sorted_magnitudes(coeffs), gammas, back)
-    return recon, _reports(gammas, metrics, method="gfrft", alpha=float(alpha), seed=seed)
+def _sweep(x, ctx, gammas, forward, backward, **fields) -> tuple[np.ndarray, list[CompressionReport]]:
+    """One method at every ratio of ``gammas``: ``x`` through the one-row
+    program ``forward`` and sorted once, then the one-row program
+    ``backward`` run on one row per ratio. Returns the real reconstructions,
+    one row per ratio, and one report per ratio with ``fields``."""
+    coeffs = program_block(x.values[None], forward, ctx)
+    backward = [group._replace(rows=np.arange(len(gammas))) for group in backward]
+    recon, metrics = _compress_rows(x, coeffs, _sorted_magnitudes(coeffs), gammas, backward, ctx)
+    return recon, [CompressionReport(gamma=g, re=float(re), nrms=float(nrms), cc=float(cc), **fields)
+                   for g, re, nrms, cc in zip(gammas, *metrics)]
 
 
 def compress(
@@ -552,11 +530,12 @@ def compress(
 ) -> tuple[SignalNd, CompressionReport]:
     """Keep the ceil(gamma * N) largest transform coefficients and reconstruct.
 
-    The reconstruction applies the transform with inverse parameters and the
-    same factorization; metrics compare real parts against the original.
+    The reconstruction applies the same factorization at the inverse
+    parameters, a b = 0 set in the other six-factor form; metrics compare
+    real parts against the original.
     """
-    gamma = _check_gamma(gamma)
-    recon, (report,) = _glct_sweep(x, p, ctx, [gamma], variant, zero_b_variant, seed)
+    ((recon, (report,)),) = _study(x, ctx, [gamma], params=[p], variant=variant,
+                                    zero_b_variant=zero_b_variant, seed=seed)
     return SignalNd(x.shape, recon[0]), report
 
 
@@ -568,8 +547,7 @@ def compress_gfrft(
     seed: int | None = None,
 ) -> tuple[SignalNd, CompressionReport]:
     """Fractional-transform baseline for the compression pipeline."""
-    gamma = _check_gamma(gamma)
-    recon, (report,) = _gfrft_sweep(x, alpha, ctx, [gamma], seed)
+    ((recon, (report,)),) = _study(x, ctx, [gamma], alphas=[alpha], seed=seed)
     return SignalNd(x.shape, recon[0]), report
 
 
@@ -585,18 +563,34 @@ def study_signal(n1: int = 100, n2: int = 15, seed: int = 0) -> tuple[ProductGra
     return graph, SignalNd(graph.shape, values)
 
 
-def _study(x, ctx, gammas, alphas, params, variant, zero_b_variant, seed, budget=None, metric="nrms"):
-    """The compression run: yields (real reconstructions, reports) at every ratio
-    of ``gammas`` for each fractional order of ``alphas``, each :class:`LctParams`
-    of ``params`` and, given a ``budget``, the search; checks ratios, variant
-    and the search's budget, seed and metric before any transform."""
+def _frac(alpha: float) -> list[ProgramGroup]:
+    """The one-row program of the fractional transform of order ``alpha``."""
+    return [ProgramGroup(("frac",), np.arange(1), np.array([[alpha]]), None)]
+
+
+def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant=ZeroBVariant.EQ30,
+           seed=None, budget=None, metric="nrms"):
+    """The compression run behind every entry point: yields (real reconstructions,
+    reports) at every ratio of ``gammas`` for each order of ``alphas``, each
+    :class:`LctParams` of ``params`` and, given a ``budget``, the search; checks
+    its inputs and every method's programs before the first transform."""
     gammas = [_check_gamma(g) for g in gammas]
+    if not gammas:
+        raise ValidationError("compression needs at least one ratio")
     check_variant(variant)
+    zero_b_variant = ZeroBVariant(zero_b_variant)
     search = None if budget is None else _check_search(budget, seed, metric)
-    for alpha in alphas:
-        yield _gfrft_sweep(x, float(alpha), ctx, gammas, seed)
-    for p in params:
-        yield _glct_sweep(x, p, ctx, gammas, variant, zero_b_variant, seed)
+    ctx.check(x)
+    if float(np.linalg.norm(x.values)) == 0.0:
+        raise ValidationError("cannot compress an all-zero signal")
+    methods = [(_frac(alpha), _frac(-alpha), {"method": "gfrft", "alpha": alpha}) for alpha in map(float, alphas)]
+    methods += [(ParamBlock.from_params([p]).factorize(variant, zero_b_variant),
+                 ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant.inverse_form),
+                 {"method": "glct", "params": p.astuple(), "variant": variant}) for p in params]
+    for group in (g for forward, backward, _ in methods for g in forward + backward):
+        group.check()
+    for forward, backward, fields in methods:
+        yield _sweep(x, ctx, gammas, forward, backward, seed=seed, **fields)
     if search is not None:
         yield _search_sweep(x, ctx, gammas, *search, metric, variant, zero_b_variant)
 
@@ -644,10 +638,8 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant,
     """:func:`search_glct_params` at every ratio of ``gammas`` over one draw of
     the budget (checked by :func:`_check_search`): each block of draws is
     transformed forward and sorted once, then reconstructed once per ratio.
-    Returns what :func:`_glct_sweep` does; row j is the reconstruction that
+    Returns what :func:`_sweep` does; row j is the reconstruction that
     ratio j's winning report scored."""
-    ctx.check(x)
-    _check_nonzero(x)
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     drawn = ParamBlock.from_abc(sample_abc(rng, budget))
     inverses = drawn.inverse()
@@ -660,15 +652,15 @@ def _search_sweep(x, ctx, gammas, budget, seed, metric, variant,
         ps = drawn[i:i + step]
         coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
         magnitudes = _sorted_magnitudes(coeffs)
-        back = inverses[i:i + step].factorize(variant, zero_b_variant)
+        back = inverses[i:i + step].factorize(variant, zero_b_variant.inverse_form)
         for j, g in enumerate(gammas):
-            recon, metrics = _compress_rows(x, coeffs, magnitudes, [g] * len(ps),
-                                            lambda kept: program_block(kept, back, ctx))
+            recon, metrics = _compress_rows(x, coeffs, magnitudes, [g] * len(ps), back, ctx)
             scores = sign * metrics[which]
             t = int(np.argmin(scores))  # the first draw of the block's best
             if best[j] is None or scores[t] < sign * getattr(best[j], metric):
-                (best[j],) = _reports([g], [m[t:t + 1] for m in metrics], method="glct",
-                                      params=tuple(ps.abcd[t].tolist()), variant=variant, seed=seed)
+                re, nrms, cc = (float(m[t]) for m in metrics)
+                best[j] = CompressionReport(method="glct", gamma=g, re=re, nrms=nrms, cc=cc,
+                                            params=tuple(ps.abcd[t].tolist()), variant=variant, seed=seed)
                 recons[j] = recon[t]
     return recons, best
 
@@ -688,6 +680,6 @@ def search_glct_params(
     The budget is drawn in order and run in blocks (forward transform,
     keep-largest, backward transform); ties keep the earliest draw.
     """
-    gamma = _check_gamma(gamma)
-    budget, seed = _check_search(budget, seed, metric)
-    return _search_sweep(x, ctx, [gamma], budget, seed, metric, variant, zero_b_variant)[1][0]
+    ((_, (report,)),) = _study(x, ctx, [gamma], variant=variant, zero_b_variant=zero_b_variant,
+                               seed=seed, budget=budget, metric=metric)
+    return report

@@ -100,6 +100,6 @@ class FactorDecomposition:
 def decompose_graph(graph: Graph, kind: GsoKind = GsoKind.LAPLACIAN) -> FactorDecomposition:
     """Eigendecompose a graph's shift operator, and its transform matrix up to
     the eigenvalues. Neither Z nor a copy of F outlives the call."""
-    basis = eig_sym(gso(graph, kind), kind)
+    basis = eig_sym(gso(graph, kind))
     spectrum = eig_unitary_angles(basis.vectors.T)
     return FactorDecomposition(graph=graph, kind=kind, basis=basis, spectrum=spectrum)

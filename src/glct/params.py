@@ -45,7 +45,8 @@ class ZeroBVariant(enum.Enum):
 
     EQ30 applies transform, chirp, inverse transform, chirp, transform, chirp
     with phase exp(-i pi/4); EQ31 applies chirp, inverse transform, chirp,
-    transform, chirp, inverse transform with phase exp(+i pi/4).
+    transform, chirp, inverse transform with phase exp(+i pi/4). Each is
+    undone by the other at the inverse parameters (:attr:`inverse_form`).
     """
 
     EQ30 = "eq30"
@@ -54,6 +55,12 @@ class ZeroBVariant(enum.Enum):
     @classmethod
     def _missing_(cls, value):
         raise ValidationError(f"unknown zero-b variant {value!r}; choose eq30 or eq31")
+
+    @property
+    def inverse_form(self) -> "ZeroBVariant":
+        """The other form: eq30(p) = V^T C(1/d) V C(d) V^T C((c+1)/d) e^(-i pi/4) is undone
+        factor by factor by eq31(p^-1) = C(-(c+1)/d) V C(-d) V^T C(-1/d) V e^(i pi/4)."""
+        return ZeroBVariant.EQ31 if self is ZeroBVariant.EQ30 else ZeroBVariant.EQ30
 
 
 #: Ops that take a rate: chirp rate, fractional order, scale factor.

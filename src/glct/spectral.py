@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .graphs import GsoKind
 
 _SIGN_TOL = 1e-8  # below this magnitude a component does not decide a sign/phase
 _CLUSTER_GAP = 1e-9  # eigenvalue gap that separates invariant subspaces
@@ -33,7 +32,6 @@ class SpectralBasis:
 
     vectors: np.ndarray
     values: np.ndarray
-    kind: GsoKind
     residuals: dict = field(default_factory=dict)
 
 
@@ -61,7 +59,7 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
     return w
 
 
-def eig_sym(z: np.ndarray, kind: GsoKind = GsoKind.LAPLACIAN) -> SpectralBasis:
+def eig_sym(z: np.ndarray) -> SpectralBasis:
     """Eigendecompose a real symmetric shift operator.
 
     Raises ValidationError if ``z`` is not symmetric within 1e-10, and
@@ -83,7 +81,7 @@ def eig_sym(z: np.ndarray, kind: GsoKind = GsoKind.LAPLACIAN) -> SpectralBasis:
     if recon >= 1e-10 * scale:
         raise NumericalError("eigendecomposition failed its reconstruction bound")
     residuals = {"sym_orthonormality": orth, "sym_reconstruction": recon}
-    return SpectralBasis(vectors=vectors, values=values, kind=kind, residuals=residuals)
+    return SpectralBasis(vectors=vectors, values=values, residuals=residuals)
 
 
 def gft_matrix(basis: SpectralBasis) -> np.ndarray:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glct import LctParams, ProductContext, SignalNd, block_rows, gfrft_nd
+from glct import LctParams, ProductContext, SignalNd, block_rows
+from glct.product import program_block
 from glct import cli
 from glct import experiments as xp
 from glct.experiments import _sorted_magnitudes as sorted_magnitudes
@@ -145,8 +146,16 @@ class TestTransform:
         return tmp_path
 
     def test_round_trip(self, workspace):
-        args = ["--graph", workspace / "g1.json", "--graph", workspace / "g2.json",
-                "--params", "0.6,0.8,-0.5,1.0"]
+        self._round_trip(workspace, "--params", "0.6,0.8,-0.5,1.0")
+
+    @pytest.mark.parametrize("form", ["eq30", "eq31"])
+    def test_round_trip_at_b_zero(self, workspace, form):
+        # --inverse runs a b = 0 set in the other form, the one that undoes the forward transform
+        self._round_trip(workspace, "--params", "2,0,0.3,0.5", "--zero-b-variant", form)
+
+    @staticmethod
+    def _round_trip(workspace, *params):
+        args = ["--graph", workspace / "g1.json", "--graph", workspace / "g2.json", *params]
         assert run("transform", "--signal", workspace / "x.csv",
                    "--out", workspace / "y.json", *args) == 0
         assert run("transform", "--signal", workspace / "y.json", "--inverse",
@@ -289,6 +298,21 @@ class TestBench:
         assert len(values) == 5 and values == sorted(values)
 
 
+def _spy_blocks(monkeypatch) -> list:
+    """(rows, kinds, rate) of every one-group, one-rate block the compression
+    pipeline runs; any other block is recorded as (rows, None, None)."""
+    calls = []
+
+    def spy(values, groups, ctx):
+        (kinds, _, rates, _), *rest = groups
+        one = not rest and rates.size == 1
+        calls.append((len(values), kinds if one else None, float(rates[0, 0]) if one else None))
+        return program_block(values, groups, ctx)
+
+    monkeypatch.setattr(xp, "program_block", spy)
+    return calls
+
+
 class TestCompress:
     def test_full_ratio_baseline(self, tmp_path):
         out = tmp_path / "c.json"
@@ -393,24 +417,30 @@ class TestCompress:
         assert report["mean"] < 1e-20
 
     def test_sweep_transforms_forward_once_per_order(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return gfrft_nd(*args, **kwargs)
-
-        monkeypatch.setattr(xp, "gfrft_nd", counted)
+        # each order: one one-row forward block at alpha, one backward block of its nine ratios at -alpha
+        calls = _spy_blocks(monkeypatch)
         assert run("compress", "--sweep-gfrft", "--gammas", "0.1:0.9:0.1",
                    "--n1", 10, "--n2", 4, "--out", tmp_path / "sweep.json") == 0
-        assert sorted(calls) == sorted(xp.DEFAULT_ALPHA_GRID) and len(calls) == 21
+        forward, backward = calls[0::2], calls[1::2]
+        assert len(calls) == 2 * 21 and sorted(forward) == [(1, ("frac",), a) for a in xp.DEFAULT_ALPHA_GRID]
+        assert [(t, rates) for t, _, rates in backward] == [(9, -rates) for _, _, rates in forward]
 
     def test_bad_search_budget_exits_before_any_transform(self, tmp_path, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr(xp, "gfrft_nd", lambda *args: calls.append(args) or gfrft_nd(*args))
+        calls = _spy_blocks(monkeypatch)
         assert run("compress", "--sweep-gfrft", "--search", 0, "--n1", 10, "--n2", 4,
                    "--out", tmp_path / "s.json") == 2
         assert "search budget must be >= 1" in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("methods,message", [
+        (("--alpha", 0.5, "--alpha", "nan"), "finite"),
+        (("--glct-params", "0.4,-1.1,0.7,0.58", "--glct-params", "5,1e-10,-1e10,0"), "eq30 requires d != 0"),
+    ], ids=["nan-order", "eq30-d-zero"])
+    def test_bad_method_exits_before_any_transform(self, tmp_path, monkeypatch, capsys, methods, message):
+        calls = _spy_blocks(monkeypatch)
+        assert run("compress", *methods, "--n1", 10, "--n2", 4, "--out", tmp_path / "c.json") == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "c.json").exists()
 
     def test_search_draws_budget_once_for_all_ratios(self, tmp_path, monkeypatch):
         draws, ranked = [], []

@@ -59,6 +59,10 @@ def x1():
     return ProductContext(graph), sig
 
 
+#: (a, b, c) rows with |b| <= ZERO_B_TOL, which the six-factor forms run
+ZERO_B_ROWS = ((2.0, 0.0, 0.3), (-0.62, 0.0, -1.52), (1.1, 1e-9, 0.28), (0.7, -5e-10, 1.2))
+
+
 class TestNmse:
     def test_reversibility_cmccm_is_exact(self, x1):
         ctx, x = x1
@@ -66,6 +70,19 @@ class TestNmse:
         for _ in range(10):
             p = sample_random_params(rng)
             assert nmse_reversibility(x, p, ctx, "cmccm") < 1e-20
+
+    @pytest.mark.parametrize("form", list(ZeroBVariant), ids=lambda f: f.value)
+    @pytest.mark.parametrize("name", BENCHMARK_SIGNALS)
+    def test_zero_b_rows_are_undone_by_the_other_form(self, name, form):
+        # the same form at p and p^-1 does not invert: its NMSE is about 2 on these rows
+        graph, x = benchmark_signal(name)
+        ctx = ProductContext(graph)
+        ps = [LctParams.from_abc(*abc) for abc in ZERO_B_ROWS]
+        for p in ps:
+            assert nmse_reversibility(x, p, ctx, "cmccm", form.value) < 1e-20, p
+        block = ParamBlock.from_params(ps)
+        nmse = experiments._nmse_reversibility_block(x, block, block.inverse(), ctx, "cmccm", form)
+        assert (nmse < 1e-20).all(), nmse
 
     def test_reversibility_zero_signal_raises(self, x1):
         ctx, _ = x1
@@ -433,6 +450,30 @@ class TestCompress:
         _, rep = compress_gfrft(x, 0.35, ctx, gamma=1.0)
         assert rep.re < 1e-9 and rep.nrms < 1e-9 and abs(rep.cc - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("form", list(ZeroBVariant), ids=lambda f: f.value)
+    def test_full_ratio_is_lossless_at_b_zero(self, small_study, form):
+        ctx, x = small_study
+        for abc in ZERO_B_ROWS:
+            _, rep = compress(x, LctParams.from_abc(*abc), ctx, gamma=1.0, zero_b_variant=form.value)
+            assert rep.re < 1e-9 and rep.nrms < 1e-9 and abs(rep.cc - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("call", [
+        lambda ctx, x, zero: compression_study(0, gammas=(), n1=10, n2=4),
+        lambda ctx, x, zero: compress(x, LctParams(1, 0, 0, 1), ctx, 0.5, variant="cmcm"),
+        lambda ctx, x, zero: compress(zero, LctParams.from_abc(0.6, 0.8, -0.5), ctx, 0.5),
+        lambda ctx, x, zero: compress_gfrft(SignalNd((4, 10), x.values), 0.5, ctx, 0.5),
+        lambda ctx, x, zero: compress_gfrft(x, float("inf"), ctx, 0.5),
+        lambda ctx, x, zero: compress(x, LctParams.from_abc(5.0, 1e-10, -1e10), ctx, 0.5),
+        lambda ctx, x, zero: search_glct_params(zero, ctx, 0.5, budget=3),
+    ], ids=["no-ratio", "variant", "zero-signal", "shape", "order", "eq30-d-zero", "search-zero-signal"])
+    def test_bad_input_raises_before_any_transform(self, small_study, monkeypatch, call):
+        ctx, x = small_study
+        calls = []
+        monkeypatch.setattr(experiments, "program_block", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError):
+            call(ctx, x, SignalNd(ctx.shape, np.zeros(ctx.graph.n)))
+        assert calls == []
+
     def test_cddhfs_reports_rather_than_inverts(self, small_study):
         # the scaling factor is the shift operator itself, so this variant is
         # not unitary and full-ratio reconstruction is only approximate
@@ -721,11 +762,9 @@ class TestFrozenPipeline:
         gammas = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
                   0.55, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
         assert len(gammas) >= 2 * block_rows(x.n) + 1
-        for sweep, ref in ((lambda: experiments._glct_sweep(x, p, ctx, gammas, "cmccm", ZeroBVariant.EQ30, 1),
-                            lambda g: _ref_glct(x, p, ctx, g)),
-                           (lambda: experiments._gfrft_sweep(x, 0.45, ctx, gammas, 1),
-                            lambda g: _ref_gfrft(x, 0.45, ctx, g))):
-            recon, reports = sweep()
+        sweeps = experiments._study(x, ctx, gammas, alphas=[0.45], params=[p], seed=1)
+        refs = (lambda g: _ref_gfrft(x, 0.45, ctx, g), lambda g: _ref_glct(x, p, ctx, g))
+        for (recon, reports), ref in zip(sweeps, refs, strict=True):
             assert recon.shape == (len(gammas), x.n) and recon.dtype == float
             for t, g in enumerate(gammas):
                 want_recon, want = ref(g)

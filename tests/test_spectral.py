@@ -268,7 +268,7 @@ _DIFFERENTIAL_GRAPHS = [
 @pytest.mark.parametrize("family,n", _DIFFERENTIAL_GRAPHS, ids=lambda x: str(x))
 def test_matches_loop_reference(family, n, kind):
     z = gso(make_family(family, n), kind)
-    basis = eig_sym(z, kind)
+    basis = eig_sym(z)
     _, raw = np.linalg.eigh((z + z.T) / 2.0)
     np.testing.assert_array_equal(basis.vectors, _reference_fix_signs(raw))
 
@@ -308,7 +308,7 @@ _ANGLE_GRAPHS = [
 @pytest.mark.parametrize("family,n", _ANGLE_GRAPHS, ids=lambda x: str(x))
 def test_values_stage_angles_equal_eig_unitary(family, n, kind):
     g = Graph(n=1, edges=()) if family == "single" else make_family(family, n)
-    f = gft_matrix(eig_sym(gso(g, kind), kind))
+    f = gft_matrix(eig_sym(gso(g, kind)))
     angles = eig_unitary_angles(f).angles
     assert angles.tobytes() == principal_angle(eig_unitary(f).values).tobytes()
 
@@ -319,7 +319,7 @@ def test_both_stages_on_the_transposed_view_equal_them_on_a_copy(family, n, kind
     """decompose_graph runs the values stage on V^T as a view of V, not on a
     C-contiguous copy; with this BLAS build both give the same bytes."""
     g = Graph(n=1, edges=()) if family == "single" else make_family(family, n)
-    basis = eig_sym(gso(g, kind), kind)
+    basis = eig_sym(gso(g, kind))
     view, copy = eig_unitary_angles(basis.vectors.T), eig_unitary_angles(gft_matrix(basis))
     for name in ("angles", "_q", "_mu"):
         assert getattr(view, name).tobytes() == getattr(copy, name).tobytes(), name
@@ -334,7 +334,7 @@ def test_both_stages_on_the_transposed_view_equal_them_on_a_copy(family, n, kind
 
 
 def test_path40_adjacency_ties_differ_in_value_not_angle():
-    f = gft_matrix(eig_sym(gso(make_path(40), GsoKind.ADJACENCY), GsoKind.ADJACENCY))
+    f = gft_matrix(eig_sym(gso(make_path(40), GsoKind.ADJACENCY)))
     mu = eig_unitary(f).values
     angles = principal_angle(mu)
     assert ((angles[1:] == angles[:-1]) & (mu[1:] != mu[:-1])).any()
