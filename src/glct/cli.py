@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,9 @@ def _parse_gammas(text: str) -> list[float]:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ValidationError(f"--gammas expects start:stop:step, got {text!r}") from exc
+    for field, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValidationError(f"--gammas {field} must be a finite number, got {value}")
     if step <= 0:
         raise ValidationError("--gammas step must be positive")
     if not 0.0 < start <= 1.0:

@@ -4,7 +4,8 @@ Conventions
 -----------
 - Edges are stored as (i, j, w) with 0 <= i < j < n and finite w > 0; graphs are
   undirected with no self-loops, so the adjacency matrix is symmetric with
-  zero diagonal.
+  zero diagonal. A vertex index is an integer (or a float of integral value),
+  never a bool, and no weighted degree exceeds :data:`MAX_DEGREE`.
 - Vertices of a product graph are tuples (i_1, ..., i_m) linearized with the
   first index varying fastest, so a 2-D signal matrix X of shape (N_1, N_2)
   linearizes as X.flatten(order="F"). All Kronecker-structured operators in
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +24,12 @@ import numpy as np
 from .errors import ValidationError
 
 Edge = tuple[int, int, float]
+
+#: Largest weighted degree d a vertex may have. Eigendecomposing a shift
+#: operator forms (Z + Z^T) / 2, whose entries reach 2d; its eigenvalues reach
+#: 2d and its reconstruction residual 3d. Up to a quarter of the largest float
+#: all of them stay finite.
+MAX_DEGREE = sys.float_info.max / 4
 
 
 class GsoKind(enum.Enum):
@@ -35,6 +43,15 @@ class GsoKind(enum.Enum):
         raise ValidationError(f"unknown shift operator {value!r}; choose laplacian or adjacency")
 
 
+def _vertex_index(v) -> int:
+    """``v`` as a vertex index: an integer or a float of integral value, never a bool."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        return int(v)
+    raise ValidationError(f"vertex index must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected weighted graph on vertices 0..n-1."""
@@ -46,11 +63,12 @@ class Graph:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {self.n!r}")
         seen: set[tuple[int, int]] = set()
+        degree: dict[int, float] = {}
         norm: list[Edge] = []
         for e in self.edges:
             if len(e) != 3:
                 raise ValidationError(f"edge must be (i, j, w), got {e!r}")
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
+            i, j, w = _vertex_index(e[0]), _vertex_index(e[1]), float(e[2])
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={self.n} (need i < j)")
             if not 0 < w < math.inf:
@@ -59,6 +77,12 @@ class Graph:
                 raise ValidationError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
             norm.append((i, j, w))
+            for v in (i, j):
+                degree[v] = degree.get(v, 0.0) + w  # a float sum overflows to inf, silently
+        for v, d in degree.items():
+            if not d <= MAX_DEGREE:
+                raise ValidationError(f"weighted degree {d} of vertex {v} exceeds {MAX_DEGREE:.4g}: "
+                                      "the shift operator's eigenvalues would overflow")
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @property
@@ -99,9 +123,10 @@ def cartesian_product(factors: Sequence[Graph]) -> ProductGraph:
 
 
 def gso(g: Graph, kind: GsoKind = GsoKind.LAPLACIAN) -> np.ndarray:
-    """Return the shift operator of ``g``: combinatorial Laplacian or adjacency."""
+    """Return the shift operator of ``g``: combinatorial Laplacian or adjacency.
+    ``kind`` is a :class:`GsoKind` or its value."""
     a = g.adjacency()
-    if kind is GsoKind.ADJACENCY:
+    if GsoKind(kind) is GsoKind.ADJACENCY:
         return a
     return np.diag(a.sum(axis=1)) - a
 

@@ -119,7 +119,7 @@ def read_graph(path: str | Path) -> Graph:
         raise ValidationError(f"cannot read graph file {path}: {exc}") from exc
     try:
         n = data["n"]
-        edges = tuple((int(i), int(j), float(w)) for i, j, w in data["edges"])
+        edges = tuple((i, j, float(w)) for i, j, w in data["edges"])  # Graph checks the indices
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed graph file {path}: {exc}") from exc
     return Graph(n, edges)

@@ -99,7 +99,9 @@ class FactorDecomposition:
 
 def decompose_graph(graph: Graph, kind: GsoKind = GsoKind.LAPLACIAN) -> FactorDecomposition:
     """Eigendecompose a graph's shift operator, and its transform matrix up to
-    the eigenvalues. Neither Z nor a copy of F outlives the call."""
+    the eigenvalues. Neither Z nor a copy of F outlives the call. ``kind`` is
+    a :class:`GsoKind` or its value."""
+    kind = GsoKind(kind)
     basis = eig_sym(gso(graph, kind))
     spectrum = eig_unitary_angles(basis.vectors.T)
     return FactorDecomposition(graph=graph, kind=kind, basis=basis, spectrum=spectrum)

@@ -82,15 +82,19 @@ class SignalNd:
 
 
 class ProductContext:
-    """Per-factor spectral decompositions for one product graph and GSO kind."""
+    """Per-factor spectral decompositions for one product graph and GSO kind
+    (a :class:`GsoKind` or its value). A factor graph that appears on several
+    axes is decomposed once, and its axes share that decomposition."""
 
     def __init__(self, graph: ProductGraph, kind: GsoKind = GsoKind.LAPLACIAN) -> None:
         self.graph = graph
-        self.kind = kind
+        self.kind = kind = GsoKind(kind)
         self.shape: tuple[int, ...] = graph.shape
-        self.factors: tuple[FactorDecomposition, ...] = tuple(
-            decompose_graph(g, kind) for g in graph.factors
-        )
+        factors: list[FactorDecomposition] = []
+        for g in graph.factors:
+            shared = next((dec for dec in factors if dec.graph == g), None)
+            factors.append(decompose_graph(g, kind) if shared is None else shared)
+        self.factors: tuple[FactorDecomposition, ...] = tuple(factors)
 
     def check(self, x: SignalNd) -> None:
         if x.shape != self.shape:

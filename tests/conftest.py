@@ -12,6 +12,7 @@ from glct import (
     make_path,
     make_ring,
 )
+from glct.experiments import _benchmark_setup
 from glct.params import RATED_KINDS
 from glct.product import program_block
 from glct.spectral import frac_diag_power
@@ -73,6 +74,16 @@ def nmse_additivity_scalar(x, p1, p2, ctx, variant="cmccm", zero_b_variant=ZeroB
     two = apply_glct(apply_glct(x, p2, ctx, variant, zero_b_variant), p1, ctx, variant, zero_b_variant)
     num = float(np.sum(np.abs(one.values - two.values) ** 2))
     return num / den
+
+
+@pytest.fixture
+def fresh_suite_setup():
+    """Empty the suites' per-process set-up cache before and after the test,
+    so a test that patches set-up code sees every build and leaves none
+    behind that was built under its patch."""
+    _benchmark_setup.cache_clear()
+    yield _benchmark_setup
+    _benchmark_setup.cache_clear()
 
 
 @pytest.fixture(scope="session")

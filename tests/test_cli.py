@@ -172,6 +172,22 @@ class TestTransform:
         assert run(*args) == 0
         assert capsys.readouterr().out == (workspace / "y.csv").read_text()
 
+    @pytest.mark.parametrize("edges,message", [
+        ([[0.7, 1, 1.0], [1, 2, 1.0]], "vertex index"),
+        ([[0, True, 1.0], [1, 2, 1.0]], "vertex index"),
+        ([[0, 1, 1e308], [0, 2, 1e308]], "weighted degree"),
+    ], ids=["float-index", "bool-index", "degree-overflow"])
+    @pytest.mark.parametrize("gso", ["laplacian", "adjacency"])
+    def test_bad_graph_file_exits_2(self, tmp_path, capsys, edges, message, gso):
+        # rejected before any eigensolve; numpy warnings would fail the test
+        (tmp_path / "g.json").write_text(json.dumps({"n": 3, "edges": edges}))
+        write_signal(tmp_path / "x.json", SignalNd((3,), np.arange(3.0)))
+        assert run("transform", "--signal", tmp_path / "x.json", "--graph", tmp_path / "g.json",
+                   "--params", "1,1,0,1", "--gso", gso, "--out", tmp_path / "y.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Warning" not in err
+        assert not (tmp_path / "y.json").exists()
+
     def test_malformed_params_exit_2(self, workspace, capsys):
         rc = run("transform", "--signal", workspace / "x.csv",
                  "--graph", workspace / "g1.json", "--graph", workspace / "g2.json",
@@ -341,13 +357,20 @@ class TestCompress:
     def test_invalid_gamma_exit_2(self):
         assert run("compress", "--gamma", 1.5, "--n1", 10, "--n2", 4) == 2
 
-    @pytest.mark.parametrize("text", ["nan:1:0.1", "0.1:inf:0.1", "-1e18:1:1", "0.1:0.9:1e-9"])
+    @pytest.mark.parametrize("text", ["nan:1:0.1", "0.1:inf:0.1", "-1e18:1:1", "0.1:0.9:1e-9",
+                                      "0.1:0.2:nan", "0.1:nan:0.1"])
     def test_unbounded_gamma_range_exits_2(self, tmp_path, capsys, text):
         # each range is rejected before it is expanded
         out = tmp_path / "c.json"
         assert run("compress", f"--gammas={text}", "--n1", 10, "--n2", 4, "--out", out) == 2
         assert "--gammas" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,field", [("nan:1:0.1", "start"), ("0.1:inf:0.1", "stop"),
+                                            ("0.1:0.2:nan", "step"), ("0.1:nan:0.1", "stop")])
+    def test_non_finite_gamma_bound_is_named(self, capsys, text, field):
+        assert run("compress", f"--gammas={text}", "--n1", 10, "--n2", 4) == 2
+        assert f"--gammas {field} must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", [0, -2])
     def test_search_budget_below_one_exits_2(self, tmp_path, capsys, budget):

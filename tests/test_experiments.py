@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +264,7 @@ class TestSuites:
         assert type(report.seed) is int and report.seed == 5
         assert json.loads(json.dumps(report.summary_dict())) == plain.summary_dict()
 
-    def test_unknown_signal_raises_before_any_work(self, monkeypatch):
+    def test_unknown_signal_raises_before_any_work(self, fresh_suite_setup, monkeypatch):
         def no_context(*args, **kwargs):
             raise AssertionError("a ProductContext was built before the names were checked")
 
@@ -364,6 +365,72 @@ for seed, gso, zb in cases:
             checked += 1
 assert checked == len(cases) * 2 * len(BENCHMARK_SIGNALS) * 2
 """
+
+
+def _suite_bytes(gso_kind=GsoKind.LAPLACIAN, signals=BENCHMARK_SIGNALS):
+    """Values and parameters of both suites, both variants, on ``signals``."""
+    reports = [suite(signals=signals, trials=5, seed=3, gso_kind=gso_kind)
+               for suite in (suite_reversibility, suite_additivity)]
+    return [(r.kind, r.variant, r.signal, r.values.tobytes(), r.params) for rs in reports for r in rs]
+
+
+class TestSuiteSetupCache:
+    def test_each_signal_and_gso_is_built_once(self, fresh_suite_setup, monkeypatch):
+        built = []
+
+        def spy(graph, kind=GsoKind.LAPLACIAN):
+            built.append((graph, kind))
+            return ProductContext(graph, kind)
+
+        monkeypatch.setattr(experiments, "ProductContext", spy)
+        for _ in range(3):
+            for gso_kind in (GsoKind.LAPLACIAN, GsoKind.ADJACENCY, "adjacency"):
+                for suite in (suite_reversibility, suite_additivity):
+                    suite(signals=("x1", "x3"), trials=2, seed=1, gso_kind=gso_kind)
+        expected = [(benchmark_signal(name)[0], kind)
+                    for kind in (GsoKind.LAPLACIAN, GsoKind.ADJACENCY) for name in ("x1", "x3")]
+        assert built == expected
+
+    def test_fresh_run_equals_cached_run(self, fresh_suite_setup):
+        _suite_bytes()  # fills the cache, and builds cddhfs's eigenvectors
+        assert fresh_suite_setup.cache_info().currsize == len(BENCHMARK_SIGNALS)
+        cached = _suite_bytes()
+        fresh_suite_setup.cache_clear()
+        assert _suite_bytes() == cached
+
+    def test_threads_sharing_a_cold_cache_get_the_sequential_bytes(self, fresh_suite_setup):
+        # each thread's first call may build a set-up, or cddhfs's eigenvectors
+        # in it, while another thread reads or builds the same one
+        want = _suite_bytes(signals=("x1", "x3"))
+        fresh_suite_setup.cache_clear()
+        start, got = threading.Barrier(3), {}
+
+        def work(i):
+            start.wait(timeout=30)
+            got[i] = _suite_bytes(signals=("x1", "x3"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == {i: want for i in range(3)}
+
+    def test_gso_given_by_value_equals_member(self):
+        assert _suite_bytes("adjacency", ("x1",)) == _suite_bytes(GsoKind.ADJACENCY, ("x1",))
+        assert _suite_bytes("laplacian", ("x1",)) == _suite_bytes(GsoKind.LAPLACIAN, ("x1",))
+        assert _suite_bytes("adjacency", ("x1",)) != _suite_bytes(GsoKind.LAPLACIAN, ("x1",))
+
+    @pytest.mark.parametrize("suite", [suite_reversibility, suite_additivity])
+    def test_unknown_gso_raises(self, suite):
+        with pytest.raises(ValidationError, match="shift operator"):
+            suite(signals=("x1",), trials=2, gso_kind="adjacenc")
 
 
 class TestSuiteParamBlocks:

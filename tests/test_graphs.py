@@ -10,6 +10,7 @@ from glct import (
     ValidationError,
     bipolar_rect_signal,
     cartesian_product,
+    decompose_graph,
     gso,
     kronecker_sum,
     make_comet,
@@ -19,6 +20,7 @@ from glct import (
     make_path,
     make_ring,
 )
+from glct.graphs import MAX_DEGREE
 
 
 def edge_pairs(g):
@@ -135,6 +137,24 @@ class TestGraphType:
             Graph(3, edges)
 
 
+    @pytest.mark.parametrize("index", [0.7, True, np.bool_(True), "1", None])
+    def test_non_integer_vertex_index_raises(self, index):
+        with pytest.raises(ValidationError, match="vertex index"):
+            Graph(3, ((index, 2, 1.0),))
+
+    def test_integral_vertex_indices_are_read_as_ints(self):
+        g = Graph(3, ((np.int64(0), 1.0, 1.0), (1, np.float64(2.0), 1.0)))
+        assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+        assert all(type(i) is int and type(j) is int for i, j, _ in g.edges)
+
+    def test_weighted_degree_must_stay_below_the_bound(self):
+        Graph(3, ((0, 1, MAX_DEGREE / 2), (0, 2, MAX_DEGREE / 2)))
+        with pytest.raises(ValidationError, match="weighted degree"):
+            Graph(3, ((0, 1, MAX_DEGREE / 2), (0, 2, MAX_DEGREE)))
+        with pytest.raises(ValidationError, match="weighted degree inf"):
+            Graph(3, ((0, 1, 1e308), (0, 2, 1e308)))
+
+
 class TestShiftOperators:
     def test_path2_laplacian(self):
         np.testing.assert_array_equal(gso(make_path(2)), [[1.0, -1.0], [-1.0, 1.0]])
@@ -144,6 +164,16 @@ class TestShiftOperators:
         np.testing.assert_array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
         assert set(np.unique(a)) == {0.0, 1.0}
+
+    def test_kind_given_by_value(self):
+        g = make_comet(6)
+        for kind in GsoKind:
+            np.testing.assert_array_equal(gso(g, kind.value), gso(g, kind))
+            assert decompose_graph(g, kind.value).kind is kind
+        with pytest.raises(ValidationError, match="shift operator"):
+            gso(g, "adjacenc")
+        with pytest.raises(ValidationError, match="shift operator"):
+            decompose_graph(g, "adjacenc")
 
     def test_laplacian_row_sums_zero(self):
         lap = gso(make_ring(4))

@@ -53,6 +53,13 @@ class TestGraphFiles:
         with pytest.raises(ValidationError, match="finite"):
             read_graph(path)
 
+    @pytest.mark.parametrize("token", ["0.7", "true"])
+    def test_non_integer_vertex_index_raises(self, tmp_path, token):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[%s, 2, 1.0], [1, 2, 1.0]]}' % token)
+        with pytest.raises(ValidationError, match="vertex index"):
+            read_graph(path)
+
     def test_weight_too_large_for_a_float_raises(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"n": 3, "edges": [[0, 1, 1%s], [1, 2, 1.0]]}' % ("0" * 400))

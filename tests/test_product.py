@@ -851,3 +851,30 @@ def test_lazy_eigenvectors_give_the_eager_outputs(kind):
             alpha = ParamBlock.from_params([p]).cddhfs()[0].rates[0, 0]
             for op in (lambda c: glct_cddhfs_nd(x, p, c), lambda c: gfrft_nd(x, alpha, c)):
                 assert op(lazy).values.tobytes() == op(eager).values.tobytes(), (name, p)
+
+
+@pytest.mark.parametrize("factors", [(make_path(6), make_path(6)), (make_path(3), make_ring(4), make_path(3))],
+                         ids=["path6xpath6", "path3xring4xpath3"])
+def test_repeated_factor_is_decomposed_once(factors, monkeypatch):
+    decomposed = []
+    decompose = product.decompose_graph
+    monkeypatch.setattr(product, "decompose_graph", lambda g, kind: decomposed.append(g) or decompose(g, kind))
+    graph = cartesian_product(factors)
+    ctx = ProductContext(graph)
+    assert ctx.factors[0] is ctx.factors[-1]
+    assert len(decomposed) == len(set(factors))
+    for spec in ORACLE_SPECS:
+        np.testing.assert_allclose(factored_matrix(spec, ctx), dense_operator(spec, graph), atol=1e-9)
+
+
+def test_gso_given_by_value_builds_the_member_context():
+    graph = cartesian_product([make_ring(5), make_path(4)])
+    by_value, member = ProductContext(graph, "adjacency"), ProductContext(graph, GsoKind.ADJACENCY)
+    assert by_value.kind is GsoKind.ADJACENCY
+    for a, b in zip(by_value.factors, member.factors):
+        assert a.kind is GsoKind.ADJACENCY
+        for left, right in ((a.basis.vectors, b.basis.vectors), (a.basis.values, b.basis.values),
+                            (a.spectrum.angles, b.spectrum.angles), (a.z, b.z)):
+            assert left.tobytes() == right.tobytes()
+    with pytest.raises(ValidationError, match="shift operator"):
+        ProductContext(graph, "adjacenc")
