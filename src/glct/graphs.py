@@ -5,7 +5,8 @@ Conventions
 - Edges are stored as (i, j, w) with 0 <= i < j < n and finite w > 0; graphs are
   undirected with no self-loops, so the adjacency matrix is symmetric with
   zero diagonal. A vertex index is an integer (or a float of integral value),
-  never a bool, and no weighted degree exceeds :data:`MAX_DEGREE`.
+  a weight a real number (an integer or a float), neither ever a bool or a
+  string, and no weighted degree exceeds :data:`MAX_DEGREE`.
 - Vertices of a product graph are tuples (i_1, ..., i_m) linearized with the
   first index varying fastest, so a 2-D signal matrix X of shape (N_1, N_2)
   linearizes as X.flatten(order="F"). All Kronecker-structured operators in
@@ -52,6 +53,17 @@ def _vertex_index(v) -> int:
     raise ValidationError(f"vertex index must be an integer, got {v!r}")
 
 
+def _edge_weight(w) -> float:
+    """``w`` as an edge weight: an integer or a float, never a bool; an
+    integer beyond the float range becomes an infinity, which Graph rejects."""
+    if isinstance(w, (int, float, np.integer, np.floating)) and not isinstance(w, bool):
+        try:
+            return float(w)
+        except OverflowError:
+            return math.inf if w > 0 else -math.inf
+    raise ValidationError(f"edge weight must be a real number, got {w!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected weighted graph on vertices 0..n-1."""
@@ -68,7 +80,7 @@ class Graph:
         for e in self.edges:
             if len(e) != 3:
                 raise ValidationError(f"edge must be (i, j, w), got {e!r}")
-            i, j, w = _vertex_index(e[0]), _vertex_index(e[1]), float(e[2])
+            i, j, w = _vertex_index(e[0]), _vertex_index(e[1]), _edge_weight(e[2])
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={self.n} (need i < j)")
             if not 0 < w < math.inf:

@@ -117,12 +117,10 @@ def read_graph(path: str | Path) -> Graph:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read graph file {path}: {exc}") from exc
-    try:
-        n = data["n"]
-        edges = tuple((i, j, float(w)) for i, j, w in data["edges"])  # Graph checks the indices
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    try:  # Graph checks the indices and weights; its ValidationError is a ValueError
+        return Graph(data["n"], tuple((i, j, w) for i, j, w in data["edges"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph file {path}: {exc}") from exc
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -107,14 +107,16 @@ class ProductContext:
         A scalar rate gives one (N_k,) diagonal per factor; an array of T
         rates gives a (T, N_k) stack, one row per rate. The real and imaginary
         parts are the cosine and sine of t times the eigenvalue angles, the
-        values ``np.exp(1j * (t * angle))`` has, without a complex exp.
+        values ``np.exp(1j * (t * angle))`` has, without a complex exp; they
+        are written straight into the diagonal's parts.
         """
         t = np.asarray(t, dtype=float)[..., None]
         out = []
         for dec in self.factors:
             angle = t * dec.spectrum.angles
             d = np.empty(angle.shape, dtype=complex)
-            d.real, d.imag = np.cos(angle), np.sin(angle)
+            np.cos(angle, out=d.real)
+            np.sin(angle, out=d.imag)
             out.append(d)
         return out
 

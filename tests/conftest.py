@@ -12,7 +12,7 @@ from glct import (
     make_path,
     make_ring,
 )
-from glct.experiments import _benchmark_setup
+from glct.experiments import _benchmark_setup, _study_setup
 from glct.params import RATED_KINDS
 from glct.product import program_block
 from glct.spectral import frac_diag_power
@@ -74,6 +74,53 @@ def nmse_additivity_scalar(x, p1, p2, ctx, variant="cmccm", zero_b_variant=ZeroB
     two = apply_glct(apply_glct(x, p2, ctx, variant, zero_b_variant), p1, ctx, variant, zero_b_variant)
     num = float(np.sum(np.abs(one.values - two.values) ** 2))
     return num / den
+
+
+# The compression metrics as three functions, each computing x - xc and the
+# signal's constants on its own: the form the one scoring pass
+# (experiments._score_rows) replaced, kept as its bit-for-bit reference.
+
+
+def relative_error_rows(x, xc):
+    """Relative error of every row of ``xc`` (T, P) against ``x`` (P,)."""
+    den = np.abs(x).sum()
+    if den == 0.0:
+        raise ValidationError("relative error undefined for an all-zero signal")
+    d = np.subtract(x, xc)
+    return np.abs(d, out=d).sum(axis=1) / den
+
+
+def normalized_rms_rows(x, xc):
+    """Normalized RMS of every row of ``xc`` (T, P) against ``x`` (P,)."""
+    dx = x - x.mean()
+    den = np.sqrt((dx * dx).sum())
+    if den == 0.0:
+        raise ValidationError("normalized RMS undefined for a constant signal")
+    d = np.subtract(x, xc)
+    return np.sqrt(np.multiply(d, d, out=d).sum(axis=1)) / den
+
+
+def correlation_rows(x, xc):
+    """Pearson correlation of every row of ``xc`` (T, P) with ``x`` (P,)."""
+    dx = x - x.mean()
+    dc = xc - xc.mean(axis=1, keepdims=True)
+    products = dc * dc
+    den = np.sqrt((dx * dx).sum()) * np.sqrt(products.sum(axis=1))
+    if (den == 0.0).any():
+        raise ValidationError("correlation undefined for a constant signal")
+    return np.multiply(dx, dc, out=products).sum(axis=1) / den
+
+
+REFERENCE_METRICS = (relative_error_rows, normalized_rms_rows, correlation_rows)
+
+
+@pytest.fixture
+def fresh_study_setup():
+    """Empty the compression study's per-process set-up cache before and
+    after the test, as :func:`fresh_suite_setup` does for the suites."""
+    _study_setup.cache_clear()
+    yield _study_setup
+    _study_setup.cache_clear()
 
 
 @pytest.fixture

@@ -176,7 +176,9 @@ class TestTransform:
         ([[0.7, 1, 1.0], [1, 2, 1.0]], "vertex index"),
         ([[0, True, 1.0], [1, 2, 1.0]], "vertex index"),
         ([[0, 1, 1e308], [0, 2, 1e308]], "weighted degree"),
-    ], ids=["float-index", "bool-index", "degree-overflow"])
+        ([[0, 1, True], [1, 2, 1.0]], "edge weight must be a real number"),
+        ([[0, 1, "2.5"], [1, 2, 1.0]], "edge weight must be a real number"),
+    ], ids=["float-index", "bool-index", "degree-overflow", "bool-weight", "string-weight"])
     @pytest.mark.parametrize("gso", ["laplacian", "adjacency"])
     def test_bad_graph_file_exits_2(self, tmp_path, capsys, edges, message, gso):
         # rejected before any eigensolve; numpy warnings would fail the test

@@ -39,17 +39,16 @@ from glct.experiments import (
     BENCHMARK_SIGNALS,
     DEFAULT_ALPHA_GRID,
     DEFAULT_GAMMAS,
-    _correlation_rows,
     _keep_top,
-    _normalized_rms_rows,
-    _relative_error_rows,
+    _score_rows,
     _sorted_magnitudes,
+    _target,
     study_signal,
 )
 from glct.params import ParamBlock
 from glct.product import block_rows
 
-from conftest import nmse_additivity_scalar
+from conftest import REFERENCE_METRICS, nmse_additivity_scalar
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -433,6 +432,90 @@ class TestSuiteSetupCache:
             suite(signals=("x1",), trials=2, gso_kind="adjacenc")
 
 
+def _study_bytes(seeds=(0, 1), **kwargs):
+    """Every report of small compression studies, its metrics as float.hex."""
+    reports = [r for seed in seeds for r in compression_study(
+        seed, alpha_grid=(0.0, 0.35, 1.0), glct_param_sets=COMPRESSION_REFERENCE_PARAMS[::9], n1=12, n2=4,
+        **kwargs)]
+    return [(r.method, r.alpha, r.params, r.variant, r.seed, r.gamma.hex(), r.re.hex(), r.nrms.hex(), r.cc.hex())
+            for r in reports]
+
+
+class TestStudySetupCache:
+    def test_each_shape_and_gso_is_built_once(self, fresh_study_setup, monkeypatch):
+        built = []
+
+        def spy(graph, kind=GsoKind.LAPLACIAN):
+            built.append((graph, kind))
+            return ProductContext(graph, kind)
+
+        monkeypatch.setattr(experiments, "ProductContext", spy)
+        shapes = ((10, 4), (12, 3))
+        for _ in range(3):
+            for gso_kind in (GsoKind.LAPLACIAN, GsoKind.ADJACENCY, "adjacency"):
+                for n1, n2 in shapes:
+                    for seed in (0, 1):
+                        compression_study(seed, gammas=(0.5,), alpha_grid=(0.5,), glct_param_sets=(),
+                                          n1=n1, n2=n2, gso_kind=gso_kind)
+        expected = [(study_signal(n1, n2)[0], kind)
+                    for kind in (GsoKind.LAPLACIAN, GsoKind.ADJACENCY) for n1, n2 in shapes]
+        assert built == expected
+
+    def test_the_cache_is_bounded(self, fresh_study_setup, monkeypatch):
+        built = []
+
+        def spy(graph, kind=GsoKind.LAPLACIAN):
+            built.append(graph.shape)
+            return ProductContext(graph, kind)
+
+        monkeypatch.setattr(experiments, "ProductContext", spy)
+        limit = fresh_study_setup.cache_info().maxsize
+        shapes = [(n1, 3) for n1 in range(3, 3 + limit + 2)]
+        for n1, n2 in shapes + shapes[:1]:
+            compression_study(0, gammas=(0.5,), alpha_grid=(0.5,), glct_param_sets=(), n1=n1, n2=n2)
+        assert fresh_study_setup.cache_info().currsize == limit
+        assert built == shapes + shapes[:1]  # the first shape was evicted, so it is built again
+
+    def test_fresh_run_equals_cached_run(self, fresh_study_setup):
+        for variant in ("cmccm", "cddhfs"):
+            _study_bytes(variant=variant)  # fills the cache, with P and F
+            assert fresh_study_setup.cache_info().currsize == 1
+            cached = _study_bytes(variant=variant)
+            fresh_study_setup.cache_clear()
+            assert _study_bytes(variant=variant) == cached
+
+    def test_threads_sharing_a_cold_cache_get_the_sequential_bytes(self, fresh_study_setup):
+        # each thread's first study may build the set-up, or P and F in it,
+        # while another thread reads or builds the same one
+        want = _study_bytes()
+        fresh_study_setup.cache_clear()
+        start, got = threading.Barrier(3), {}
+
+        def work(i):
+            start.wait(timeout=30)
+            got[i] = _study_bytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == {i: want for i in range(3)}
+
+    def test_study_equals_one_on_a_caller_built_context(self, fresh_study_setup):
+        graph, x = study_signal(12, 4, seed=5)
+        ctx = ProductContext(graph, GsoKind.ADJACENCY)
+        study = compression_study(5, gammas=(0.3, 0.7), alpha_grid=(0.6,), glct_param_sets=(),
+                                  n1=12, n2=4, gso_kind="adjacency")
+        assert study == [compress_gfrft(x, 0.6, ctx, g, seed=5)[1] for g in (0.3, 0.7)]
+
+
 class TestSuiteParamBlocks:
     def test_suites_equal_frozen_per_trial_suite_bit_for_bit(self):
         # The suites draw every trial's parameters from its own generator as
@@ -465,22 +548,27 @@ class TestSuiteParamBlocks:
         assert counts[0] == counts[1]
 
 
+def _scores(x, xc):
+    """(RE, NRMS, CC) rows of the block ``xc`` against the signal ``x``."""
+    return _score_rows(_target(x), xc)
+
+
 class TestMetrics:
     def test_relative_error_hand_value(self):
-        assert _relative_error_rows(np.array([2.0, -2.0]), np.array([[1.0, -1.0]]))[0] == pytest.approx(0.5)
+        assert _scores(np.array([2.0, -2.0]), np.array([[1.0, -1.0]]))[0][0] == pytest.approx(0.5)
 
     def test_normalized_rms_hand_value(self):
-        assert _normalized_rms_rows(np.array([1.0, -1.0]), np.zeros((1, 2)))[0] == pytest.approx(1.0)
+        assert _scores(np.array([1.0, -1.0]), np.array([[0.5, -0.5]]))[1][0] == pytest.approx(0.5)
 
     def test_correlation_of_identical_signals(self):
         x = np.array([0.3, -1.2, 2.0, 0.1])
-        assert _correlation_rows(x, x[None])[0] == pytest.approx(1.0)
+        assert _scores(x, x[None])[2][0] == pytest.approx(1.0)
 
     def test_degenerate_inputs_raise(self):
-        with pytest.raises(ValidationError):
-            _relative_error_rows(np.zeros(2), np.ones((1, 2)))
-        with pytest.raises(ValidationError):
-            _normalized_rms_rows(np.full(2, 2.0), np.array([[1.0, 0.0]]))
+        with pytest.raises(ValidationError, match="^relative error undefined for an all-zero signal$"):
+            _target(np.zeros(2))
+        with pytest.raises(ValidationError, match="^normalized RMS undefined for a constant signal$"):
+            _target(np.full(2, 2.0))
 
 
 def _keep(rows, ks):
@@ -532,7 +620,10 @@ class TestCompress:
         lambda ctx, x, zero: compress_gfrft(x, float("inf"), ctx, 0.5),
         lambda ctx, x, zero: compress(x, LctParams.from_abc(5.0, 1e-10, -1e10), ctx, 0.5),
         lambda ctx, x, zero: search_glct_params(zero, ctx, 0.5, budget=3),
-    ], ids=["no-ratio", "variant", "zero-signal", "shape", "order", "eq30-d-zero", "search-zero-signal"])
+        lambda ctx, x, zero: compress_gfrft(SignalNd(ctx.shape, zero.values + 2.0), 0.5, ctx, 0.5),
+        lambda ctx, x, zero: search_glct_params(SignalNd(ctx.shape, zero.values + 2.0), ctx, 0.5, budget=3),
+    ], ids=["no-ratio", "variant", "zero-signal", "shape", "order", "eq30-d-zero", "search-zero-signal",
+            "constant-signal", "search-constant-signal"])
     def test_bad_input_raises_before_any_transform(self, small_study, monkeypatch, call):
         ctx, x = small_study
         calls = []
@@ -559,6 +650,12 @@ class TestCompress:
         zero = SignalNd(ctx.shape, np.zeros(ctx.graph.n))
         with pytest.raises(ValidationError):
             compress(zero, LctParams.from_abc(0.6, 0.8, -0.5), ctx, gamma=0.5)
+
+    def test_constant_signal_raises(self, small_study):
+        ctx, _ = small_study
+        flat = SignalNd(ctx.shape, np.full(ctx.graph.n, 2.0))
+        with pytest.raises(ValidationError, match="^normalized RMS undefined for a constant signal$"):
+            compress(flat, LctParams.from_abc(0.6, 0.8, -0.5), ctx, gamma=0.5)
 
     def test_reconstruction_is_real(self, small_study):
         ctx, x = small_study
@@ -709,6 +806,11 @@ def _ref_gfrft(x, alpha, ctx, gamma):
 def _assert_metrics_close(report, want):
     got = (report.re, report.nrms, report.cc)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _search_sweep(x, ctx, *args):
+    """``experiments._search_sweep`` of ``x``, scored against its real part."""
+    return experiments._search_sweep(x, _target(x.values.real), ctx, *args)
 
 
 @pytest.fixture
@@ -879,7 +981,7 @@ class TestFrozenPipeline:
         ctx, x = small_study
         gammas = [0.2, 0.5, 0.9, 0.5]
         budget = 2 * block_rows(x.n) + 1
-        _, together = experiments._search_sweep(x, ctx, gammas, budget, 3, "nrms", "cmccm", ZeroBVariant.EQ30)
+        _, together = _search_sweep(x, ctx, gammas, budget, 3, "nrms", "cmccm", ZeroBVariant.EQ30)
         apart = [search_glct_params(x, ctx, g, budget=budget, seed=3) for g in gammas]
         assert together == apart
 
@@ -892,7 +994,7 @@ class TestFrozenPipeline:
         monkeypatch.setattr(ParamBlock, "cmccm", lambda self, *zb: calls.append(len(self)) or cmccm(self, *zb))
         for gammas in ([0.3], [0.1, 0.3, 0.5, 0.7, 0.9]):
             calls.clear()
-            experiments._search_sweep(x, ctx, gammas, budget, 2, "nrms", "cmccm", ZeroBVariant.EQ30)
+            _search_sweep(x, ctx, gammas, budget, 2, "nrms", "cmccm", ZeroBVariant.EQ30)
             assert len(calls) == 2 * 3 and sum(calls) == 2 * budget
 
     @pytest.mark.parametrize("metric", ["re", "cc"])
@@ -901,22 +1003,27 @@ class TestFrozenPipeline:
         # metrics are the report's, bit for bit, and compress rebuilds it
         ctx, x = default_study
         gammas = [0.2, 0.6, 0.9]
-        recon, reports = experiments._search_sweep(x, ctx, gammas, 2 * block_rows(x.n) + 1, 7, metric,
-                                                   "cmccm", ZeroBVariant.EQ30)
+        recon, reports = _search_sweep(x, ctx, gammas, 2 * block_rows(x.n) + 1, 7, metric, "cmccm", ZeroBVariant.EQ30)
         assert recon.shape == (len(gammas), x.n) and recon.dtype == float
         xr = x.values.real
         for row, rep in zip(recon, reports):
-            metrics = (_relative_error_rows, _normalized_rms_rows, _correlation_rows)
-            assert tuple(float(metric(xr, row[None])[0]) for metric in metrics) == (rep.re, rep.nrms, rep.cc)
+            scores = tuple(float(metric(xr, row[None])[0]) for metric in REFERENCE_METRICS)
+            assert scores == (rep.re, rep.nrms, rep.cc)
             want, _ = compress(x, LctParams(*rep.params), ctx, rep.gamma)
             np.testing.assert_allclose(row, want.values.real, rtol=0, atol=1e-13 * np.abs(want.values).max())
 
     def test_search_ties_keep_earliest_draw(self, small_study, monkeypatch):
         # every score ties, so at every ratio the first draw wins
         ctx, x = small_study
-        monkeypatch.setattr(experiments, "_normalized_rms_rows", lambda x, xc: np.zeros(xc.shape[0]))
+        score = experiments._score_rows
+
+        def nrms_all_zero(target, xc):
+            re, nrms, cc = score(target, xc)
+            return re, np.zeros_like(nrms), cc
+
+        monkeypatch.setattr(experiments, "_score_rows", nrms_all_zero)
         budget = 2 * block_rows(x.n) + 1
-        _, reports = experiments._search_sweep(x, ctx, [0.3, 0.6], budget, 4, "nrms", "cmccm", ZeroBVariant.EQ30)
+        _, reports = _search_sweep(x, ctx, [0.3, 0.6], budget, 4, "nrms", "cmccm", ZeroBVariant.EQ30)
         first = sample_random_params(np.random.default_rng(np.random.SeedSequence((4,))))
         assert [r.gamma for r in reports] == [0.3, 0.6]
         assert all(r.params == first.astuple() and r.nrms == 0.0 for r in reports)
@@ -937,6 +1044,58 @@ for variant in ("cmccm", "cddhfs"):
 """
 
 
+@pytest.fixture
+def scored(monkeypatch):
+    """Every (signal, block, (RE, NRMS, CC)) that the pipeline scores."""
+    calls = []
+    score = experiments._score_rows
+
+    def spy(target, xc):
+        out = score(target, xc)
+        calls.append((target.x, xc.copy(), out))
+        return out
+
+    monkeypatch.setattr(experiments, "_score_rows", spy)
+    return calls
+
+
+def _assert_scores_equal_reference(calls):
+    """Each scored block's metrics equal the frozen three-function form bit for bit."""
+    assert calls
+    for x, xc, scores in calls:
+        assert len(scores) == len(REFERENCE_METRICS)
+        for got, metric in zip(scores, REFERENCE_METRICS):
+            assert got.tobytes() == metric(x, xc).tobytes()
+
+
+class TestScoring:
+    @pytest.mark.parametrize("variant", ["cmccm", "cddhfs"])
+    def test_study_blocks_equal_frozen_metrics(self, default_study, variant, scored):
+        alphas, rows = (0.0, 0.35, 1.0), COMPRESSION_REFERENCE_PARAMS[::9]
+        compression_study(6, alpha_grid=alphas, glct_param_sets=rows, variant=variant)
+        assert len(scored) == len(alphas) + len(rows)
+        assert all(xc.shape == (len(DEFAULT_GAMMAS), default_study[1].n) for _, xc, _ in scored)
+        _assert_scores_equal_reference(scored)
+
+    @pytest.mark.parametrize("metric", ["re", "nrms", "cc"])
+    def test_search_blocks_equal_frozen_metrics(self, default_study, metric, scored):
+        ctx, x = default_study
+        budget = 2 * block_rows(x.n) + 1
+        search_glct_params(x, ctx, 0.3, budget=budget, seed=4, metric=metric)
+        assert [xc.shape[0] for _, xc, _ in scored] == [block_rows(x.n), block_rows(x.n), 1]
+        _assert_scores_equal_reference(scored)
+
+    def test_signal_constants_are_computed_once_per_call(self, small_study, monkeypatch):
+        ctx, x = small_study
+        calls = []
+        target = experiments._target
+        monkeypatch.setattr(experiments, "_target", lambda xr: calls.append(1) or target(xr))
+        compression_study(0, alpha_grid=(0.2, 0.7), glct_param_sets=COMPRESSION_REFERENCE_PARAMS[:2], n1=10, n2=4)
+        assert len(calls) == 1
+        search_glct_params(x, ctx, 0.4, budget=3 * block_rows(x.n) + 1, seed=1)
+        assert len(calls) == 2
+
+
 class TestRowMetrics:
     def test_study_reports_equal_one_ratio_reports_bit_for_bit(self):
         # RE/NRMS/CC are reductions along each row, so a row's values do not
@@ -955,16 +1114,17 @@ class TestRowMetrics:
         rng = np.random.default_rng(8)
         x = rng.uniform(-10, 10, size=1500)
         block = x + rng.normal(scale=3.0, size=(16, 1500))
-        for i, metric in enumerate((_relative_error_rows, _normalized_rms_rows, _correlation_rows)):
-            full = metric(x, block)
+        for i in range(3):
+            full = _scores(x, block)[i]
             for t in range(block.shape[0]):
-                assert full[t] == metric(x, block[t:t + 1])[0]
-                assert metric(x, block[: t + 1])[t] == full[t]
+                assert full[t] == _scores(x, block[t:t + 1])[i][0]
+                assert _scores(x, block[: t + 1])[i][t] == full[t]
             np.testing.assert_allclose(full, [_ref_metrics(x, r)[i] for r in block], rtol=1e-13)
 
     def test_constant_reconstruction_raises(self):
         x = np.array([0.3, -1.2, 2.0])
-        with pytest.raises(ValidationError):
-            _correlation_rows(x, np.ones((1, 3)))
-        with pytest.raises(ValidationError):
-            _correlation_rows(x, np.stack([x, np.ones(3)]))
+        for block in (np.ones((1, 3)), np.stack([x, np.ones(3)])):
+            with pytest.raises(ValidationError, match="^correlation undefined for a constant signal$"):
+                _scores(x, block)
+            with pytest.raises(ValidationError, match="^correlation undefined for a constant signal$"):
+                REFERENCE_METRICS[2](x, block)

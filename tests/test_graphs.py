@@ -142,6 +142,21 @@ class TestGraphType:
         with pytest.raises(ValidationError, match="vertex index"):
             Graph(3, ((index, 2, 1.0),))
 
+    @pytest.mark.parametrize("weight", [True, np.bool_(True), "2.5", None, 1 + 0j, [1.0]])
+    def test_non_real_weight_raises(self, weight):
+        with pytest.raises(ValidationError, match="edge weight must be a real number"):
+            Graph(3, ((0, 2, weight),))
+
+    def test_real_weights_are_read_as_floats(self):
+        g = Graph(3, ((0, 1, 2), (0, 2, np.int64(3)), (1, 2, np.float32(0.5))))
+        assert g.edges == ((0, 1, 2.0), (0, 2, 3.0), (1, 2, 0.5))
+        assert all(type(w) is float for _, _, w in g.edges)
+
+    @pytest.mark.parametrize("weight", [10 ** 400, -10 ** 400])
+    def test_integer_weight_beyond_the_float_range_raises(self, weight):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            Graph(3, ((0, 2, weight),))
+
     def test_integral_vertex_indices_are_read_as_ints(self):
         g = Graph(3, ((np.int64(0), 1.0, 1.0), (1, np.float64(2.0), 1.0)))
         assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))

@@ -60,6 +60,13 @@ class TestGraphFiles:
         with pytest.raises(ValidationError, match="vertex index"):
             read_graph(path)
 
+    @pytest.mark.parametrize("token", ["true", "false", '"2.5"', "null", "[1.0]"])
+    def test_non_real_weight_raises(self, tmp_path, token):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1, %s], [1, 2, 1.0]]}' % token)
+        with pytest.raises(ValidationError, match="edge weight must be a real number"):
+            read_graph(path)
+
     def test_weight_too_large_for_a_float_raises(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"n": 3, "edges": [[0, 1, 1%s], [1, 2, 1.0]]}' % ("0" * 400))
