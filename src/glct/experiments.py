@@ -9,32 +9,37 @@ own sub-seed from (seed, signal index, trial index), so results do not depend
 on evaluation order and are reproducible run to run.
 
 Studies that transform one signal under many parameter sets (the NMSE
-suites, the parameter search, the ratios of the compression study) run them
-as blocks of rows through :func:`glct.product.program_block`; row t of a block
-is computed as the one-signal call computes it (bit for bit with
-single-threaded BLAS). A suite draws every trial's rows in one array pass
-(:func:`glct.seeding.trial_abc`), then composes or inverts the whole
-:class:`~glct.params.ParamBlock` once and factorizes it one chunk at a time.
+suites, the parameter search, the ratios of the compression study) run their
+transforms as blocks of rows through the block executors of
+:mod:`glct.product`; row t of a block is computed as the one-signal call
+computes it (bit for bit with single-threaded BLAS). Their parameters stay
+arrays (:class:`~glct.params.ParamBlock`) from the draw to the executor: a
+suite draws every trial's rows in one array pass (:func:`glct.seeding.trial_abc`,
+byte-equal to a numpy generator per trial), then composes or inverts the
+whole block once and factorizes it one chunk at a time.
 
-Set-up is kept per process in two bounded ``lru_cache`` caches, each emptied
-by its ``cache_clear()``: the suites keep the signal and context of each
-(benchmark signal, :class:`~glct.graphs.GsoKind`) pair, at most 8
-(:func:`_benchmark_setup`), and :func:`compression_study` the context of the
-last 4 (n1, n2, GsoKind) keys it used (:func:`_study_setup`), each with the Z,
-F and eigenvectors P its transforms built on first use. ``ProductContext``
-itself is never cached: an entry point given a context keeps nothing.
+The suites keep at most 8 small contexts per process: the set-up of each
+(benchmark signal, :class:`~glct.graphs.GsoKind`) pair, its signal and its
+:class:`~glct.product.ProductContext`, is built by the first suite call that
+needs it (:func:`_benchmark_setup`) and reused by every later one, with the
+eigenvectors that cddhfs builds on first use. ``ProductContext`` itself is
+never cached, and neither is the compression study's context.
 
-Every compression entry point runs :func:`_study`, which checks each method's
-forward and backward programs and the signal's constants (:func:`_target`)
-before the first transform: an order alpha is undone by -alpha, a parameter
-set p by p^-1, whose b = 0 rows take the other six-factor form
-(:attr:`~glct.params.ZeroBVariant.inverse_form`). Each coefficient row's
-magnitudes are sorted once for all its ratios; a ratio that keeps k entries
-keeps every entry above the k-th largest magnitude v and, of those equal to
-v, the lowest-index ones: the set a stable sort by descending magnitude puts
-first. The ratios of one method are reconstructed as one block by one
-program, and scored in one pass (:func:`_score_rows`) as reductions along the
-rows, so a row's metrics do not depend on the block's height.
+Every compression entry point runs :func:`_study`, which builds and checks
+each method's forward and backward programs before the first transform: an
+order alpha is undone by -alpha, a parameter set p by p^-1, whose b = 0 rows
+take the other six-factor form
+(:attr:`~glct.params.ZeroBVariant.inverse_form`), and the signal's constants
+(:func:`_target`), once for all the blocks it scores. The pipeline sorts the
+magnitudes of each coefficient row once for all its ratios. A ratio that keeps
+k entries reads the k-th largest magnitude v from the sorted row and keeps
+every entry above v and, of the entries equal to v, the lowest-index ones
+until it has k: the set a stable sort by descending magnitude would put first.
+The ratios of one parameter set or fractional order are reconstructed as one
+block run by one program, one rate column shared by every row (see
+:class:`~glct.params.ProgramGroup`). RE / NRMS / CC are reductions along the
+rows of the reconstruction block, taken in one pass (:func:`_score_rows`), so
+a row's metrics do not depend on the block's height.
 """
 from __future__ import annotations
 
@@ -459,11 +464,19 @@ class CompressionReport:
     seed: int | None = None
 
     def row(self) -> dict:
-        """The report as a table row, "" in the fields its method lacks."""
-        abcd = ("",) * 4 if self.params is None else self.params
-        return {"method": self.method, "variant": "" if self.variant is None else self.variant,
-                "alpha": "" if self.alpha is None else self.alpha, **dict(zip("abcd", abcd)),
-                "gamma": self.gamma, "re": self.re, "nrms": self.nrms, "cc": self.cc}
+        return {
+            "method": self.method,
+            "variant": "" if self.variant is None else self.variant,
+            "alpha": "" if self.alpha is None else self.alpha,
+            "a": "" if self.params is None else self.params[0],
+            "b": "" if self.params is None else self.params[1],
+            "c": "" if self.params is None else self.params[2],
+            "d": "" if self.params is None else self.params[3],
+            "gamma": self.gamma,
+            "re": self.re,
+            "nrms": self.nrms,
+            "cc": self.cc,
+        }
 
 
 def _sorted_magnitudes(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,9 +525,9 @@ def _compress_rows(target, coeffs, magnitudes, gammas, backward, ctx) -> tuple[n
 
 def _sweep(x, target, ctx, gammas, forward, backward, **fields) -> tuple[np.ndarray, list[CompressionReport]]:
     """One method at every ratio of ``gammas``: ``x`` through the one-row
-    program ``forward`` and sorted once, then the one-row program ``backward``
-    run on one row per ratio and scored against ``target``, x's real part.
-    Returns the real reconstructions and one report per ratio with ``fields``."""
+    program ``forward`` and sorted once, then the one-row program
+    ``backward`` run on one row per ratio. Returns the real reconstructions,
+    one row per ratio, and one report per ratio with ``fields``."""
     coeffs = program_block(x.values[None], forward, ctx)
     backward = [group._replace(rows=np.arange(len(gammas))) for group in backward]
     recon, metrics = _compress_rows(target, coeffs, _sorted_magnitudes(coeffs), gammas, backward, ctx)
@@ -560,22 +573,10 @@ DEFAULT_ALPHA_GRID = tuple(round(0.05 * k, 2) for k in range(21))
 
 def study_signal(n1: int = 100, n2: int = 15, seed: int = 0) -> tuple[ProductGraph, SignalNd]:
     """Default compression-study setup: ring x path with uniform [-10, 10] data."""
-    graph = cartesian_product([make_family("ring", n1), make_family("path", n2)])
-    return graph, _study_data(graph, seed)
-
-
-def _study_data(graph: ProductGraph, seed: int) -> SignalNd:
-    """The study signal on ``graph`` for the master seed ``seed``."""
     rng = np.random.default_rng(np.random.SeedSequence((_check_seed(seed),)))
-    return SignalNd(graph.shape, rng.uniform(-10.0, 10.0, size=graph.n))
-
-
-@lru_cache(maxsize=4)  # a sweep over shapes or GSOs keeps the 4 it used last
-def _study_setup(n1: int, n2: int, kind: GsoKind) -> ProductContext:
-    """The context of ring(n1) x path(n2) under ``kind``, a GsoKind member:
-    every :func:`compression_study` call on that key reads it here, with the F
-    and P that its first call's transforms built."""
-    return ProductContext(study_signal(n1, n2)[0], kind)
+    graph = cartesian_product([make_family("ring", n1), make_family("path", n2)])
+    values = rng.uniform(-10.0, 10.0, size=graph.n)
+    return graph, SignalNd(graph.shape, values)
 
 
 def _frac(alpha: float) -> list[ProgramGroup]:
@@ -596,15 +597,13 @@ def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant
     zero_b_variant = ZeroBVariant(zero_b_variant)
     search = None if budget is None else _check_search(budget, seed, metric)
     ctx.check(x)
-    if float(np.linalg.norm(x.values)) == 0.0:
-        raise ValidationError("cannot compress an all-zero signal")
+    target = _target(x.values.real)  # rejects an all-zero or constant signal
     methods = [(_frac(alpha), _frac(-alpha), {"method": "gfrft", "alpha": alpha}) for alpha in map(float, alphas)]
     methods += [(ParamBlock.from_params([p]).factorize(variant, zero_b_variant),
                  ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant.inverse_form),
                  {"method": "glct", "params": p.astuple(), "variant": variant}) for p in params]
     for group in (g for forward, backward, _ in methods for g in forward + backward):
         group.check()
-    target = _target(x.values.real)
     for forward, backward, fields in methods:
         yield _sweep(x, target, ctx, gammas, forward, backward, seed=seed, **fields)
     if search is not None:
@@ -629,8 +628,8 @@ def compression_study(
     parameter set's coefficients are computed once and serve every ratio;
     the reports equal those of :func:`compress_gfrft` and :func:`compress`.
     """
-    ctx = _study_setup(n1, n2, GsoKind(gso_kind))
-    x = _study_data(ctx.graph, seed)
+    graph, x = study_signal(n1, n2, seed)
+    ctx = ProductContext(graph, gso_kind)
     params = [LctParams.from_loose(*row) for row in glct_param_sets or ()]
     reports: list[CompressionReport] = []
     for recon, method in _study(x, ctx, gammas, alpha_grid or (), params, variant, zero_b_variant, seed):
@@ -653,11 +652,12 @@ def _search_sweep(x, target, ctx, gammas, budget, seed, metric, variant,
                   zero_b_variant) -> tuple[np.ndarray, list[CompressionReport]]:
     """:func:`search_glct_params` at every ratio of ``gammas`` over one draw of
     the budget (checked by :func:`_check_search`): each block of draws is
-    transformed forward and sorted once, then reconstructed and scored once
-    per ratio. Returns what :func:`_sweep` does; row j is the reconstruction
-    that ratio j's winning report scored."""
+    transformed forward and sorted once, then reconstructed once per ratio.
+    Returns what :func:`_sweep` does; row j is the reconstruction that
+    ratio j's winning report scored."""
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     drawn = ParamBlock.from_abc(sample_abc(rng, budget))
+    inverses = drawn.inverse()
     which = ("re", "nrms", "cc").index(metric)
     sign = -1.0 if metric == "cc" else 1.0
     best: list[CompressionReport | None] = [None] * len(gammas)
@@ -667,7 +667,7 @@ def _search_sweep(x, target, ctx, gammas, budget, seed, metric, variant,
         ps = drawn[i:i + step]
         coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
         magnitudes = _sorted_magnitudes(coeffs)
-        back = ps.inverse().factorize(variant, zero_b_variant.inverse_form)
+        back = inverses[i:i + step].factorize(variant, zero_b_variant.inverse_form)
         for j, g in enumerate(gammas):
             recon, metrics = _compress_rows(target, coeffs, magnitudes, [g] * len(ps), back, ctx)
             scores = sign * metrics[which]

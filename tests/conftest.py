@@ -12,7 +12,7 @@ from glct import (
     make_path,
     make_ring,
 )
-from glct.experiments import _benchmark_setup, _study_setup
+from glct.experiments import _benchmark_setup
 from glct.params import RATED_KINDS
 from glct.product import program_block
 from glct.spectral import frac_diag_power
@@ -112,15 +112,6 @@ def correlation_rows(x, xc):
 
 
 REFERENCE_METRICS = (relative_error_rows, normalized_rms_rows, correlation_rows)
-
-
-@pytest.fixture
-def fresh_study_setup():
-    """Empty the compression study's per-process set-up cache before and
-    after the test, as :func:`fresh_suite_setup` does for the suites."""
-    _study_setup.cache_clear()
-    yield _study_setup
-    _study_setup.cache_clear()
 
 
 @pytest.fixture

@@ -432,90 +432,6 @@ class TestSuiteSetupCache:
             suite(signals=("x1",), trials=2, gso_kind="adjacenc")
 
 
-def _study_bytes(seeds=(0, 1), **kwargs):
-    """Every report of small compression studies, its metrics as float.hex."""
-    reports = [r for seed in seeds for r in compression_study(
-        seed, alpha_grid=(0.0, 0.35, 1.0), glct_param_sets=COMPRESSION_REFERENCE_PARAMS[::9], n1=12, n2=4,
-        **kwargs)]
-    return [(r.method, r.alpha, r.params, r.variant, r.seed, r.gamma.hex(), r.re.hex(), r.nrms.hex(), r.cc.hex())
-            for r in reports]
-
-
-class TestStudySetupCache:
-    def test_each_shape_and_gso_is_built_once(self, fresh_study_setup, monkeypatch):
-        built = []
-
-        def spy(graph, kind=GsoKind.LAPLACIAN):
-            built.append((graph, kind))
-            return ProductContext(graph, kind)
-
-        monkeypatch.setattr(experiments, "ProductContext", spy)
-        shapes = ((10, 4), (12, 3))
-        for _ in range(3):
-            for gso_kind in (GsoKind.LAPLACIAN, GsoKind.ADJACENCY, "adjacency"):
-                for n1, n2 in shapes:
-                    for seed in (0, 1):
-                        compression_study(seed, gammas=(0.5,), alpha_grid=(0.5,), glct_param_sets=(),
-                                          n1=n1, n2=n2, gso_kind=gso_kind)
-        expected = [(study_signal(n1, n2)[0], kind)
-                    for kind in (GsoKind.LAPLACIAN, GsoKind.ADJACENCY) for n1, n2 in shapes]
-        assert built == expected
-
-    def test_the_cache_is_bounded(self, fresh_study_setup, monkeypatch):
-        built = []
-
-        def spy(graph, kind=GsoKind.LAPLACIAN):
-            built.append(graph.shape)
-            return ProductContext(graph, kind)
-
-        monkeypatch.setattr(experiments, "ProductContext", spy)
-        limit = fresh_study_setup.cache_info().maxsize
-        shapes = [(n1, 3) for n1 in range(3, 3 + limit + 2)]
-        for n1, n2 in shapes + shapes[:1]:
-            compression_study(0, gammas=(0.5,), alpha_grid=(0.5,), glct_param_sets=(), n1=n1, n2=n2)
-        assert fresh_study_setup.cache_info().currsize == limit
-        assert built == shapes + shapes[:1]  # the first shape was evicted, so it is built again
-
-    def test_fresh_run_equals_cached_run(self, fresh_study_setup):
-        for variant in ("cmccm", "cddhfs"):
-            _study_bytes(variant=variant)  # fills the cache, with P and F
-            assert fresh_study_setup.cache_info().currsize == 1
-            cached = _study_bytes(variant=variant)
-            fresh_study_setup.cache_clear()
-            assert _study_bytes(variant=variant) == cached
-
-    def test_threads_sharing_a_cold_cache_get_the_sequential_bytes(self, fresh_study_setup):
-        # each thread's first study may build the set-up, or P and F in it,
-        # while another thread reads or builds the same one
-        want = _study_bytes()
-        fresh_study_setup.cache_clear()
-        start, got = threading.Barrier(3), {}
-
-        def work(i):
-            start.wait(timeout=30)
-            got[i] = _study_bytes()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert got == {i: want for i in range(3)}
-
-    def test_study_equals_one_on_a_caller_built_context(self, fresh_study_setup):
-        graph, x = study_signal(12, 4, seed=5)
-        ctx = ProductContext(graph, GsoKind.ADJACENCY)
-        study = compression_study(5, gammas=(0.3, 0.7), alpha_grid=(0.6,), glct_param_sets=(),
-                                  n1=12, n2=4, gso_kind="adjacency")
-        assert study == [compress_gfrft(x, 0.6, ctx, g, seed=5)[1] for g in (0.3, 0.7)]
-
-
 class TestSuiteParamBlocks:
     def test_suites_equal_frozen_per_trial_suite_bit_for_bit(self):
         # The suites draw every trial's parameters from its own generator as
@@ -664,6 +580,13 @@ class TestCompress:
 
 
 class TestStudy:
+    def test_gso_given_by_value_runs_its_context(self):
+        graph, x = study_signal(12, 4, seed=5)
+        ctx = ProductContext(graph, GsoKind.ADJACENCY)
+        study = compression_study(5, gammas=(0.3, 0.7), alpha_grid=(0.6,), glct_param_sets=(),
+                                  n1=12, n2=4, gso_kind="adjacency")
+        assert study == [compress_gfrft(x, 0.6, ctx, g, seed=5)[1] for g in (0.3, 0.7)]
+
     def test_rows_cover_requested_grid(self):
         reports = compression_study(
             seed=1, gammas=(0.5, 1.0), alpha_grid=(1.0,),
