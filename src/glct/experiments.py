@@ -72,6 +72,7 @@ from .params import (
 from .product import (
     ProductContext,
     SignalNd,
+    _run_groups,
     block_rows,
     glct_cddhfs_nd,
     glct_cmccm_nd,
@@ -519,7 +520,7 @@ def _compress_rows(target, coeffs, magnitudes, gammas, backward, ctx) -> tuple[n
     every row in one block, and the real parts are scored against ``target``.
     Returns the real reconstructions (T, P) and the RE, NRMS and CC of every row."""
     ks = [math.ceil(g * target.x.size) for g in gammas]
-    recon = np.ascontiguousarray(program_block(_keep_top(coeffs, magnitudes, ks), backward, ctx).real)
+    recon = np.ascontiguousarray(_run_groups(_keep_top(coeffs, magnitudes, ks), backward, ctx).real)
     return recon, _score_rows(target, recon)
 
 
@@ -528,7 +529,7 @@ def _sweep(x, target, ctx, gammas, forward, backward, **fields) -> tuple[np.ndar
     program ``forward`` and sorted once, then the one-row program
     ``backward`` run on one row per ratio. Returns the real reconstructions,
     one row per ratio, and one report per ratio with ``fields``."""
-    coeffs = program_block(x.values[None], forward, ctx)
+    coeffs = _run_groups(x.values[None], forward, ctx)
     backward = [group._replace(rows=np.arange(len(gammas))) for group in backward]
     recon, metrics = _compress_rows(target, coeffs, _sorted_magnitudes(coeffs), gammas, backward, ctx)
     return recon, [CompressionReport(gamma=g, re=float(re), nrms=float(nrms), cc=float(cc), **fields)
@@ -603,7 +604,7 @@ def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant
                  ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant.inverse_form),
                  {"method": "glct", "params": p.astuple(), "variant": variant}) for p in params]
     for group in (g for forward, backward, _ in methods for g in forward + backward):
-        group.check()
+        group.check()  # once: the sweeps run them through _run_groups, which checks none
     for forward, backward, fields in methods:
         yield _sweep(x, target, ctx, gammas, forward, backward, seed=seed, **fields)
     if search is not None:
@@ -668,6 +669,8 @@ def _search_sweep(x, target, ctx, gammas, budget, seed, metric, variant,
         coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
         magnitudes = _sorted_magnitudes(coeffs)
         back = inverses[i:i + step].factorize(variant, zero_b_variant.inverse_form)
+        for group in back:  # once here for every ratio's reconstruction
+            group.check()
         for j, g in enumerate(gammas):
             recon, metrics = _compress_rows(target, coeffs, magnitudes, [g] * len(ps), back, ctx)
             scores = sign * metrics[which]

@@ -140,7 +140,9 @@ def gso(g: Graph, kind: GsoKind = GsoKind.LAPLACIAN) -> np.ndarray:
     a = g.adjacency()
     if GsoKind(kind) is GsoKind.ADJACENCY:
         return a
-    return np.diag(a.sum(axis=1)) - a
+    deg = a.sum(axis=1)
+    np.fill_diagonal(np.subtract(0.0, a, out=a), deg)  # in a's buffer, bit for bit np.diag(deg) - a
+    return a
 
 
 def kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:

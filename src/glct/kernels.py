@@ -24,7 +24,10 @@ and ``ft`` ops and the dense oracle.
 ``FactorDecomposition.diagnostics`` reports the residuals both
 decompositions checked against their bounds (entrywise maxima):
 
-- ``sym_orthonormality``: |V^T V - I| of the shift operator's eigenbasis V;
+- ``sym_orthonormality``: |V^T V - I| of the shift operator's eigenbasis V.
+  F^T F - I has the spectrum of V^T V - I, so this residual r bounds the
+  computed |F^T F - I| by n (r + gamma_n) + gamma_n, gamma_n = n u / (1 - n u),
+  u = 2^-53 (Higham 2002); set-up skips that n^3 check of F while this is below 1e-8;
 - ``sym_reconstruction``: |Z - V diag(lambda) V^T|, bounded by
   1e-10 * (1 + max |Z|);
 - ``q_orthonormality``: |q^T q - I| of the eigenbasis q of F's symmetric part;
@@ -44,9 +47,11 @@ import numpy as np
 
 from .graphs import Graph, GsoKind, gso
 from .spectral import (
+    _ORTHOGONAL_TOL,
     FourierEigen,
     SpectralBasis,
     UnitaryAngles,
+    _angles,
     eig_sym,
     eig_unitary_angles,
     eig_unitary_vectors,
@@ -103,5 +108,7 @@ def decompose_graph(graph: Graph, kind: GsoKind = GsoKind.LAPLACIAN) -> FactorDe
     a :class:`GsoKind` or its value."""
     kind = GsoKind(kind)
     basis = eig_sym(gso(graph, kind))
-    spectrum = eig_unitary_angles(basis.vectors.T)
+    f, n, r = basis.vectors.T, graph.n, basis.residuals["sym_orthonormality"]
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)  # the implied bound on |F^T F - I| (module docstring)
+    spectrum = _angles(f) if n * (r + gamma) + gamma < _ORTHOGONAL_TOL else eig_unitary_angles(f)
     return FactorDecomposition(graph=graph, kind=kind, basis=basis, spectrum=spectrum)

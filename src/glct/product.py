@@ -237,8 +237,7 @@ def _diag(x: np.ndarray, shape: tuple[int, ...], axis: int, d: np.ndarray, out: 
 
 def _block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> tuple[np.ndarray, bool]:
     """``values`` as a complex (T, P) block, and whether one group holds its
-    rows in order, after checking that the groups' rows name each of its T
-    rows once and that each group is a program the executor can run."""
+    rows in order, after checking that the groups' rows name each of its T rows once."""
     t = sum(len(g.rows) for g in groups)
     values = np.ascontiguousarray(values, dtype=complex)
     if values.shape != (t, math.prod(ctx.shape)):
@@ -251,8 +250,6 @@ def _block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductConte
     in_order = listed == order
     if rows.dtype.kind not in "iu" or not (in_order or sorted(listed) == order):
         raise ValidationError(f"the groups' rows must name each of the block's {t} rows once")
-    for group in groups:
-        group.check()
     return values, in_order and len(groups) == 1
 
 
@@ -346,6 +343,13 @@ def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: Produ
 
     A group with one rate column prepares it once for all its chunks: its
     (1, N_k) diagonals broadcast over the rows of every chunk."""
+    for group in groups:
+        group.check()
+    return _run_groups(values, groups, ctx)
+
+
+def _run_groups(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> np.ndarray:
+    """:func:`program_block` on groups that the caller has checked."""
     values, whole = _block(values, groups, ctx)
     out = np.empty_like(values)
     p = values.shape[1]

@@ -23,6 +23,7 @@ from .errors import NumericalError, ValidationError
 _SIGN_TOL = 1e-8  # below this magnitude a component does not decide a sign/phase
 _CLUSTER_GAP = 1e-9  # eigenvalue gap that separates invariant subspaces
 _SNAP_TOL = 1e-13  # distance at which eigenvalues snap onto the real/imaginary axes
+_ORTHOGONAL_TOL = 1e-8  # how far from orthogonal eig_unitary_angles accepts its input
 
 
 @dataclass(frozen=True)
@@ -50,35 +51,43 @@ class FourierEigen:
 
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first non-negligible component is positive."""
+    """Flip eigenvector columns in place so the first non-negligible component is positive."""
     mask = np.abs(v) > _SIGN_TOL
     cols = np.arange(v.shape[1])
     flip = mask.any(axis=0) & (v[mask.argmax(axis=0), cols] < 0)
-    w = v.copy()
-    w[:, flip] = -w[:, flip]
-    return w
+    return np.negative(v, out=v, where=flip)
+
+
+def _eye_residual(m: np.ndarray) -> float:
+    """max |m - I| entrywise, worked out in the buffer of ``m``, a square product the caller gives up."""
+    m.flat[:: m.shape[0] + 1] -= 1.0
+    return float((np.abs(m, out=m) if m.dtype.kind == "f" else np.abs(m)).max())
 
 
 def eig_sym(z: np.ndarray) -> SpectralBasis:
     """Eigendecompose a real symmetric shift operator.
 
-    Raises ValidationError if ``z`` is not symmetric within 1e-10, and
-    NumericalError if the decomposition fails its reconstruction bounds.
+    Raises ValidationError if ``z`` is not finite and symmetric within 1e-10,
+    and NumericalError if the decomposition fails its reconstruction bounds.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {z.shape}")
-    if z.size and np.abs(z - z.T).max() > 1e-10:
-        raise ValidationError("matrix is not symmetric within 1e-10")
-    values, vectors = np.linalg.eigh((z + z.T) / 2.0)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf here fails the bound
+        sym = np.subtract(z, z.T, order="C")  # C order, as the product it is reused for below
+    gap = np.abs(sym, out=sym).max() if z.size else 0.0
+    if not gap <= 1e-10:
+        raise ValidationError("matrix is not finite and symmetric within 1e-10")
+    # z is its own symmetric part when z - z^T is all zero, as for every gso output
+    values, vectors = np.linalg.eigh(z if gap == 0.0 else np.divide(np.add(z, z.T, out=sym), 2.0, out=sym))
     vectors = _fix_signs(vectors)
-    n = z.shape[0]
-    orth = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
-    if orth >= 1e-12:
+    orth = _eye_residual(vectors.T @ vectors)
+    if not orth < 1e-12:
         raise NumericalError("eigenvector basis lost orthonormality")
-    scale = 1.0 + (np.abs(z).max() if z.size else 0.0)
-    recon = float(np.abs(z - (vectors * values) @ vectors.T).max())
-    if recon >= 1e-10 * scale:
+    scale = 1.0 + (max(z.max(), -z.min()) if z.size else 0.0)
+    recon = np.matmul(vectors * values, vectors.T, out=sym)  # sym is free again
+    recon = float(np.abs(np.subtract(z, recon, out=recon), out=recon).max())
+    if not recon < 1e-10 * scale:
         raise NumericalError("eigendecomposition failed its reconstruction bound")
     residuals = {"sym_orthonormality": orth, "sym_reconstruction": recon}
     return SpectralBasis(vectors=vectors, values=values, residuals=residuals)
@@ -167,8 +176,8 @@ def eig_unitary_angles(f: np.ndarray) -> UnitaryAngles:
     real or imaginary axis are snapped onto it so that branch cuts of
     fractional powers are taken deterministically.
 
-    Raises ValidationError if ``f`` is not orthogonal within 1e-8, and
-    NumericalError unless, entrywise, ``q`` is orthonormal within 1e-10,
+    Raises ValidationError if ``f`` is not finite and orthogonal within 1e-8,
+    and NumericalError unless, entrywise, ``q`` is orthonormal within 1e-10,
     ``g`` vanishes off the cluster blocks within 1e-9, every ``w`` is
     unitary within 1e-10 and reproduces its block as ``w diag(mu_c) w^H``
     within 1e-9, and every eigenvalue is unimodular within 1e-10. Together
@@ -178,11 +187,15 @@ def eig_unitary_angles(f: np.ndarray) -> UnitaryAngles:
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {f.shape}")
-    n = f.shape[0]
-    if np.abs(f.T @ f - np.eye(n)).max() >= 1e-8:
-        raise ValidationError("matrix is not orthogonal within 1e-8")
+    if not (np.isfinite(f).all() and _eye_residual(f.T @ f) < _ORTHOGONAL_TOL):
+        raise ValidationError(f"matrix is not finite and orthogonal within {_ORTHOGONAL_TOL:g}")
+    return _angles(f)
 
-    h, q = np.linalg.eigh((f + f.T) / 2.0)
+
+def _angles(f: np.ndarray) -> UnitaryAngles:
+    """:func:`eig_unitary_angles` on a real square ``f`` known to be orthogonal
+    within ``_ORTHOGONAL_TOL``."""
+    h, q = np.linalg.eigh((f + f.T) / 2.0)  # numpy divides the sum in its own buffer
     g = q.T @ f @ q
     mu = np.diagonal(g).astype(complex)
     starts, sizes = _runs(h[1:] - h[:-1] > _CLUSTER_GAP)
@@ -202,16 +215,17 @@ def eig_unitary_angles(f: np.ndarray) -> UnitaryAngles:
     mu = re + 1j * im
     mu = mu / np.abs(mu)
 
-    labels = np.repeat(np.arange(sizes.size), sizes)
     single = starts[sizes == 1]
     unitarity, recon = [0.0], [np.abs(np.diagonal(g)[single] - mu[single]).max(initial=0.0)]
     for (idx, w), blocks in zip(clusters, solved):
         wh = w.conj().transpose(0, 2, 1)
         unitarity.append(np.abs(wh @ w - np.eye(idx.shape[1])).max())
         recon.append(np.abs(blocks - (w * mu[idx][:, None, :]) @ wh).max())
+        g[idx[:, :, None], idx[:, None, :]] = 0.0  # what is left of g lies off the cluster blocks
+    g[single, single] = 0.0
     residuals = {
-        "q_orthonormality": float(np.abs(q.T @ q - np.eye(n)).max()),
-        "off_cluster": float(np.abs(g[labels[:, None] != labels]).max(initial=0.0)),
+        "q_orthonormality": _eye_residual(q.T @ q),
+        "off_cluster": float(np.abs(g, out=g).max(initial=0.0)),
         "cluster_unitarity": float(max(unitarity)),
         "cluster_reconstruction": float(max(recon)),
         "unimodularity": float(np.abs(np.abs(mu) - 1.0).max()),
@@ -236,14 +250,14 @@ def eig_unitary_vectors(stage: UnitaryAngles) -> FourierEigen:
     within 1e-10 or does not reproduce ``f`` within 1e-9, entrywise.
     """
     q, f = stage._q, stage.source
-    n = f.shape[0]
     p = q.astype(complex)
     for idx, w in stage._clusters:
         p[:, idx] = (q[:, idx].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
     mu, p = _canonical_order(stage._mu, p)
-    if np.abs(p.conj().T @ p - np.eye(n)).max() >= 1e-10:
+    ph = p.conj().T
+    if not _eye_residual(ph @ p) < 1e-10:
         raise NumericalError("unitary eigenbasis lost orthonormality")
-    if np.abs(f - (p * mu) @ p.conj().T).max() >= 1e-9:
+    if not np.abs((p * mu) @ ph - f).max() < 1e-9:  # numpy subtracts in the product's buffer
         raise NumericalError("unitary eigendecomposition failed its reconstruction bound")
     return FourierEigen(vectors=p, values=mu, source=f)
 
@@ -262,6 +276,6 @@ def frac_diag_power(mu: np.ndarray, t: float) -> np.ndarray:
     Inputs must be unimodular within 1e-8; outputs lie on the unit circle.
     """
     mu = np.asarray(mu, dtype=complex)
-    if mu.size and np.abs(np.abs(mu) - 1.0).max() > 1e-8:
+    if mu.size and not np.abs(np.abs(mu) - 1.0).max() <= 1e-8:
         raise ValidationError("fractional powers require unimodular eigenvalues")
     return np.exp(1j * (float(t) * principal_angle(mu)))

@@ -13,9 +13,10 @@ from glct import (
     make_ring,
 )
 from glct.experiments import _benchmark_setup
+from glct.graphs import GsoKind
 from glct.params import RATED_KINDS
 from glct.product import program_block
-from glct.spectral import frac_diag_power
+from glct.spectral import _CLUSTER_GAP, _SIGN_TOL, _SNAP_TOL, _runs, frac_diag_power
 
 
 def frac_operator(fe, t):
@@ -112,6 +113,61 @@ def correlation_rows(x, xc):
 
 
 REFERENCE_METRICS = (relative_error_rows, normalized_rms_rows, correlation_rows)
+
+
+# A factor's set-up written plainly, with a fresh temporary for each step and
+# each residual and the explicit |F^T F - I| check: the reference that
+# decompose_graph, which works in place and derives that check, matches to the bit.
+
+
+def reference_setup(graph, kind=GsoKind.LAPLACIAN):
+    """The shift operator Z, the eigenbasis V and values, the values stage's
+    q, and the diagnostics, each computed with its reference expression."""
+    a = graph.adjacency()
+    z = a if GsoKind(kind) is GsoKind.ADJACENCY else np.diag(a.sum(axis=1)) - a
+    n = z.shape[0]
+    values, v = np.linalg.eigh((z + z.T) / 2.0)
+    mask = np.abs(v) > _SIGN_TOL
+    flip = mask.any(axis=0) & (v[mask.argmax(axis=0), np.arange(n)] < 0)
+    v = v.copy()
+    v[:, flip] = -v[:, flip]
+    f = v.T
+    h, q = np.linalg.eigh((f + f.T) / 2.0)
+    g = q.T @ f @ q
+    starts, sizes = _runs(h[1:] - h[:-1] > _CLUSTER_GAP)
+    mu, solved = np.diagonal(g).astype(complex), []
+    for m in sorted(set(sizes.tolist()) - {1}):
+        idx = starts[sizes == m][:, None] + np.arange(m)
+        blocks = g[idx[:, :, None], idx[:, None, :]]
+        _, w = np.linalg.eigh((blocks - blocks.transpose(0, 2, 1)) / 2j)
+        mu[idx] = (w.conj() * (blocks @ w)).sum(axis=1)
+        solved.append((idx, w, blocks))
+    mu = mu / np.abs(mu)
+    re, im = mu.real.copy(), mu.imag.copy()
+    im[np.abs(im) < _SNAP_TOL] = 0.0
+    re[np.abs(re) < _SNAP_TOL] = 0.0
+    mu = re + 1j * im
+    mu = mu / np.abs(mu)
+    single = starts[sizes == 1]
+    unitarity, recon = [0.0], [np.abs(np.diagonal(g)[single] - mu[single]).max(initial=0.0)]
+    for idx, w, blocks in solved:
+        wh = w.conj().transpose(0, 2, 1)
+        unitarity.append(np.abs(wh @ w - np.eye(idx.shape[1])).max())
+        recon.append(np.abs(blocks - (w * mu[idx][:, None, :]) @ wh).max())
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    diagnostics = {
+        "sym_orthonormality": float(np.abs(v.T @ v - np.eye(n)).max()),
+        "sym_reconstruction": float(np.abs(z - (v * values) @ v.T).max()),
+        "q_orthonormality": float(np.abs(q.T @ q - np.eye(n)).max()),
+        "off_cluster": float(np.abs(g[labels[:, None] != labels]).max(initial=0.0)),
+        "cluster_unitarity": float(max(unitarity)),
+        "cluster_reconstruction": float(max(recon)),
+        "unimodularity": float(np.abs(np.abs(mu) - 1.0).max()),
+        "clusters": int(sizes.size),
+        "max_cluster": int(sizes.max()),
+    }
+    return {"z": z, "vectors": v, "values": values, "q": q, "mu": mu, "diagnostics": diagnostics,
+            "f_orthogonality": float(np.abs(f.T @ f - np.eye(n)).max())}
 
 
 @pytest.fixture

@@ -318,7 +318,8 @@ class TestBench:
 
 def _spy_blocks(monkeypatch) -> list:
     """(rows, kinds, rate) of every one-group, one-rate block the compression
-    pipeline runs; any other block is recorded as (rows, None, None)."""
+    pipeline runs, with its groups checked there or already; any other block
+    is recorded as (rows, None, None)."""
     calls = []
 
     def spy(values, groups, ctx):
@@ -328,6 +329,7 @@ def _spy_blocks(monkeypatch) -> list:
         return program_block(values, groups, ctx)
 
     monkeypatch.setattr(xp, "program_block", spy)
+    monkeypatch.setattr(xp, "_run_groups", spy)
     return calls
 
 

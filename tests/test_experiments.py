@@ -45,7 +45,7 @@ from glct.experiments import (
     _target,
     study_signal,
 )
-from glct.params import ParamBlock
+from glct.params import ParamBlock, ProgramGroup
 from glct.product import block_rows
 
 from conftest import REFERENCE_METRICS, nmse_additivity_scalar
@@ -543,7 +543,8 @@ class TestCompress:
     def test_bad_input_raises_before_any_transform(self, small_study, monkeypatch, call):
         ctx, x = small_study
         calls = []
-        monkeypatch.setattr(experiments, "program_block", lambda *args: calls.append(args))
+        for name in ("program_block", "_run_groups"):
+            monkeypatch.setattr(experiments, name, lambda *args: calls.append(args))
         with pytest.raises(ValidationError):
             call(ctx, x, SignalNd(ctx.shape, np.zeros(ctx.graph.n)))
         assert calls == []
@@ -579,7 +580,20 @@ class TestCompress:
         assert np.all(recon.values.imag == 0)
 
 
+def spy_checks(monkeypatch) -> list:
+    """Every ProgramGroup checked from here on, in order."""
+    checked, check = [], ProgramGroup.check
+    monkeypatch.setattr(ProgramGroup, "check", lambda group: checked.append(group) or check(group))
+    return checked
+
+
 class TestStudy:
+    def test_default_study_checks_each_program_once(self, monkeypatch):
+        # 21 orders and 27 parameter sets, each a forward and a backward one-group program
+        checked = spy_checks(monkeypatch)
+        compression_study()
+        assert len(checked) == 96 and len({id(group) for group in checked}) == 96
+
     def test_gso_given_by_value_runs_its_context(self):
         graph, x = study_signal(12, 4, seed=5)
         ctx = ProductContext(graph, GsoKind.ADJACENCY)
@@ -919,6 +933,21 @@ class TestFrozenPipeline:
             calls.clear()
             _search_sweep(x, ctx, gammas, budget, 2, "nrms", "cmccm", ZeroBVariant.EQ30)
             assert len(calls) == 2 * 3 and sum(calls) == 2 * budget
+
+    def test_search_checks_each_block_program_once(self, small_study, monkeypatch):
+        # a block's backward programs serve every ratio, and are checked once for all of them
+        ctx, x = small_study
+        made, factorize = [], ParamBlock.factorize
+
+        def spy(block, *args):
+            groups = factorize(block, *args)
+            made.extend(groups)
+            return groups
+
+        monkeypatch.setattr(ParamBlock, "factorize", spy)
+        checked = spy_checks(monkeypatch)
+        _search_sweep(x, ctx, [0.1, 0.3, 0.5, 0.7, 0.9], 2 * block_rows(x.n) + 1, 2, "nrms", "cmccm", ZeroBVariant.EQ30)
+        assert len(made) >= 6 and sorted(map(id, checked)) == sorted(map(id, made))
 
     @pytest.mark.parametrize("metric", ["re", "cc"])
     def test_search_returns_the_reconstructions_it_scored(self, default_study, metric):

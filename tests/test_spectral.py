@@ -19,6 +19,7 @@ from glct import (
     make_path,
     make_ring,
 )
+from glct import spectral
 from glct.kernels import decompose_graph
 from glct.spectral import _canonical_order, eig_unitary_angles, eig_unitary_vectors, principal_angle
 
@@ -115,6 +116,62 @@ class TestEigUnitary:
     def test_non_orthogonal_raises(self):
         with pytest.raises(ValidationError):
             eig_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestNonFinite:
+    """A NaN fails every bound: a NaN or inf input is rejected with
+    ValidationError, and a NaN residual raises NumericalError."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_eig_sym_rejects_non_finite_input(self, bad, at):
+        z = np.eye(3)
+        z[at] = z[at[::-1]] = bad
+        with pytest.raises(ValidationError, match="not finite"):
+            eig_sym(z)
+
+    def test_eig_sym_rejects_an_overflowing_asymmetry_without_a_warning(self):
+        with pytest.raises(ValidationError, match="symmetric"):
+            eig_sym(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_eig_unitary_angles_rejects_non_finite_input(self, bad):
+        f = np.eye(3)
+        f[1, 0] = bad
+        with pytest.raises(ValidationError, match="not finite"):
+            eig_unitary_angles(f)
+
+    @pytest.mark.parametrize("mu", [[np.nan, 1.0], [complex(1.0, np.nan)]])
+    def test_frac_diag_power_rejects_nan(self, mu):
+        with pytest.raises(ValidationError, match="unimodular"):
+            frac_diag_power(np.array(mu, dtype=complex), 0.5)
+
+    @pytest.mark.parametrize("which,message", [(1, "orthonormality"), (0, "reconstruction")])
+    def test_eig_sym_nan_residuals_fail(self, monkeypatch, which, message):
+        real = np.linalg.eigh
+
+        def eigh(a):
+            out = [x.copy() for x in real(a)]
+            out[which].flat[0] = np.nan
+            return tuple(out)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(NumericalError, match=message):
+            eig_sym(gso(make_ring(5)))
+
+    @pytest.mark.parametrize("which,message", [(1, "orthonormality"), (0, "reconstruction")])
+    def test_eig_unitary_vectors_nan_residuals_fail(self, monkeypatch, which, message):
+        stage = eig_unitary_angles(gft_matrix(eig_sym(gso(make_ring(5)))))
+        real = spectral._canonical_order
+
+        def canonical_order(mu, p):
+            out = list(real(mu, p))
+            out[which].flat[0] = np.nan
+            return tuple(out)
+
+        monkeypatch.setattr(spectral, "_canonical_order", canonical_order)
+        with pytest.raises(NumericalError, match=message):
+            eig_unitary_vectors(stage)
 
 
 class TestFracDiagPower:
