@@ -37,8 +37,6 @@ from .product import (
     TransformSpec,
     block_rows,
     dense_operator,
-    gfrft_nd,
-    gft_nd,
     glct_cddhfs_nd,
     glct_cmccm_nd,
     mult_count,

@@ -25,11 +25,12 @@ needs it (:func:`_benchmark_setup`) and reused by every later one, with the
 eigenvectors that cddhfs builds on first use. ``ProductContext`` itself is
 never cached, and neither is the compression study's context.
 
-Every compression entry point runs :func:`_study`, which builds and checks
-each method's forward and backward programs before the first transform: an
-order alpha is undone by -alpha, a parameter set p by p^-1, whose b = 0 rows
-take the other six-factor form
-(:attr:`~glct.params.ZeroBVariant.inverse_form`), and the signal's constants
+Every compression entry point runs :func:`_study`. Before the first
+transform it builds every method's forward and backward programs: an order
+alpha is undone by -alpha, a parameter set p by p^-1, whose b = 0 rows take
+the other six-factor form (:attr:`~glct.params.ZeroBVariant.inverse_form`).
+A program group checks itself when it is made, so a method that cannot run
+fails before any work. It also builds the signal's constants
 (:func:`_target`), once for all the blocks it scores. The pipeline sorts the
 magnitudes of each coefficient row once for all its ratios. A ratio that keeps
 k entries reads the k-th largest magnitude v from the sorted row and keeps
@@ -63,7 +64,6 @@ from .params import (
     VARIANTS,
     LctParams,
     ParamBlock,
-    ProgramGroup,
     ZeroBVariant,
     check_variant,
     inverse,
@@ -72,7 +72,8 @@ from .params import (
 from .product import (
     ProductContext,
     SignalNd,
-    _run_groups,
+    _single,
+    _sizes,
     block_rows,
     glct_cddhfs_nd,
     glct_cmccm_nd,
@@ -133,8 +134,10 @@ def apply_glct(
     variant: str = "cmccm",
     zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30,
 ) -> SignalNd:
-    """Dispatch to the chosen factorization."""
+    """Dispatch to the chosen factorization; ``zero_b_variant`` must name a
+    zero-b form under either variant."""
     check_variant(variant)
+    zero_b_variant = ZeroBVariant(zero_b_variant)
     if variant == "cddhfs":
         return glct_cddhfs_nd(x, p, ctx)
     return glct_cmccm_nd(x, p, ctx, zero_b_variant)
@@ -251,7 +254,7 @@ def complexity_model(shape: Sequence[int], variant: str) -> float:
     assumes fast transforms, so it reflects the asymptotic regime rather than
     the dense chain counted by :func:`glct.product.mult_count`.
     """
-    shape = tuple(shape)
+    shape = _sizes(shape)
     if not shape:
         raise ValidationError("shape needs at least one axis")
     if min(shape) < 2:
@@ -520,7 +523,7 @@ def _compress_rows(target, coeffs, magnitudes, gammas, backward, ctx) -> tuple[n
     every row in one block, and the real parts are scored against ``target``.
     Returns the real reconstructions (T, P) and the RE, NRMS and CC of every row."""
     ks = [math.ceil(g * target.x.size) for g in gammas]
-    recon = np.ascontiguousarray(_run_groups(_keep_top(coeffs, magnitudes, ks), backward, ctx).real)
+    recon = np.ascontiguousarray(program_block(_keep_top(coeffs, magnitudes, ks), backward, ctx).real)
     return recon, _score_rows(target, recon)
 
 
@@ -529,7 +532,7 @@ def _sweep(x, target, ctx, gammas, forward, backward, **fields) -> tuple[np.ndar
     program ``forward`` and sorted once, then the one-row program
     ``backward`` run on one row per ratio. Returns the real reconstructions,
     one row per ratio, and one report per ratio with ``fields``."""
-    coeffs = _run_groups(x.values[None], forward, ctx)
+    coeffs = program_block(x.values[None], forward, ctx)
     backward = [group._replace(rows=np.arange(len(gammas))) for group in backward]
     recon, metrics = _compress_rows(target, coeffs, _sorted_magnitudes(coeffs), gammas, backward, ctx)
     return recon, [CompressionReport(gamma=g, re=float(re), nrms=float(nrms), cc=float(cc), **fields)
@@ -580,17 +583,12 @@ def study_signal(n1: int = 100, n2: int = 15, seed: int = 0) -> tuple[ProductGra
     return graph, SignalNd(graph.shape, values)
 
 
-def _frac(alpha: float) -> list[ProgramGroup]:
-    """The one-row program of the fractional transform of order ``alpha``."""
-    return [ProgramGroup(("frac",), np.arange(1), np.array([[alpha]]), None)]
-
-
 def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant=ZeroBVariant.EQ30,
            seed=None, budget=None, metric="nrms"):
     """The compression run behind every entry point: yields (real reconstructions,
     reports) at every ratio of ``gammas`` for each order of ``alphas``, each
     :class:`LctParams` of ``params`` and, given a ``budget``, the search; checks
-    its inputs and every method's programs before the first transform."""
+    its inputs and builds every method's programs before the first transform."""
     gammas = [_check_gamma(g) for g in gammas]
     if not gammas:
         raise ValidationError("compression needs at least one ratio")
@@ -599,12 +597,11 @@ def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant
     search = None if budget is None else _check_search(budget, seed, metric)
     ctx.check(x)
     target = _target(x.values.real)  # rejects an all-zero or constant signal
-    methods = [(_frac(alpha), _frac(-alpha), {"method": "gfrft", "alpha": alpha}) for alpha in map(float, alphas)]
+    methods = [([_single("gfrft", alpha)], [_single("gfrft", -alpha)], {"method": "gfrft", "alpha": alpha})
+               for alpha in map(float, alphas)]
     methods += [(ParamBlock.from_params([p]).factorize(variant, zero_b_variant),
                  ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant.inverse_form),
                  {"method": "glct", "params": p.astuple(), "variant": variant}) for p in params]
-    for group in (g for forward, backward, _ in methods for g in forward + backward):
-        group.check()  # once: the sweeps run them through _run_groups, which checks none
     for forward, backward, fields in methods:
         yield _sweep(x, target, ctx, gammas, forward, backward, seed=seed, **fields)
     if search is not None:
@@ -669,8 +666,6 @@ def _search_sweep(x, target, ctx, gammas, budget, seed, metric, variant,
         coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
         magnitudes = _sorted_magnitudes(coeffs)
         back = inverses[i:i + step].factorize(variant, zero_b_variant.inverse_form)
-        for group in back:  # once here for every ratio's reconstruction
-            group.check()
         for j, g in enumerate(gammas):
             recon, metrics = _compress_rows(target, coeffs, magnitudes, [g] * len(ps), back, ctx)
             scores = sign * metrics[which]

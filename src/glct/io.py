@@ -174,7 +174,8 @@ def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalN
     """Read a signal file; CSV needs ``shape`` unless the signal is 1-D.
 
     Raises ValidationError for unreadable or malformed files, a shape
-    mismatch, and values that are not finite.
+    mismatch, sizes that are not positive integers, and values that are not
+    finite.
     """
     path = Path(path)
     try:
@@ -184,7 +185,7 @@ def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalN
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-            file_shape = tuple(int(s) for s in data["shape"])
+            file_shape = tuple(data["shape"])  # SignalNd checks each size
             values = _json_values(data["data"])
         except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
             raise ValidationError(f"malformed signal file {path}: {exc}") from exc
@@ -200,7 +201,7 @@ def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalN
             )
         except ValueError as exc:
             raise ValidationError(f"malformed signal file {path}: {exc}") from exc
-        file_shape = tuple(int(s) for s in shape) if shape is not None else (values.size,)
+        file_shape = tuple(shape) if shape is not None else (values.size,)
     if not np.isfinite(values).all():
         raise ValidationError(f"signal file {path} contains a non-finite value")
     return SignalNd(file_shape, values)

@@ -15,7 +15,8 @@ factorizations into elementary graph operations are supported:
 Both are programs of ops: ``cm`` (chirp, rate xi), ``ft``/``ift`` (transform
 and inverse), ``frac`` (fractional transform, order alpha) and ``scale`` (shift
 operator over sigma). A :class:`ProgramGroup` holds the program of many rows:
-its op ``kinds``, the member ``rows``, their ``rates`` and their ``phases``.
+its op ``kinds``, the member ``rows``, their ``rates`` and their ``phases``;
+it checks when it is made that the block executor can run it.
 
 Many parameter sets at once are a :class:`ParamBlock`, a (T, 4) array of
 (a, b, c, d) rows. The 2x2 matrices with unit determinant form a group, so
@@ -83,7 +84,14 @@ KINDS = {
 }
 
 
-class ProgramGroup(NamedTuple):
+class _Program(NamedTuple):  # the fields: a typing.NamedTuple class may not define __new__
+    kinds: tuple[str, ...]
+    rows: np.ndarray
+    rates: np.ndarray
+    phases: np.ndarray | None
+
+
+class ProgramGroup(_Program):
     """The rows ``rows`` of a block that run one program: its op kinds in the
     order they are applied, the rates of its ops in ``RATED_KINDS`` as a
     contiguous (R, T) array (row j holds the j-th rated op's rate of every
@@ -93,19 +101,15 @@ class ProgramGroup(NamedTuple):
     member row, and its ``phases``, if any, has one entry. A sweep that
     transforms many rows with one parameter set so factorizes it once, and
     computes its chirp diagonals once for all its rows instead of once per
-    row."""
+    row.
 
-    kinds: tuple[str, ...]
-    rows: np.ndarray
-    rates: np.ndarray
-    phases: np.ndarray | None
+    A group checks itself when it is made, by ``_replace`` too, and raises
+    ValidationError unless its kinds are in ``OP_KINDS``, its rates and phases
+    have the shapes above and are finite, and its ``scale`` rates are nonzero."""
 
-    def check(self) -> None:
-        """Raise ValidationError unless the block executor can run the group:
-        its kinds are in ``OP_KINDS``, its rates and phases are finite, its
-        ``scale`` rates nonzero, and rates and phases have the shapes given
-        above."""
-        kinds, rows, rates, phases = self
+    __slots__ = ()
+
+    def __new__(cls, kinds, rows, rates, phases):
         if not OP_KINDS.issuperset(kinds):
             raise ValidationError(f"unknown op kinds {sorted(set(kinds) - OP_KINDS)}; choose from {sorted(OP_KINDS)}")
         rated = [kind for kind in kinds if kind in RATED_KINDS]
@@ -122,6 +126,12 @@ class ProgramGroup(NamedTuple):
                 raise ValidationError("scaling factor must be nonzero")
         if phases is not None and not np.isfinite(phases).all():
             raise ValidationError("phases must be finite")
+        return super().__new__(cls, kinds, rows, rates, phases)
+
+    @classmethod
+    def _make(cls, iterable) -> "ProgramGroup":
+        """The group of the fields in ``iterable``, checked; ``_replace`` builds through it."""
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -278,8 +288,10 @@ class ParamBlock:
 
     def factorize(self, variant: str, zero_b_variant: ZeroBVariant = ZeroBVariant.EQ30) -> list[ProgramGroup]:
         """The program groups of factorization ``variant`` (one of
-        :data:`VARIANTS`): :meth:`cddhfs`, or :meth:`cmccm` with ``zero_b_variant``."""
+        :data:`VARIANTS`): :meth:`cddhfs`, or :meth:`cmccm` with ``zero_b_variant``,
+        which must name a zero-b form under either variant."""
         check_variant(variant)
+        zero_b_variant = ZeroBVariant(zero_b_variant)
         return self.cddhfs() if variant == "cddhfs" else self.cmccm(zero_b_variant)
 
     @_AS_FLOATS

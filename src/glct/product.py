@@ -4,9 +4,9 @@ A transform is a :class:`~glct.params.ProgramGroup`: op kinds in the order
 they are applied, and the rates of the ops that take one and a constant phase
 for each of its rows. The factorizations come from
 :meth:`glct.params.ParamBlock.factorize` and the five single ops from
-``_SINGLE_OPS``. Three interpreters read a program: the block executor
-:func:`program_block` here, which runs what
-:meth:`~glct.params.ProgramGroup.check` accepts, and, on one row,
+``_SINGLE_OPS``. A group checks when it is made that it can run, so every
+group that exists can. Three interpreters read a program: the block executor
+:func:`program_block` here, which runs any group, and, on one row,
 ``dense_operator`` (explicit Kronecker-product matrices, a differential-testing
 oracle) and ``mult_count``. The tests hold a fourth, which multiplies a
 program's 2x2 parameter matrices back into (a, b; c, d).
@@ -46,6 +46,16 @@ DENSE_SIZE_CAP = 4096
 BLOCK_BYTES = 48 * 288 * 16
 
 
+def _sizes(shape: Sequence[int]) -> tuple[int, ...]:
+    """``shape`` as a tuple of ints, after checking that every size is a
+    positive int or numpy integer, never a bool or a float, as
+    :class:`~glct.graphs.Graph` requires of its vertex count."""
+    shape = tuple(shape)
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1 for s in shape):
+        raise ValidationError(f"sizes must be positive integers, got {shape!r}")
+    return tuple(map(int, shape))
+
+
 @dataclass(frozen=True)
 class SignalNd:
     """Complex signal on a product graph, stored flat in linearized order.
@@ -58,7 +68,7 @@ class SignalNd:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = tuple(int(s) for s in self.shape)
+        shape = _sizes(self.shape)
         values = np.array(self.values, dtype=complex).ravel()
         if values.size != int(np.prod(shape)):
             raise ValidationError(
@@ -336,20 +346,16 @@ def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.nd
 
 def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> np.ndarray:
     """The rows ``g.rows`` of ``values`` (T, P) through the program of each
-    group ``g`` (see :class:`~glct.params.ProgramGroup`), each group in chunks
-    of at most :func:`block_rows` rows, in the calling thread's workspace; the
-    result is a new array. The groups' rows must name each row of the block
-    once, and each group must pass :meth:`~glct.params.ProgramGroup.check`.
+    group ``g``, each group in chunks of at most :func:`block_rows` rows, in
+    the calling thread's workspace; the result is a new array. The groups'
+    rows must name each row of the block once, and each group must be a
+    :class:`~glct.params.ProgramGroup`, which checked when it was made that it
+    can run; a plain tuple never was, and is rejected.
 
     A group with one rate column prepares it once for all its chunks: its
     (1, N_k) diagonals broadcast over the rows of every chunk."""
-    for group in groups:
-        group.check()
-    return _run_groups(values, groups, ctx)
-
-
-def _run_groups(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> np.ndarray:
-    """:func:`program_block` on groups that the caller has checked."""
+    if not all(isinstance(group, ProgramGroup) for group in groups):
+        raise ValidationError("the executor runs only ProgramGroup programs, which check themselves when made")
     values, whole = _block(values, groups, ctx)
     out = np.empty_like(values)
     p = values.shape[1]
@@ -386,35 +392,17 @@ _SINGLE_OPS = {
 OPS = (*_SINGLE_OPS, *(f"glct_{variant}" for variant in VARIANTS))
 
 
-def _single(op: str, rates: float | Sequence[float] = ()) -> ProgramGroup:
-    """The program of one single op on one row, or on T rows for T rates."""
+def _single(op: str, rate: float | None = None) -> ProgramGroup:
+    """The program of the single op ``op`` on one row, at ``rate`` if it takes one."""
     kinds, key = _SINGLE_OPS[op]
-    if key is None:
-        return ProgramGroup(kinds, np.arange(1), np.empty((0, 1)), None)
-    rates = np.array(rates, dtype=float).reshape(1, -1)
-    group = ProgramGroup(kinds, np.arange(rates.shape[1]), rates, None)
-    group.check()
-    return group
+    rates = np.empty((0, 1)) if key is None else np.array([[rate]], dtype=float)
+    return ProgramGroup(kinds, np.arange(1), rates, None)
 
 
 def _one(x: SignalNd, groups: Sequence[ProgramGroup], ctx: ProductContext) -> SignalNd:
     """``x`` through the program of ``groups``, as a block of one row."""
     ctx.check(x)
     return SignalNd(ctx.shape, program_block(x.values[None], groups, ctx)[0])
-
-
-def gft_nd(x: SignalNd, ctx: ProductContext) -> SignalNd:
-    """Separable analysis transform: factor-k matrix along axis k."""
-    return _one(x, [_single("gft")], ctx)
-
-
-def gfrft_nd(x: SignalNd, alpha_norm: float, ctx: ProductContext) -> SignalNd:
-    """Separable fractional transform of normalized order ``alpha_norm``.
-
-    Along axis k this is P diag(mu**alpha) P^H with (P, mu) the unitary
-    eigendecomposition of the factor's transform matrix.
-    """
-    return _one(x, [_single("gfrft", alpha_norm)], ctx)
 
 
 def glct_cddhfs_nd(x: SignalNd, p: LctParams, ctx: ProductContext) -> SignalNd:
@@ -481,7 +469,7 @@ class TransformSpec:
             return group
         key = _SINGLE_OPS[self.op][1]
         try:
-            rate = () if key is None else float(self.params[key])
+            rate = None if key is None else float(self.params[key])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"op {self.op!r} needs a number params[{key!r}]") from exc
         return _single(self.op, rate)
@@ -550,8 +538,8 @@ def mult_count(spec: TransformSpec, shape: Sequence[int]) -> int:
     a chirp. Real factors act on stacked real and imaginary parts, 2*N_k*P as
     counted.
     """
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape) or not shape:
+    shape = _sizes(shape)
+    if not shape:
         raise ValidationError(f"invalid shape {shape}")
     p = math.prod(shape)
     ps = p * sum(shape)

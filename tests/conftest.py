@@ -47,10 +47,9 @@ def _op_matrix(kind, rate):
 
 
 def recompose(group):
-    """Check a one-row ProgramGroup as the executor does, then multiply its
-    op matrices back into (a, b; c, d), the last op leftmost. The constant
-    phase has no 2x2 counterpart."""
-    group.check()
+    """Multiply the op matrices of a one-row ProgramGroup, which checked its
+    kinds and rates when it was made, back into (a, b; c, d), the last op
+    leftmost. The constant phase has no 2x2 counterpart."""
     if len(group.rows) != 1:
         raise ValidationError(f"recompose takes a program group of one row, got {len(group.rows)} rows")
     rates = iter(group.rates[:, 0].tolist())

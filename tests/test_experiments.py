@@ -15,6 +15,7 @@ from glct import (
     LctParams,
     ProductContext,
     SignalNd,
+    TransformSpec,
     ValidationError,
     ZeroBVariant,
     benchmark_signal,
@@ -23,7 +24,6 @@ from glct import (
     compress,
     compress_gfrft,
     compression_study,
-    gfrft_nd,
     inverse,
     make_path,
     make_ring,
@@ -34,7 +34,7 @@ from glct import (
     suite_additivity,
     suite_reversibility,
 )
-from glct import experiments
+from glct import experiments, product
 from glct.experiments import (
     BENCHMARK_SIGNALS,
     DEFAULT_ALPHA_GRID,
@@ -46,9 +46,9 @@ from glct.experiments import (
     study_signal,
 )
 from glct.params import ParamBlock, ProgramGroup
-from glct.product import block_rows
+from glct.product import block_rows, program_block
 
-from conftest import REFERENCE_METRICS, nmse_additivity_scalar
+from conftest import REFERENCE_METRICS, nmse_additivity_scalar, run_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -162,6 +162,9 @@ class TestComplexityModel:
             complexity_model((16, 1), "cmccm")
         with pytest.raises(ValidationError, match="at least one axis"):
             complexity_model((), "cmccm")
+        for shape in ((2.5, 3), (3.0, 3), (True, 3), (-3, 3)):
+            with pytest.raises(ValidationError, match="sizes must be positive integers"):
+                complexity_model(shape, "cmccm")
         with pytest.raises(ValidationError):
             complexity_model((16, 8), "fft")
 
@@ -219,6 +222,15 @@ class TestSuites:
         (report,) = suite_additivity(signals=("x3",), trials=2, seed=5, variants=("cmccm",))
         for pair in report.params:
             assert len(pair) == 2 and len(pair[0]) == 4 and len(pair[1]) == 4
+
+    @pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
+    def test_every_cmccm_trial_reverses_better_than_every_cddhfs_trial(self, kind):
+        # the paper's reversibility claim, trial by trial: at 20 trials, seed 0,
+        # cmccm read at most 1.7e-29 on x1..x4 under both shift operators and
+        # cddhfs at least 1.04
+        reports = suite_reversibility(trials=20, seed=0, gso_kind=kind)
+        worst = max(r.values.max() for r in reports if r.variant == "cmccm")
+        assert worst < min(r.values.min() for r in reports if r.variant == "cddhfs")
 
     def test_invalid_trials_raise(self):
         with pytest.raises(ValidationError):
@@ -446,6 +458,18 @@ class TestSuiteParamBlocks:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
+    def test_suites_check_each_program_once_when_made(self, made_and_ran):
+        # the suites of an nmse_suites benchmark pass: x1..x4 cut 300 trials
+        # into 3, 7, 2 and 3 chunks and 100 into 1, 3, 1 and 1; a chunk's
+        # factorization makes one group per transform and variant (no draw
+        # has b = 0), 2 * 2 * 15 + 3 * 2 * 6 = 96, each checked when made and
+        # run once by an executor that checks none
+        made, ran, inside = made_and_ran
+        suite_reversibility(trials=300, seed=1)
+        suite_additivity(trials=100, seed=1)
+        assert len(made) == 96 and inside == []
+        assert _ids(ran) == _ids(made)
+
     @pytest.mark.parametrize("suite", [suite_reversibility, suite_additivity])
     def test_per_trial_parameter_objects_do_not_grow_with_trials(self, suite, monkeypatch):
         calls = []
@@ -543,8 +567,7 @@ class TestCompress:
     def test_bad_input_raises_before_any_transform(self, small_study, monkeypatch, call):
         ctx, x = small_study
         calls = []
-        for name in ("program_block", "_run_groups"):
-            monkeypatch.setattr(experiments, name, lambda *args: calls.append(args))
+        monkeypatch.setattr(experiments, "program_block", lambda *args: calls.append(args))
         with pytest.raises(ValidationError):
             call(ctx, x, SignalNd(ctx.shape, np.zeros(ctx.graph.n)))
         assert calls == []
@@ -580,19 +603,45 @@ class TestCompress:
         assert np.all(recon.values.imag == 0)
 
 
-def spy_checks(monkeypatch) -> list:
-    """Every ProgramGroup checked from here on, in order."""
-    checked, check = [], ProgramGroup.check
-    monkeypatch.setattr(ProgramGroup, "check", lambda group: checked.append(group) or check(group))
-    return checked
+@pytest.fixture
+def made_and_ran(monkeypatch):
+    """Every ProgramGroup made from here on, and every group the executor ran,
+    in order; a group made while the executor runs goes to a third list. A
+    group checks itself in ``__new__``, so a group made is a group checked."""
+    made, ran, inside, running = [], [], [], []
+    new = ProgramGroup.__new__
+
+    def spy_new(cls, *args, **kwargs):
+        group = new(cls, *args, **kwargs)
+        (inside if running else made).append(group)
+        return group
+
+    def spy_run(values, groups, ctx):
+        ran.extend(groups)
+        running.append(True)
+        try:
+            return program_block(values, groups, ctx)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(ProgramGroup, "__new__", spy_new)
+    for module in (experiments, product):
+        monkeypatch.setattr(module, "program_block", spy_run)
+    return made, ran, inside
+
+
+def _ids(groups) -> list:
+    return sorted(map(id, groups))
 
 
 class TestStudy:
-    def test_default_study_checks_each_program_once(self, monkeypatch):
-        # 21 orders and 27 parameter sets, each a forward and a backward one-group program
-        checked = spy_checks(monkeypatch)
+    def test_default_study_checks_each_program_once(self, made_and_ran):
+        # 21 orders and 27 parameter sets, each a forward and a backward
+        # one-group program, and each backward one widened to the 9 ratios
+        made, ran, inside = made_and_ran
         compression_study()
-        assert len(checked) == 96 and len({id(group) for group in checked}) == 96
+        assert len(made) == 144 and inside == []
+        assert len(set(_ids(ran))) == len(ran) == 96 and set(_ids(ran)) <= set(_ids(made))
 
     def test_gso_given_by_value_runs_its_context(self):
         graph, x = study_signal(12, 4, seed=5)
@@ -737,7 +786,10 @@ def _ref_glct(x, p, ctx, gamma, variant="cmccm"):
 
 
 def _ref_gfrft(x, alpha, ctx, gamma):
-    return _ref_compress(x, lambda s: gfrft_nd(s, alpha, ctx), lambda s: gfrft_nd(s, -alpha, ctx), gamma)
+    def frac(order):
+        return lambda s: SignalNd(s.shape, run_spec(s, TransformSpec("gfrft", {"alpha": order}), ctx))
+
+    return _ref_compress(x, frac(alpha), frac(-alpha), gamma)
 
 
 def _assert_metrics_close(report, want):
@@ -934,20 +986,22 @@ class TestFrozenPipeline:
             _search_sweep(x, ctx, gammas, budget, 2, "nrms", "cmccm", ZeroBVariant.EQ30)
             assert len(calls) == 2 * 3 and sum(calls) == 2 * budget
 
-    def test_search_checks_each_block_program_once(self, small_study, monkeypatch):
-        # a block's backward programs serve every ratio, and are checked once for all of them
+    def test_search_checks_each_block_program_once(self, small_study, monkeypatch, made_and_ran):
+        # a block's backward programs serve every ratio; each program is
+        # checked once, when its block is factorized, never by the executor
         ctx, x = small_study
-        made, factorize = [], ParamBlock.factorize
+        factorized, factorize = [], ParamBlock.factorize
 
         def spy(block, *args):
             groups = factorize(block, *args)
-            made.extend(groups)
+            factorized.extend(groups)
             return groups
 
         monkeypatch.setattr(ParamBlock, "factorize", spy)
-        checked = spy_checks(monkeypatch)
+        made, ran, inside = made_and_ran
         _search_sweep(x, ctx, [0.1, 0.3, 0.5, 0.7, 0.9], 2 * block_rows(x.n) + 1, 2, "nrms", "cmccm", ZeroBVariant.EQ30)
-        assert len(made) >= 6 and sorted(map(id, checked)) == sorted(map(id, made))
+        assert len(made) >= 6 and _ids(made) == _ids(factorized) and inside == []
+        assert set(map(id, ran)) == set(map(id, made))
 
     @pytest.mark.parametrize("metric", ["re", "cc"])
     def test_search_returns_the_reconstructions_it_scored(self, default_study, metric):

@@ -105,6 +105,22 @@ class TestSignalFiles:
         with pytest.raises(ValidationError):
             read_signal(path, shape=(4,))
 
+    @pytest.mark.parametrize("shape", ["[2.7, 2]", "[2.0, 2]", "[true, 4]", "[-4, -1]"],
+                             ids=["fraction", "float", "bool", "negative"])
+    def test_json_sizes_must_be_positive_integers(self, tmp_path, shape):
+        # each size reaches SignalNd as written, not cut to an int first
+        path = tmp_path / "s.json"
+        path.write_text(f'{{"shape": {shape}, "data": [[1, 0], [2, 0], [3, 0], [4, 0]]}}')
+        with pytest.raises(ValidationError, match="sizes must be positive integers"):
+            read_signal(path)
+
+    @pytest.mark.parametrize("shape", [(2.7, 2), (True, 4)], ids=["fraction", "bool"])
+    def test_csv_sizes_must_be_positive_integers(self, tmp_path, shape):
+        path = tmp_path / "s.csv"
+        write_signal(path, SignalNd((4,), np.ones(4)), fmt="csv")
+        with pytest.raises(ValidationError, match="sizes must be positive integers"):
+            read_signal(path, shape=shape)
+
     def test_csv_wrong_length_raises(self, tmp_path):
         path = tmp_path / "s.csv"
         write_signal(path, SignalNd((3,), np.ones(3)), fmt="csv")

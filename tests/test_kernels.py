@@ -17,9 +17,7 @@ from glct import (
     apply_glct,
     cartesian_product,
     decompose_graph,
-    gfrft_nd,
     gft_matrix,
-    gft_nd,
     gso,
     inverse,
     make_family,
@@ -57,7 +55,7 @@ def rand(n, seed=0):
 
 
 def gft(x, ctx):
-    return gft_nd(SignalNd(ctx.shape, x), ctx).values
+    return run_spec(SignalNd(ctx.shape, x), TransformSpec("gft"), ctx)
 
 
 def igft(xhat, ctx):
@@ -65,7 +63,7 @@ def igft(xhat, ctx):
 
 
 def gfrft(x, alpha, ctx):
-    return gfrft_nd(SignalNd(ctx.shape, x), alpha, ctx).values
+    return run_spec(SignalNd(ctx.shape, x), TransformSpec("gfrft", {"alpha": alpha}), ctx)
 
 
 def gcm(x, xi, ctx):
@@ -101,7 +99,7 @@ class TestGft:
 
     def test_length_mismatch_raises(self, ring6):
         with pytest.raises(ValidationError):
-            gft_nd(SignalNd((5,), np.ones(5)), ring6)
+            run_spec(SignalNd((5,), np.ones(5)), TransformSpec("gft"), ring6)
 
 
 class TestGfrft:
@@ -196,6 +194,11 @@ class TestGlct1d:
     def test_unknown_variant_raises(self, ring6):
         with pytest.raises(ValidationError):
             glct(rand(6), LctParams(1, 0, 0, 1), ring6, variant="other")
+
+    @pytest.mark.parametrize("variant", ["cddhfs", "cmccm"])
+    def test_unknown_zero_b_variant_raises_under_either_variant(self, ring6, variant):
+        with pytest.raises(ValidationError, match="unknown zero-b variant"):
+            glct(rand(6), LctParams.from_abc(0.6, 0.8, -0.5), ring6, variant, "bogus")
 
 
 class TestRetained:

@@ -318,6 +318,11 @@ class TestParamBlock:
         with pytest.raises(ValidationError, match="unknown zero-b variant"):
             one_row_cmccm(LctParams(*rows[0]), variant)
 
+    @pytest.mark.parametrize("variant", ["cddhfs", "cmccm"])
+    def test_factorize_rejects_an_unknown_zero_b_variant_under_either_variant(self, variant):
+        with pytest.raises(ValidationError, match="unknown zero-b variant"):
+            ParamBlock([(0.6, 0.8, -0.5, 1.0)]).factorize(variant, "bogus")
+
     @pytest.mark.parametrize("variant", ZeroBVariant)
     def test_zero_b_variant_by_value(self, variant):
         for row in ((0.6, 0.8, -0.5, 1.0), (1.0, 0.0, 0.0, 1.0)):

@@ -19,8 +19,6 @@ from glct import (
     cartesian_product,
     compress_gfrft,
     dense_operator,
-    gfrft_nd,
-    gft_nd,
     gft_matrix,
     glct_cddhfs_nd,
     glct_cmccm_nd,
@@ -34,11 +32,11 @@ from glct import (
 from glct.params import KINDS, ParamBlock, ProgramGroup
 from glct.product import BLOCK_BYTES, program_block
 from glct import cli, kernels, product
-from glct.experiments import BENCHMARK_SIGNALS, benchmark_signal
+from glct.experiments import BENCHMARK_SIGNALS, _benchmark_setup, benchmark_signal
 from glct.io import write_graph, write_signal
 from glct.spectral import eig_unitary_angles, eig_unitary_vectors
 
-from conftest import recompose, run_spec
+from conftest import run_spec
 
 GENERAL_ABCD = (0.6, 0.8, -0.5, 1.0)
 ZERO_B_ABCD = (2.0, 0.0, 0.7, 0.5)
@@ -67,6 +65,16 @@ def factored_matrix(spec, ctx):
     return np.column_stack(cols)
 
 
+def gft(x, ctx):
+    """The SignalNd ``x`` through the transform, run by ``run_spec``."""
+    return SignalNd(ctx.shape, run_spec(x, TransformSpec("gft"), ctx))
+
+
+def gfrft(x, alpha, ctx):
+    """The SignalNd ``x`` through the fractional transform of order ``alpha``, run by ``run_spec``."""
+    return SignalNd(ctx.shape, run_spec(x, TransformSpec("gfrft", {"alpha": alpha}), ctx))
+
+
 def igft(x, ctx):
     """The SignalNd ``x`` through the inverse transform, run by ``run_spec``."""
     return SignalNd(ctx.shape, run_spec(x, TransformSpec("igft"), ctx))
@@ -83,7 +91,7 @@ def gscale(x, sigma, ctx):
 
 
 def _frac_group(alphas):
-    """The program that runs row t of a block through gfrft_nd of order alphas[t]."""
+    """The program that runs row t of a block through the fractional transform of order alphas[t]."""
     return [ProgramGroup(("frac",), np.arange(len(alphas)), np.array([alphas], dtype=float), None)]
 
 
@@ -104,11 +112,21 @@ class TestSignalNd:
         with pytest.raises(ValueError):
             sig.values[0] = 3.0
 
+    @pytest.mark.parametrize("shape,n", [((-1, -3), 3), ((2.7, 2), 4), ((2.0, 2), 4), ((0, 2), 0), ((True, 2), 2)],
+                             ids=["negative", "fraction", "float", "zero", "bool"])
+    def test_sizes_must_be_positive_integers(self, shape, n):
+        with pytest.raises(ValidationError, match="sizes must be positive integers"):
+            SignalNd(shape, np.ones(n))
+
+    def test_numpy_integer_sizes_are_ints(self):
+        sig = SignalNd((np.int64(2), np.uint8(3)), np.ones(6))
+        assert sig.shape == (2, 3) and all(type(s) is int for s in sig.shape)
+
 
 class TestGftNd:
     def test_dc_coefficient(self):
         ctx = ProductContext(cartesian_product([make_ring(4), make_path(2)]))
-        xhat = gft_nd(SignalNd(ctx.shape, np.ones(8)), ctx)
+        xhat = gft(SignalNd(ctx.shape, np.ones(8)), ctx)
         expected = np.zeros(8, dtype=complex)
         expected[0] = 2.0 * np.sqrt(2.0)
         np.testing.assert_allclose(xhat.values, expected, atol=1e-10)
@@ -118,21 +136,24 @@ class TestGftNd:
         f1 = gft_matrix(ctx_ring4_path3.factors[0].basis)
         f2 = gft_matrix(ctx_ring4_path3.factors[1].basis)
         chain = f1 @ x.tensor() @ f2.T
-        np.testing.assert_allclose(gft_nd(x, ctx_ring4_path3).tensor(), chain, atol=1e-10)
+        np.testing.assert_allclose(gft(x, ctx_ring4_path3).tensor(), chain, atol=1e-10)
 
     def test_round_trip(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 2)
-        back = igft(gft_nd(x, ctx_ring4_path3), ctx_ring4_path3)
+        back = igft(gft(x, ctx_ring4_path3), ctx_ring4_path3)
         np.testing.assert_allclose(back.values, x.values, atol=1e-10)
 
     def test_parseval(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 3)
-        y = gft_nd(x, ctx_ring4_path3)
+        y = gft(x, ctx_ring4_path3)
         assert np.linalg.norm(y.values) == pytest.approx(np.linalg.norm(x.values), abs=1e-10)
 
     def test_shape_mismatch_raises(self, ctx_ring4_path3):
         with pytest.raises(ValidationError):
-            gft_nd(SignalNd((4, 4), np.ones(16)), ctx_ring4_path3)
+            gft(SignalNd((4, 4), np.ones(16)), ctx_ring4_path3)
+        # as many entries as the graph has vertices, in the wrong shape
+        with pytest.raises(ValidationError, match="does not match graph shape"):
+            glct_cmccm_nd(SignalNd((3, 4), np.ones(12)), LctParams(*GENERAL_ABCD), ctx_ring4_path3)
 
 
 class TestAgainstDenseOracle:
@@ -185,10 +206,10 @@ class TestAgainstDenseOracle:
 class TestOps:
     def test_gfrft_order_zero_and_one(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 4)
-        np.testing.assert_allclose(gfrft_nd(x, 0.0, ctx_ring4_path3).values, x.values, atol=1e-10)
+        np.testing.assert_allclose(gfrft(x, 0.0, ctx_ring4_path3).values, x.values, atol=1e-10)
         np.testing.assert_allclose(
-            gfrft_nd(x, 1.0, ctx_ring4_path3).values,
-            gft_nd(x, ctx_ring4_path3).values,
+            gfrft(x, 1.0, ctx_ring4_path3).values,
+            gft(x, ctx_ring4_path3).values,
             atol=1e-9,
         )
 
@@ -231,7 +252,7 @@ class TestOps:
     def test_cddhfs_plain_transform_reduction(self, ctx_ring4_path3, rand_signal):
         x = rand_signal(ctx_ring4_path3, 10)
         out = glct_cddhfs_nd(x, LctParams(0, 1, -1, 0), ctx_ring4_path3)
-        expected = gscale(gft_nd(x, ctx_ring4_path3), 1.0, ctx_ring4_path3)
+        expected = gscale(gft(x, ctx_ring4_path3), 1.0, ctx_ring4_path3)
         np.testing.assert_allclose(out.values, expected.values, atol=1e-9)
 
     def test_cmccm_norm_and_inversion(self, ctx_ring4_path3, rand_signal):
@@ -253,6 +274,31 @@ class TestOps:
             lhs = fn(mix).values
             rhs = 0.5 * fn(x).values + 2.0 * fn(y).values
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+#: Relative bound on the cddhfs reductions below. The worst measured on
+#: x1..x4 under both shift operators, at one BLAS thread, was 3.5e-15.
+REDUCTION_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", BENCHMARK_SIGNALS)
+def test_cddhfs_reduces_to_its_ops_at_unit_scale(name, kind):
+    """Under cddhfs a rotation (cos t, sin t; -sin t, cos t) runs frac(t / (pi / 2))
+    then scale(1), and (1, 0; c, 1) runs scale(1) then cm(c): the factorization
+    gives chirp rate 0 and order 0, to rounding. Neither is the fractional
+    transform or the chirp itself, since scale(1) is the Kronecker sum of the
+    shift operators, not the identity."""
+    x, ctx = _benchmark_setup(name, kind)
+
+    def close(got, want):
+        return np.linalg.norm(got.values - want.values) / np.linalg.norm(want.values) < REDUCTION_RTOL
+
+    for t in (np.pi / 6, 0.4, -1.1, 2.5):
+        p = LctParams(np.cos(t), np.sin(t), -np.sin(t), np.cos(t))
+        assert close(glct_cddhfs_nd(x, p, ctx), gscale(gfrft(x, t / (np.pi / 2), ctx), 1.0, ctx)), t
+    for c in (-1.3, 0.7, 2.0):
+        assert close(glct_cddhfs_nd(x, LctParams(1.0, 0.0, c, 1.0), ctx), gcm(gscale(x, 1.0, ctx), c, ctx)), c
 
 
 class TestUnitarity:
@@ -299,10 +345,10 @@ class TestTransformSpec:
 
 
 @pytest.mark.parametrize("call", [
-    lambda x, ctx: gfrft_nd(x, float("nan"), ctx),
+    lambda x, ctx: gfrft(x, float("nan"), ctx),
     lambda x, ctx: program_block(np.ones((2, x.n)), _frac_group([0.5, float("nan")]), ctx),
     lambda x, ctx: compress_gfrft(x, float("nan"), ctx, 0.5),
-], ids=["gfrft_nd", "gfrft_block", "compress_gfrft"])
+], ids=["gfrft_spec", "gfrft_block", "compress_gfrft"])
 def test_non_finite_single_op_rate_raises(ctx_ring4_path3, call):
     x = SignalNd(ctx_ring4_path3.shape, np.arange(12.0))
     with pytest.raises(ValidationError, match="finite"):
@@ -312,6 +358,12 @@ def test_non_finite_single_op_rate_raises(ctx_ring4_path3, call):
 class TestMultCount:
     def test_chirp_multiplication_cost(self):
         assert mult_count(TransformSpec("gcm", {"xi": 1.0}), (7, 9)) == 4 * 63
+
+    @pytest.mark.parametrize("shape", [(100.9, 15), (100.0, 15), (0, 15), (-2, 15), (False, 15)],
+                             ids=["fraction", "float", "zero", "negative", "bool"])
+    def test_sizes_must_be_positive_integers(self, shape):
+        with pytest.raises(ValidationError, match="sizes must be positive integers"):
+            mult_count(TransformSpec("gft"), shape)
 
     def test_deterministic(self):
         spec = TransformSpec("glct_cddhfs", {"abcd": GENERAL_ABCD})
@@ -491,7 +543,7 @@ def test_block_rows_match_single_calls(graph, kind):
     for x, p, alpha in zip(xs, rows, alphas):
         x = SignalNd(ctx.shape, x)
         singles.append([glct_cmccm_nd(x, p, ctx, zb) for zb in ZeroBVariant]
-                       + [glct_cddhfs_nd(x, p, ctx), gfrft_nd(x, alpha, ctx)])
+                       + [glct_cddhfs_nd(x, p, ctx), gfrft(x, alpha, ctx)])
     for t in (1, budget - 1, budget, budget + 1):
         params = ParamBlock.from_params(rows[:t])
         groups = [params.cmccm(zb) for zb in ZeroBVariant]  # one block per zero-b variant
@@ -549,6 +601,14 @@ def test_one_group_gives_each_row_its_own_rates(ctx_ring4_path3):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
+def _made_and_replaced(kinds, rates, phases):
+    """The two ways to make a two-row group of ``kinds``, ``rates`` and
+    ``phases``: the constructor, and ``_replace`` on a group that can run."""
+    fine = ProgramGroup(("ft",), np.arange(2), np.empty((0, 2)), None)
+    return (lambda: ProgramGroup(kinds, np.arange(2), rates, phases),
+            lambda: fine._replace(kinds=kinds, rates=rates, phases=phases))
+
+
 @pytest.mark.parametrize("rates,phases", [
     (np.full((2, 2), 0.5), None),
     (np.full((0, 2), 0.5), None),
@@ -557,10 +617,11 @@ def test_one_group_gives_each_row_its_own_rates(ctx_ring4_path3):
     (np.full((1, 2), 0.5), np.ones(3)),
     (np.full((1, 1), 0.5), np.ones(2)),
 ], ids=["extra-rate-row", "missing-rate-row", "extra-column", "1-d-rates", "extra-phase", "phase-per-row-of-shared"])
-def test_group_rates_and_phases_must_fit(ctx_ring4_path3, rates, phases):
-    group = ProgramGroup(("frac",), np.arange(2), rates, phases)
-    with pytest.raises(ValidationError, match="rates of shape"):
-        program_block(np.ones((2, 12), complex), [group], ctx_ring4_path3)
+def test_group_rates_and_phases_must_fit(rates, phases):
+    """A group checks when it is made, by the constructor and by ``_replace``."""
+    for make in _made_and_replaced(("frac",), rates, phases):
+        with pytest.raises(ValidationError, match="rates of shape"):
+            make()
 
 
 @pytest.mark.parametrize("kinds,rates,phases,match", [
@@ -573,13 +634,24 @@ def test_group_rates_and_phases_must_fit(ctx_ring4_path3, rates, phases):
 def test_executor_rejects_programs_it_cannot_run(ctx_ring4_path3, kinds, rates, phases, match):
     """A kind that is no op would run as V, a non-finite rate or phase would
     give NaN rows and a zero scale rate would divide by zero; the bad entry is
-    in the second row of each group. The 2x2 recomposition oracle rejects the
-    group the same way before it counts its rows."""
-    group = ProgramGroup(kinds, np.arange(2), rates, phases)
-    with pytest.raises(ValidationError, match=match):
-        program_block(np.ones((2, 12), complex), [group], ctx_ring4_path3)
-    with pytest.raises(ValidationError, match=match):
-        recompose(group)
+    in the second row of each group. No such group exists: the constructor
+    and ``_replace`` reject it when it is made, and the executor rejects the
+    same fields as a plain tuple, which nothing checked."""
+    for make in _made_and_replaced(kinds, rates, phases):
+        with pytest.raises(ValidationError, match=match):
+            make()
+    with pytest.raises(ValidationError, match="ProgramGroup"):
+        program_block(np.ones((2, 12), complex), [(kinds, np.arange(2), rates, phases)], ctx_ring4_path3)
+
+
+def test_executor_rejects_a_plain_tuple(ctx_ring4_path3):
+    """A tuple of fields that would run is still rejected: only a ProgramGroup
+    has been checked."""
+    group = _frac_group([0.5, 0.25])[0]
+    assert program_block(np.ones((2, 12), complex), [group], ctx_ring4_path3).shape == (2, 12)
+    for groups in ([tuple(group)], [group, tuple(group._replace(rows=np.arange(2, 4)))]):
+        with pytest.raises(ValidationError, match="ProgramGroup"):
+            program_block(np.ones((len(groups) * 2, 12), complex), groups, ctx_ring4_path3)
 
 
 def test_block_budget_and_shape_check(ctx_ring4_path3):
@@ -765,7 +837,7 @@ def test_warm_block_allocates_little_beyond_its_output(case):
     if case.startswith("study"):
         ctx = ProductContext(cartesian_product([make_ring(100), make_path(15)]))
         values, _ = _mixed_block(ctx, block_rows(ctx.graph.n), 7)
-        program = lambda t: [product._single("gfrft", np.linspace(-0.9, 0.9, t))]  # noqa: E731
+        program = lambda t: _frac_group(np.linspace(-0.9, 0.9, t))  # noqa: E731
     else:
         graph = benchmark_signal("x2")[0] if case.startswith("x2") else cartesian_product([make_ring(20), make_path(30)])
         ctx = ProductContext(graph)
@@ -831,7 +903,7 @@ def test_eigenvectors_built_once_per_factor(tmp_path, monkeypatch, rand_signal):
     ctx = ProductContext(_ring12_path4())
     x = rand_signal(ctx, 4)
     for alpha in (0.3, 0.7, 1.2):
-        gfrft_nd(x, alpha, ctx)
+        gfrft(x, alpha, ctx)
     assert len(stages) == 2 and stages[0] is not stages[1]
     stages.clear()
     _transform_cli(tmp_path, "--variant", "cddhfs")
@@ -849,7 +921,7 @@ def test_lazy_eigenvectors_give_the_eager_outputs(kind):
             dec.__dict__["fourier"] = eig_unitary_vectors(eig_unitary_angles(dec.f))
         for p in params:
             alpha = ParamBlock.from_params([p]).cddhfs()[0].rates[0, 0]
-            for op in (lambda c: glct_cddhfs_nd(x, p, c), lambda c: gfrft_nd(x, alpha, c)):
+            for op in (lambda c: glct_cddhfs_nd(x, p, c), lambda c: gfrft(x, alpha, c)):
                 assert op(lazy).values.tobytes() == op(eager).values.tobytes(), (name, p)
 
 
