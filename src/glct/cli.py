@@ -203,11 +203,12 @@ def _cmd_gen_graph(args) -> int:
 def _cmd_transform(args) -> int:
     factors = [gio.read_graph(p) for p in args.graph]
     graph = cartesian_product(factors)
-    ctx = ProductContext(graph, GsoKind(args.gso))
-    sig = gio.read_signal(args.signal, shape=graph.shape)
     p, form = LctParams(*_parse_params(args.params)), ZeroBVariant(args.zero_b_variant)
     if args.inverse:
         p, form = inverse(p), form.inverse_form
+    ctx = ProductContext(graph, GsoKind(args.gso))
+    # read after set-up: held through it, the signal raises the peak resident memory
+    sig = gio.read_signal(args.signal, shape=graph.shape)
     out_sig = xp.apply_glct(sig, p, ctx, args.variant, form)
     config = _config_echo(args)
     if args.out is None:

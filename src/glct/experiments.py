@@ -31,7 +31,11 @@ alpha is undone by -alpha, a parameter set p by p^-1, whose b = 0 rows take
 the other six-factor form (:attr:`~glct.params.ZeroBVariant.inverse_form`).
 A program group checks itself when it is made, so a method that cannot run
 fails before any work. It also builds the signal's constants
-(:func:`_target`), once for all the blocks it scores. The pipeline sorts the
+(:func:`_target`), once for all the blocks it scores. The methods of one
+family run forward together, one method a row, in blocks of at most
+:func:`~glct.product.block_rows` rows: the orders as one ``frac`` group with
+one rate per row, the parameter sets as their block's factorization, whose
+b = 0 rows form a group of their own. The pipeline sorts the
 magnitudes of each coefficient row once for all its ratios. A ratio that keeps
 k entries reads the k-th largest magnitude v from the sorted row and keeps
 every entry above v and, of the entries equal to v, the lowest-index ones
@@ -64,6 +68,7 @@ from .params import (
     VARIANTS,
     LctParams,
     ParamBlock,
+    ProgramGroup,
     ZeroBVariant,
     check_variant,
     inverse,
@@ -527,14 +532,10 @@ def _compress_rows(target, coeffs, magnitudes, gammas, backward, ctx) -> tuple[n
     return recon, _score_rows(target, recon)
 
 
-def _sweep(x, target, ctx, gammas, forward, backward, **fields) -> tuple[np.ndarray, list[CompressionReport]]:
-    """One method at every ratio of ``gammas``: ``x`` through the one-row
-    program ``forward`` and sorted once, then the one-row program
-    ``backward`` run on one row per ratio. Returns the real reconstructions,
-    one row per ratio, and one report per ratio with ``fields``."""
-    coeffs = program_block(x.values[None], forward, ctx)
-    backward = [group._replace(rows=np.arange(len(gammas))) for group in backward]
-    recon, metrics = _compress_rows(target, coeffs, _sorted_magnitudes(coeffs), gammas, backward, ctx)
+def _reported(recon_metrics, gammas, **fields) -> tuple[np.ndarray, list[CompressionReport]]:
+    """The real reconstructions and metrics of one method from
+    :func:`_compress_rows`, with one report per ratio of ``gammas`` carrying ``fields``."""
+    recon, metrics = recon_metrics
     return recon, [CompressionReport(gamma=g, re=float(re), nrms=float(nrms), cc=float(cc), **fields)
                    for g, re, nrms, cc in zip(gammas, *metrics)]
 
@@ -588,7 +589,12 @@ def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant
     """The compression run behind every entry point: yields (real reconstructions,
     reports) at every ratio of ``gammas`` for each order of ``alphas``, each
     :class:`LctParams` of ``params`` and, given a ``budget``, the search; checks
-    its inputs and builds every method's programs before the first transform."""
+    its inputs and builds every method's programs before the first transform.
+
+    Each chunk of at most :func:`block_rows` methods of one family runs
+    forward as one block and sorts its magnitudes once; then each method
+    reconstructs its own coefficient row at every ratio as one block of its
+    backward program, one rate column widened to one row per ratio."""
     gammas = [_check_gamma(g) for g in gammas]
     if not gammas:
         raise ValidationError("compression needs at least one ratio")
@@ -597,13 +603,32 @@ def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant
     search = None if budget is None else _check_search(budget, seed, metric)
     ctx.check(x)
     target = _target(x.values.real)  # rejects an all-zero or constant signal
-    methods = [([_single("gfrft", alpha)], [_single("gfrft", -alpha)], {"method": "gfrft", "alpha": alpha})
-               for alpha in map(float, alphas)]
-    methods += [(ParamBlock.from_params([p]).factorize(variant, zero_b_variant),
-                 ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant.inverse_form),
-                 {"method": "glct", "params": p.astuple(), "variant": variant}) for p in params]
-    for forward, backward, fields in methods:
-        yield _sweep(x, target, ctx, gammas, forward, backward, seed=seed, **fields)
+    step, ratios = block_rows(x.n), np.arange(len(gammas))
+
+    def widened(groups):  # a one-row program run on one row per ratio
+        return [group._replace(rows=ratios) for group in groups]
+
+    alphas, params = list(map(float, alphas)), list(params)
+    chunks = []  # (forward groups of k methods, each method's (backward groups, report fields))
+    for i in range(0, len(alphas), step):
+        chunk = alphas[i:i + step]
+        chunks.append(([ProgramGroup(("frac",), np.arange(len(chunk)), np.array([chunk]), None)],
+                       [(widened([_single("gfrft", -alpha)]), {"method": "gfrft", "alpha": alpha})
+                        for alpha in chunk]))
+    for i in range(0, len(params), step):
+        chunk = params[i:i + step]
+        chunks.append((ParamBlock.from_params(chunk).factorize(variant, zero_b_variant),
+                       [(widened(ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant.inverse_form)),
+                         {"method": "glct", "params": p.astuple(), "variant": variant}) for p in chunk]))
+    for forward, methods in chunks:
+        coeffs = program_block(_rows(x, len(methods)), forward, ctx)
+        mags, ordered = _sorted_magnitudes(coeffs)
+        for t, (backward, fields) in enumerate(methods):
+            row = slice(t, t + 1)
+            # passed straight through: this frame holds no reconstruction while the caller runs the next method
+            yield _reported(_compress_rows(target, coeffs[row], (mags[row], ordered[row]), gammas, backward, ctx),
+                            gammas, seed=seed, **fields)
+        del coeffs, mags, ordered  # freed before the next chunk's forward block is made
     if search is not None:
         yield _search_sweep(x, target, ctx, gammas, *search, metric, variant, zero_b_variant)
 
@@ -623,8 +648,13 @@ def compression_study(
 
     Parameter sets are accepted with two-decimal rounding; d is renormalized
     to keep ad - bc = 1 exact before transforming. Each order's and each
-    parameter set's coefficients are computed once and serve every ratio;
-    the reports equal those of :func:`compress_gfrft` and :func:`compress`.
+    parameter set's coefficients are computed once and serve every ratio.
+    The orders, then the sets, run forward in blocks of at most
+    :func:`~glct.product.block_rows` methods, one method a row, so a default
+    study on 100 x 15 runs 6 forward blocks and 48 backward ones. Row t of a
+    block is computed as a block of row t alone, so the reports equal those
+    of :func:`compress_gfrft` and :func:`compress` (bit for bit with
+    single-threaded BLAS).
     """
     graph, x = study_signal(n1, n2, seed)
     ctx = ProductContext(graph, gso_kind)
@@ -651,8 +681,8 @@ def _search_sweep(x, target, ctx, gammas, budget, seed, metric, variant,
     """:func:`search_glct_params` at every ratio of ``gammas`` over one draw of
     the budget (checked by :func:`_check_search`): each block of draws is
     transformed forward and sorted once, then reconstructed once per ratio.
-    Returns what :func:`_sweep` does; row j is the reconstruction that
-    ratio j's winning report scored."""
+    Returns what :func:`_study` yields for one method; row j is the
+    reconstruction that ratio j's winning report scored."""
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     drawn = ParamBlock.from_abc(sample_abc(rng, budget))
     inverses = drawn.inverse()

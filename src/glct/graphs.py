@@ -72,8 +72,9 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         seen: set[tuple[int, int]] = set()
         degree: dict[int, float] = {}
         norm: list[Edge] = []

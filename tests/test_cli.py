@@ -199,17 +199,28 @@ class TestTransform:
         assert err.startswith("error: ") and message in err and "Warning" not in err
         assert not (tmp_path / "y.json").exists()
 
-    def test_malformed_params_exit_2(self, workspace, capsys):
+    @staticmethod
+    def _no_setup(monkeypatch):
+        """Fail the test if the command builds a ProductContext: a bad --params must exit before set-up."""
+        def setup(*args, **kwargs):
+            raise AssertionError("ProductContext built before --params was checked")
+
+        monkeypatch.setattr(cli, "ProductContext", setup)
+
+    def test_malformed_params_exit_2(self, workspace, capsys, monkeypatch):
+        self._no_setup(monkeypatch)
         rc = run("transform", "--signal", workspace / "x.csv",
                  "--graph", workspace / "g1.json", "--graph", workspace / "g2.json",
                  "--params", "1,2,3")
         assert rc == 2
         assert "a,b,c,d" in capsys.readouterr().err
 
-    def test_invalid_determinant_exit_2(self, workspace):
+    def test_invalid_determinant_exit_2(self, workspace, capsys, monkeypatch):
+        self._no_setup(monkeypatch)
         assert run("transform", "--signal", workspace / "x.csv",
                    "--graph", workspace / "g1.json", "--graph", workspace / "g2.json",
                    "--params", "1,1,1,1") == 2
+        assert "ad - bc = 1" in capsys.readouterr().err
 
     def test_shape_mismatch_exit_2(self, workspace):
         assert run("transform", "--signal", workspace / "x.csv",
@@ -326,14 +337,15 @@ class TestBench:
 
 
 def _spy_blocks(monkeypatch) -> list:
-    """(rows, kinds, rate) of every one-group, one-rate block the compression
-    pipeline runs; any other block is recorded as (rows, None, None)."""
+    """(rows, kinds, rates) of every block of one group with one rated op
+    that the compression pipeline runs, the rates as a list; any other block
+    is recorded as (rows, None, None)."""
     calls = []
 
     def spy(values, groups, ctx):
         (kinds, _, rates, _), *rest = groups
-        one = not rest and rates.size == 1
-        calls.append((len(values), kinds if one else None, float(rates[0, 0]) if one else None))
+        one = not rest and len(rates) == 1
+        calls.append((len(values), kinds if one else None, rates[0].tolist() if one else None))
         return program_block(values, groups, ctx)
 
     monkeypatch.setattr(xp, "program_block", spy)
@@ -451,13 +463,14 @@ class TestCompress:
         assert report["mean"] < 1e-20
 
     def test_sweep_transforms_forward_once_per_order(self, tmp_path, monkeypatch):
-        # each order: one one-row forward block at alpha, one backward block of its nine ratios at -alpha
+        # the 21 orders fit one block of 10 x 4 signals: one forward block, one
+        # order a row, then per order one backward block of its nine ratios at -alpha
         calls = _spy_blocks(monkeypatch)
         assert run("compress", "--sweep-gfrft", "--gammas", "0.1:0.9:0.1",
                    "--n1", 10, "--n2", 4, "--out", tmp_path / "sweep.json") == 0
-        forward, backward = calls[0::2], calls[1::2]
-        assert len(calls) == 2 * 21 and sorted(forward) == [(1, ("frac",), a) for a in xp.DEFAULT_ALPHA_GRID]
-        assert [(t, rates) for t, _, rates in backward] == [(9, -rates) for _, _, rates in forward]
+        forward, *backward = calls
+        assert forward == (21, ("frac",), list(xp.DEFAULT_ALPHA_GRID))
+        assert backward == [(9, ("frac",), [-a]) for a in xp.DEFAULT_ALPHA_GRID]
 
     def test_bad_search_budget_exits_before_any_transform(self, tmp_path, monkeypatch, capsys):
         calls = _spy_blocks(monkeypatch)

@@ -636,12 +636,48 @@ def _ids(groups) -> list:
 
 class TestStudy:
     def test_default_study_checks_each_program_once(self, made_and_ran):
-        # 21 orders and 27 parameter sets, each a forward and a backward
-        # one-group program, and each backward one widened to the 9 ratios
+        # 21 orders and 27 general-b sets run forward in chunks of at most 9
+        # (block_rows of 100 x 15): 3 frac groups and 3 cmccm groups. Each of
+        # the 48 methods makes one backward group and widens it to the 9 ratios.
         made, ran, inside = made_and_ran
         compression_study()
-        assert len(made) == 144 and inside == []
-        assert len(set(_ids(ran))) == len(ran) == 96 and set(_ids(ran)) <= set(_ids(made))
+        assert len(made) == 6 + 2 * 48 and inside == []
+        assert len(set(_ids(ran))) == len(ran) == 6 + 48 and set(_ids(ran)) <= set(_ids(made))
+
+    @pytest.mark.parametrize("zero_b_variant", ["eq30", "eq31"])
+    def test_forward_chunks_mix_branches_and_cross_block_boundaries(self, monkeypatch, zero_b_variant):
+        # 10 orders and 10 sets on 100 x 15, where a block holds 9 rows: each
+        # family runs forward as a chunk of 9 methods and one of 1, and the
+        # b = 0 set in the first set chunk makes it two groups, which the
+        # executor gathers; every report equals the per-method call's
+        assert block_rows(100 * 15) == 9
+        alphas = DEFAULT_ALPHA_GRID[:10]
+        rows = [*COMPRESSION_REFERENCE_PARAMS[:2], (2.0, 0.0, 0.3, 0.5), *COMPRESSION_REFERENCE_PARAMS[2:9]]
+        gammas = (0.2, 0.5, 0.8)
+        blocks = []
+
+        def spy(values, groups, ctx):
+            blocks.append((len(values), len(groups)))
+            return program_block(values, groups, ctx)
+
+        monkeypatch.setattr(experiments, "program_block", spy)
+        study = compression_study(seed=6, gammas=gammas, alpha_grid=alphas, glct_param_sets=rows,
+                                  zero_b_variant=zero_b_variant)
+        monkeypatch.undo()
+        backward = [(len(gammas), 1)]
+        assert blocks == ([(9, 1)] + backward * 9 + [(1, 1)] + backward
+                          + [(9, 2)] + backward * 9 + [(1, 1)] + backward)
+        graph, x = study_signal(seed=6)
+        ctx = ProductContext(graph)
+        per_call = [compress_gfrft(x, a, ctx, g, seed=6)[1] for a in alphas for g in gammas]
+        per_call += [compress(x, LctParams.from_loose(*row), ctx, g, zero_b_variant=zero_b_variant, seed=6)[1]
+                     for row in rows for g in gammas]
+        assert len(study) == len(per_call) == 20 * len(gammas)
+        for got, want in zip(study, per_call):
+            for f in ("method", "gamma", "alpha", "params", "variant", "seed"):
+                assert getattr(got, f) == getattr(want, f)
+            for f in ("re", "nrms", "cc"):
+                assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-12, abs=1e-15)
 
     def test_gso_given_by_value_runs_its_context(self):
         graph, x = study_signal(12, 4, seed=5)

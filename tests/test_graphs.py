@@ -111,6 +111,10 @@ class TestFamilies:
             lambda: make_low_stretch_tree(15),
             lambda: make_family("unknown", 5),
             lambda: make_family("ring", 5, head=2),
+            lambda: Graph(True, ()),
+            lambda: Graph(np.bool_(True), ()),
+            lambda: Graph(3.0, ()),
+            lambda: Graph(np.float64(3.0), ()),
         ],
     )
     def test_invalid_sizes_raise(self, build):
@@ -120,6 +124,11 @@ class TestFamilies:
     def test_make_family_dispatch(self):
         assert make_family("ring", 5).edge_count == 5
         assert make_family("comet", 7, head=2).edge_count == 6
+
+    @pytest.mark.parametrize("build", [make_ring, lambda n: make_family("path", n)], ids=["ring", "path"])
+    def test_numpy_integer_vertex_count(self, build):
+        g = build(np.int64(5))
+        assert g == build(5) and type(g.n) is int
 
 
 class TestGraphType:
