@@ -104,8 +104,8 @@ def _check_outputs(args: argparse.Namespace) -> None:
             raise ValidationError(f"{what}: {base} exists and is not a directory")
 
 
-def _sidecar(out: str, config: dict) -> None:
-    gio.write_json(str(out) + ".run.json", {"config": config})
+def _sidecar(out: str, config: dict, **extra) -> None:
+    gio.write_json(str(out) + ".run.json", {"config": config, **extra})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,8 +201,7 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    factors = [gio.read_graph(p) for p in args.graph]
-    graph = cartesian_product(factors)
+    graph = cartesian_product([gio.read_graph(p) for p in args.graph])
     p, form = LctParams(*_parse_params(args.params)), ZeroBVariant(args.zero_b_variant)
     if args.inverse:
         p, form = inverse(p), form.inverse_form
@@ -215,7 +214,10 @@ def _cmd_transform(args) -> int:
         sys.stdout.write(gio.signal_text(out_sig, args.format or "json", compact=False))
     else:
         gio.write_signal(args.out, out_sig, fmt=args.format)
-        _sidecar(args.out, config)
+        # one entry per axis: its size, shift operator and the set-up's residuals
+        factors = [{"n": dec.graph.n, "gso": dec.kind.value, "diagnostics": dec.diagnostics}
+                   for dec in ctx.factors]
+        _sidecar(args.out, config, factors=factors)
     return 0
 
 

@@ -44,6 +44,11 @@ class GsoKind(enum.Enum):
         raise ValidationError(f"unknown shift operator {value!r}; choose laplacian or adjacency")
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` may be a vertex count: an int or a numpy integer, never a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _vertex_index(v) -> int:
     """``v`` as a vertex index: an integer or a float of integral value, never a bool."""
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
@@ -72,7 +77,7 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
+        if not _is_count(self.n) or self.n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         seen: set[tuple[int, int]] = set()
@@ -173,25 +178,33 @@ def kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
 # graph families
 
 
+def _size(n, what: str, least: int) -> int:
+    """A builder's size ``n`` as an int: checked once with Graph's rule for a
+    vertex count, before any comparison or ``range`` sees it, then against
+    the family's minimum ``least``."""
+    if not _is_count(n):
+        raise ValidationError(f"{what} size must be an integer, got {n!r}")
+    if n < least:
+        raise ValidationError(f"{what} requires n >= {least}, got {n}")
+    return int(n)
+
+
 def make_ring(n: int) -> Graph:
     """Cycle graph with unit weights."""
-    if n < 3:
-        raise ValidationError(f"ring graph requires n >= 3, got {n}")
+    n = _size(n, "ring graph", 3)
     edges = [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)]
     return Graph(n, tuple(edges))
 
 
 def make_path(n: int) -> Graph:
     """Path graph with unit weights."""
-    if n < 2:
-        raise ValidationError(f"path graph requires n >= 2, got {n}")
+    n = _size(n, "path graph", 2)
     return Graph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
 def make_complete(n: int) -> Graph:
     """Fully connected graph with unit weights."""
-    if n < 2:
-        raise ValidationError(f"complete graph requires n >= 2, got {n}")
+    n = _size(n, "complete graph", 2)
     return Graph(n, tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -202,12 +215,11 @@ def make_comet(n: int, head: int | None = None) -> Graph:
     head+1..n-1 form a path attached to vertex 0. Default head is
     ceil((n - 1) / 2).
     """
-    if n < 3:
-        raise ValidationError(f"comet graph requires n >= 3, got {n}")
+    n = _size(n, "comet graph", 3)
     if head is None:
         head = n // 2
-    if not (1 <= head <= n - 1):
-        raise ValidationError(f"comet head must satisfy 1 <= head <= n-1, got {head}")
+    if not _is_count(head) or not 1 <= head <= n - 1:
+        raise ValidationError(f"comet head must be an integer with 1 <= head <= n-1, got {head!r}")
     edges = [(0, k, 1.0) for k in range(1, head + 1)]
     if head + 1 < n:
         edges.append((0, head + 1, 1.0))
@@ -225,8 +237,9 @@ def make_low_stretch_tree(n: int) -> Graph:
     joins each column band's upper and lower regions by the edge on that
     band's first column. Grid vertex (r, c) has index r * sqrt(n) + c.
     """
+    n = _size(n, "low-stretch tree", 4)
     s = math.isqrt(n)
-    if n < 4 or s * s != n:
+    if s * s != n:
         raise ValidationError(f"low-stretch tree requires a perfect square n >= 4, got {n}")
     edges: list[Edge] = []
 

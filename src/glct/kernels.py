@@ -36,7 +36,15 @@ decompositions checked against their bounds (entrywise maxima):
   clusters of |W^H W - I| and |g_c - W diag(mu_c) W^H|;
 - ``unimodularity``: the largest ||mu| - 1|;
 - ``clusters`` and ``max_cluster``: the cluster count and the largest
-  cluster size.
+  cluster size;
+- ``mirrored_pairs``: k, the values stage's mirror. The first k angles,
+  reversed, are the exact negations of the k angles from the first positive
+  one on; k is the number of negative angles where that holds and 0 where it
+  does not. F is real, so its eigenvalues come in conjugate pairs, but
+  rounding may leave a pair's angles a few ulps from negations of each other
+  (ring(800) under the Laplacian, by up to 7e-18). Chirp diagonals take cos
+  and sin of the other n - k angles only and write the first k as conjugates
+  (:meth:`glct.product.ProductContext.diag_powers`).
 """
 from __future__ import annotations
 

@@ -114,19 +114,30 @@ class ProductContext:
         """Per factor, the transform eigenvalues to the power ``t``: the chirp
         diagonal of rate t, equal to :func:`~glct.spectral.frac_diag_power`.
 
-        A scalar rate gives one (N_k,) diagonal per factor; an array of T
-        rates gives a (T, N_k) stack, one row per rate. The real and imaginary
-        parts are the cosine and sine of t times the eigenvalue angles, the
-        values ``np.exp(1j * (t * angle))`` has, without a complex exp; they
-        are written straight into the diagonal's parts.
+        ``t`` is a scalar, a (T,) or a (C, T) array of rates; each factor's
+        diagonals come as one array of shape ``t.shape + (N_k,)``, so a chunk
+        of a program takes all its chirp columns in one trig pass per factor.
+        The real and imaginary parts are the cosine and sine of t times the
+        eigenvalue angles, the values ``np.exp(1j * (t * angle))`` has, without
+        a complex exp; they are written straight into the diagonal's parts.
+
+        Where the values stage found a mirror (``spectrum.mirror`` = (k, lo):
+        the first k angles are the exact negations of angles lo ... lo + k - 1,
+        in reverse), cos and sin run on ``angles[k:]`` only, and the first k
+        entries are the reversed conjugates of entries lo ... lo + k - 1. This
+        is what direct evaluation gives, bit for bit: t * (-a) is -(t * a)
+        exactly, and numpy's cos is even and its sin odd on finite arguments.
+        With k = 0 the same code takes every angle.
         """
         t = np.asarray(t, dtype=float)[..., None]
         out = []
         for dec in self.factors:
-            angle = t * dec.spectrum.angles
-            d = np.empty(angle.shape, dtype=complex)
-            np.cos(angle, out=d.real)
-            np.sin(angle, out=d.imag)
+            angles, (k, lo) = dec.spectrum.angles, dec.spectrum.mirror
+            angle = t * angles[k:]
+            d = np.empty(angle.shape[:-1] + angles.shape, dtype=complex)
+            np.cos(angle, out=d.real[..., k:])
+            np.sin(angle, out=d.imag[..., k:])
+            np.conjugate(d[..., lo:lo + k][..., ::-1], out=d[..., :k])
             out.append(d)
         return out
 
@@ -300,9 +311,15 @@ def _prepare(kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | Non
     ``phases`` share between chunks: the chirp diagonals, with the phase and
     each 1 / sigma folded in where a chirp takes them. Returns them with the
     runs, the phases and the product of the sigmas, or None where folded, for
-    :func:`_apply`."""
+    :func:`_apply`.
+
+    The C diagonal columns come from one :meth:`ProductContext.diag_powers`
+    call on their (C, T) rates, one trig pass per factor; column j's diagonal
+    on axis k is a view into factor k's (C, T, N_k) stack, and the folds
+    write into the fold column's axis-0 view in place."""
     runs, diag_cols, scale_cols, fold = _layout(kinds)
-    diags = {j: ctx.diag_powers(rates[j]) for j in diag_cols}
+    stacks = ctx.diag_powers(rates[diag_cols])
+    diags = {j: [stack[i] for stack in stacks] for i, j in enumerate(diag_cols)}
     sigma = None
     for j in scale_cols:
         sigma = rates[j, :, None] if sigma is None else sigma * rates[j, :, None]

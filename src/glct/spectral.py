@@ -141,7 +141,10 @@ class UnitaryAngles:
     ``angles`` holds the principal arguments of the eigenvalues of
     ``source``, ascending; they equal the principal angles of the values
     :func:`eig_unitary_vectors` returns, bit for bit. ``residuals`` holds the
-    bound residuals the stage checked. The private fields are the state
+    bound residuals the stage checked. ``mirror`` is (k, lo): the first k
+    angles, reversed, are the exact negations of ``angles[lo:lo + k]``, lo
+    being the index of the first positive angle (see :func:`_mirror`); k is
+    also ``residuals["mirrored_pairs"]``. The private fields are the state
     :func:`eig_unitary_vectors` builds the eigenvectors from: the symmetric
     part's eigenvectors, each stacked cluster solve as (column indices,
     eigenvectors), and the eigenvalues in cluster order.
@@ -150,6 +153,7 @@ class UnitaryAngles:
     angles: np.ndarray
     source: np.ndarray
     residuals: dict
+    mirror: tuple[int, int]
     _q: np.ndarray = field(repr=False)
     _clusters: tuple = field(repr=False)
     _mu: np.ndarray = field(repr=False)
@@ -158,6 +162,17 @@ class UnitaryAngles:
 def _bound(residual: float, tol: float, what: str) -> None:
     if not residual < tol:  # a NaN residual fails too
         raise NumericalError(f"unitary eigenvalue stage: {what} {residual:.3g} not below {tol:g}")
+
+
+def _mirror(angles: np.ndarray) -> tuple[int, int]:
+    """(k, lo) for sorted ``angles``: lo is the index of the first positive
+    angle, and k the number of negative ones if, reversed and negated, they
+    equal ``angles[lo:lo + k]`` bit for bit, else 0. A real matrix's
+    eigenvalues come in conjugate pairs, but the computed angles of a pair
+    need not be exact negations of each other; where they are, a chirp
+    diagonal takes cos and sin of the positive half only."""
+    k, lo = angles.searchsorted(0.0, "left"), angles.searchsorted(0.0, "right")
+    return (int(k) if (-angles[:k][::-1]).tobytes() == angles[lo:lo + k].tobytes() else 0), int(lo)
 
 
 def eig_unitary_angles(f: np.ndarray) -> UnitaryAngles:
@@ -237,7 +252,10 @@ def _angles(f: np.ndarray) -> UnitaryAngles:
     _bound(residuals["cluster_unitarity"], 1e-10, "cluster eigenbasis unitarity")
     _bound(residuals["cluster_reconstruction"], 1e-9, "cluster reconstruction")
     _bound(residuals["unimodularity"], 1e-10, "eigenvalue modulus deviation from 1")
-    return UnitaryAngles(angles=np.sort(principal_angle(mu)), source=f, residuals=residuals,
+    angles = np.sort(principal_angle(mu))
+    mirror = _mirror(angles)
+    residuals["mirrored_pairs"] = mirror[0]
+    return UnitaryAngles(angles=angles, source=f, residuals=residuals, mirror=mirror,
                          _q=q, _clusters=tuple(clusters), _mu=mu)
 
 

@@ -16,7 +16,7 @@ from glct.experiments import _benchmark_setup
 from glct.graphs import GsoKind
 from glct.params import RATED_KINDS
 from glct.product import program_block
-from glct.spectral import _CLUSTER_GAP, _SIGN_TOL, _SNAP_TOL, _runs, frac_diag_power
+from glct.spectral import _CLUSTER_GAP, _SIGN_TOL, _SNAP_TOL, _runs, frac_diag_power, principal_angle
 
 
 def frac_operator(fe, t):
@@ -154,6 +154,9 @@ def reference_setup(graph, kind=GsoKind.LAPLACIAN):
         unitarity.append(np.abs(wh @ w - np.eye(idx.shape[1])).max())
         recon.append(np.abs(blocks - (w * mu[idx][:, None, :]) @ wh).max())
     labels = np.repeat(np.arange(sizes.size), sizes)
+    angles = np.sort(principal_angle(mu))
+    neg, pos = angles[angles < 0], angles[angles > 0]
+    mirrored = neg.size if (-neg[::-1]).tobytes() == pos[:neg.size].tobytes() else 0
     diagnostics = {
         "sym_orthonormality": float(np.abs(v.T @ v - np.eye(n)).max()),
         "sym_reconstruction": float(np.abs(z - (v * values) @ v.T).max()),
@@ -164,6 +167,7 @@ def reference_setup(graph, kind=GsoKind.LAPLACIAN):
         "unimodularity": float(np.abs(np.abs(mu) - 1.0).max()),
         "clusters": int(sizes.size),
         "max_cluster": int(sizes.max()),
+        "mirrored_pairs": mirrored,
     }
     return {"z": z, "vectors": v, "values": values, "q": q, "mu": mu, "diagnostics": diagnostics,
             "f_orthogonality": float(np.abs(f.T @ f - np.eye(n)).max())}

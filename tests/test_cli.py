@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process via glct.cli.main."""
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -38,6 +39,11 @@ class TestGenGraph:
     def test_invalid_size_exits_2(self, capsys):
         assert run("gen-graph", "ring", 2) == 2
         assert "n >= 3" in capsys.readouterr().err
+
+    def test_negative_lowstretch_size_exits_2(self, capsys):
+        assert run("gen-graph", "lowstretch", -3) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n >= 4" in err
 
     def test_stdout_json(self, capsys):
         assert run("gen-graph", "path", 3) == 0
@@ -172,6 +178,24 @@ class TestTransform:
         x = read_signal(workspace / "x.csv", shape=(14, 8))
         back = read_signal(workspace / "back.json")
         assert np.abs(back.values - x.values).max() < 1e-9
+
+    @pytest.mark.parametrize("gso,mirrored", [("laplacian", [7, 4]), ("adjacency", [6, 0])])
+    def test_sidecar_reports_each_factor(self, workspace, gso, mirrored):
+        assert run("transform", "--signal", workspace / "x.csv", "--graph", workspace / "g1.json",
+                   "--graph", workspace / "g2.json", "--params", "0.6,0.8,-0.5,1.0", "--gso", gso,
+                   "--out", workspace / "y.json") == 0
+        sidecar = json.loads((workspace / "y.json.run.json").read_text())
+        assert set(sidecar) == {"config", "factors"}
+        assert [(f["n"], f["gso"]) for f in sidecar["factors"]] == [(14, gso), (8, gso)]
+        for factor in sidecar["factors"]:
+            assert set(factor) == {"n", "gso", "diagnostics"}
+            assert set(factor["diagnostics"]) == {
+                "sym_orthonormality", "sym_reconstruction", "q_orthonormality", "off_cluster",
+                "cluster_unitarity", "cluster_reconstruction", "unimodularity", "clusters", "max_cluster",
+                "mirrored_pairs",
+            }
+            assert all(math.isfinite(v) for v in factor["diagnostics"].values())
+        assert [f["diagnostics"]["mirrored_pairs"] for f in sidecar["factors"]] == mirrored
 
     def test_csv_to_stdout_equals_csv_file(self, workspace, capsys):
         args = ["transform", "--signal", workspace / "x.csv", "--graph", workspace / "g1.json",

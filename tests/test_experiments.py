@@ -772,6 +772,14 @@ class TestStudy:
             search_glct_params(x, ctx, 0.5, budget=3, seed=1)
         assert study_signal(10, 4, np.int32(2))[1].values.tobytes() == study_signal(10, 4, 2)[1].values.tobytes()
 
+    @pytest.mark.parametrize("size", [10.0, "10", True, np.float64(10)], ids=["float", "str", "bool", "np-float"])
+    def test_study_sizes_must_be_integers(self, size):
+        # checked by the graph builders before any comparison or range() sees them
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            study_signal(size)
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            compression_study(n1=size)
+
     def test_search_returns_best_of_budget(self, small_study):
         ctx, x = small_study
         rep = search_glct_params(x, ctx, gamma=0.5, budget=4, seed=0)

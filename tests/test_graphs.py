@@ -20,7 +20,7 @@ from glct import (
     make_path,
     make_ring,
 )
-from glct.graphs import MAX_DEGREE
+from glct.graphs import GRAPH_FAMILIES, MAX_DEGREE
 
 
 def edge_pairs(g):
@@ -115,6 +115,10 @@ class TestFamilies:
             lambda: Graph(np.bool_(True), ()),
             lambda: Graph(3.0, ()),
             lambda: Graph(np.float64(3.0), ()),
+            lambda: make_low_stretch_tree(-3),
+            lambda: make_ring(-1),
+            lambda: make_comet(6, head=2.0),
+            lambda: make_comet(6, head=True),
         ],
     )
     def test_invalid_sizes_raise(self, build):
@@ -124,6 +128,19 @@ class TestFamilies:
     def test_make_family_dispatch(self):
         assert make_family("ring", 5).edge_count == 5
         assert make_family("comet", 7, head=2).edge_count == 6
+
+    @pytest.mark.parametrize("size", [16.0, "16", True, np.float64(16)], ids=["float", "str", "bool", "np-float"])
+    @pytest.mark.parametrize("family", GRAPH_FAMILIES)
+    def test_non_integer_size_raises(self, family, size):
+        """Each builder checks its size with Graph's rule for a vertex count
+        before it compares the size or calls range() on it."""
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            make_family(family, size)
+
+    @pytest.mark.parametrize("family", GRAPH_FAMILIES)
+    def test_numpy_integer_size_for_every_family(self, family):
+        g = make_family(family, np.int64(16))
+        assert g == make_family(family, 16) and type(g.n) is int
 
     @pytest.mark.parametrize("build", [make_ring, lambda n: make_family("path", n)], ids=["ring", "path"])
     def test_numpy_integer_vertex_count(self, build):

@@ -666,8 +666,9 @@ def test_block_budget_and_shape_check(ctx_ring4_path3):
 
 @pytest.mark.parametrize("name", sorted(SHARED_SPECS))
 def test_shared_rate_column_is_prepared_once(name, monkeypatch):
-    """A group with one rate column computes each chirp diagonal once, not once
-    per chunk, over more rows than one chunk."""
+    """A group with one rate column computes its chirp diagonals once, not once
+    per chunk, over more rows than one chunk: one diag_powers call for the
+    group, with every chirp column's rate in it."""
     ctx = ProductContext(cartesian_product([make_ring(20), make_path(4)]))
     t = block_rows(ctx.graph.n) + 5
     calls = []
@@ -675,8 +676,31 @@ def test_shared_rate_column_is_prepared_once(name, monkeypatch):
     monkeypatch.setattr(ProductContext, "diag_powers", lambda self, rates: calls.append(rates) or diag_powers(self, rates))
     group = SHARED_SPECS[name].program()._replace(rows=np.arange(t))
     program_block(np.ones((t, ctx.graph.n), complex), [group], ctx)
-    assert len(calls) == sum(kind in ("cm", "frac") for kind in group.kinds)
-    assert all(rates.shape == (1,) for rates in calls)
+    assert len(calls) == 1
+    assert calls[0].shape == (sum(kind in ("cm", "frac") for kind in group.kinds), 1)
+
+
+@pytest.mark.parametrize("kind", list(GsoKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("name", [*BENCHMARK_SIGNALS, "ring100-path15"])
+def test_diag_powers_equal_direct_trig_bit_for_bit(name, kind):
+    """Mirrored or not, each chirp diagonal is cos and sin of t times every
+    angle, for a scalar rate, a (T,) and a (C, T) rate array; x1's path(8)
+    under the adjacency has no mirror."""
+    graph = cartesian_product([make_ring(100), make_path(15)]) if name == "ring100-path15" else \
+        benchmark_signal(name)[0]
+    ctx = ProductContext(graph, kind)
+    rng = np.random.default_rng(5)
+    row = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e6, -3e7], rng.uniform(-4, 4, 20)])
+    for t in (0.7, -1.3, 0.0, row, np.stack([row, -row[::-1], rng.uniform(-4, 4, row.size)])):
+        for dec, d in zip(ctx.factors, ctx.diag_powers(t)):
+            x = np.asarray(t)[..., None] * dec.spectrum.angles
+            # by parts: adding 1j * sin(x) would turn a sin of -0.0 into +0.0
+            want = np.empty(x.shape, complex)
+            want.real, want.imag = np.cos(x), np.sin(x)
+            assert d.shape == want.shape
+            assert (d.view(np.uint64) == want.view(np.uint64)).all()
+    if name == "x1":
+        assert [dec.spectrum.mirror[0] for dec in ctx.factors] == ([7, 4] if kind is GsoKind.LAPLACIAN else [6, 0])
 
 
 @pytest.mark.parametrize("kinds", [("cm", "frac"), ("ft", "cm", "frac"), ("ft", "ift", "cm"),

@@ -21,7 +21,7 @@ from glct import (
 )
 from glct import spectral
 from glct.kernels import decompose_graph
-from glct.spectral import _canonical_order, eig_unitary_angles, eig_unitary_vectors, principal_angle
+from glct.spectral import _canonical_order, _mirror, eig_unitary_angles, eig_unitary_vectors, principal_angle
 
 from conftest import frac_operator
 
@@ -458,7 +458,50 @@ def test_diagnostics_keep_both_decompositions_residuals():
     assert set(diag) == {
         "sym_orthonormality", "sym_reconstruction", "q_orthonormality", "off_cluster",
         "cluster_unitarity", "cluster_reconstruction", "unimodularity", "clusters", "max_cluster",
+        "mirrored_pairs",
     }
     assert diag["sym_orthonormality"] < 1e-12 and diag["sym_reconstruction"] < 1e-10 * (1 + np.abs(dec.z).max())
     assert 1 <= diag["max_cluster"] <= 12 and 1 <= diag["clusters"] <= 12
     assert "fourier" not in dec.__dict__
+
+
+@pytest.mark.parametrize("graph,kind,pairs", [
+    (make_ring(14), GsoKind.LAPLACIAN, 7),
+    (make_path(8), GsoKind.LAPLACIAN, 4),
+    (make_path(8), GsoKind.ADJACENCY, 0),
+], ids=["ring14-laplacian", "path8-laplacian", "path8-adjacency"])
+def test_mirrored_pairs(graph, kind, pairs):
+    dec = decompose_graph(graph, kind)
+    assert dec.diagnostics["mirrored_pairs"] == dec.spectrum.mirror[0] == pairs
+    k, lo = dec.spectrum.mirror
+    angles = dec.spectrum.angles
+    assert (angles[:lo] <= 0).all() and (angles[lo:] > 0).all()
+    assert (-angles[:k][::-1]).tobytes() == angles[lo:lo + k].tobytes()
+
+
+def test_mirror_needs_exact_negations():
+    angles = np.array([-2.5, -1.0, 0.0, 0.0, 1.0, 2.5, np.pi])
+    assert _mirror(angles) == (2, 4)
+    off = angles.copy()
+    off[0] = np.nextafter(off[0], 0.0)  # one ulp off its partner
+    assert _mirror(off) == (0, 4)
+    assert _mirror(np.array([-2.0, -1.0, 1.0])) == (0, 2)  # more negative angles than positive
+    assert _mirror(np.array([-1.0, 1.0])) == (1, 1)
+    assert _mirror(np.array([0.0, 1.0])) == (0, 1)
+
+
+def test_numpy_cos_is_even_and_sin_odd_bit_for_bit():
+    """The chirp diagonals' mirror rests on cos(-x) == cos(x) and sin(-x) ==
+    -sin(x) bit for bit in numpy's float64 cos and sin; a build that breaks
+    this fails here."""
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        np.logspace(-320, 300, 40001),
+        np.arange(-4000, 4001) * (np.pi / 2),  # at and around the multiples of pi/2
+        np.nextafter(np.arange(1, 4001) * (np.pi / 2), np.inf),
+        rng.uniform(0, 2 * np.pi, 20000),
+        rng.uniform(2.0**20, 2.0**40, 20000),
+        [5e-324, 2.0**20, 2.0**52, 1e300, np.finfo(float).max],
+    ])
+    assert (np.cos(-x).view(np.uint64) == np.cos(x).view(np.uint64)).all()
+    assert (np.sin(-x).view(np.uint64) == np.negative(np.sin(x)).view(np.uint64)).all()
