@@ -59,6 +59,7 @@ from .errors import ValidationError
 from .graphs import (
     GsoKind,
     ProductGraph,
+    _is_count,
     bipolar_rect_signal,
     cartesian_product,
     make_family,
@@ -341,13 +342,9 @@ class NmseReport:
         }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_seed(seed) -> int:
     """A master seed, a non-negative integer (numpy ints accepted), as an int."""
-    if not _is_int(seed) or seed < 0:
+    if not _is_count(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 
@@ -362,7 +359,7 @@ def _suite(
     zero_b_variant: ZeroBVariant,
 ) -> list[NmseReport]:
     seed, zero_b_variant, gso_kind = _check_seed(seed), ZeroBVariant(zero_b_variant), GsoKind(gso_kind)
-    if not _is_int(trials) or trials < 1:
+    if not _is_count(trials) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     signals, variants = tuple(signals), tuple(variants)
     if not signals:
@@ -668,7 +665,7 @@ def compression_study(
 
 def _check_search(budget, seed, metric) -> tuple[int, int]:
     """A search's budget and master seed as ints, after checking them and its metric."""
-    if not _is_int(budget) or budget < 1:
+    if not _is_count(budget) or budget < 1:
         raise ValidationError(f"search budget must be >= 1, as an integer; got {budget!r}")
     seed = _check_seed(seed)
     if metric not in ("re", "nrms", "cc"):

@@ -45,13 +45,13 @@ class GsoKind(enum.Enum):
 
 
 def _is_count(n) -> bool:
-    """Whether ``n`` may be a vertex count: an int or a numpy integer, never a bool."""
+    """Whether ``n`` may be a count: an int or a numpy integer, never a bool."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _vertex_index(v) -> int:
     """``v`` as a vertex index: an integer or a float of integral value, never a bool."""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+    if _is_count(v):
         return int(v)
     if isinstance(v, (float, np.floating)) and float(v).is_integer():
         return int(v)
@@ -284,8 +284,7 @@ def make_family(family: str, n: int, head: int | None = None) -> Graph:
 
 def bipolar_rect_signal(n: int) -> np.ndarray:
     """Rectangular +1/-1 signal: +1 on vertices 0..ceil(n/2)-1, -1 on the rest."""
-    if n < 2:
-        raise ValidationError(f"bipolar rectangular signal requires n >= 2, got {n}")
+    n = _size(n, "bipolar rectangular signal", 2)
     out = np.ones(n)
     out[(n + 1) // 2 :] = -1.0
     return out

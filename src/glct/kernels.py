@@ -3,9 +3,8 @@ eigendecompositions.
 
 The product transforms in :mod:`glct.product` read one
 :class:`FactorDecomposition` per factor. Their chirps apply the eigenvalue
-diagonal of the transform matrix directly in the vertex domain, so their
-effect depends on the canonical eigenvalue order fixed in
-:mod:`glct.spectral`.
+diagonal of the transform matrix directly in the vertex domain, in the
+ascending order of principal argument fixed in :mod:`glct.spectral`.
 
 The unitary eigendecomposition of the transform matrix F = V^T is built in
 two stages. The values stage (:func:`~glct.spectral.eig_unitary_angles`),

@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import GsoKind, ProductGraph, kronecker_sum
+from .graphs import GsoKind, ProductGraph, _is_count, kronecker_sum
 from .kernels import FactorDecomposition, decompose_graph
 from .params import RATED_KINDS, VARIANTS, LctParams, ParamBlock, ProgramGroup, ZeroBVariant
 from .spectral import frac_diag_power
@@ -51,7 +51,7 @@ def _sizes(shape: Sequence[int]) -> tuple[int, ...]:
     positive int or numpy integer, never a bool or a float, as
     :class:`~glct.graphs.Graph` requires of its vertex count."""
     shape = tuple(shape)
-    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1 for s in shape):
+    if not all(_is_count(s) and s >= 1 for s in shape):
         raise ValidationError(f"sizes must be positive integers, got {shape!r}")
     return tuple(map(int, shape))
 

@@ -3,14 +3,16 @@
 Two decompositions are provided: the symmetric eigendecomposition of a shift
 operator (real orthonormal basis, ascending eigenvalues, deterministic signs)
 and the unitary eigendecomposition of the resulting orthogonal transform
-matrix (unimodular eigenvalues in a canonical order). The unitary one runs in
-two stages: a values stage (:func:`eig_unitary_angles`) that bounds and
-returns the sorted eigenvalue angles without forming an eigenvector, and an
-eigenvector stage (:func:`eig_unitary_vectors`) that builds the eigenvectors
-from the values stage's state; the full decomposition is the two in turn.
-Fractional powers are taken entrywise on the unimodular eigenvalues with the
-principal logarithm (:func:`frac_diag_power`), so repeated powers compose
-additively for a fixed branch.
+matrix (unimodular eigenvalues by ascending principal argument). The unitary
+one runs in two stages: a values stage (:func:`eig_unitary_angles`) that
+bounds and returns the sorted eigenvalue angles without forming an
+eigenvector, and an eigenvector stage (:func:`eig_unitary_vectors`) that
+builds the eigenvectors from the values stage's state. No code picks a basis
+inside an eigenspace: a fractional power P diag(mu^t) P^H is the matrix
+function F^t, the same for every eigenbasis P up to rounding. Fractional
+powers are taken entrywise on the unimodular eigenvalues with the principal
+logarithm (:func:`frac_diag_power`), so repeated powers compose additively
+for a fixed branch.
 """
 from __future__ import annotations
 
@@ -41,8 +43,7 @@ class FourierEigen:
     """Unitary eigendecomposition of an orthogonal transform matrix.
 
     ``source = vectors @ diag(values) @ vectors.conj().T`` with unimodular
-    ``values`` sorted by ascending principal argument; argument ties are
-    broken deterministically on the phase-normalized eigenvectors.
+    ``values`` in the order of the values stage's :attr:`UnitaryAngles.angles`.
     """
 
     vectors: np.ndarray
@@ -104,36 +105,6 @@ def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _canonical_order(mu: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort eigenpairs by ascending principal argument with a deterministic tiebreak.
-
-    Each eigenvector is first phase-normalized so that its leading
-    non-negligible component is real and positive. The sort key is then
-    (principal argument, index of that leading component, components as
-    re0, im0, re1, im1, ... rounded to 12 decimals): the lead index keeps an
-    identity eigenbasis the identity, and the components decide the rest.
-    The component key is built only for runs that tie on the first two keys.
-    """
-    n = mu.size
-    # a unit-norm column always has a component above _SIGN_TOL
-    lead = (np.abs(p) > _SIGN_TOL).argmax(axis=0)
-    p = p * np.exp(-1j * np.angle(p[lead, np.arange(n)]))
-    angle = np.angle(mu)
-    order = np.lexsort((lead, angle))
-    a, ld = angle[order], lead[order]
-    breaks = (a[1:] != a[:-1]) | (ld[1:] != ld[:-1])
-    if not breaks.all():
-        starts, sizes = _runs(breaks)
-        for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
-            run = order[start:start + size]
-            block = p[:, run]
-            key = np.empty((2 * n, size))
-            key[0::2] = block.real
-            key[1::2] = block.imag
-            order[start:start + size] = run[np.lexsort(np.round(key, 12)[::-1])]
-    return mu[order], p[:, order]
-
-
 @dataclass(frozen=True)
 class UnitaryAngles:
     """Values stage of the unitary eigendecomposition: the sorted eigenvalue angles.
@@ -147,7 +118,8 @@ class UnitaryAngles:
     also ``residuals["mirrored_pairs"]``. The private fields are the state
     :func:`eig_unitary_vectors` builds the eigenvectors from: the symmetric
     part's eigenvectors, each stacked cluster solve as (column indices,
-    eigenvectors), and the eigenvalues in cluster order.
+    eigenvectors), the eigenvalues in cluster order, and the stable argsort
+    of their angles.
     """
 
     angles: np.ndarray
@@ -157,6 +129,7 @@ class UnitaryAngles:
     _q: np.ndarray = field(repr=False)
     _clusters: tuple = field(repr=False)
     _mu: np.ndarray = field(repr=False)
+    _order: np.ndarray = field(repr=False)
 
 
 def _bound(residual: float, tol: float, what: str) -> None:
@@ -252,26 +225,28 @@ def _angles(f: np.ndarray) -> UnitaryAngles:
     _bound(residuals["cluster_unitarity"], 1e-10, "cluster eigenbasis unitarity")
     _bound(residuals["cluster_reconstruction"], 1e-9, "cluster reconstruction")
     _bound(residuals["unimodularity"], 1e-10, "eigenvalue modulus deviation from 1")
-    angles = np.sort(principal_angle(mu))
+    angles = principal_angle(mu)
+    order = np.argsort(angles, kind="stable")
+    angles = angles[order]
     mirror = _mirror(angles)
     residuals["mirrored_pairs"] = mirror[0]
     return UnitaryAngles(angles=angles, source=f, residuals=residuals, mirror=mirror,
-                         _q=q, _clusters=tuple(clusters), _mu=mu)
+                         _q=q, _clusters=tuple(clusters), _mu=mu, _order=order)
 
 
 def eig_unitary_vectors(stage: UnitaryAngles) -> FourierEigen:
     """Eigenvector stage of the unitary eigendecomposition: build P from the values stage.
 
     The eigenvectors of ``f`` are ``q_c @ w`` on each cluster, taken from the
-    values stage's state with no second eigensolve. Pairs are returned in the
-    order of _canonical_order. Raises NumericalError if P is not unitary
-    within 1e-10 or does not reproduce ``f`` within 1e-9, entrywise.
+    values stage's state with no second eigensolve, in the order of its
+    ``angles``. Raises NumericalError if P is not unitary within 1e-10 or
+    does not reproduce ``f`` within 1e-9, entrywise.
     """
-    q, f = stage._q, stage.source
+    q, f, order = stage._q, stage.source, stage._order
     p = q.astype(complex)
     for idx, w in stage._clusters:
         p[:, idx] = (q[:, idx].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
-    mu, p = _canonical_order(stage._mu, p)
+    mu, p = stage._mu[order], p[:, order]
     ph = p.conj().T
     if not _eye_residual(ph @ p) < 1e-10:
         raise NumericalError("unitary eigenbasis lost orthonormality")

@@ -1,13 +1,16 @@
 """End-to-end command-line behavior, run in process via glct.cli.main."""
+import fnmatch
 import json
 import math
 import re
 import shlex
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glct
 from glct import LctParams, ProductContext, SignalNd, block_rows
 from glct.product import program_block
 from glct import cli
@@ -129,6 +132,23 @@ def test_readme_quick_start_runs():
     section = readme.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
     (code,) = re.findall(r"^```python\n(.*?)^```", section, flags=re.S | re.M)
     exec(compile(code, "README.md", "exec"), {"__name__": "readme_quick_start"})
+
+
+def test_readme_public_names_list_the_exports():
+    """README's "Public names" list names every public non-module attribute of
+    ``glct`` and nothing else, with the count it states: a change that adds or
+    deletes a public name updates the list. ``make_*`` stands for every export
+    it matches; dotted names and ``__version__`` are not exports."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Public names\n", 1)[1].split("\n`gft_nd`", 1)[0]
+    exports = {name for name in dir(glct) if not name.startswith("_")
+               and not isinstance(getattr(glct, name), types.ModuleType)}
+    listed = set()
+    for name in re.findall(r"`([^`]+)`", section):
+        if "." not in name and name != "__version__":
+            listed |= set(fnmatch.filter(exports, name)) if "*" in name else {name}
+    assert listed == exports, (sorted(listed - exports), sorted(exports - listed))
+    assert re.search(r"exports (\d+) names", section).group(1) == str(len(exports))
 
 
 @pytest.mark.parametrize("command", [

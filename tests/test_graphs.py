@@ -287,3 +287,11 @@ class TestBipolarSignal:
     def test_too_small_raises(self):
         with pytest.raises(ValidationError):
             bipolar_rect_signal(1)
+
+    @pytest.mark.parametrize("size", [16.0, "16", True], ids=["float", "str", "bool"])
+    def test_non_integer_size_raises(self, size):
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            bipolar_rect_signal(size)
+
+    def test_numpy_integer_size(self):
+        assert bipolar_rect_signal(np.int64(16)).tobytes() == bipolar_rect_signal(16).tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from glct import (
+    FourierEigen,
     Graph,
     GsoKind,
     LctParams,
@@ -23,6 +24,8 @@ from glct import (
     glct_cddhfs_nd,
     glct_cmccm_nd,
     inverse,
+    make_comet,
+    make_complete,
     make_path,
     make_ring,
     mult_count,
@@ -34,7 +37,7 @@ from glct.product import BLOCK_BYTES, program_block
 from glct import cli, kernels, product
 from glct.experiments import BENCHMARK_SIGNALS, _benchmark_setup, benchmark_signal
 from glct.io import write_graph, write_signal
-from glct.spectral import eig_unitary_angles, eig_unitary_vectors
+from glct.spectral import _runs, eig_unitary_angles, eig_unitary_vectors, principal_angle
 
 from conftest import run_spec
 
@@ -947,6 +950,44 @@ def test_lazy_eigenvectors_give_the_eager_outputs(kind):
             alpha = ParamBlock.from_params([p]).cddhfs()[0].rates[0, 0]
             for op in (lambda c: glct_cddhfs_nd(x, p, c), lambda c: gfrft(x, alpha, c)):
                 assert op(lazy).values.tobytes() == op(eager).values.tobytes(), (name, p)
+
+
+def _other_eigenbasis(fe, rng):
+    """The eigendecomposition ``fe`` with another P: each column rephased by a
+    random unit phase, and inside each eigenspace (a run of angles less than
+    1e-9 apart) the columns permuted and rotated by a random unitary."""
+    p = fe.vectors * np.exp(1j * rng.uniform(-np.pi, np.pi, fe.values.size))
+    starts, sizes = _runs(np.diff(principal_angle(fe.values)) > 1e-9)
+    for start, size in zip(starts, sizes):
+        cols = np.arange(start, start + size)
+        u, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        p[:, cols] = p[:, rng.permutation(cols)] @ u
+    return FourierEigen(vectors=p, values=fe.values, source=fe.source)
+
+
+@pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("factors", [(make_ring(14), make_path(8)), (make_complete(14), make_comet(6)),
+                                     (make_path(20), make_comet(6))],
+                         ids=["ring14xpath8", "complete14xcomet6", "path20xcomet6"])
+def test_fractional_ops_do_not_depend_on_the_eigenbasis(factors, kind):
+    """gfrft and cddhfs run P diag(mu^t) P^H, the matrix function F^t, so any
+    other eigenbasis P gives their outputs up to rounding. Under the
+    adjacency, path(8) has 2- and path(20) 5-dimensional eigenspaces of F."""
+    rng = np.random.default_rng(27)
+    graph = cartesian_product(factors)
+    base, other = ProductContext(graph, kind), ProductContext(graph, kind)
+    for dec, fresh in zip(base.factors, other.factors):
+        fresh.__dict__["fourier"] = _other_eigenbasis(dec.fourier, rng)
+        assert np.abs(fresh.fourier.vectors - dec.fourier.vectors).max() > 0.1
+    params = [LctParams(*GENERAL_ABCD)] + [sample_random_params(rng) for _ in range(3)]
+    alphas = np.array([[0.3, 1.0, -0.77, 1.9]])
+    for groups in ([ProgramGroup(("frac",), np.arange(alphas.size), alphas, None)],
+                   ParamBlock.from_params(params).cddhfs()):
+        rows = sum(len(g.rows) for g in groups)
+        x = rng.normal(size=(rows, graph.n)) + 1j * rng.normal(size=(rows, graph.n))
+        want, got = program_block(x, groups, base), program_block(x, groups, other)
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert err.max() < 1e-12, err
 
 
 @pytest.mark.parametrize("factors", [(make_path(6), make_path(6)), (make_path(3), make_ring(4), make_path(3))],

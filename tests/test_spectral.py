@@ -1,4 +1,6 @@
 """Symmetric and unitary eigendecompositions and fractional operator powers."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,8 @@ from glct import (
     make_path,
     make_ring,
 )
-from glct import spectral
 from glct.kernels import decompose_graph
-from glct.spectral import _canonical_order, _mirror, eig_unitary_angles, eig_unitary_vectors, principal_angle
+from glct.spectral import _mirror, eig_unitary_angles, eig_unitary_vectors, principal_angle
 
 from conftest import frac_operator
 
@@ -159,19 +160,15 @@ class TestNonFinite:
         with pytest.raises(NumericalError, match=message):
             eig_sym(gso(make_ring(5)))
 
-    @pytest.mark.parametrize("which,message", [(1, "orthonormality"), (0, "reconstruction")])
-    def test_eig_unitary_vectors_nan_residuals_fail(self, monkeypatch, which, message):
+    @pytest.mark.parametrize("field,message", [("_q", "orthonormality"), ("_mu", "reconstruction")])
+    def test_eig_unitary_vectors_nan_residuals_fail(self, field, message):
+        """A NaN in the symmetric part's eigenvectors reaches P and fails P^H P;
+        a NaN eigenvalue leaves P unitary and fails the reconstruction of F."""
         stage = eig_unitary_angles(gft_matrix(eig_sym(gso(make_ring(5)))))
-        real = spectral._canonical_order
-
-        def canonical_order(mu, p):
-            out = list(real(mu, p))
-            out[which].flat[0] = np.nan
-            return tuple(out)
-
-        monkeypatch.setattr(spectral, "_canonical_order", canonical_order)
+        bad = getattr(stage, field).copy()
+        bad.flat[0] = np.nan
         with pytest.raises(NumericalError, match=message):
-            eig_unitary_vectors(stage)
+            eig_unitary_vectors(replace(stage, **{field: bad}))
 
 
 class TestFracDiagPower:
@@ -265,23 +262,6 @@ def _reference_fix_signs(v, tol=1e-8):
     return w
 
 
-def _reference_canonical_order(mu, p):
-    n = mu.size
-    cols = []
-    keys = []
-    for k in range(n):
-        v = p[:, k]
-        nz = np.flatnonzero(np.abs(v) > 1e-8)
-        lead = int(nz[0]) if nz.size else n
-        if nz.size:
-            v = v * np.exp(-1j * np.angle(v[lead]))
-        cols.append(v)
-        lex = tuple(np.round(np.column_stack([v.real, v.imag]).ravel(), 12))
-        keys.append((float(np.angle(mu[k])), lead, lex))
-    order = sorted(range(n), key=lambda k: keys[k])
-    return mu[order], np.column_stack([cols[k] for k in order])
-
-
 def _reference_eig_unitary(f, gap_tol=1e-9):
     n = f.shape[0]
     h1 = (f + f.T) / 2.0
@@ -307,8 +287,8 @@ def _reference_eig_unitary(f, gap_tol=1e-9):
     re[np.abs(re) < 1e-13] = 0.0
     mu = re + 1j * im
     mu = mu / np.abs(mu)
-    mu, p = _reference_canonical_order(mu, p)
-    return FourierEigen(vectors=p, values=mu, source=f)
+    order = sorted(range(n), key=lambda k: float(principal_angle(mu[k])))  # a stable sort: ties keep cluster order
+    return FourierEigen(vectors=p[:, order], values=mu[order], source=f)
 
 
 # path(60) adjacency: F has two 30-member clusters
@@ -335,16 +315,6 @@ def test_matches_loop_reference(family, n, kind):
     assert np.abs(fe.values - ref.values).max() < 1e-12
     for t in (0.13, 0.5, 0.77, -0.4):
         assert np.abs(frac_operator(fe, t) - frac_operator(ref, t)).max() < 1e-12
-
-    # on identical input the sort must pick the reference's permutation, ties included
-    rng = np.random.default_rng(n)
-    perm = rng.permutation(f.shape[0])
-    mu = fe.values[perm]
-    p = fe.vectors[:, perm] * np.exp(1j * rng.uniform(-np.pi, np.pi, size=perm.size))
-    got_mu, got_p = _canonical_order(mu, p)
-    ref_mu, ref_p = _reference_canonical_order(mu, p)
-    np.testing.assert_array_equal(got_mu, ref_mu)
-    assert np.abs(got_p - ref_p).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
