@@ -42,7 +42,6 @@ from .product import (
     mult_count,
 )
 from .spectral import (
-    FourierEigen,
     SpectralBasis,
     eig_sym,
     frac_diag_power,

@@ -44,7 +44,8 @@ def _parse_params(text: str) -> tuple[float, float, float, float]:
 
 
 def _parse_gammas(text: str) -> list[float]:
-    """Parse 'start:stop:step' into an inclusive list of ratios."""
+    """Parse 'start:stop:step' into an inclusive list of distinct ratios, each
+    rounded to 10 decimals; at most ``_MAX_RATIOS`` of them."""
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
@@ -56,16 +57,16 @@ def _parse_gammas(text: str) -> list[float]:
         raise ValidationError("--gammas step must be positive")
     if not 0.0 < start <= 1.0:
         raise ValidationError(f"--gammas start must lie in (0, 1], got {start}")
-    if not (stop - start) / step < _MAX_RATIOS:
-        raise ValidationError(f"--gammas range {text!r} spans more than {_MAX_RATIOS} ratios")
     out = []
-    k = 0
-    while True:
+    for k in range(_MAX_RATIOS + 1):
         g = round(start + k * step, 10)
         if g > stop + 1e-12:
             break
+        if out and g == out[-1]:
+            raise ValidationError(f"--gammas step {step} repeats a ratio: ratios are rounded to 10 decimals")
         out.append(g)
-        k += 1
+    else:
+        raise ValidationError(f"--gammas range {text!r} spans more than {_MAX_RATIOS} ratios")
     if not out:
         raise ValidationError(f"--gammas range {text!r} is empty")
     return out
@@ -121,8 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="master seed (non-negative integer)")
     gso = argparse.ArgumentParser(add_help=False)
-    gso.add_argument("--gso", choices=("laplacian", "adjacency"), default="laplacian",
+    gso.add_argument("--gso", choices=[k.value for k in GsoKind], default=GsoKind.LAPLACIAN.value,
                      help="graph shift operator")
+    zero_b = argparse.ArgumentParser(add_help=False)
+    zero_b.add_argument("--zero-b-variant", choices=[v.value for v in ZeroBVariant],
+                        default=ZeroBVariant.EQ30.value)
 
     g = sub.add_parser("gen-graph", help="generate a graph family and write it as JSON")
     g.add_argument("family", choices=GRAPH_FAMILIES)
@@ -130,34 +134,32 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--head", type=int, help="comet only: number of star leaves")
     g.add_argument("--out", help="output file; stdout when omitted")
 
-    t = sub.add_parser("transform", parents=[output, gso],
+    t = sub.add_parser("transform", parents=[output, gso, zero_b],
                        help="apply a linear canonical transform to a signal file")
     t.add_argument("--signal", required=True, help="input signal file (csv or json)")
     t.add_argument("--graph", action="append", required=True,
                    help="factor graph file; repeat once per dimension")
     t.add_argument("--params", required=True, help="a,b,c,d with ad-bc=1")
     t.add_argument("--variant", choices=xp.VARIANTS, default="cmccm")
-    t.add_argument("--zero-b-variant", choices=("eq30", "eq31"), default="eq30")
     t.add_argument("--inverse", action="store_true",
                    help="undo the transform: the inverse parameters, a b = 0 set in the other zero-b form")
 
     b = sub.add_parser("bench", help="run the additivity / reversibility / complexity studies")
     kinds = b.add_subparsers(dest="kind", required=True)
     for kind in ("additivity", "reversibility"):
-        suite = kinds.add_parser(kind, parents=[seed, output, gso],
+        suite = kinds.add_parser(kind, parents=[seed, output, gso, zero_b],
                                  help=f"{kind} NMSE suite on the benchmark signals")
         suite.add_argument("--signal", action="append", choices=xp.BENCHMARK_SIGNALS,
                            help="benchmark signal; repeatable, default all")
         suite.add_argument("--trials", type=int, default=1000)
         suite.add_argument("--variant", choices=xp.VARIANTS + ("both",), default="both")
-        suite.add_argument("--zero-b-variant", choices=("eq30", "eq31"), default="eq30")
         suite.add_argument("--curves-dir", help="write one sorted (rank, nmse) CSV per signal and variant")
     k = kinds.add_parser("complexity", parents=[output],
                          help="the paper's real-multiplication count of each variant")
     k.add_argument("--shape", type=int, nargs="+", required=True, metavar="N",
                    help="axis lengths N1 N2 ... of the M-D signal")
 
-    c = sub.add_parser("compress", parents=[seed, output, gso],
+    c = sub.add_parser("compress", parents=[seed, output, gso, zero_b],
                        help="transform-domain compression study")
     c.add_argument("--gamma", action="append", type=float, help="compression ratio; repeatable")
     c.add_argument("--gammas", help="ratio range start:stop:step")
@@ -170,10 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--search", type=int, metavar="BUDGET",
                    help="random-search BUDGET parameter sets per ratio and report the best")
     c.add_argument("--variant", choices=xp.VARIANTS, default="cmccm")
-    c.add_argument("--zero-b-variant", choices=("eq30", "eq31"), default="eq30")
     c.add_argument("--n1", type=int, default=100, help="ring size of the study graph")
     c.add_argument("--n2", type=int, default=15, help="path size of the study graph")
-    c.add_argument("--metric", choices=("re", "nrms", "cc"), default="nrms",
+    c.add_argument("--metric", choices=xp.METRICS, default="nrms",
                    help="objective for --search")
     c.add_argument("--curves-dir", help="write one (gamma, metric) CSV per method and metric")
     c.add_argument("--recon-dir", help="write reconstructed signals, one JSON per method and ratio")
@@ -298,7 +299,7 @@ def _cmd_compress(args) -> int:
         for rep in reports:
             by_label.setdefault(_method_label(rep), []).append(rep)
         for label, reps in by_label.items():
-            for metric in ("re", "nrms", "cc"):
+            for metric in xp.METRICS:
                 path = Path(args.curves_dir) / f"{label}_{metric}.csv"
                 curve = [{"gamma": r.gamma, metric: getattr(r, metric)}
                          for r in sorted(reps, key=lambda r: r.gamma)]

@@ -570,6 +570,8 @@ def compress_gfrft(
 
 
 DEFAULT_GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
+#: The compression metrics, in the order :func:`_compress_rows` returns them.
+METRICS = ("re", "nrms", "cc")
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * k, 2) for k in range(21))
 
 
@@ -668,7 +670,7 @@ def _check_search(budget, seed, metric) -> tuple[int, int]:
     if not _is_count(budget) or budget < 1:
         raise ValidationError(f"search budget must be >= 1, as an integer; got {budget!r}")
     seed = _check_seed(seed)
-    if metric not in ("re", "nrms", "cc"):
+    if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}; choose re, nrms, or cc")
     return int(budget), seed
 
@@ -683,7 +685,7 @@ def _search_sweep(x, target, ctx, gammas, budget, seed, metric, variant,
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     drawn = ParamBlock.from_abc(sample_abc(rng, budget))
     inverses = drawn.inverse()
-    which = ("re", "nrms", "cc").index(metric)
+    which = METRICS.index(metric)
     sign = -1.0 if metric == "cc" else 1.0
     best: list[CompressionReport | None] = [None] * len(gammas)
     recons = np.empty((len(gammas), x.n))

@@ -262,24 +262,23 @@ def make_low_stretch_tree(n: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-GRAPH_FAMILIES = ("ring", "path", "complete", "comet", "lowstretch")
+_BUILDERS = {
+    "ring": make_ring,
+    "path": make_path,
+    "complete": make_complete,
+    "comet": make_comet,
+    "lowstretch": make_low_stretch_tree,
+}
+GRAPH_FAMILIES = tuple(_BUILDERS)
 
 
 def make_family(family: str, n: int, head: int | None = None) -> Graph:
     """Construct a graph from one of the named families; only comet takes ``head``."""
     if head is not None and family != "comet":
         raise ValidationError(f"only comet graphs take a head size, got head={head} for {family!r}")
-    if family == "ring":
-        return make_ring(n)
-    if family == "path":
-        return make_path(n)
-    if family == "complete":
-        return make_complete(n)
-    if family == "comet":
-        return make_comet(n, head)
-    if family == "lowstretch":
-        return make_low_stretch_tree(n)
-    raise ValidationError(f"unknown graph family {family!r}; choose from {GRAPH_FAMILIES}")
+    if not isinstance(family, str) or family not in _BUILDERS:
+        raise ValidationError(f"unknown graph family {family!r}; choose from {GRAPH_FAMILIES}")
+    return _BUILDERS[family](n) if head is None else make_comet(n, head)
 
 
 def bipolar_rect_signal(n: int) -> np.ndarray:

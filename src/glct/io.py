@@ -146,28 +146,13 @@ def write_signal(path: str | Path, sig: SignalNd, fmt: str | None = None) -> Non
     atomic_write_text(path, signal_text(sig, output_format(path, fmt)))
 
 
-def _json_values(entries) -> np.ndarray:
-    """Complex values of a JSON signal's ``data`` entries.
-
-    Entries that are all [re, im] pairs of JSON numbers are converted as one
-    array; anything else (scalar, ragged or mixed entries, strings, null)
-    goes through the entry-by-entry loop, which accepts and rejects exactly
-    what it always has.
-    """
-    try:
-        pairs = np.array(entries)
-    except (TypeError, ValueError):  # ragged or mixed entries
-        pairs = None
-    if pairs is not None and pairs.dtype.kind in "fiu" and pairs.shape[1:] == (2,):
-        return pairs.astype(float).view(complex).ravel()
-    vals = []
-    for entry in entries:
-        if isinstance(entry, (list, tuple)):
-            re, im = entry
-            vals.append(complex(float(re), float(im)))
-        else:
-            vals.append(complex(entry))
-    return np.array(vals, dtype=complex)
+def _json_values(data) -> np.ndarray:
+    """Complex values of a JSON signal's ``data``: a list of [re, im] pairs of
+    numbers, or a list of real numbers. Raises ValueError for anything else."""
+    values = np.array(data)
+    if values.dtype.kind not in "fiu" or values.ndim == 0 or values.shape[1:] not in ((), (2,)):
+        raise ValueError("data must be a list of [re, im] pairs or a list of real numbers")
+    return values.astype(float).view(complex).ravel() if values.ndim == 2 else values.astype(complex)
 
 
 def read_signal(path: str | Path, shape: Sequence[int] | None = None) -> SignalNd:

@@ -6,13 +6,16 @@ The product transforms in :mod:`glct.product` read one
 diagonal of the transform matrix directly in the vertex domain, in the
 ascending order of principal argument fixed in :mod:`glct.spectral`.
 
-The unitary eigendecomposition of the transform matrix F = V^T is built in
-two stages. The values stage (:func:`~glct.spectral.eig_unitary_angles`),
-which gives the chirps their angles, runs when the factor is decomposed, on
-V^T as a view of the eigenbasis V. The eigenvectors P
-(:attr:`FactorDecomposition.fourier`) are built from its state on first use,
-which only the fractional transform, cddhfs and the dense oracle make; a
-context that runs cmccm alone never builds them.
+The unitary eigendecomposition of the transform matrix F = V^T is one
+:class:`~glct.spectral.UnitaryAngles`, ``eig_unitary_angles(f)``, held as
+:attr:`FactorDecomposition.spectrum`. Its values stage, which gives the
+chirps their angles, runs when the factor is decomposed, on V^T as a view of
+the eigenbasis V. Its eigenvectors P (``spectrum.vectors``) are built from
+that stage's state on first read, which only the fractional transform,
+cddhfs and the dense oracle make; a context that runs cmccm alone never
+builds them. P lives on the spectrum, and its conjugate P-bar, the
+executor's operand for P^H, on the factor
+(:attr:`FactorDecomposition.fourier_conj`).
 
 Each factor matrix is held once. After set-up a factor holds V, the values
 stage's q, its cluster blocks and the angles; the shift operator Z
@@ -55,13 +58,11 @@ import numpy as np
 from .graphs import Graph, GsoKind, gso
 from .spectral import (
     _ORTHOGONAL_TOL,
-    FourierEigen,
     SpectralBasis,
     UnitaryAngles,
     _angles,
     eig_sym,
     eig_unitary_angles,
-    eig_unitary_vectors,
     gft_matrix,
 )
 
@@ -70,9 +71,10 @@ from .spectral import (
 class FactorDecomposition:
     """All spectral data needed to transform signals on one graph.
 
-    Set-up stores the eigenbasis V (:attr:`basis`) and the values stage of F
-    (:attr:`spectrum`), whose ``source`` is V^T, a view of V. The shift
-    operator, F as its own array and the unitary eigenvectors are built on
+    Set-up stores the eigenbasis V (:attr:`basis`) and the unitary
+    eigendecomposition of F (:attr:`spectrum`), whose ``source`` is V^T, a
+    view of V. The shift operator, F as its own array, the unitary
+    eigenvectors P (``spectrum.vectors``) and their conjugate are built on
     first read and then kept.
     """
 
@@ -94,14 +96,9 @@ class FactorDecomposition:
         return gft_matrix(self.basis)
 
     @cached_property
-    def fourier(self) -> FourierEigen:
-        """Unitary eigendecomposition of F, built on first use."""
-        return eig_unitary_vectors(self.spectrum)
-
-    @cached_property
     def fourier_conj(self) -> np.ndarray:
-        """The entrywise conjugate of P (:attr:`fourier`), whose transpose is P^H."""
-        return self.fourier.vectors.conj()
+        """The entrywise conjugate of P (``spectrum.vectors``), whose transpose is P^H."""
+        return self.spectrum.vectors.conj()
 
     @property
     def diagnostics(self) -> dict:

@@ -15,12 +15,14 @@ Transforms run on blocks: T signals on one graph, one program per row. The
 executor splits a program at its ``scale`` ops, which apply the Kronecker sum
 of the shift operators. Between them it goes axis by axis, one op after
 another, and never forms a Kronecker product: along each axis the matrices
-every row shares (V, V^T, P, P^H) are applied once over the whole block, and
-each row's chirps and fractional powers as (T, N_k) diagonals. Chirps are
-per-factor diagonals, so mode-wise application, exact power additivity and
-separability hold by construction. The one-signal functions are the T = 1
-case. A block runs in chunks of at most BLOCK_BYTES, in work arrays that each
-thread keeps between calls (see the blocks section below).
+every row shares (V, V^T, and the unitary eigenbasis P of V^T and P^H, which
+the factor's ``spectrum`` builds on first read) are applied once over the
+whole block, and each row's chirps and fractional powers as (T, N_k)
+diagonals. Chirps are per-factor diagonals, so mode-wise application, exact
+power additivity and separability hold by construction. The one-signal
+functions are the T = 1 case. A block runs in chunks of at most BLOCK_BYTES,
+in work arrays that each thread keeps between calls (see the blocks section
+below).
 """
 from __future__ import annotations
 
@@ -351,7 +353,7 @@ def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.nd
                 elif kind == "frac":
                     x = _shared(x, shape, axis, dec.fourier_conj.T, buf.other(x), ws)
                     x = _diag(x, shape, axis, diags[j][axis], x)
-                    x = _shared(x, shape, axis, dec.fourier.vectors, buf.other(x), ws)
+                    x = _shared(x, shape, axis, dec.spectrum.vectors, buf.other(x), ws)
                 else:
                     x = _shared(x, shape, axis, dec.f if kind == "ft" else dec.basis.vectors, buf.other(x), ws)
     if phases is not None:  # no chirp to fold the scalars into
@@ -498,17 +500,19 @@ def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _dense_op(kind: str, rate: float | None, ctx: ProductContext) -> np.ndarray:
-    """Explicit matrix of one op on the whole product graph."""
+    """Explicit matrix of one op on the whole product graph. Chirps read each
+    factor's eigenvalues (``spectrum.values``); only ``frac`` reads P
+    (``spectrum.vectors``) and so builds it."""
     if kind == "ft":
         return _kron_all([dec.f for dec in ctx.factors]).astype(complex)
     if kind == "ift":
         return _kron_all([dec.basis.vectors for dec in ctx.factors]).astype(complex)
     if kind == "scale":
         return kronecker_sum([dec.z for dec in ctx.factors]).astype(complex) / rate
-    d = _kron_all([frac_diag_power(dec.fourier.values, rate) for dec in ctx.factors])
+    d = _kron_all([frac_diag_power(dec.spectrum.values, rate) for dec in ctx.factors])
     if kind == "cm":
         return np.diag(d)
-    pk = _kron_all([dec.fourier.vectors for dec in ctx.factors])
+    pk = _kron_all([dec.spectrum.vectors for dec in ctx.factors])
     return (pk * d) @ pk.conj().T
 
 

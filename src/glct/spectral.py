@@ -4,10 +4,10 @@ Two decompositions are provided: the symmetric eigendecomposition of a shift
 operator (real orthonormal basis, ascending eigenvalues, deterministic signs)
 and the unitary eigendecomposition of the resulting orthogonal transform
 matrix (unimodular eigenvalues by ascending principal argument). The unitary
-one runs in two stages: a values stage (:func:`eig_unitary_angles`) that
-bounds and returns the sorted eigenvalue angles without forming an
-eigenvector, and an eigenvector stage (:func:`eig_unitary_vectors`) that
-builds the eigenvectors from the values stage's state. No code picks a basis
+one is one object, :class:`UnitaryAngles`, made by :func:`eig_unitary_angles`:
+it bounds and holds the eigenvalues and their sorted angles without forming
+an eigenvector, and builds the eigenvectors (:attr:`UnitaryAngles.vectors`)
+from its own state on first read. No code picks a basis
 inside an eigenspace: a fractional power P diag(mu^t) P^H is the matrix
 function F^t, the same for every eigenbasis P up to rounding. Fractional
 powers are taken entrywise on the unimodular eigenvalues with the principal
@@ -17,6 +17,7 @@ for a fixed branch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,19 +37,6 @@ class SpectralBasis:
     vectors: np.ndarray
     values: np.ndarray
     residuals: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class FourierEigen:
-    """Unitary eigendecomposition of an orthogonal transform matrix.
-
-    ``source = vectors @ diag(values) @ vectors.conj().T`` with unimodular
-    ``values`` in the order of the values stage's :attr:`UnitaryAngles.angles`.
-    """
-
-    vectors: np.ndarray
-    values: np.ndarray
-    source: np.ndarray
 
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
@@ -107,29 +95,50 @@ def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class UnitaryAngles:
-    """Values stage of the unitary eigendecomposition: the sorted eigenvalue angles.
+    """Unitary eigendecomposition ``source = vectors @ diag(values) @ vectors^H``
+    of an orthogonal transform matrix, its eigenvectors built on first read.
 
-    ``angles`` holds the principal arguments of the eigenvalues of
-    ``source``, ascending; they equal the principal angles of the values
-    :func:`eig_unitary_vectors` returns, bit for bit. ``residuals`` holds the
-    bound residuals the stage checked. ``mirror`` is (k, lo): the first k
-    angles, reversed, are the exact negations of ``angles[lo:lo + k]``, lo
-    being the index of the first positive angle (see :func:`_mirror`); k is
-    also ``residuals["mirrored_pairs"]``. The private fields are the state
-    :func:`eig_unitary_vectors` builds the eigenvectors from: the symmetric
+    ``values`` holds the unimodular eigenvalues of ``source`` in ascending
+    order of principal argument, and ``angles`` those arguments:
+    ``principal_angle(values)`` equals ``angles`` bit for bit. ``residuals``
+    holds the bound residuals the values stage checked. ``mirror`` is (k, lo):
+    the first k angles, reversed, are the exact negations of
+    ``angles[lo:lo + k]``, lo being the index of the first positive angle
+    (see :func:`_mirror`); k is also ``residuals["mirrored_pairs"]``. The
+    private fields are the state :attr:`vectors` is built from: the symmetric
     part's eigenvectors, each stacked cluster solve as (column indices,
-    eigenvectors), the eigenvalues in cluster order, and the stable argsort
-    of their angles.
+    eigenvectors), and the stable argsort of the angles in cluster order.
     """
 
     angles: np.ndarray
+    values: np.ndarray
     source: np.ndarray
     residuals: dict
     mirror: tuple[int, int]
     _q: np.ndarray = field(repr=False)
     _clusters: tuple = field(repr=False)
-    _mu: np.ndarray = field(repr=False)
     _order: np.ndarray = field(repr=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The unitary eigenvectors P, columns in the order of :attr:`angles`.
+
+        They are ``q_c @ w`` on each cluster, taken from the values stage's
+        state with no second eigensolve. Raises NumericalError if P is not
+        unitary within 1e-10 or does not reproduce ``source`` within 1e-9,
+        entrywise.
+        """
+        q, mu, f = self._q, self.values, self.source
+        p = q.astype(complex)
+        for idx, w in self._clusters:
+            p[:, idx] = (q[:, idx].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
+        p = p[:, self._order]
+        ph = p.conj().T
+        if not _eye_residual(ph @ p) < 1e-10:
+            raise NumericalError("unitary eigenbasis lost orthonormality")
+        if not np.abs((p * mu) @ ph - f).max() < 1e-9:  # numpy subtracts in the product's buffer
+            raise NumericalError("unitary eigendecomposition failed its reconstruction bound")
+        return p
 
 
 def _bound(residual: float, tol: float, what: str) -> None:
@@ -230,29 +239,8 @@ def _angles(f: np.ndarray) -> UnitaryAngles:
     angles = angles[order]
     mirror = _mirror(angles)
     residuals["mirrored_pairs"] = mirror[0]
-    return UnitaryAngles(angles=angles, source=f, residuals=residuals, mirror=mirror,
-                         _q=q, _clusters=tuple(clusters), _mu=mu, _order=order)
-
-
-def eig_unitary_vectors(stage: UnitaryAngles) -> FourierEigen:
-    """Eigenvector stage of the unitary eigendecomposition: build P from the values stage.
-
-    The eigenvectors of ``f`` are ``q_c @ w`` on each cluster, taken from the
-    values stage's state with no second eigensolve, in the order of its
-    ``angles``. Raises NumericalError if P is not unitary within 1e-10 or
-    does not reproduce ``f`` within 1e-9, entrywise.
-    """
-    q, f, order = stage._q, stage.source, stage._order
-    p = q.astype(complex)
-    for idx, w in stage._clusters:
-        p[:, idx] = (q[:, idx].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
-    mu, p = stage._mu[order], p[:, order]
-    ph = p.conj().T
-    if not _eye_residual(ph @ p) < 1e-10:
-        raise NumericalError("unitary eigenbasis lost orthonormality")
-    if not np.abs((p * mu) @ ph - f).max() < 1e-9:  # numpy subtracts in the product's buffer
-        raise NumericalError("unitary eigendecomposition failed its reconstruction bound")
-    return FourierEigen(vectors=p, values=mu, source=f)
+    return UnitaryAngles(angles=angles, values=mu[order], source=f, residuals=residuals, mirror=mirror,
+                         _q=q, _clusters=tuple(clusters), _order=order)
 
 
 def principal_angle(mu: np.ndarray) -> np.ndarray:

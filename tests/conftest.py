@@ -19,11 +19,11 @@ from glct.product import program_block
 from glct.spectral import _CLUSTER_GAP, _SIGN_TOL, _SNAP_TOL, _runs, frac_diag_power, principal_angle
 
 
-def frac_operator(fe, t):
-    """Fractional power P diag(mu**t) P^H of a unitary eigendecomposition
-    ``fe`` (a FourierEigen), with mu**t from ``frac_diag_power``: the dense
-    matrix the transforms' fractional op stands for."""
-    return (fe.vectors * frac_diag_power(fe.values, t)) @ fe.vectors.conj().T
+def frac_operator(p, mu, t):
+    """Fractional power P diag(mu**t) P^H of a unitary eigendecomposition with
+    eigenvectors ``p`` and eigenvalues ``mu``, with mu**t from
+    ``frac_diag_power``: the dense matrix the transforms' fractional op stands for."""
+    return (p * frac_diag_power(mu, t)) @ p.conj().T
 
 
 def run_spec(x, spec, ctx):

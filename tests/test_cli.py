@@ -2,8 +2,12 @@
 import fnmatch
 import json
 import math
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -21,8 +25,27 @@ from glct.io import fmt_num, read_graph, read_signal, write_signal
 from glct.params import sample_abc
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_ADDRESS_SPACE = 1024**3  # bytes; a child that grows past it fails with MemoryError
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def _frozen_gamma_expansion(start, stop, step):
+    """The unbounded loop --gammas ranges were expanded with."""
+    out, k = [], 0
+    while True:
+        g = round(start + k * step, 10)
+        if g > stop + 1e-12:
+            return out
+        out.append(g)
+        k += 1
 
 
 class TestGenGraph:
@@ -425,13 +448,27 @@ class TestCompress:
         assert run("compress", "--gamma", 1.5, "--n1", 10, "--n2", 4) == 2
 
     @pytest.mark.parametrize("text", ["nan:1:0.1", "0.1:inf:0.1", "-1e18:1:1", "0.1:0.9:1e-9",
-                                      "0.1:0.2:nan", "0.1:nan:0.1"])
-    def test_unbounded_gamma_range_exits_2(self, tmp_path, capsys, text):
-        # each range is rejected before it is expanded
+                                      "0.1:0.2:nan", "0.1:nan:0.1", "1:1:1e-300", "0.5:0.50000000001:1e-13"])
+    def test_unbounded_gamma_range_exits_2(self, tmp_path, text):
+        """Each range exits 2 before any ratio is transformed. The command runs
+        in a child process with a time and an address-space limit, so an
+        expansion that does not stop fails here instead of hanging."""
         out = tmp_path / "c.json"
-        assert run("compress", f"--gammas={text}", "--n1", 10, "--n2", 4, "--out", out) == 2
-        assert "--gammas" in capsys.readouterr().err
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "glct.cli", "compress", f"--gammas={text}", "--n1", "10", "--n2", "4",
+                "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=_limit_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert "--gammas" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,count", [("0.1:0.9:0.1", 9), ("0.05:0.95:0.05", 19), ("0.2:0.8:0.2", 4),
+                                            ("0.1:1:0.1", 10)])
+    def test_gamma_range_expands_as_the_unbounded_loop_did(self, text, count):
+        ratios = cli._parse_gammas(text)
+        assert ratios == _frozen_gamma_expansion(*map(float, text.split(":"))) and len(ratios) == count
 
     @pytest.mark.parametrize("text,field", [("nan:1:0.1", "start"), ("0.1:inf:0.1", "stop"),
                                             ("0.1:0.2:nan", "step"), ("0.1:nan:0.1", "stop")])

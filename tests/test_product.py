@@ -1,4 +1,5 @@
 """Factored multi-dimensional transforms against dense Kronecker oracles."""
+import functools
 import sys
 import threading
 import tracemalloc
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from glct import (
-    FourierEigen,
     Graph,
     GsoKind,
     LctParams,
@@ -34,10 +34,10 @@ from glct import (
 )
 from glct.params import KINDS, ParamBlock, ProgramGroup
 from glct.product import BLOCK_BYTES, program_block
-from glct import cli, kernels, product
+from glct import cli, product, spectral
 from glct.experiments import BENCHMARK_SIGNALS, _benchmark_setup, benchmark_signal
 from glct.io import write_graph, write_signal
-from glct.spectral import _runs, eig_unitary_angles, eig_unitary_vectors, principal_angle
+from glct.spectral import _runs, eig_unitary_angles
 
 from conftest import run_spec
 
@@ -453,7 +453,7 @@ def _ref_gcm(x, xi, ctx):
     for axis, dec in enumerate(ctx.factors):
         view = [1] * t.ndim
         view[axis] = ctx.shape[axis]
-        t = t * _ref_frac_diag_power(dec.fourier.values, xi).reshape(view)
+        t = t * _ref_frac_diag_power(dec.spectrum.values, xi).reshape(view)
     return SignalNd.from_tensor(t)
 
 
@@ -461,8 +461,8 @@ def _ref_cddhfs(x, p, ctx):
     alpha_norm, delta, xi = ParamBlock.from_params([p]).cddhfs()[0].rates[:, 0]
     frac = []
     for dec in ctx.factors:
-        pv = dec.fourier.vectors
-        frac.append((pv * _ref_frac_diag_power(dec.fourier.values, alpha_norm)) @ pv.conj().T)
+        pv = dec.spectrum.vectors
+        frac.append((pv * _ref_frac_diag_power(dec.spectrum.values, alpha_norm)) @ pv.conj().T)
     y = _ref_axes_apply(x, frac).tensor()
     acc = np.zeros_like(y)
     for axis, dec in enumerate(ctx.factors):
@@ -906,7 +906,7 @@ def test_cmccm_never_builds_eigenvectors(rand_signal):
     for zb in ZeroBVariant:
         groups = ParamBlock.from_params([p for p, _ in sets]).cmccm(zb)
         program_block(np.repeat(x.values[None], len(sets), axis=0), groups, ctx)
-    assert all("fourier" not in dec.__dict__ for dec in ctx.factors)
+    assert all("vectors" not in vars(dec.spectrum) for dec in ctx.factors)
 
 
 def test_cli_cmccm_never_builds_eigenvectors(tmp_path, monkeypatch):
@@ -920,13 +920,20 @@ def test_cli_cmccm_never_builds_eigenvectors(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ProductContext", Recorded)
     _transform_cli(tmp_path)
     assert len(built) == 1
-    assert all("fourier" not in dec.__dict__ for dec in built[0].factors)
+    assert all("vectors" not in vars(dec.spectrum) for dec in built[0].factors)
+
+
+def _record_eigenvector_builds(monkeypatch) -> list:
+    """The stages whose eigenvectors are built from here on, one entry a build."""
+    stages, build = [], spectral.UnitaryAngles.vectors.func
+    recorded = functools.cached_property(lambda stage: stages.append(stage) or build(stage))
+    recorded.__set_name__(spectral.UnitaryAngles, "vectors")
+    monkeypatch.setattr(spectral.UnitaryAngles, "vectors", recorded)
+    return stages
 
 
 def test_eigenvectors_built_once_per_factor(tmp_path, monkeypatch, rand_signal):
-    stages = []
-    build = kernels.eig_unitary_vectors
-    monkeypatch.setattr(kernels, "eig_unitary_vectors", lambda stage: stages.append(stage) or build(stage))
+    stages = _record_eigenvector_builds(monkeypatch)
     ctx = ProductContext(_ring12_path4())
     x = rand_signal(ctx, 4)
     for alpha in (0.3, 0.7, 1.2):
@@ -937,6 +944,21 @@ def test_eigenvectors_built_once_per_factor(tmp_path, monkeypatch, rand_signal):
     assert len(stages) == 2 and stages[0] is not stages[1]
 
 
+@pytest.mark.parametrize("op", ["gfrft", "cddhfs"])
+def test_shared_decomposition_builds_one_eigenbasis(op, monkeypatch, rand_signal):
+    """path(6) x path(6) decomposes path(6) once, so both axes read one stage,
+    and that stage alone holds P."""
+    stages = _record_eigenvector_builds(monkeypatch)
+    ctx = ProductContext(cartesian_product([make_path(6), make_path(6)]))
+    x = rand_signal(ctx, 5)
+    if op == "gfrft":
+        gfrft(x, 0.4, ctx)
+    else:
+        glct_cddhfs_nd(x, LctParams(*GENERAL_ABCD), ctx)
+    built = {id(dec.spectrum): dec.spectrum for dec in ctx.factors if "vectors" in vars(dec.spectrum)}
+    assert len(built) == 1 and stages == list(built.values())
+
+
 @pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
 def test_lazy_eigenvectors_give_the_eager_outputs(kind):
     rng = np.random.default_rng(41)
@@ -945,24 +967,25 @@ def test_lazy_eigenvectors_give_the_eager_outputs(kind):
         graph, x = benchmark_signal(name)
         lazy, eager = ProductContext(graph, kind), ProductContext(graph, kind)
         for dec in eager.factors:
-            dec.__dict__["fourier"] = eig_unitary_vectors(eig_unitary_angles(dec.f))
+            dec.spectrum.__dict__["vectors"] = eig_unitary_angles(dec.f).vectors
         for p in params:
             alpha = ParamBlock.from_params([p]).cddhfs()[0].rates[0, 0]
             for op in (lambda c: glct_cddhfs_nd(x, p, c), lambda c: gfrft(x, alpha, c)):
                 assert op(lazy).values.tobytes() == op(eager).values.tobytes(), (name, p)
 
 
-def _other_eigenbasis(fe, rng):
-    """The eigendecomposition ``fe`` with another P: each column rephased by a
-    random unit phase, and inside each eigenspace (a run of angles less than
-    1e-9 apart) the columns permuted and rotated by a random unitary."""
-    p = fe.vectors * np.exp(1j * rng.uniform(-np.pi, np.pi, fe.values.size))
-    starts, sizes = _runs(np.diff(principal_angle(fe.values)) > 1e-9)
+def _other_eigenbasis(stage, rng):
+    """Another eigenbasis P of ``stage.source``: each column of ``stage.vectors``
+    rephased by a random unit phase, and inside each eigenspace (a run of
+    angles less than 1e-9 apart) the columns permuted and rotated by a random
+    unitary."""
+    p = stage.vectors * np.exp(1j * rng.uniform(-np.pi, np.pi, stage.values.size))
+    starts, sizes = _runs(np.diff(stage.angles) > 1e-9)
     for start, size in zip(starts, sizes):
         cols = np.arange(start, start + size)
         u, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
         p[:, cols] = p[:, rng.permutation(cols)] @ u
-    return FourierEigen(vectors=p, values=fe.values, source=fe.source)
+    return p
 
 
 @pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
@@ -977,8 +1000,8 @@ def test_fractional_ops_do_not_depend_on_the_eigenbasis(factors, kind):
     graph = cartesian_product(factors)
     base, other = ProductContext(graph, kind), ProductContext(graph, kind)
     for dec, fresh in zip(base.factors, other.factors):
-        fresh.__dict__["fourier"] = _other_eigenbasis(dec.fourier, rng)
-        assert np.abs(fresh.fourier.vectors - dec.fourier.vectors).max() > 0.1
+        fresh.spectrum.__dict__["vectors"] = _other_eigenbasis(dec.spectrum, rng)
+        assert np.abs(fresh.spectrum.vectors - dec.spectrum.vectors).max() > 0.1
     params = [LctParams(*GENERAL_ABCD)] + [sample_random_params(rng) for _ in range(3)]
     alphas = np.array([[0.3, 1.0, -0.77, 1.9]])
     for groups in ([ProgramGroup(("frac",), np.arange(alphas.size), alphas, None)],

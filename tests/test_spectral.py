@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from glct import (
-    FourierEigen,
     Graph,
     GsoKind,
     NumericalError,
@@ -21,8 +20,9 @@ from glct import (
     make_path,
     make_ring,
 )
+from glct.experiments import BENCHMARK_SIGNALS, benchmark_signal
 from glct.kernels import decompose_graph
-from glct.spectral import _mirror, eig_unitary_angles, eig_unitary_vectors, principal_angle
+from glct.spectral import _mirror, eig_unitary_angles, principal_angle
 
 from conftest import frac_operator
 
@@ -30,8 +30,11 @@ RT2 = np.sqrt(2.0)
 
 
 def eig_unitary(f):
-    """The full unitary eigendecomposition: the values stage, then the eigenvector stage."""
-    return eig_unitary_vectors(eig_unitary_angles(f))
+    """The full unitary eigendecomposition: the values stage, its eigenvectors
+    built (and so their two bounds checked)."""
+    stage = eig_unitary_angles(f)
+    stage.vectors
+    return stage
 
 
 class TestEigSym:
@@ -160,15 +163,15 @@ class TestNonFinite:
         with pytest.raises(NumericalError, match=message):
             eig_sym(gso(make_ring(5)))
 
-    @pytest.mark.parametrize("field,message", [("_q", "orthonormality"), ("_mu", "reconstruction")])
-    def test_eig_unitary_vectors_nan_residuals_fail(self, field, message):
+    @pytest.mark.parametrize("field,message", [("_q", "orthonormality"), ("values", "reconstruction")])
+    def test_vectors_nan_residuals_fail(self, field, message):
         """A NaN in the symmetric part's eigenvectors reaches P and fails P^H P;
         a NaN eigenvalue leaves P unitary and fails the reconstruction of F."""
         stage = eig_unitary_angles(gft_matrix(eig_sym(gso(make_ring(5)))))
         bad = getattr(stage, field).copy()
         bad.flat[0] = np.nan
         with pytest.raises(NumericalError, match=message):
-            eig_unitary_vectors(replace(stage, **{field: bad}))
+            replace(stage, **{field: bad}).vectors
 
 
 class TestFracDiagPower:
@@ -201,25 +204,25 @@ def fe():
 class TestFracOperator:
 
     def test_zero_power_is_identity(self, fe):
-        assert np.abs(frac_operator(fe, 0.0) - np.eye(6)).max() < 1e-10
+        assert np.abs(frac_operator(fe.vectors, fe.values, 0.0) - np.eye(6)).max() < 1e-10
 
     def test_unit_power_reproduces_source(self, fe):
-        assert np.abs(frac_operator(fe, 1.0) - fe.source).max() < 1e-9
+        assert np.abs(frac_operator(fe.vectors, fe.values, 1.0) - fe.source).max() < 1e-9
 
     def test_half_powers_compose(self, fe):
-        h = frac_operator(fe, 0.5)
+        h = frac_operator(fe.vectors, fe.values, 0.5)
         assert np.abs(h @ h - fe.source).max() < 1e-9
 
     def test_power_additivity(self, fe):
         rng = np.random.default_rng(11)
         for s, t in rng.uniform(-2, 2, size=(10, 2)):
-            lhs = frac_operator(fe, s) @ frac_operator(fe, t)
-            rhs = frac_operator(fe, s + t)
+            lhs = frac_operator(fe.vectors, fe.values, s) @ frac_operator(fe.vectors, fe.values, t)
+            rhs = frac_operator(fe.vectors, fe.values, s + t)
             assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_unitarity(self, fe):
         for t in (-1.3, 0.25, 0.5, 0.9, 2.0):
-            u = frac_operator(fe, t)
+            u = frac_operator(fe.vectors, fe.values, t)
             assert np.abs(u.conj().T @ u - np.eye(6)).max() < 1e-9
 
     def test_degeneracy_independence(self):
@@ -241,11 +244,10 @@ class TestFracOperator:
                 [np.sin(theta) * np.exp(-1j * phi), np.cos(theta)],
             ]
         )
-        vectors = fe.vectors.copy()
-        vectors[:, [i, j]] = vectors[:, [i, j]] @ u2
-        rotated = FourierEigen(vectors=vectors, values=fe.values, source=fe.source)
+        rotated = fe.vectors.copy()
+        rotated[:, [i, j]] = rotated[:, [i, j]] @ u2
         for t in (0.3, 0.5, 1.7):
-            assert np.abs(frac_operator(fe, t) - frac_operator(rotated, t)).max() < 1e-8
+            assert np.abs(frac_operator(fe.vectors, mu, t) - frac_operator(rotated, mu, t)).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +290,7 @@ def _reference_eig_unitary(f, gap_tol=1e-9):
     mu = re + 1j * im
     mu = mu / np.abs(mu)
     order = sorted(range(n), key=lambda k: float(principal_angle(mu[k])))  # a stable sort: ties keep cluster order
-    return FourierEigen(vectors=p[:, order], values=mu[order], source=f)
+    return p[:, order], mu[order]
 
 
 # path(60) adjacency: F has two 30-member clusters
@@ -311,10 +313,10 @@ def test_matches_loop_reference(family, n, kind):
 
     f = gft_matrix(basis)
     fe = eig_unitary(f)
-    ref = _reference_eig_unitary(f)
-    assert np.abs(fe.values - ref.values).max() < 1e-12
+    ref_p, ref_mu = _reference_eig_unitary(f)
+    assert np.abs(fe.values - ref_mu).max() < 1e-12
     for t in (0.13, 0.5, 0.77, -0.4):
-        assert np.abs(frac_operator(fe, t) - frac_operator(ref, t)).max() < 1e-12
+        assert np.abs(frac_operator(fe.vectors, fe.values, t) - frac_operator(ref_p, ref_mu, t)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +350,23 @@ def test_both_stages_on_the_transposed_view_equal_them_on_a_copy(family, n, kind
     g = Graph(n=1, edges=()) if family == "single" else make_family(family, n)
     basis = eig_sym(gso(g, kind))
     view, copy = eig_unitary_angles(basis.vectors.T), eig_unitary_angles(gft_matrix(basis))
-    for name in ("angles", "_q", "_mu"):
+    for name in ("angles", "values", "_q"):
         assert getattr(view, name).tobytes() == getattr(copy, name).tobytes(), name
     assert {k: float(v).hex() for k, v in view.residuals.items()} == \
         {k: float(v).hex() for k, v in copy.residuals.items()}
     assert len(view._clusters) == len(copy._clusters)
     for (idx_v, w_v), (idx_c, w_c) in zip(view._clusters, copy._clusters):
         assert idx_v.tobytes() == idx_c.tobytes() and w_v.tobytes() == w_c.tobytes()
-    vectors_v, vectors_c = eig_unitary_vectors(view), eig_unitary_vectors(copy)
-    assert vectors_v.vectors.tobytes() == vectors_c.vectors.tobytes()
-    assert vectors_v.values.tobytes() == vectors_c.values.tobytes()
+    assert view.vectors.tobytes() == copy.vectors.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(GsoKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", BENCHMARK_SIGNALS)
+def test_values_are_in_the_order_of_the_angles(name, kind):
+    graph, _ = benchmark_signal(name)
+    for factor in graph.factors:
+        spectrum = decompose_graph(factor, kind).spectrum
+        assert principal_angle(spectrum.values).tobytes() == spectrum.angles.tobytes()
 
 
 def test_path40_adjacency_ties_differ_in_value_not_angle():
@@ -432,7 +441,7 @@ def test_diagnostics_keep_both_decompositions_residuals():
     }
     assert diag["sym_orthonormality"] < 1e-12 and diag["sym_reconstruction"] < 1e-10 * (1 + np.abs(dec.z).max())
     assert 1 <= diag["max_cluster"] <= 12 and 1 <= diag["clusters"] <= 12
-    assert "fourier" not in dec.__dict__
+    assert "vectors" not in vars(dec.spectrum)
 
 
 @pytest.mark.parametrize("graph,kind,pairs", [
