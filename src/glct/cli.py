@@ -126,7 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="graph shift operator")
     zero_b = argparse.ArgumentParser(add_help=False)
     zero_b.add_argument("--zero-b-variant", choices=[v.value for v in ZeroBVariant],
-                        default=ZeroBVariant.EQ30.value)
+                        default=ZeroBVariant.EQ30.value,
+                        help="six-factor form of cmccm for parameter sets within 1e-9 of b = 0, "
+                             "and for no other; a draw of b uniform on [-2, 2), as the bench "
+                             "suites and compress --search make, lands there with probability "
+                             "about 5e-10")
 
     g = sub.add_parser("gen-graph", help="generate a graph family and write it as JSON")
     g.add_argument("family", choices=GRAPH_FAMILIES)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,6 +73,13 @@ OP_KINDS = RATED_KINDS | {"ft", "ift"}
 VARIANTS = ("cddhfs", "cmccm")
 #: Parameter draws redraw rows with |a| below this, which keeps |d| bounded.
 MIN_ABS_A = 0.05
+#: Largest chirp or fractional rate a program takes: a chirp diagonal is the
+#: cosine and sine of the rate times angles in [-pi, pi], and that product
+#: stays finite below this bound.
+MAX_RATE = np.finfo(float).max / 4
+#: Smallest scale rate a program takes: the least float whose reciprocal, by
+#: which the executor divides, is finite.
+MIN_SCALE = np.nextafter(1.0 / np.finfo(float).max, 1.0)
 
 _GENERAL_B = ("cm", "ft", "cm", "ift", "cm")
 #: Op kinds of each factorization, in the order they are applied, keyed by
@@ -82,6 +90,26 @@ KINDS = {
     "eq31": ("ift",) + _GENERAL_B,
     "cddhfs": ("frac", "scale", "cm"),
 }
+
+
+@lru_cache(maxsize=None)  # one entry per distinct kinds tuple: the factorizations' and single ops'
+def _rated(kinds: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ops of ``kinds`` that take a rate, in order, and the bound on the
+    magnitude of their rates as an (R, 1) column: ``MAX_RATE`` for a chirp or
+    fractional rate, the largest float for a scale rate. A NaN or infinite
+    rate exceeds either."""
+    rated = tuple(kind for kind in kinds if kind in RATED_KINDS)
+    bounds = [np.finfo(float).max if kind == "scale" else MAX_RATE for kind in rated]
+    return rated, np.array(bounds).reshape(-1, 1)
+
+
+def _rate_error(rated: tuple[str, ...], rates: np.ndarray) -> ValidationError:
+    """Why ``rates`` exceed the bounds of :func:`_rated`."""
+    if not np.isfinite(rates).all():
+        return ValidationError(f"op rates must be finite, got {rates[~np.isfinite(rates)][0]}")
+    j = next(j for j, kind in enumerate(rated) if kind != "scale" and (np.abs(rates[j]) > MAX_RATE).any())
+    big = rates[j][np.abs(rates[j]) > MAX_RATE][0]
+    return ValidationError(f"{rated[j]} rates must be at most {MAX_RATE:.6g} in magnitude, got {float(big)}")
 
 
 class _Program(NamedTuple):  # the fields: a typing.NamedTuple class may not define __new__
@@ -105,25 +133,29 @@ class ProgramGroup(_Program):
 
     A group checks itself when it is made, by ``_replace`` too, and raises
     ValidationError unless its kinds are in ``OP_KINDS``, its rates and phases
-    have the shapes above and are finite, and its ``scale`` rates are nonzero."""
+    have the shapes above and are finite, its ``cm`` and ``frac`` rates are at
+    most ``MAX_RATE`` in magnitude and its ``scale`` rates at least
+    ``MIN_SCALE``, so nonzero with a finite reciprocal."""
 
     __slots__ = ()
 
     def __new__(cls, kinds, rows, rates, phases):
         if not OP_KINDS.issuperset(kinds):
             raise ValidationError(f"unknown op kinds {sorted(set(kinds) - OP_KINDS)}; choose from {sorted(OP_KINDS)}")
-        rated = [kind for kind in kinds if kind in RATED_KINDS]
+        rated, bounds = _rated(tuple(kinds))
         r = len(rated)
         if rates.shape not in ((r, 1), (r, len(rows))) or (phases is not None and phases.shape != rates.shape[1:]):
             raise ValidationError(
                 f"a group of {len(rows)} rows with {r} rated ops needs rates of shape ({r}, 1) or "
                 f"({r}, {len(rows)}) and one phase per rate column, got {rates.shape} and {np.shape(phases)}"
             )
-        if not np.isfinite(rates).all():
-            raise ValidationError(f"op rates must be finite, got {rates[~np.isfinite(rates)][0]}")
+        if not (np.abs(rates) <= bounds).all():
+            raise _rate_error(rated, rates)
         for j, kind in enumerate(rated):
-            if kind == "scale" and not rates[j].all():
-                raise ValidationError("scaling factor must be nonzero")
+            if kind == "scale" and (tiny := np.abs(rates[j]) < MIN_SCALE).any():
+                if not rates[j].all():
+                    raise ValidationError("scaling factor must be nonzero")
+                raise ValidationError(f"scaling factor must have a finite reciprocal, got {float(rates[j][tiny][0])}")
         if phases is not None and not np.isfinite(phases).all():
             raise ValidationError("phases must be finite")
         return super().__new__(cls, kinds, rows, rates, phases)

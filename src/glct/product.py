@@ -18,8 +18,11 @@ another, and never forms a Kronecker product: along each axis the matrices
 every row shares (V, V^T, and the unitary eigenbasis P of V^T and P^H, which
 the factor's ``spectrum`` builds on first read) are applied once over the
 whole block, and each row's chirps and fractional powers as (T, N_k)
-diagonals. Chirps are per-factor diagonals, so mode-wise application, exact
-power additivity and separability hold by construction. The one-signal
+diagonals. A real matrix on a first axis of at most PAIR_MAX vertices acts
+as one GEMM on the block's interleaved (re, im) pairs, with the factor's
+pair operand kron(M, I_2)^T; on a larger first axis, on stacked real and
+imaginary parts. Chirps are per-factor diagonals, so mode-wise application,
+exact power additivity and separability hold by construction. The one-signal
 functions are the T = 1 case. A block runs in chunks of at most BLOCK_BYTES,
 in work arrays that each thread keeps between calls (see the blocks section
 below).
@@ -30,6 +33,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -46,6 +50,16 @@ DENSE_SIZE_CAP = 4096
 #: spread numpy's per-call cost over more rows; the per-thread workspace keeps
 #: them from costing page faults, and its size grows with the budget.
 BLOCK_BYTES = 48 * 288 * 16
+#: Largest first factor whose real mode products run in pair form (see
+#: :func:`_shared`). The pair form does twice the multiplies of the stacked
+#: one and saves its four copies; at one BLAS thread on a 2-CPU x86 (AVX-512,
+#: OpenBLAS 0.3.31) a chunk took 57 against 83 us at 14 vertices, and the
+#: pair form stayed faster up to about 32. It also rounds every fibre as the
+#: stacked form does, whatever the chunk's height, only while its GEMM's
+#: inner dimension 2 N_0 stays below 32: from 16 vertices on, the BLAS takes
+#: another kernel for a product of at most 1200 / (2 N_0) fibres, whose
+#: roundings differ, and block rows would no longer equal one-row calls.
+PAIR_MAX = 15
 
 
 def _sizes(shape: Sequence[int]) -> tuple[int, ...]:
@@ -219,20 +233,45 @@ class _Buffers:
         return x if x is self.pair[1] else self.pair[0]
 
 
+#: The real factor matrix of each op that applies one, and its pair operand:
+#: attribute paths on a FactorDecomposition.
+_REAL_MATS = {"ft": ("f", "f_pairs"), "ift": ("basis.vectors", "v_pairs"), "scale": ("z", "z_pairs")}
+
+
+def _real(dec: FactorDecomposition, kind: str, shape: tuple[int, ...], axis: int) -> np.ndarray:
+    """The real matrix that op ``kind`` applies along ``axis``, as :func:`_shared`
+    takes it: the pair operand on a first axis of at most PAIR_MAX vertices of
+    a graph with more than one fibre along it, else the matrix itself. Neither
+    is built before it is first needed. (With one fibre, a one-row call's
+    float view is a single row, whose product numpy makes as a GEMV, rounded
+    unlike a GEMM's rows.)"""
+    mat, pairs = _REAL_MATS[kind]
+    small = axis == 0 and shape[0] <= PAIR_MAX and math.prod(shape) > shape[0]
+    return attrgetter(pairs if small else mat)(dec)
+
+
 def _shared(x: np.ndarray, shape: tuple[int, ...], axis: int, mat: np.ndarray, out: np.ndarray,
             ws: _Workspace) -> np.ndarray:
     """Apply one matrix along ``axis`` of every row of block ``x`` into ``out``.
 
     On the first axis (R = 1) this is one GEMM over all T * L fibres. A real
-    matrix acts on real and imaginary parts separately: on the first axis
-    stacked as 2 * T * L rows in the memory of ``out``, with the product in
-    the workspace slot "b"; on later axes through the float view of the block,
-    whose (N_k, 2R) slices interleave real and imaginary parts.
+    matrix acts on real and imaginary parts separately. On a first axis of at
+    most PAIR_MAX vertices (see :func:`_real`) ``mat`` is its
+    (2 N_0, 2 N_0) pair operand kron(M, I_2)^T
+    (:func:`~glct.kernels.pair_operand`), and the GEMM runs on the block's
+    float view, whose (T * L, 2 N_0) rows interleave real and imaginary
+    parts: no copy, and no work array. On any other first axis the
+    parts are stacked as 2 * T * L rows in the memory of ``out``, with the
+    product in the workspace slot "b"; on later axes the matrix acts through
+    the float view of the block, whose (N_k, 2R) slices interleave the parts.
     """
     n, r = _dims(shape, axis)
     real = mat.dtype.kind == "f"
     if r == 1:
         rows, res = x.reshape(-1, n), out.reshape(-1, n)
+        if mat.shape[0] == 2 * n:  # a pair operand
+            np.matmul(rows.view(float), mat, out=res.view(float))
+            return out
         if not real:
             np.matmul(rows, mat.T, out=res)
             return out
@@ -280,7 +319,7 @@ def _kron_sum(x: np.ndarray, ctx: ProductContext, out: np.ndarray, ws: _Workspac
     """Apply the Kronecker sum of the shift operators into ``out``: the sum of
     their mode products, each after the first made in the workspace slot "a".
     The sum starts from 0, as ``sum`` does, which turns -0.0 into +0.0."""
-    _shared(x, ctx.shape, 0, ctx.factors[0].z, out, ws)
+    _shared(x, ctx.shape, 0, _real(ctx.factors[0], "scale", ctx.shape, 0), out, ws)
     np.add(out, 0, out=out)
     term = ws.take("a", x.shape)
     for axis, dec in enumerate(ctx.factors[1:], 1):
@@ -355,7 +394,7 @@ def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.nd
                     x = _diag(x, shape, axis, diags[j][axis], x)
                     x = _shared(x, shape, axis, dec.spectrum.vectors, buf.other(x), ws)
                 else:
-                    x = _shared(x, shape, axis, dec.f if kind == "ft" else dec.basis.vectors, buf.other(x), ws)
+                    x = _shared(x, shape, axis, _real(dec, kind, shape, axis), buf.other(x), ws)
     if phases is not None:  # no chirp to fold the scalars into
         x = np.multiply(x, phases[:, None], out=buf.own(x))
     if sigma is not None:
@@ -556,8 +595,10 @@ def mult_count(spec: TransformSpec, shape: Sequence[int]) -> int:
     a diagonal and P (8*N_k*P + 4*P per axis, counted 4*N_k*P), each chirp as
     one diagonal per axis (4*P per axis, counted 4*P in all), and folds the
     phase and each 1/sigma into the last chirp's axis-0 diagonal if there is
-    a chirp. Real factors act on stacked real and imaginary parts, 2*N_k*P as
-    counted.
+    a chirp. Real factors act on real and imaginary parts, 2*N_k*P as counted,
+    except on a first axis of at most ``PAIR_MAX`` vertices (of a graph with
+    more than one fibre along it): there the one GEMM on interleaved (re, im)
+    pairs does 4*N_0*P real multiplies, half of them by zero.
     """
     shape = _sizes(shape)
     if not shape:

@@ -24,13 +24,17 @@ from glct import (
     GsoKind,
     LctParams,
     ProductContext,
+    SignalNd,
     TransformSpec,
     ZeroBVariant,
     apply_glct,
     benchmark_signal,
+    cartesian_product,
     compression_study,
     dense_operator,
     inverse,
+    make_path,
+    make_ring,
     search_glct_params,
     suite_additivity,
     suite_reversibility,
@@ -40,6 +44,10 @@ from glct.io import signal_text
 
 VARIANTS = ("cddhfs", "cmccm")
 ABCD = (0.6, 0.8, -0.5, 1.0)
+ZERO_B_ABCD = (2.0, 0.0, 0.7, 0.5)
+#: First-factor sizes on both sides of the executor's first-axis rule: real
+#: mode products run in pair form up to 15 vertices and stacked above.
+FIRST_AXIS_SIZES = (15, 16)
 DENSE_SPECS = [
     TransformSpec("gft"),
     TransformSpec("igft"),
@@ -84,6 +92,16 @@ def outputs():
         if variant == "cmccm":
             yield "signal_text json", digest(signal_text(y, "json"))
             yield "signal_text csv", digest(signal_text(y, "csv"))
+    for n1, kind in itertools.product(FIRST_AXIS_SIZES, GsoKind):
+        graph = cartesian_product([make_ring(n1), make_path(6)])
+        ctx = ProductContext(graph, kind)
+        x = SignalNd(graph.shape, np.array([1.0, 1j]) @ np.random.default_rng(n1).normal(size=(2, graph.n)))
+        for variant, abcd in itertools.product(VARIANTS, (ABCD, ZERO_B_ABCD)):
+            y = apply_glct(x, LctParams(*abcd), ctx, variant)
+            yield f"apply_glct ring{n1}xpath6 gso={kind.value} {variant} {abcd}", digest(y.values)
+        for variant in VARIANTS:
+            reports = compression_study(seed=0, n1=n1, n2=6, variant=variant, gso_kind=kind)
+            yield f"compression_study ring{n1}xpath6 gso={kind.value} {variant}", digest(reports)
     x1, _ = benchmark_signal("x1")
     for spec in DENSE_SPECS:
         yield f"dense_operator x1 {spec.op} {spec.zero_b_variant}", digest(dense_operator(spec, x1))

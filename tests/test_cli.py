@@ -37,6 +37,15 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
+def _no_transform(monkeypatch):
+    """Fail the test if the command runs a block transform."""
+    def transform(*args, **kwargs):
+        raise AssertionError("a transform ran before the rates were checked")
+
+    monkeypatch.setattr(glct.product, "program_block", transform)
+    monkeypatch.setattr(xp, "program_block", transform)
+
+
 def _frozen_gamma_expansion(start, stop, step):
     """The unbounded loop --gammas ranges were expanded with."""
     out, k = [], 0
@@ -289,6 +298,20 @@ class TestTransform:
                    "--params", "1,1,1,1") == 2
         assert "ad - bc = 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["cmccm", "cddhfs"])
+    def test_huge_finite_chirp_rate_exit_2(self, workspace, capsys, monkeypatch, variant):
+        """b = 0 with c = 1e308 gives eq30 the chirp rate (c + 1) / d = 1e308 and
+        cddhfs the chirp rate ac + bd = 1e308; times an angle that overflows, and
+        the command printed overflow warnings and exited 3 when writing NaN."""
+        _no_transform(monkeypatch)
+        rc = run("transform", "--signal", workspace / "x.csv", "--graph", workspace / "g1.json",
+                 "--graph", workspace / "g2.json", "--params", "1,0,1e308,1", "--variant", variant,
+                 "--out", workspace / "y.json")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cm rates must be at most") and err.count("\n") == 1
+        assert not (workspace / "y.json").exists()
+
     def test_shape_mismatch_exit_2(self, workspace):
         assert run("transform", "--signal", workspace / "x.csv",
                    "--graph", workspace / "g1.json",
@@ -446,6 +469,16 @@ class TestCompress:
 
     def test_invalid_gamma_exit_2(self):
         assert run("compress", "--gamma", 1.5, "--n1", 10, "--n2", 4) == 2
+
+    def test_huge_finite_order_exit_2(self, tmp_path, capsys, monkeypatch):
+        """A fractional order of 1e308 overflows times an angle; it is rejected
+        before any transform, with one error line and no warning."""
+        _no_transform(monkeypatch)
+        out = tmp_path / "c.json"
+        assert run("compress", "--alpha", 1e308, "--n1", 10, "--n2", 4, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: frac rates must be at most") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["nan:1:0.1", "0.1:inf:0.1", "-1e18:1:1", "0.1:0.9:1e-9",
                                       "0.1:0.2:nan", "0.1:nan:0.1", "1:1:1e-300", "0.5:0.50000000001:1e-13"])

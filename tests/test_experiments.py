@@ -34,7 +34,7 @@ from glct import (
     suite_additivity,
     suite_reversibility,
 )
-from glct import experiments, product
+from glct import cli, experiments, product
 from glct.experiments import (
     BENCHMARK_SIGNALS,
     DEFAULT_ALPHA_GRID,
@@ -442,6 +442,74 @@ class TestSuiteSetupCache:
     def test_unknown_gso_raises(self, suite):
         with pytest.raises(ValidationError, match="shift operator"):
             suite(signals=("x1",), trials=2, gso_kind="adjacenc")
+
+
+_ZERO_B_SUITE_CHECK = """
+import numpy as np
+from glct import LctParams, ProductContext, ZeroBVariant, benchmark_signal
+from glct import experiments, nmse_additivity, nmse_reversibility, suite_additivity, suite_reversibility
+from glct.product import block_rows
+
+graph, x = benchmark_signal("x1")
+ctx = ProductContext(graph)
+step = block_rows(x.n)
+trials = step + 4
+draw = experiments.trial_abc
+
+
+def zero_b_draws(seed, signal_index, trials, n):
+    # b = 0 on every row of the trials around the first chunk boundary, and
+    # on the first row only of trial step + 2
+    abc = draw(seed, signal_index, trials, n).reshape(trials, n, 3)
+    abc[step - 2:step + 2, :, 1] = 0.0
+    abc[step + 2, 0, 1] = 0.0
+    return abc.reshape(-1, 3)
+
+
+experiments.trial_abc = zero_b_draws
+abc = zero_b_draws(5, 0, trials, 2)
+cmccm = {form: [] for form in ZeroBVariant}
+for form in ZeroBVariant:
+    for r in suite_reversibility(("x1",), trials, 5, zero_b_variant=form):
+        want = [nmse_reversibility(x, LctParams.from_abc(*row), ctx, r.variant, form)
+                for row in zero_b_draws(5, 0, trials, 1)]
+        assert r.values.tobytes() == np.array(want).tobytes(), (form, r.variant)
+        if r.variant == "cmccm":
+            assert r.values.max() < 1e-20, (form, r.values.max())
+            cmccm[form].append(r.values)
+    for r in suite_additivity(("x1",), trials, 5, zero_b_variant=form):
+        want = [nmse_additivity(x, LctParams.from_abc(*abc[2 * t]), LctParams.from_abc(*abc[2 * t + 1]), ctx,
+                                r.variant, form) for t in range(trials)]
+        assert r.values.tobytes() == np.array(want).tobytes(), (form, r.variant)
+        if r.variant == "cmccm":
+            cmccm[form].append(r.values)
+# the forms differ on the b = 0 trials only: the draws reach the six-factor forms
+zero_b = np.zeros(trials, bool)
+zero_b[step - 2:step + 3] = True
+for eq30, eq31 in zip(cmccm[ZeroBVariant.EQ30], cmccm[ZeroBVariant.EQ31]):
+    assert (eq30 != eq31).any() and (eq30 == eq31)[~zero_b].all()
+"""
+
+
+class TestZeroBTrials:
+    def test_zero_b_rows_across_a_chunk_boundary_equal_one_trial_calls(self):
+        # A uniform draw of b lands within 1e-9 of b = 0 with probability
+        # about 5e-10, so no seeded suite runs the six-factor forms. With the
+        # draws patched to put b = 0 on the trials around x1's first chunk
+        # boundary, both suites under either form equal the one-trial NMSE
+        # functions bit for bit; that needs one BLAS thread, so it runs in a child.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _ZERO_B_SUITE_CHECK], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("kind", ["additivity", "reversibility"])
+    def test_bench_help_says_where_the_zero_b_form_acts(self, kind, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["bench", kind, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "within 1e-9 of b = 0, and for no other" in text and "about 5e-10" in text
 
 
 class TestSuiteParamBlocks:

@@ -57,6 +57,41 @@ class TestValidation:
             LctParams.from_loose(1.0, 1.0, 1.0, 1.0)
 
 
+class TestGroupRates:
+    """A group takes only rates its ops can run on: a chirp or fractional rate
+    whose product with an angle in [-pi, pi] stays finite, and a scale rate
+    whose reciprocal does."""
+
+    @staticmethod
+    def _group(kinds, rates):
+        return params.ProgramGroup(kinds, np.arange(2), np.array(rates, dtype=float), None)
+
+    @pytest.mark.parametrize("kinds,rates,match", [
+        (("cm",), [[0.5, 1e308]], "cm rates must be at most"),
+        (("frac", "cm"), [[-1e308, 0.5], [0.5, 0.5]], "frac rates must be at most"),
+        (("cm",), [[np.nextafter(params.MAX_RATE, np.inf), 0.5]], "cm rates must be at most"),
+        (("frac", "scale", "cm"), [[0.5, 0.5], [1.0, 5e-309], [0.5, 0.5]], "finite reciprocal"),
+        (("scale",), [[-1e-320, 1.0]], "finite reciprocal"),
+        (("scale",), [[1.0, 1.0 / np.finfo(float).max]], "finite reciprocal"),
+    ], ids=["cm-1e308", "frac-minus-1e308", "cm-just-above", "scale-5e-309", "scale-subnormal",
+            "scale-one-over-max"])
+    def test_rejects_rates_that_overflow(self, kinds, rates, match):
+        with pytest.raises(ValidationError, match=match):
+            self._group(kinds, rates)
+
+    def test_takes_the_largest_rates_that_run(self):
+        big, small = params.MAX_RATE, np.nextafter(1.0 / np.finfo(float).max, 1.0)
+        assert np.isfinite(big * np.pi)
+        assert np.isfinite(1.0 / small)
+        self._group(("cm", "frac"), [[big, -big], [-big, big]])
+        self._group(("scale",), [[small, -small]])
+
+    def test_eq30_rate_of_a_huge_c_is_rejected(self):
+        """b = 0 and c = 1e308: eq30's first chirp rate is (c + 1) / d = 1e308."""
+        with pytest.raises(ValidationError, match="cm rates must be at most"):
+            ParamBlock.from_params([LctParams(1.0, 0.0, 1e308, 1.0)]).cmccm(ZeroBVariant.EQ30)
+
+
 class TestGroupOps:
     def test_inverse(self):
         p = inverse(LctParams(0.6, 0.8, -0.5, 1.0))

@@ -1,8 +1,12 @@
 """Factored multi-dimensional transforms against dense Kronecker oracles."""
 import functools
+import itertools
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,8 @@ from glct.spectral import _runs, eig_unitary_angles
 
 from conftest import run_spec
 
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 GENERAL_ABCD = (0.6, 0.8, -0.5, 1.0)
 ZERO_B_ABCD = (2.0, 0.0, 0.7, 0.5)
 
@@ -832,6 +838,128 @@ def test_kron_sum_adds_from_zero(ctx_3d, monkeypatch):
     want = sum(negative_zero(x, ctx_3d.shape, axis, None, np.empty_like(x), None) for axis in range(3))
     assert got.tobytes() == want.tobytes()
     assert not np.signbit(got.view(float)).any()
+
+
+# ---------------------------------------------------------------------------
+# The two first-axis paths of a real matrix: one GEMM on interleaved (re, im)
+# pairs up to PAIR_MAX vertices, stacked real and imaginary parts above.
+
+#: First-factor sizes on both sides of the rule, each a path times ring(12),
+#: and a path alone: one fibre per row, which takes the stacked form.
+FIRST_AXIS_SIZES = (2, 8, product.PAIR_MAX, product.PAIR_MAX + 1)
+FIRST_AXIS_GRAPHS = [(n0, l) for n0 in FIRST_AXIS_SIZES for l in (12, 1)]
+
+
+def _first_axis_graph(n0, l):
+    """path(n0) times ring(l), or path(n0) alone for l = 1."""
+    return cartesian_product([make_path(n0)] + ([make_ring(l)] if l > 1 else []))
+
+
+def _stacked_shared(x, shape, axis, mat, out, ws):
+    """The mode product as the executor made it on every first axis before
+    pair operands, kept here as it was: on the first axis a real matrix acts on
+    the real and imaginary parts stacked in the memory of ``out``, with the
+    product in the workspace slot "b"."""
+    n, r = shape[axis], int(np.prod(shape[:axis]))
+    real = mat.dtype.kind == "f"
+    if r == 1:
+        rows, res = x.reshape(-1, n), out.reshape(-1, n)
+        if not real:
+            np.matmul(rows, mat.T, out=res)
+            return out
+        half = rows.shape[0]
+        parts = out.reshape(-1).view(float).reshape(2 * half, n)
+        parts[:half], parts[half:] = rows.real, rows.imag
+        prod = np.matmul(parts, mat.T, out=ws.take("b", parts.shape, float))
+        res.real, res.imag = prod[:half], prod[half:]
+        return out
+    if real:
+        np.matmul(mat, x.reshape(-1, n, r).view(float), out=out.reshape(-1, n, r).view(float))
+    else:
+        np.matmul(mat, x.reshape(-1, n, r), out=out.reshape(-1, n, r))
+    return out
+
+
+#: Programs that apply V, V^T and Z on the first axis: cmccm in both zero-b
+#: forms (``_mixed_block`` puts b = 0 on every fifth row), cddhfs, and the
+#: transform and its inverse.
+FIRST_AXIS_PROGRAMS = ("cmccm-eq30", "cmccm-eq31", "cddhfs", "gft", "igft")
+
+
+def _first_axis_program(name, params):
+    """The groups of program ``name`` of FIRST_AXIS_PROGRAMS on the rows of ``params``."""
+    if name.startswith("cmccm"):
+        return params.cmccm(ZeroBVariant(name.removeprefix("cmccm-")))
+    if name == "cddhfs":
+        return params.cddhfs()
+    kinds = ("ft",) if name == "gft" else ("ift",)
+    return [ProgramGroup(kinds, np.arange(len(params)), np.empty((0, len(params))), None)]
+
+
+def check_first_axis_paths(kind):
+    """On each graph of FIRST_AXIS_GRAPHS under GSO ``kind``: every
+    row of a two-chunk block equals the stacked product of ``_stacked_shared``
+    bit for bit, and blocks of 1, block_rows(P) and block_rows(P) + 1 rows
+    equal their one-row calls bit for bit (cddhfs on a graph of one fibre
+    per row excepted). Both need one BLAS thread; the
+    test runs this in a child that has it."""
+    for n0, l in FIRST_AXIS_GRAPHS:
+        ctx = ProductContext(_first_axis_graph(n0, l), kind)
+        step = block_rows(ctx.graph.n)
+        xs, params = _mixed_block(ctx, step + 1, n0)
+        for name in FIRST_AXIS_PROGRAMS:
+            groups = _first_axis_program(name, params)
+            got = program_block(xs, groups, ctx)
+            pair_max, shared = product.PAIR_MAX, product._shared
+            product.PAIR_MAX, product._shared = 0, _stacked_shared
+            try:
+                want = program_block(xs, groups, ctx)
+            finally:
+                product.PAIR_MAX, product._shared = pair_max, shared
+            assert got.tobytes() == want.tobytes(), (kind, n0, l, name, "stacked")
+        # on one fibre per row a one-row call's complex P^H is a GEMV, which
+        # rounds unlike the block's GEMM rows on either path, so cddhfs is left out
+        names = [name for name in FIRST_AXIS_PROGRAMS if l > 1 or name != "cddhfs"]
+        for t, name in itertools.product((1, step, step + 1), names):
+            block = program_block(xs[:t], _first_axis_program(name, params[:t]), ctx)
+            for i in sorted({*range(0, t, max(1, t // 40)), t - 1}):  # about 40 rows, the last included
+                one = program_block(xs[i:i + 1], _first_axis_program(name, params[i]), ctx)
+                assert block[i].tobytes() == one[0].tobytes(), (kind, n0, l, name, t, i)
+
+
+@pytest.mark.parametrize("kind", list(GsoKind), ids=[k.value for k in GsoKind])
+def test_first_axis_paths_give_the_stacked_bytes(kind):
+    """Run in a child with BLAS pinned to one thread: a multi-threaded GEMM
+    may split a block differently and round its rows differently."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")])}
+    code = f"from test_product import check_first_axis_paths; check_first_axis_paths({kind.value!r})"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n0,l", FIRST_AXIS_GRAPHS)
+def test_pair_path_takes_no_stacking_buffer(n0, l, monkeypatch):
+    """A chunk whose first factor has at most PAIR_MAX vertices takes no slot
+    "b" in a fresh workspace; one vertex more, or one fibre per row, and it
+    does. The pair operands are built by the first transform that applies
+    them, and kept."""
+    monkeypatch.setattr(product._THREAD, "workspace", product._Workspace())
+    ctx = ProductContext(_first_axis_graph(n0, l))
+    first, pairs = ctx.factors[0], {"v_pairs", "f_pairs", "z_pairs"}
+    assert not pairs & set(vars(first))
+    xs, params = _mixed_block(ctx, block_rows(ctx.graph.n), 5)
+    for name in FIRST_AXIS_PROGRAMS:
+        program_block(xs, _first_axis_program(name, params), ctx)
+    small = n0 <= product.PAIR_MAX and l > 1
+    assert ("b" in product._THREAD.workspace.slots) is not small
+    assert pairs & set(vars(first)) == (pairs if small else set())
+    assert all(not pairs & set(vars(dec)) for dec in ctx.factors[1:])
+    if small:
+        kept = first.v_pairs
+        program_block(xs, params.cmccm(), ctx)
+        assert first.v_pairs is kept
+        assert first.v_pairs.shape == (2 * n0, 2 * n0) and first.v_pairs.flags.f_contiguous
 
 
 #: How far the peak allocation of a warm block call may grow per byte of
