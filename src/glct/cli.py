@@ -271,8 +271,8 @@ def _compress_reports(args, gammas, ctx, x) -> list:
     results = []
     for recon, reports in xp._study(x, ctx, gammas, alphas, param_sets, args.variant, args.zero_b_variant,
                                     args.seed, args.search, args.metric):
-        if not args.recon_dir:
-            recon = [None] * len(reports)
+        # a method's reconstructions live in a workspace that the next method overwrites
+        recon = recon.copy() if args.recon_dir else [None] * len(reports)
         results.extend(zip(recon, reports))
     return results
 

@@ -16,7 +16,10 @@ computes it (bit for bit with single-threaded BLAS). Their parameters stay
 arrays (:class:`~glct.params.ParamBlock`) from the draw to the executor: a
 suite draws every trial's rows in one array pass (:func:`glct.seeding.trial_abc`,
 byte-equal to a numpy generator per trial), then composes or inverts the
-whole block once and factorizes it one chunk at a time.
+whole block once and factorizes it one chunk at a time. A chunk's transform
+pair, p and p^-1 or p2 and p1, runs as one chain of programs, and the blocks
+the studies keep between transforms live in a per-thread workspace
+(:func:`_kept`).
 
 The suites keep at most 8 small contexts per process: the set-up of each
 (benchmark signal, :class:`~glct.graphs.GsoKind`) pair, its signal and its
@@ -80,6 +83,7 @@ from .product import (
     SignalNd,
     _single,
     _sizes,
+    _workspace,
     block_rows,
     glct_cddhfs_nd,
     glct_cmccm_nd,
@@ -149,29 +153,28 @@ def apply_glct(
     return glct_cmccm_nd(x, p, ctx, zero_b_variant)
 
 
-def _glct_block(
-    values: np.ndarray,
-    params: ParamBlock,
-    ctx: ProductContext,
-    variant: str,
-    zero_b_variant: ZeroBVariant,
-) -> np.ndarray:
-    """Row t of ``values`` (T, P) through :func:`apply_glct` with row t of ``params``."""
-    return program_block(values, params.factorize(variant, zero_b_variant), ctx)
-
-
 def _square_row_sums(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``np.sum(np.abs(z) ** 2, axis=1)`` of a complex (T, P) ``z``, with the
     squares made in the memory of ``scratch``, a C-contiguous array of at
-    least z's bytes that it overwrites."""
+    least T * P floats that it overwrites."""
     squares = scratch.reshape(-1).view(float)[:z.size].reshape(z.shape)
     np.abs(z, out=squares)
     return np.square(squares, out=squares).sum(axis=1)
 
 
-def _rows(x: SignalNd, t: int) -> np.ndarray:
-    """A block of ``t`` copies of ``x``."""
-    return np.broadcast_to(x.values, (t, x.n))
+def _kept(slot: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """A work array of ``shape`` in the calling thread's study workspace
+    (``product._THREAD.studies``), or a fresh one if it would exceed
+    BLOCK_BYTES. Each slot holds one block at a time: what a caller keeps it
+    copies before the next call that takes the slot."""
+    return _workspace(math.prod(shape) * np.dtype(dtype).itemsize // 16, "studies").take(slot, shape, dtype)
+
+
+def _rows(x: SignalNd, t: int, slot: str = "rows") -> np.ndarray:
+    """A block of ``t`` copies of ``x``, in slot ``slot`` of the study workspace."""
+    rows = _kept(slot, (t, x.n))
+    rows[...] = x.values
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +200,16 @@ def nmse_additivity(
 
 def _nmse_additivity_block(x, p1, p2, p12, ctx, variant, zero_b_variant) -> np.ndarray:
     """The additivity NMSE of every row pair of the blocks ``p1`` and ``p2``,
-    whose composition is ``p12``, as three block transforms."""
+    whose composition is ``p12``: the one-step block, and the two-step one as
+    one chain of p2's and p1's programs."""
     ctx.check(x)
     block = _rows(x, len(p1))
-    one = _glct_block(block, p12, ctx, variant, zero_b_variant)
-    half = _glct_block(block, p2, ctx, variant, zero_b_variant)
-    two = _glct_block(half, p1, ctx, variant, zero_b_variant)
-    den = _square_row_sums(one, half)
+    one = program_block(block, p12.factorize(variant, zero_b_variant), ctx)
+    two = program_block(block, p2.factorize(variant, zero_b_variant), ctx, then=[p1.factorize(variant, zero_b_variant)])
+    den = _square_row_sums(one, block)
     if (den == 0.0).any():
         raise ValidationError("degenerate signal: the reference transform is identically zero")
-    return _square_row_sums(np.subtract(one, two, out=two), half) / den
+    return _square_row_sums(np.subtract(one, two, out=two), block) / den
 
 
 def nmse_reversibility(
@@ -229,14 +232,15 @@ def nmse_reversibility(
 
 def _nmse_reversibility_block(x, params, inverses, ctx, variant, zero_b_variant) -> np.ndarray:
     """:func:`nmse_reversibility` of every row of the block ``params``, whose
-    inverse is ``inverses``, as two block transforms."""
+    inverse is ``inverses``, as one chain of the forward and inverse programs."""
     ctx.check(x)
     den = float(np.sum(np.abs(x.values) ** 2))
     if den == 0.0:
         raise ValidationError("degenerate signal: ||x|| = 0")
-    forward = _glct_block(_rows(x, len(params)), params, ctx, variant, zero_b_variant)
-    recon = _glct_block(forward, inverses, ctx, variant, zero_b_variant.inverse_form)
-    return _square_row_sums(np.subtract(x.values, recon, out=recon), forward) / den
+    block = _rows(x, len(params))
+    recon = program_block(block, params.factorize(variant, zero_b_variant), ctx,
+                          then=[inverses.factorize(variant, zero_b_variant.inverse_form)])
+    return _square_row_sums(np.subtract(x.values, recon, out=recon), block) / den
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +445,16 @@ def _target(x: np.ndarray) -> _Target:
     return _Target(x, l1, centred, spread)
 
 
-def _score_rows(target: _Target, xc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _score_rows(target: _Target, xc: np.ndarray, scratch: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Relative error, normalized RMS and Pearson correlation of every row of
-    ``xc`` (T, P) against ``target``, from one difference x - xc and one work array."""
-    d = np.subtract(target.x, xc)
-    work = np.abs(d)
+    ``xc`` (T, P) against ``target``, from one difference x - xc and one work
+    array, both in ``scratch`` (at least 2 * T * P floats) if it is given."""
+    if scratch is None:
+        scratch = np.empty(2 * xc.size)
+    d, work = scratch.reshape(-1)[:2 * xc.size].reshape((2, *xc.shape))
+    np.subtract(target.x, xc, out=d)
+    np.abs(d, out=work)
     re = work.sum(axis=1) / target.l1
     nrms = np.sqrt(np.multiply(d, d, out=work).sum(axis=1)) / target.spread
     dc = np.subtract(xc, xc.mean(axis=1, keepdims=True), out=d)
@@ -485,30 +494,53 @@ class CompressionReport:
         }
 
 
-def _sorted_magnitudes(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_magnitudes(coeffs: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The magnitudes of ``coeffs`` (R, P) and each of their rows sorted
-    ascending: the one sort per coefficient row that every ratio kept from it shares."""
-    mags = np.abs(coeffs)
-    return mags, np.sort(mags, axis=1)
+    ascending: the one sort per coefficient row that every ratio kept from it
+    shares. They are made in ``out``, a float (2, R, P) array, or new arrays."""
+    mags, ordered = (np.empty((2, *coeffs.shape)) if out is None else out)
+    np.abs(coeffs, out=mags)
+    np.copyto(ordered, mags)
+    ordered.sort(axis=1)
+    return mags, ordered
 
 
-def _keep_top(coeffs: np.ndarray, magnitudes: tuple[np.ndarray, np.ndarray], ks: Sequence[int]) -> np.ndarray:
+def _forward(x: SignalNd, forward: Sequence[ProgramGroup], ctx: ProductContext):
+    """The rows of the program ``forward`` on copies of ``x``: their
+    coefficients and :func:`_sorted_magnitudes`, in the study workspace
+    (:func:`_kept`). The copies of ``x`` go in slot "back", which holds no
+    reconstruction while a forward block runs, the coefficients in slot
+    "coeffs" and the magnitudes in slot "mags"; each holds them until the
+    next forward block."""
+    shape = (sum(len(group.rows) for group in forward), x.n)
+    coeffs = program_block(_rows(x, shape[0], "back"), forward, ctx, out=_kept("coeffs", shape))
+    return coeffs, _sorted_magnitudes(coeffs, _kept("mags", (2, *shape), float))
+
+
+def _keep_top(coeffs: np.ndarray, magnitudes: tuple[np.ndarray, np.ndarray], ks: Sequence[int],
+              out: np.ndarray | None = None) -> np.ndarray:
     """Row t keeps the ``ks[t]`` largest-magnitude entries of its row of
-    ``coeffs`` and zeroes the rest; one row of ``coeffs`` may serve every t.
+    ``coeffs`` and zeroes the rest, in ``out`` (a (T, P) array) or a new
+    array of the dtype of ``coeffs``; one row of ``coeffs`` may serve every t.
 
     With v the ks[t]-th largest magnitude, read from the sorted row of
     ``magnitudes`` (see :func:`_sorted_magnitudes`), the row keeps every entry
     above v and, of the entries equal to v, the lowest-index ones until it has
-    ks[t]: the set that a stable sort by descending magnitude puts first."""
+    ks[t]: the set that a stable sort by descending magnitude puts first.
+    The others are set to +0, as ``np.where(keep, coeffs, 0)`` sets them."""
     mags, ordered = magnitudes
     ks = np.asarray(ks)
     v = np.take_along_axis(ordered, (coeffs.shape[1] - ks)[:, None], axis=1)
-    keep = mags >= v
-    extra = keep.sum(axis=1) - ks
+    drop = mags < v
+    extra = drop.shape[1] - drop.sum(axis=1) - ks  # entries kept beyond ks[t]
     if extra.any():  # ties at v beyond ks[t]: drop the highest-index ones
         ties = mags == v
-        keep &= ~ties | (np.cumsum(ties, axis=1) <= (ties.sum(axis=1) - extra)[:, None])
-    return np.where(keep, coeffs, 0)
+        drop |= ties & (np.cumsum(ties, axis=1) > (ties.sum(axis=1) - extra)[:, None])
+    if out is None:
+        out = np.empty(drop.shape, coeffs.dtype)
+    np.copyto(out, coeffs)
+    np.putmask(out, drop, 0)
+    return out
 
 
 def _check_gamma(gamma: float) -> float:
@@ -523,10 +555,20 @@ def _compress_rows(target, coeffs, magnitudes, gammas, backward, ctx) -> tuple[n
     ``coeffs`` (one row per t, or one row shared by every t, with their
     :func:`_sorted_magnitudes`), the program groups ``backward`` reconstruct
     every row in one block, and the real parts are scored against ``target``.
-    Returns the real reconstructions (T, P) and the RE, NRMS and CC of every row."""
+    Returns the real reconstructions (T, P) and the RE, NRMS and CC of every row.
+
+    Every block lives in the study workspace (:func:`_kept`): the kept
+    coefficients in slot "kept", whose memory then holds the real parts, and
+    the backward block in slot "back", whose memory then holds the scores'
+    work arrays. The reconstructions returned are so overwritten by the next
+    call on the same thread: a caller that keeps them copies them."""
     ks = [math.ceil(g * target.x.size) for g in gammas]
-    recon = np.ascontiguousarray(program_block(_keep_top(coeffs, magnitudes, ks), backward, ctx).real)
-    return recon, _score_rows(target, recon)
+    shape = (len(ks), target.x.size)
+    kept = _keep_top(coeffs, magnitudes, ks, out=_kept("kept", shape))
+    back = program_block(kept, backward, ctx, out=_kept("back", shape))
+    recon = _kept("kept", shape, float)
+    np.copyto(recon, back.real)
+    return recon, _score_rows(target, recon, back.view(float))
 
 
 def _reported(recon_metrics, gammas, **fields) -> tuple[np.ndarray, list[CompressionReport]]:
@@ -554,7 +596,7 @@ def compress(
     """
     ((recon, (report,)),) = _study(x, ctx, [gamma], params=[p], variant=variant,
                                     zero_b_variant=zero_b_variant, seed=seed)
-    return SignalNd(x.shape, recon[0]), report
+    return SignalNd(x.shape, recon[0]), report  # SignalNd copies the row out of the study workspace
 
 
 def compress_gfrft(
@@ -566,7 +608,7 @@ def compress_gfrft(
 ) -> tuple[SignalNd, CompressionReport]:
     """Fractional-transform baseline for the compression pipeline."""
     ((recon, (report,)),) = _study(x, ctx, [gamma], alphas=[alpha], seed=seed)
-    return SignalNd(x.shape, recon[0]), report
+    return SignalNd(x.shape, recon[0]), report  # SignalNd copies the row out of the study workspace
 
 
 DEFAULT_GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -593,7 +635,9 @@ def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant
     Each chunk of at most :func:`block_rows` methods of one family runs
     forward as one block and sorts its magnitudes once; then each method
     reconstructs its own coefficient row at every ratio as one block of its
-    backward program, one rate column widened to one row per ratio."""
+    backward program, one rate column widened to one row per ratio. A
+    method's reconstructions are in the study workspace (see
+    :func:`_compress_rows`) until the next method runs; the search's are its own."""
     gammas = [_check_gamma(g) for g in gammas]
     if not gammas:
         raise ValidationError("compression needs at least one ratio")
@@ -620,14 +664,11 @@ def _study(x, ctx, gammas, alphas=(), params=(), variant="cmccm", zero_b_variant
                        [(widened(ParamBlock.from_params([inverse(p)]).factorize(variant, zero_b_variant.inverse_form)),
                          {"method": "glct", "params": p.astuple(), "variant": variant}) for p in chunk]))
     for forward, methods in chunks:
-        coeffs = program_block(_rows(x, len(methods)), forward, ctx)
-        mags, ordered = _sorted_magnitudes(coeffs)
+        coeffs, (mags, ordered) = _forward(x, forward, ctx)
         for t, (backward, fields) in enumerate(methods):
             row = slice(t, t + 1)
-            # passed straight through: this frame holds no reconstruction while the caller runs the next method
             yield _reported(_compress_rows(target, coeffs[row], (mags[row], ordered[row]), gammas, backward, ctx),
                             gammas, seed=seed, **fields)
-        del coeffs, mags, ordered  # freed before the next chunk's forward block is made
     if search is not None:
         yield _search_sweep(x, target, ctx, gammas, *search, metric, variant, zero_b_variant)
 
@@ -659,8 +700,7 @@ def compression_study(
     ctx = ProductContext(graph, gso_kind)
     params = [LctParams.from_loose(*row) for row in glct_param_sets or ()]
     reports: list[CompressionReport] = []
-    for recon, method in _study(x, ctx, gammas, alpha_grid or (), params, variant, zero_b_variant, seed):
-        del recon  # held while the next method runs, it makes glibc trim and regrow the heap
+    for _, method in _study(x, ctx, gammas, alpha_grid or (), params, variant, zero_b_variant, seed):
         reports += method
     return reports
 
@@ -692,8 +732,7 @@ def _search_sweep(x, target, ctx, gammas, budget, seed, metric, variant,
     step = block_rows(x.n)
     for i in range(0, budget, step):
         ps = drawn[i:i + step]
-        coeffs = _glct_block(_rows(x, len(ps)), ps, ctx, variant, zero_b_variant)
-        magnitudes = _sorted_magnitudes(coeffs)
+        coeffs, magnitudes = _forward(x, ps.factorize(variant, zero_b_variant), ctx)
         back = inverses[i:i + step].factorize(variant, zero_b_variant.inverse_form)
         for j, g in enumerate(gammas):
             recon, metrics = _compress_rows(target, coeffs, magnitudes, [g] * len(ps), back, ctx)

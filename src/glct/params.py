@@ -112,6 +112,22 @@ def _rate_error(rated: tuple[str, ...], rates: np.ndarray) -> ValidationError:
     return ValidationError(f"{rated[j]} rates must be at most {MAX_RATE:.6g} in magnitude, got {float(big)}")
 
 
+@np.errstate(over="ignore", under="ignore")
+def _check_sigma(scales: np.ndarray) -> None:
+    """Check that the scale rates ``scales`` (S, T) of every row multiply,
+    in order, as the executor multiplies them, to a value that divides: at
+    least ``MIN_SCALE`` and finite in magnitude."""
+    sigma = scales[0]
+    for rates in scales[1:]:
+        sigma = sigma * rates
+    bad = ~(np.abs(sigma) >= MIN_SCALE) | ~np.isfinite(sigma)
+    if bad.any():
+        raise ValidationError(
+            f"the scaling factors of a row must multiply to a finite value of magnitude at least {MIN_SCALE:.6g}, "
+            f"got {float(sigma[bad][0])}"
+        )
+
+
 class _Program(NamedTuple):  # the fields: a typing.NamedTuple class may not define __new__
     kinds: tuple[str, ...]
     rows: np.ndarray
@@ -135,7 +151,9 @@ class ProgramGroup(_Program):
     ValidationError unless its kinds are in ``OP_KINDS``, its rates and phases
     have the shapes above and are finite, its ``cm`` and ``frac`` rates are at
     most ``MAX_RATE`` in magnitude and its ``scale`` rates at least
-    ``MIN_SCALE``, so nonzero with a finite reciprocal."""
+    ``MIN_SCALE``, so nonzero with a finite reciprocal, as is the product of
+    a row's ``scale`` rates, which the executor divides by: finite, and at
+    least ``MIN_SCALE`` in magnitude."""
 
     __slots__ = ()
 
@@ -151,11 +169,14 @@ class ProgramGroup(_Program):
             )
         if not (np.abs(rates) <= bounds).all():
             raise _rate_error(rated, rates)
-        for j, kind in enumerate(rated):
-            if kind == "scale" and (tiny := np.abs(rates[j]) < MIN_SCALE).any():
+        scales = [j for j, kind in enumerate(rated) if kind == "scale"]
+        for j in scales:
+            if (tiny := np.abs(rates[j]) < MIN_SCALE).any():
                 if not rates[j].all():
                     raise ValidationError("scaling factor must be nonzero")
                 raise ValidationError(f"scaling factor must have a finite reciprocal, got {float(rates[j][tiny][0])}")
+        if len(scales) > 1:
+            _check_sigma(rates[scales])
         if phases is not None and not np.isfinite(phases).all():
             raise ValidationError("phases must be finite")
         return super().__new__(cls, kinds, rows, rates, phases)

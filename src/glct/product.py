@@ -25,7 +25,8 @@ imaginary parts. Chirps are per-factor diagonals, so mode-wise application,
 exact power additivity and separability hold by construction. The one-signal
 functions are the T = 1 case. A block runs in chunks of at most BLOCK_BYTES,
 in work arrays that each thread keeps between calls (see the blocks section
-below).
+below), through a chain of programs: each chunk through every program before
+the next chunk starts, a program of p^-1 taking the chirp diagonals of p's.
 """
 from __future__ import annotations
 
@@ -193,19 +194,22 @@ class _Workspace:
 class _PerThread(threading.local):
     def __init__(self) -> None:
         self.workspace = _Workspace()
+        #: the blocks that the studies of :mod:`glct.experiments` keep between
+        #: their calls of the executor, apart from the executor's own
+        self.studies = _Workspace()
 
 
 _THREAD = _PerThread()
 
 
-def _workspace(p: int) -> _Workspace:
-    """The calling thread's workspace for rows of ``p`` entries, kept between
-    calls while a row fits in BLOCK_BYTES. Then every work array fits in the
-    budget too, since each holds one chunk: the two block buffers, the
-    Kronecker-sum term and the stacked real and imaginary parts. A larger row
-    gets a workspace of its own that the call drops, so what a thread keeps
-    allocated is bounded by the budget."""
-    return _THREAD.workspace if 16 * p <= BLOCK_BYTES else _Workspace()
+def _workspace(p: int, owner: str = "workspace") -> _Workspace:
+    """The calling thread's workspace ``owner`` for rows of ``p`` entries,
+    kept between calls while a row fits in BLOCK_BYTES. Then every work array
+    of the executor fits in the budget too, since each holds one chunk: the
+    two block buffers, the Kronecker-sum term and the stacked real and
+    imaginary parts. A larger row gets a workspace of its own that the call
+    drops, so what a thread keeps allocated is bounded by the budget."""
+    return getattr(_THREAD, owner) if 16 * p <= BLOCK_BYTES else _Workspace()
 
 
 def block_rows(n: int) -> int:
@@ -297,22 +301,26 @@ def _diag(x: np.ndarray, shape: tuple[int, ...], axis: int, d: np.ndarray, out: 
     return out
 
 
-def _block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> tuple[np.ndarray, bool]:
-    """``values`` as a complex (T, P) block, and whether one group holds its
-    rows in order, after checking that the groups' rows name each of its T rows once."""
-    t = sum(len(g.rows) for g in groups)
+def _block(values: np.ndarray, chain: Sequence[Sequence[ProgramGroup]], ctx: ProductContext) -> tuple[np.ndarray, list[bool]]:
+    """``values`` as a complex (T, P) block, and for each program of ``chain``
+    whether one group holds its rows in order, after checking that the groups
+    of every program name each of the block's T rows once."""
+    t = sum(len(g.rows) for g in chain[0])
     values = np.ascontiguousarray(values, dtype=complex)
     if values.shape != (t, math.prod(ctx.shape)):
         raise ValidationError(
             f"block has shape {values.shape}; {t} parameter rows on shape {ctx.shape} "
             f"need ({t}, {math.prod(ctx.shape)})"
         )
-    rows = np.concatenate([g.rows for g in groups] or [np.arange(0)])
-    listed, order = rows.tolist(), list(range(t))
-    in_order = listed == order
-    if rows.dtype.kind not in "iu" or not (in_order or sorted(listed) == order):
-        raise ValidationError(f"the groups' rows must name each of the block's {t} rows once")
-    return values, in_order and len(groups) == 1
+    order, wholes = list(range(t)), []
+    for groups in chain:
+        rows = np.concatenate([g.rows for g in groups] or [np.arange(0)])
+        listed = rows.tolist()
+        in_order = listed == order
+        if rows.dtype.kind not in "iu" or not (in_order or sorted(listed) == order):
+            raise ValidationError(f"the groups' rows must name each of the block's {t} rows once")
+        wholes.append(in_order and len(groups) == 1)
+    return values, wholes
 
 
 def _kron_sum(x: np.ndarray, ctx: ProductContext, out: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -347,19 +355,22 @@ def _layout(kinds: tuple[str, ...]):
     return tuple(map(tuple, runs)), diag_cols, scale_cols, fold
 
 
-def _prepare(kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | None, ctx: ProductContext):
+def _prepare(kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | None, ctx: ProductContext,
+             stacks: list[np.ndarray] | None = None):
     """What the rows of one program with rates ``rates`` (R, T) and phases
     ``phases`` share between chunks: the chirp diagonals, with the phase and
     each 1 / sigma folded in where a chirp takes them. Returns them with the
-    runs, the phases and the product of the sigmas, or None where folded, for
-    :func:`_apply`.
+    runs, the phases and the product of the sigmas, or None where folded, and
+    the diagonal stacks, for :func:`_apply` and :func:`_mirror`.
 
     The C diagonal columns come from one :meth:`ProductContext.diag_powers`
-    call on their (C, T) rates, one trig pass per factor; column j's diagonal
-    on axis k is a view into factor k's (C, T, N_k) stack, and the folds
-    write into the fold column's axis-0 view in place."""
+    call on their (C, T) rates, one trig pass per factor, unless ``stacks``
+    gives that call's result; column j's diagonal on axis k is a view into
+    factor k's (C, T, N_k) stack, and the folds write into the fold column's
+    axis-0 view in place."""
     runs, diag_cols, scale_cols, fold = _layout(kinds)
-    stacks = ctx.diag_powers(rates[diag_cols])
+    if stacks is None:
+        stacks = ctx.diag_powers(rates[diag_cols])
     diags = {j: [stack[i] for stack in stacks] for i, j in enumerate(diag_cols)}
     sigma = None
     for j in scale_cols:
@@ -371,7 +382,37 @@ def _prepare(kinds: tuple[str, ...], rates: np.ndarray, phases: np.ndarray | Non
         if sigma is not None:
             np.divide(d, sigma, out=d)
         phases = sigma = None
-    return runs, diags, phases, sigma
+    return runs, diags, phases, sigma, stacks
+
+
+def _mirrors(group: ProgramGroup, earlier: ProgramGroup) -> bool:
+    """Whether the chirp diagonals of ``group`` are those of ``earlier``, run
+    just before it on the same rows, conjugated and in reverse column order.
+
+    They are when the two have the same kinds, neither has a ``scale`` op or a
+    phase (so nothing is folded into a diagonal), their rows are the same and
+    the rates of ``group`` are those of ``earlier`` negated in reverse order,
+    bit for bit. Then every rate column of one is a diagonal column, and
+    diag_powers(-t) is the conjugate of diag_powers(t) bit for bit: t * (-a)
+    is -(t * a) exactly, numpy's cos is even and its sin odd. cmccm's
+    factorization of p^-1 is so the mirror of p's, since (d - 1) / (-b) is
+    -((d - 1) / b) exactly."""
+    rates, back = group.rates, earlier.rates
+    return (group.kinds == earlier.kinds and "scale" not in group.kinds
+            and group.phases is None and earlier.phases is None
+            and rates.shape == back.shape and rates.dtype == back.dtype
+            and np.array_equal(group.rows, earlier.rows)
+            and rates.tobytes() == np.negative(back[::-1]).tobytes())
+
+
+def _mirror(kinds: tuple[str, ...], earlier, reuse: bool) -> tuple:
+    """A program of ``kinds`` prepared from ``earlier``, what :func:`_prepare`
+    made for the group it mirrors (see :func:`_mirrors`), without a trig pass:
+    the stacks of ``earlier`` conjugated, in their own memory if ``reuse``
+    (once that group has run on the chunk, nothing reads them again), and
+    read in reverse column order."""
+    stacks = [np.conjugate(stack, out=stack if reuse else None)[::-1] for stack in earlier[-1]]
+    return _prepare(kinds, None, None, None, stacks)
 
 
 def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.ndarray:
@@ -380,7 +421,7 @@ def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.nd
     the matrices every row shares over the whole chunk, and chirps and
     fractional powers as (T, N_k) diagonals. The result is one of the buffers
     ``buf``, and so may be ``x``."""
-    runs, diags, phases, sigma = prepared
+    runs, diags, phases, sigma, _ = prepared
     shape, ws = ctx.shape, buf.ws
     for i, run in enumerate(runs):
         if i:
@@ -402,36 +443,83 @@ def _apply(x: np.ndarray, prepared, ctx: ProductContext, buf: _Buffers) -> np.nd
     return x
 
 
-def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext) -> np.ndarray:
+def program_block(values: np.ndarray, groups: Sequence[ProgramGroup], ctx: ProductContext, *,
+                  then: Sequence[Sequence[ProgramGroup]] = (), out: np.ndarray | None = None) -> np.ndarray:
     """The rows ``g.rows`` of ``values`` (T, P) through the program of each
-    group ``g``, each group in chunks of at most :func:`block_rows` rows, in
-    the calling thread's workspace; the result is a new array. The groups'
-    rows must name each row of the block once, and each group must be a
-    :class:`~glct.params.ProgramGroup`, which checked when it was made that it
-    can run; a plain tuple never was, and is rejected.
+    group ``g`` of ``groups``, then through each program of ``then`` in turn:
+    a chain of programs, each a list of groups. The chain runs in chunks of
+    at most :func:`block_rows` rows, each chunk through every program before
+    the next starts, in the calling thread's workspace. The result goes into
+    ``out``, a C-contiguous complex (T, P) array, or a new array.
+
+    Each program's groups must name each row of the block once, and each
+    group must be a :class:`~glct.params.ProgramGroup`, which checked when it
+    was made that it can run; a plain tuple never was, and is rejected.
 
     A group with one rate column prepares it once for all its chunks: its
-    (1, N_k) diagonals broadcast over the rows of every chunk."""
-    if not all(isinstance(group, ProgramGroup) for group in groups):
+    (1, N_k) diagonals broadcast over the rows of every chunk. A group whose
+    diagonals mirror those of the group at its place in the program before it
+    (see :func:`_mirrors`) takes them, conjugated and reversed, instead of a
+    trig pass of its own: the inverse of a cmccm program does."""
+    chain = (groups, *then)
+    if not all(isinstance(group, ProgramGroup) for program in chain for group in program):
         raise ValidationError("the executor runs only ProgramGroup programs, which check themselves when made")
-    values, whole = _block(values, groups, ctx)
-    out = np.empty_like(values)
+    values, wholes = _block(values, chain, ctx)
+    if out is None:
+        out = np.empty_like(values)
+    elif out.shape != values.shape or out.dtype != complex or not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValidationError(f"out= must be a writable C-contiguous complex array of shape {values.shape}")
     p = values.shape[1]
     step, ws = block_rows(p), _workspace(p)
-    for kinds, rows, rates, phases in groups:
-        shared = rates.shape[1] == 1
+    mirrored = [[k > 0 and i < len(chain[k - 1]) and _mirrors(group, chain[k - 1][i])
+                 for i, group in enumerate(program)] for k, program in enumerate(chain)]
+    once = [[None] * len(program) for program in chain]  # what a group with one rate column prepared
+
+    def prepared(k, i, sel, earlier):
+        """What group i of program k takes for its members ``sel`` of a chunk:
+        mirrored from ``earlier[i]``, what the group it mirrors prepared for
+        the chunk, or made by :func:`_prepare`; once for all chunks if the
+        group has one rate column."""
+        group = chain[k][i]
+        shared = group.rates.shape[1] == 1
+        if once[k][i] is not None:
+            return once[k][i]
+        if mirrored[k][i]:
+            prep = _mirror(group.kinds, earlier[i], reuse=not shared)
+        else:
+            sel = slice(None) if shared else sel
+            prep = _prepare(group.kinds, group.rates[:, sel], None if group.phases is None else group.phases[sel], ctx)
         if shared:
-            prepared = _prepare(kinds, rates, phases, ctx)
-        for i in range(0, len(rows), step):
-            chunk = slice(i, i + step)
-            if not shared:
-                prepared = _prepare(kinds, rates[:, chunk], None if phases is None else phases[chunk], ctx)
-            buf = _Buffers(ws, (len(rows[chunk]), p))
-            if whole:
-                out[chunk] = _apply(values[chunk], prepared, ctx, buf)
-            else:  # gathered into a buffer (numpy copies into out= first only in mode "raise")
-                x = np.take(values, rows[chunk], axis=0, out=buf.pair[0], mode="clip")
-                out[rows[chunk]] = _apply(x, prepared, ctx, buf)
+            once[k][i] = prep
+        return prep
+
+    for start in range(0, len(values), step):
+        chunk = slice(start, start + step)
+        first = x = values[chunk]
+        dest, before = out[chunk], None
+        buf = _Buffers(ws, x.shape)  # one for the chunk: which buffer x is in is told by identity
+        for k, program in enumerate(chain):
+            # the previous program's diagonals are dropped before this one makes
+            # its own, unless it mirrors them
+            earlier, before = before if any(mirrored[k]) else None, None
+            if wholes[k]:
+                before = [prepared(k, 0, chunk, earlier)]
+                x = _apply(x, before[0], ctx, buf)
+                continue
+            if x is not first and x is not dest:  # in a block buffer, which each group's rows go through
+                np.copyto(dest, x)
+                x = dest
+            now = [None] * len(program)
+            for i, group in enumerate(program):
+                sel = np.flatnonzero((group.rows >= start) & (group.rows < start + step))
+                if sel.size:
+                    now[i] = prepared(k, i, sel, earlier)
+                    rows, own = group.rows[sel] - start, _Buffers(ws, (sel.size, p))
+                    # gathered into a buffer (numpy copies into out= first only in mode "raise")
+                    dest[rows] = _apply(np.take(x, rows, axis=0, out=own.pair[0], mode="clip"), now[i], ctx, own)
+            x, before = dest, now
+        if x is not dest:
+            dest[...] = x
     return out
 
 

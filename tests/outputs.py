@@ -48,6 +48,10 @@ ZERO_B_ABCD = (2.0, 0.0, 0.7, 0.5)
 #: First-factor sizes on both sides of the executor's first-axis rule: real
 #: mode products run in pair form up to 15 vertices and stacked above.
 FIRST_AXIS_SIZES = (15, 16)
+#: Trials per suite call. 40 and 20 fit in one block on every signal (the
+#: block rows of x1..x4 are 123, 48, 164 and 108); 130 crosses a block
+#: boundary on each, so a suite runs several chunks.
+SUITE_TRIALS = (40, 20, 130)
 DENSE_SPECS = [
     TransformSpec("gft"),
     TransformSpec("igft"),
@@ -71,7 +75,7 @@ def digest(*parts) -> str:
 
 def outputs():
     """(label, digest) for each output, in a fixed order."""
-    for suite, trials, kind, form in itertools.product((suite_additivity, suite_reversibility), (40, 20),
+    for suite, trials, kind, form in itertools.product((suite_additivity, suite_reversibility), SUITE_TRIALS,
                                                        GsoKind, ZeroBVariant):
         for r in suite(BENCHMARK_SIGNALS, trials, 0, VARIANTS, kind, form):
             yield (f"{suite.__name__} trials={trials} gso={kind.value} zero_b={form.value} "

@@ -427,16 +427,16 @@ class TestBench:
 
 
 def _spy_blocks(monkeypatch) -> list:
-    """(rows, kinds, rates) of every block of one group with one rated op
-    that the compression pipeline runs, the rates as a list; any other block
-    is recorded as (rows, None, None)."""
+    """(rows, kinds, rates) of every block of one group with one rated op,
+    run as a chain of that one program, that the compression pipeline runs,
+    the rates as a list; any other block is recorded as (rows, None, None)."""
     calls = []
 
-    def spy(values, groups, ctx):
+    def spy(values, groups, ctx, *, then=(), out=None):
         (kinds, _, rates, _), *rest = groups
-        one = not rest and len(rates) == 1
+        one = not rest and not then and len(rates) == 1
         calls.append((len(values), kinds if one else None, rates[0].tolist() if one else None))
-        return program_block(values, groups, ctx)
+        return program_block(values, groups, ctx, then=then, out=out)
 
     monkeypatch.setattr(xp, "program_block", spy)
     return calls
@@ -607,7 +607,7 @@ class TestCompress:
         draws, ranked = [], []
         monkeypatch.setattr(xp, "sample_abc", lambda rng, n: draws.append(n) or sample_abc(rng, n))
         monkeypatch.setattr(xp, "_sorted_magnitudes",
-                            lambda coeffs: ranked.append(len(coeffs)) or sorted_magnitudes(coeffs))
+                            lambda coeffs, out=None: ranked.append(len(coeffs)) or sorted_magnitudes(coeffs, out))
         budget = block_rows(40) + 1
         assert run("compress", "--search", budget, "--gammas", "0.2:0.8:0.2",
                    "--n1", 10, "--n2", 4, "--out", tmp_path / "s.json") == 0

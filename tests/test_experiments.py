@@ -531,12 +531,24 @@ class TestSuiteParamBlocks:
         # into 3, 7, 2 and 3 chunks and 100 into 1, 3, 1 and 1; a chunk's
         # factorization makes one group per transform and variant (no draw
         # has b = 0), 2 * 2 * 15 + 3 * 2 * 6 = 96, each checked when made and
-        # run once by an executor that checks none
+        # run once by an executor that checks none, a chunk's two-program
+        # step as one chain
         made, ran, inside = made_and_ran
         suite_reversibility(trials=300, seed=1)
         suite_additivity(trials=100, seed=1)
         assert len(made) == 96 and inside == []
         assert _ids(ran) == _ids(made)
+
+    @pytest.mark.parametrize("variant,programs", [("cmccm", 1), ("cddhfs", 2)])
+    def test_reversibility_inverse_takes_the_forward_diagonals(self, variant, programs, monkeypatch):
+        # x1 holds 123 rows a block, so 247 trials run 3 chains of (p, p^-1).
+        # A cmccm inverse takes the diagonals of its forward program; a cddhfs
+        # one has a scale op and computes its own.
+        calls = []
+        diag_powers = ProductContext.diag_powers
+        monkeypatch.setattr(ProductContext, "diag_powers", lambda self, rates: calls.append(rates) or diag_powers(self, rates))
+        suite_reversibility(signals=("x1",), trials=2 * block_rows(112) + 1, seed=3, variants=(variant,))
+        assert len(calls) == 3 * programs
 
     @pytest.mark.parametrize("suite", [suite_reversibility, suite_additivity])
     def test_per_trial_parameter_objects_do_not_grow_with_trials(self, suite, monkeypatch):
@@ -635,7 +647,7 @@ class TestCompress:
     def test_bad_input_raises_before_any_transform(self, small_study, monkeypatch, call):
         ctx, x = small_study
         calls = []
-        monkeypatch.setattr(experiments, "program_block", lambda *args: calls.append(args))
+        monkeypatch.setattr(experiments, "program_block", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValidationError):
             call(ctx, x, SignalNd(ctx.shape, np.zeros(ctx.graph.n)))
         assert calls == []
@@ -674,8 +686,9 @@ class TestCompress:
 @pytest.fixture
 def made_and_ran(monkeypatch):
     """Every ProgramGroup made from here on, and every group the executor ran,
-    in order; a group made while the executor runs goes to a third list. A
-    group checks itself in ``__new__``, so a group made is a group checked."""
+    in order, those of every program of a chain; a group made while the
+    executor runs goes to a third list. A group checks itself in ``__new__``,
+    so a group made is a group checked."""
     made, ran, inside, running = [], [], [], []
     new = ProgramGroup.__new__
 
@@ -684,11 +697,12 @@ def made_and_ran(monkeypatch):
         (inside if running else made).append(group)
         return group
 
-    def spy_run(values, groups, ctx):
-        ran.extend(groups)
+    def spy_run(values, groups, ctx, *, then=(), out=None):
+        for program in (groups, *then):
+            ran.extend(program)
         running.append(True)
         try:
-            return program_block(values, groups, ctx)
+            return program_block(values, groups, ctx, then=then, out=out)
         finally:
             running.pop()
 
@@ -724,17 +738,17 @@ class TestStudy:
         gammas = (0.2, 0.5, 0.8)
         blocks = []
 
-        def spy(values, groups, ctx):
-            blocks.append((len(values), len(groups)))
-            return program_block(values, groups, ctx)
+        def spy(values, groups, ctx, *, then=(), out=None):
+            blocks.append((len(values), len(groups), len(then)))
+            return program_block(values, groups, ctx, then=then, out=out)
 
         monkeypatch.setattr(experiments, "program_block", spy)
         study = compression_study(seed=6, gammas=gammas, alpha_grid=alphas, glct_param_sets=rows,
                                   zero_b_variant=zero_b_variant)
         monkeypatch.undo()
-        backward = [(len(gammas), 1)]
-        assert blocks == ([(9, 1)] + backward * 9 + [(1, 1)] + backward
-                          + [(9, 2)] + backward * 9 + [(1, 1)] + backward)
+        backward = [(len(gammas), 1, 0)]
+        assert blocks == ([(9, 1, 0)] + backward * 9 + [(1, 1, 0)] + backward
+                          + [(9, 2, 0)] + backward * 9 + [(1, 1, 0)] + backward)
         graph, x = study_signal(seed=6)
         ctx = ProductContext(graph)
         per_call = [compress_gfrft(x, a, ctx, g, seed=6)[1] for a in alphas for g in gammas]
@@ -920,9 +934,9 @@ def kept_calls(monkeypatch):
     calls = []
     keep = experiments._keep_top
 
-    def spy(coeffs, magnitudes, ks):
-        kept = keep(coeffs, magnitudes, ks)
-        calls.append((coeffs, list(ks), kept))
+    def spy(coeffs, magnitudes, ks, out=None):
+        kept = keep(coeffs, magnitudes, ks, out)
+        calls.append((coeffs.copy(), list(ks), kept.copy()))  # both in work arrays that later blocks overwrite
         return kept
 
     monkeypatch.setattr(experiments, "_keep_top", spy)
@@ -1135,8 +1149,8 @@ class TestFrozenPipeline:
         ctx, x = small_study
         score = experiments._score_rows
 
-        def nrms_all_zero(target, xc):
-            re, nrms, cc = score(target, xc)
+        def nrms_all_zero(target, xc, scratch=None):
+            re, nrms, cc = score(target, xc, scratch)
             return re, np.zeros_like(nrms), cc
 
         monkeypatch.setattr(experiments, "_score_rows", nrms_all_zero)
@@ -1168,8 +1182,8 @@ def scored(monkeypatch):
     calls = []
     score = experiments._score_rows
 
-    def spy(target, xc):
-        out = score(target, xc)
+    def spy(target, xc, scratch=None):
+        out = score(target, xc, scratch)
         calls.append((target.x, xc.copy(), out))
         return out
 

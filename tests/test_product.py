@@ -36,7 +36,7 @@ from glct import (
     kronecker_sum,
     sample_random_params,
 )
-from glct.params import KINDS, ParamBlock, ProgramGroup
+from glct.params import KINDS, ZERO_B_TOL, ParamBlock, ProgramGroup, sample_abc
 from glct.product import BLOCK_BYTES, program_block
 from glct import cli, product, spectral
 from glct.experiments import BENCHMARK_SIGNALS, _benchmark_setup, benchmark_signal
@@ -653,6 +653,22 @@ def test_executor_rejects_programs_it_cannot_run(ctx_ring4_path3, kinds, rates, 
         program_block(np.ones((2, 12), complex), [(kinds, np.arange(2), rates, phases)], ctx_ring4_path3)
 
 
+@pytest.mark.parametrize("rate,product", [(1e-200, 0.0), (1e200, float("inf"))], ids=["underflow", "overflow"])
+def test_scale_rates_must_multiply_to_a_divisor(rate, product):
+    """Two scale rates that each pass alone but multiply to 0 or to inf on
+    the second row: the executor divides by the product, which gave NaN rows
+    with a warning on ring(5) x path(3), and rows of zeros without one. The
+    group is rejected when it is made; rates whose product divides run."""
+    ctx = ProductContext(cartesian_product([make_ring(5), make_path(3)]))
+    rates = np.array([[1.5, rate], [2.0, rate]])
+    for make in _made_and_replaced(("scale", "scale"), rates, None):
+        with pytest.raises(ValidationError, match=f"multiply to a finite value .* got {product}$"):
+            make()
+    fine = ProgramGroup(("scale", "scale"), np.arange(2), np.array([[1.5, rate], [2.0, 1.0 / rate]]), None)
+    with np.errstate(all="raise"):
+        assert np.isfinite(program_block(np.ones((2, ctx.graph.n), complex), [fine], ctx)).all()
+
+
 def test_executor_rejects_a_plain_tuple(ctx_ring4_path3):
     """A tuple of fields that would run is still rejected: only a ProgramGroup
     has been checked."""
@@ -730,6 +746,123 @@ def test_any_program_equals_its_ops_one_at_a_time(kinds):
         j += kind in rated
         want = program_block(want, [ProgramGroup((kind,), np.arange(t), own, None)], ctx)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# Chains: each chunk runs through every program of a chain before the next
+# chunk starts. A cmccm program of p^-1 takes the chirp diagonals of p's,
+# conjugated and in reverse column order, instead of a trig pass of its own.
+
+
+def _general_b_block(t, seed):
+    """``t`` parameter sets drawn as the suites draw them, all with b != 0."""
+    params = ParamBlock.from_abc(sample_abc(np.random.default_rng(seed), t))
+    assert (np.abs(params.abcd[:, 1]) > ZERO_B_TOL).all()
+    return params
+
+
+@pytest.mark.parametrize("form", list(ZeroBVariant), ids=lambda f: f.value)
+def test_inverse_cmccm_program_mirrors_the_forward(form):
+    """The general-b program of p^-1 has the kinds of p's and its rates
+    negated in reverse order, bit for bit: (d - 1) / (-b) is -((d - 1) / b)."""
+    params = _general_b_block(300, 17)
+    (forward,), (back,) = params.cmccm(form), params.inverse().cmccm(form.inverse_form)
+    assert back.kinds == forward.kinds and back.phases is None is forward.phases
+    assert back.rates.tobytes() == np.negative(forward.rates[::-1]).tobytes()
+    assert product._mirrors(back, forward) and not product._mirrors(forward, forward)
+
+
+def _mirror_case(name):
+    graphs = {"ring100-path15": lambda: cartesian_product([make_ring(100), make_path(15)]),
+              "ring800": lambda: cartesian_product([make_ring(800)]),
+              "path8": lambda: cartesian_product([make_path(8)])}
+    return graphs[name]() if name in graphs else benchmark_signal(name)[0]
+
+
+@pytest.mark.parametrize("name,kind", [
+    *((name, kind) for name in (*BENCHMARK_SIGNALS, "ring100-path15") for kind in GsoKind),
+    ("ring800", GsoKind.LAPLACIAN), ("path8", GsoKind.ADJACENCY),
+], ids=lambda v: v.value if isinstance(v, GsoKind) else v)
+def test_mirrored_diagonals_equal_direct_ones_bit_for_bit(name, kind):
+    """The forward's diagonal stacks, conjugated and reversed, equal
+    diag_powers(-rates[::-1]) bit for bit, on factors whose values stage
+    found a mirror and on ring(800) under the Laplacian and path(8) under the
+    adjacency, where it found none."""
+    ctx = ProductContext(_mirror_case(name), kind)
+    if name in ("ring800", "path8"):
+        assert [dec.spectrum.mirror[0] for dec in ctx.factors] == [0]
+    params = _general_b_block(40, 19)
+    (forward,), (back,) = params.cmccm(), params.inverse().cmccm(ZeroBVariant.EQ31)
+    direct = ctx.diag_powers(np.negative(forward.rates[::-1]))
+    for reuse in (False, True):  # conjugated into new arrays, or in the forward's memory
+        earlier = product._prepare(forward.kinds, forward.rates, None, ctx)
+        mirrored = product._mirror(back.kinds, earlier, reuse)[-1]
+        for got, want, stack in zip(mirrored, direct, earlier[-1], strict=True):
+            assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
+            assert np.shares_memory(got, stack) is reuse
+
+
+@pytest.mark.parametrize("name", ["x1", "x2"])  # a first axis of 14 vertices in pair form, 18 stacked
+@pytest.mark.parametrize("variant", ["cmccm", "cddhfs"])
+def test_chain_equals_its_programs_one_after_another(name, variant):
+    """A chain gives the bytes of its programs run as one block call each,
+    over two chunks and a part: a program and its inverse, two unrelated
+    programs, programs whose rows are gathered into groups (b = 0 on every
+    fifth row) between programs that run whole, and programs of one rate
+    column; into a new array or ``out``."""
+    ctx = ProductContext(benchmark_signal(name)[0])
+    t = 2 * block_rows(ctx.graph.n) + 5
+    xs, mixed = _mixed_block(ctx, t, 23)
+    general, one = _general_b_block(t, 29), ParamBlock([GENERAL_ABCD])
+    rng = np.random.default_rng(37)
+    zero_b = ParamBlock.from_abc(np.column_stack([rng.uniform(0.5, 2.0, t), np.zeros(t), rng.uniform(-2.0, 2.0, t)]))
+    programs = {"mixed": mixed.factorize(variant), "mixed-inverse": mixed.inverse().factorize(variant, "eq31"),
+                # eq31 starts with a mode product, which must not write into the block it reads
+                "zero-b": zero_b.factorize(variant), "zero-b-inverse": zero_b.inverse().factorize(variant, "eq31"),
+                "general": general.factorize(variant), "general-inverse": general.inverse().factorize(variant, "eq31"),
+                # one rate column for every row, whose diagonals serve every chunk
+                "shared": [g._replace(rows=np.arange(t)) for g in one.factorize(variant)],
+                "shared-inverse": [g._replace(rows=np.arange(t)) for g in one.inverse().factorize(variant, "eq31")]}
+    for chain in (["general", "general-inverse"], ["mixed", "mixed-inverse"], ["general", "mixed"],
+                  ["general", "mixed", "general-inverse", "general"], ["shared", "shared-inverse", "shared"],
+                  ["zero-b", "zero-b-inverse"]):
+        want = xs
+        for key in chain:
+            want = program_block(want, programs[key], ctx)
+        first, *then = (programs[key] for key in chain)
+        assert program_block(xs, first, ctx, then=then).tobytes() == want.tobytes(), chain
+        out = np.empty_like(xs)
+        assert program_block(xs, first, ctx, then=then, out=out) is out and out.tobytes() == want.tobytes(), chain
+
+
+@pytest.mark.parametrize("zero_b", [False, True], ids=["general-b", "mixed"])
+def test_inverse_in_a_chain_takes_no_trig_pass(zero_b, monkeypatch):
+    """In a chain of a cmccm program and its inverse, the inverse general-b
+    group computes no diagonals: over three chunks, one diag_powers call per
+    chunk, and with b = 0 rows one more per chunk for each six-factor group,
+    whose phase keeps it from mirroring (eq31 is not eq30 reversed)."""
+    ctx = ProductContext(benchmark_signal("x1")[0])
+    t = 2 * block_rows(ctx.graph.n) + 5
+    xs, params = _mixed_block(ctx, t, 31) if zero_b else (np.ones((t, ctx.graph.n), complex), _general_b_block(t, 31))
+    calls = []
+    diag_powers = ProductContext.diag_powers
+    monkeypatch.setattr(ProductContext, "diag_powers", lambda self, rates: calls.append(rates) or diag_powers(self, rates))
+    program_block(xs, params.cmccm(), ctx, then=[params.inverse().cmccm(ZeroBVariant.EQ31)])
+    assert len(calls) == 3 * (3 if zero_b else 1)
+    calls.clear()
+    program_block(program_block(xs, params.cmccm(), ctx), params.inverse().cmccm(ZeroBVariant.EQ31), ctx)
+    assert len(calls) == 3 * (4 if zero_b else 2)
+
+
+def test_executor_checks_out(ctx_ring4_path3):
+    """``out`` must be a writable C-contiguous complex array of the block's shape."""
+    group = _frac_group([0.5, 0.25])
+    values = np.ones((2, 12), complex)
+    read_only = np.empty((2, 12), complex)
+    read_only.setflags(write=False)
+    for out in (np.empty((3, 12), complex), np.empty((2, 12)), np.empty((12, 2), complex).T, read_only):
+        with pytest.raises(ValidationError, match="out="):
+            program_block(values, group, ctx_ring4_path3, out=out)
 
 
 # ---------------------------------------------------------------------------
