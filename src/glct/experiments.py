@@ -19,7 +19,7 @@ byte-equal to a numpy generator per trial), then composes or inverts the
 whole block once and factorizes it one chunk at a time. A chunk's transform
 pair, p and p^-1 or p2 and p1, runs as one chain of programs, and the blocks
 the studies keep between transforms live in a per-thread workspace
-(:func:`_kept`).
+(:func:`~glct.product._study_array`).
 
 The suites keep at most 8 small contexts per process: the set-up of each
 (benchmark signal, :class:`~glct.graphs.GsoKind`) pair, its signal and its
@@ -83,7 +83,7 @@ from .product import (
     SignalNd,
     _single,
     _sizes,
-    _workspace,
+    _study_array,
     block_rows,
     glct_cddhfs_nd,
     glct_cmccm_nd,
@@ -162,17 +162,9 @@ def _square_row_sums(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.square(squares, out=squares).sum(axis=1)
 
 
-def _kept(slot: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
-    """A work array of ``shape`` in the calling thread's study workspace
-    (``product._THREAD.studies``), or a fresh one if it would exceed
-    BLOCK_BYTES. Each slot holds one block at a time: what a caller keeps it
-    copies before the next call that takes the slot."""
-    return _workspace(math.prod(shape) * np.dtype(dtype).itemsize // 16, "studies").take(slot, shape, dtype)
-
-
 def _rows(x: SignalNd, t: int, slot: str = "rows") -> np.ndarray:
     """A block of ``t`` copies of ``x``, in slot ``slot`` of the study workspace."""
-    rows = _kept(slot, (t, x.n))
+    rows = _study_array(slot, (t, x.n))
     rows[...] = x.values
     return rows
 
@@ -449,10 +441,8 @@ def _score_rows(target: _Target, xc: np.ndarray, scratch: np.ndarray | None = No
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Relative error, normalized RMS and Pearson correlation of every row of
     ``xc`` (T, P) against ``target``, from one difference x - xc and one work
-    array, both in ``scratch`` (at least 2 * T * P floats) if it is given."""
-    if scratch is None:
-        scratch = np.empty(2 * xc.size)
-    d, work = scratch.reshape(-1)[:2 * xc.size].reshape((2, *xc.shape))
+    array, ``scratch`` (a float (2, T, P) array) if it is given."""
+    d, work = np.empty((2, *xc.shape)) if scratch is None else scratch
     np.subtract(target.x, xc, out=d)
     np.abs(d, out=work)
     re = work.sum(axis=1) / target.l1
@@ -508,13 +498,13 @@ def _sorted_magnitudes(coeffs: np.ndarray, out: np.ndarray | None = None) -> tup
 def _forward(x: SignalNd, forward: Sequence[ProgramGroup], ctx: ProductContext):
     """The rows of the program ``forward`` on copies of ``x``: their
     coefficients and :func:`_sorted_magnitudes`, in the study workspace
-    (:func:`_kept`). The copies of ``x`` go in slot "back", which holds no
-    reconstruction while a forward block runs, the coefficients in slot
-    "coeffs" and the magnitudes in slot "mags"; each holds them until the
-    next forward block."""
+    (:func:`~glct.product._study_array`). The copies of ``x`` go in slot
+    "back", which holds no reconstruction while a forward block runs, the
+    coefficients in slot "coeffs" and the magnitudes in slot "mags"; each
+    holds them until the next forward block."""
     shape = (sum(len(group.rows) for group in forward), x.n)
-    coeffs = program_block(_rows(x, shape[0], "back"), forward, ctx, out=_kept("coeffs", shape))
-    return coeffs, _sorted_magnitudes(coeffs, _kept("mags", (2, *shape), float))
+    coeffs = program_block(_rows(x, shape[0], "back"), forward, ctx, out=_study_array("coeffs", shape))
+    return coeffs, _sorted_magnitudes(coeffs, _study_array("mags", (2, *shape), float))
 
 
 def _keep_top(coeffs: np.ndarray, magnitudes: tuple[np.ndarray, np.ndarray], ks: Sequence[int],
@@ -557,18 +547,19 @@ def _compress_rows(target, coeffs, magnitudes, gammas, backward, ctx) -> tuple[n
     every row in one block, and the real parts are scored against ``target``.
     Returns the real reconstructions (T, P) and the RE, NRMS and CC of every row.
 
-    Every block lives in the study workspace (:func:`_kept`): the kept
-    coefficients in slot "kept", whose memory then holds the real parts, and
-    the backward block in slot "back", whose memory then holds the scores'
-    work arrays. The reconstructions returned are so overwritten by the next
-    call on the same thread: a caller that keeps them copies them."""
+    Every block lives in the study workspace
+    (:func:`~glct.product._study_array`): the kept coefficients in slot
+    "kept", whose memory then holds the real parts, and the backward block
+    in slot "back", whose memory then holds the scores' work arrays. The
+    reconstructions returned are so overwritten by the next call on the same
+    thread: a caller that keeps them copies them."""
     ks = [math.ceil(g * target.x.size) for g in gammas]
     shape = (len(ks), target.x.size)
-    kept = _keep_top(coeffs, magnitudes, ks, out=_kept("kept", shape))
-    back = program_block(kept, backward, ctx, out=_kept("back", shape))
-    recon = _kept("kept", shape, float)
+    kept = _keep_top(coeffs, magnitudes, ks, out=_study_array("kept", shape))
+    back = program_block(kept, backward, ctx, out=_study_array("back", shape))
+    recon = _study_array("kept", shape, float)
     np.copyto(recon, back.real)
-    return recon, _score_rows(target, recon, back.view(float))
+    return recon, _score_rows(target, recon, back.view(float).reshape(2, *shape))
 
 
 def _reported(recon_metrics, gammas, **fields) -> tuple[np.ndarray, list[CompressionReport]]:

@@ -202,14 +202,23 @@ class _PerThread(threading.local):
 _THREAD = _PerThread()
 
 
-def _workspace(p: int, owner: str = "workspace") -> _Workspace:
-    """The calling thread's workspace ``owner`` for rows of ``p`` entries,
-    kept between calls while a row fits in BLOCK_BYTES. Then every work array
-    of the executor fits in the budget too, since each holds one chunk: the
-    two block buffers, the Kronecker-sum term and the stacked real and
-    imaginary parts. A larger row gets a workspace of its own that the call
-    drops, so what a thread keeps allocated is bounded by the budget."""
-    return getattr(_THREAD, owner) if 16 * p <= BLOCK_BYTES else _Workspace()
+def _workspace(p: int) -> _Workspace:
+    """The calling thread's workspace for rows of ``p`` entries, kept between
+    calls while a row fits in BLOCK_BYTES. Then every work array fits in the
+    budget too, since each holds one chunk: the two block buffers, the
+    Kronecker-sum term and the stacked real and imaginary parts. A larger row
+    gets a workspace of its own that the call drops, so what a thread keeps
+    allocated is bounded by the budget."""
+    return _THREAD.workspace if 16 * p <= BLOCK_BYTES else _Workspace()
+
+
+def _study_array(slot: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """A work array of ``shape`` in slot ``slot`` of the calling thread's
+    study workspace, or a fresh one if it would exceed BLOCK_BYTES. Each slot
+    holds one block at a time: what a caller keeps it copies before the next
+    call that takes the slot."""
+    fits = math.prod(shape) * np.dtype(dtype).itemsize <= BLOCK_BYTES
+    return (_THREAD.studies if fits else _Workspace()).take(slot, shape, dtype)
 
 
 def block_rows(n: int) -> int:

@@ -956,6 +956,27 @@ def test_kept_workspace_holds_only_the_block_buffers():
     assert all(buf.nbytes <= BLOCK_BYTES for buf in slots.values())
 
 
+def test_study_arrays_beyond_the_budget_are_fresh():
+    """A study array within BLOCK_BYTES lives in the thread's study
+    workspace, whose slot the next array of that slot reuses; a larger one is
+    made fresh, and the workspace keeps nothing of it. Run in a thread of its
+    own, whose workspaces start empty."""
+    seen = []
+
+    def work():
+        studies = product._THREAD.studies
+        small = product._study_array("rows", (2, BLOCK_BYTES // 32))
+        again = product._study_array("rows", (1, 3), float)
+        big = product._study_array("big", (1, BLOCK_BYTES // 16 + 1))
+        seen.append((np.shares_memory(small, studies.slots["rows"]), np.shares_memory(again, small),
+                     set(studies.slots), big.shape))
+
+    th = threading.Thread(target=work)
+    th.start()
+    th.join(timeout=30)
+    assert seen == [(True, True, {"rows"}, (1, BLOCK_BYTES // 16 + 1))]
+
+
 def test_kron_sum_adds_from_zero(ctx_3d, monkeypatch):
     """The Kronecker sum adds its mode products to 0, as Python's ``sum`` does,
     so mode products that are all -0.0 sum to +0.0. BLAS gives no -0.0 mode
